@@ -5,16 +5,18 @@ operator / paths), ``count``, ``tpoly``, ``verify`` (main / truncated /
 qast / asymm / asym / coeff / bijections), and ``svg paths``.
 
 Verification subcommands print one PASS/FAIL line per parameter tuple plus
-a summary and exit 1 on any failure; argument errors exit 2.  Output for a
-fixed command line (including --seed) is byte-identical across runs; --jobs
-parallelizes sweeps over parameter tuples without changing the output
-order.
+a summary and exit 1 on any failure or when no check ran; argument errors
+exit 2.  Output for a fixed command line (including --seed) is
+byte-identical across runs; --jobs parallelizes sweeps over parameter
+tuples (at most one worker per task and per CPU) without changing the
+output order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,8 +25,9 @@ from . import cssp, detform, operatorform, pathfam, sttree, trapezoid
 
 
 def _run_tasks(fn, args_list, jobs):
-    if jobs > 1 and len(args_list) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args_list))
     return [fn(a) for a in args_list]
 
@@ -40,7 +43,7 @@ def _report(lines, out):
         failures += 0 if ok else 1
     total = len(lines)
     print(f"{total - failures}/{total} checks passed", file=out)
-    return 1 if failures else 0
+    return 1 if failures or not total else 0
 
 
 def _parse_int_list(text):
@@ -55,20 +58,6 @@ def _check_main(args):
     n, l, d = args
     lhs = trapezoid.gf(n, l)
     rhs = cssp.gf(l - 1, n, d)
-    return lhs == rhs, (str(lhs), str(rhs))
-
-
-def _check_det(args):
-    n, l = args
-    lhs = detform.gf_det(n, l)
-    rhs = trapezoid.gf(n, l)
-    return lhs == rhs, (str(lhs), str(rhs))
-
-
-def _check_operator(args):
-    n, l = args
-    lhs = operatorform.gf_ast_via_operator(n, l)
-    rhs = trapezoid.gf(n, l)
     return lhs == rhs, (str(lhs), str(rhs))
 
 
@@ -345,6 +334,8 @@ def _validate_args(args, parser):
         if args.route == "paths" and args.l is not None \
                 and not 0 <= args.d <= args.l - 1:
             parser.error("gf paths requires 0 <= d <= l-1")
+    if args.command == "verify" and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
 
 def main(argv=None) -> int:

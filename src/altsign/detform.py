@@ -47,8 +47,8 @@ def det_matrix(n: int, l: int) -> list[list[Gf]]:
 def gf_det(n: int, l: int) -> Gf:
     """Generating function by the determinant route (derived for l >= 2;
     l = 1 is allowed experimentally but carries no guarantee)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if n < 0 or l < 1:
+        raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
     if n == 0:
         return Gf.one()
     d = det_fraction_free(det_matrix(n, l))
@@ -58,6 +58,8 @@ def gf_det(n: int, l: int) -> Gf:
 def count(n: int, l: int) -> int:
     """Number of (n,l)-trapezoids via the P=Q=R=1 matrix entries
     C(i+j+l-1, i) + [i = j]."""
+    if n < 0 or l < 1:
+        raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
     if n == 0:
         return 1
     m = [[binomial(i + j + l - 1, i) + (1 if i == j else 0)

@@ -132,8 +132,12 @@ class MPoly:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        union = _sorted_vars(self.vars)
-        return hash(frozenset(_remap(self, union).items()))
+        # equal over any registries -> equal hash; a constant hashes as its value
+        if self.degree() <= 0:
+            return hash(sum(self.terms.values(), Fraction(0)))
+        return hash(frozenset(
+            (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)
+            for exp, c in self.terms.items()))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -367,6 +371,8 @@ class Gf:
         return self.terms == other.terms
 
     def __hash__(self):
+        if set(self.terms) <= {(0, 0, 0)}:  # a constant hashes as its value
+            return hash(self.terms.get((0, 0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

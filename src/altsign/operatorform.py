@@ -11,7 +11,12 @@ Operators act on sparse polynomials by substitution:
     backward difference:  bwd = Id - E_x^{-1}
 
 Operators in distinct variables commute, as do all operators in the same
-variable (they are polynomials in E_x).
+variable (they are polynomials in E_x).  Since E bwd = fwd and
+E^{-1} fwd = bwd, the weight factors of the generating function reduce to
+one shift each:
+
+    E (1 - P bwd)      = P + (1 - P) E
+    E^{-1} (1 + Q fwd) = Q + (1 - Q) E^{-1}
 """
 
 from __future__ import annotations
@@ -62,11 +67,34 @@ def compute_Mn(n: int) -> MPoly:
     return poly
 
 
-def eval_Mn(n: int, values) -> int:
+def _apply_diffs(n: int, s, t) -> MPoly:
+    """(-fwd_{x_1})^{s_1} ... (-fwd_{x_m})^{s_m} bwd^{t_1} ... bwd_{x_n}^{t_k}
+    applied to M_n, with m = len(s) and k = len(t)."""
     p = compute_Mn(n)
-    v = p.evaluate({xvar(i + 1): values[i] for i in range(n)})
-    assert v.denominator == 1
+    for i, si in enumerate(s, start=1):
+        for _ in range(si):
+            p = -fwd_diff(p, xvar(i))
+    for i, ti in enumerate(t, start=n - len(t) + 1):
+        for _ in range(ti):
+            p = bwd_diff(p, xvar(i))
+    return p
+
+
+def _integer(v: Fraction) -> int:
+    if v.denominator != 1:
+        raise ArithmeticError(f"operator value {v} is not an integer")
     return v.numerator
+
+
+def _substitute(p: MPoly, point) -> MPoly:
+    """p with x_i replaced by point[i-1] (numbers or polynomials)."""
+    for i, value in enumerate(point, start=1):
+        p = p.substitute(xvar(i), value)
+    return p
+
+
+def eval_Mn(n: int, values) -> int:
+    return count_sttrees_formula(n, (), (), values)
 
 
 def count_sttrees_formula(n: int, s, t, b) -> int:
@@ -78,48 +106,44 @@ def count_sttrees_formula(n: int, s, t, b) -> int:
         raise ShapeMismatchError("len(s) + len(t) exceeds n")
     if len(b) != n:
         raise ShapeMismatchError(f"need {n} bottom entries, got {len(b)}")
-    p = compute_Mn(n)
-    for i, si in enumerate(s, start=1):
-        for _ in range(si):
-            p = -fwd_diff(p, xvar(i))
-    offset = n - len(t)
-    for idx, ti in enumerate(t):
-        for _ in range(ti):
-            p = bwd_diff(p, xvar(offset + idx + 1))
-    v = p.evaluate({xvar(i + 1): b[i] for i in range(n)})
-    assert v.denominator == 1
-    return v.numerator
+    p = _apply_diffs(n, s, t)
+    return _integer(p.evaluate({xvar(i + 1): b[i] for i in range(n)}))
 
 
-def _split(j):
+def _positions(n: int, j):
+    """Check the signed positions j_1 < ... < j_m < 0 < j_{m+1} < ... < j_n;
+    (j, m), or None outside the labeled range -n..n (the value is 0 there)."""
     j = tuple(j)
-    m = sum(1 for x in j if x < 0)
     if any(x == 0 for x in j) or list(j) != sorted(set(j)):
         raise ValueError(f"positions must be strictly increasing and nonzero: {j}")
-    return j, m
+    if len(j) != n:
+        raise ShapeMismatchError(f"need {n} positions, got {len(j)}")
+    if j and (j[0] < -n or j[-1] > n):
+        return None
+    return j, sum(1 for x in j if x < 0)
+
+
+def _orders(j, m):
+    """The difference orders of the positions j: (-fwd)^{-j_i-1} on the m
+    negative ones, bwd^{j_i-1} on the rest."""
+    return tuple(-x - 1 for x in j[:m]), tuple(x - 1 for x in j[m:])
+
+
+def _position_point(j, m, l):
+    """The evaluation point x_i = j_i (i <= m), x_i = j_i + l - 3 (i > m);
+    l may be a number or the symbolic polynomial l."""
+    return tuple(x if i < m else x + l - 3 for i, x in enumerate(j))
 
 
 def count_ast_prescribed(n: int, l: int, j) -> int:
     """Number of (n,l)-trapezoids whose 1-columns sit at the signed
     positions j_1 < ... < j_m < 0 < j_{m+1} < ... < j_n; zero when the
     positions leave the labeled range."""
-    j, m = _split(j)
-    if len(j) != n:
-        raise ShapeMismatchError(f"need {n} positions, got {len(j)}")
-    if j[0] < -n or j[-1] > n:
+    checked = _positions(n, j)
+    if checked is None:
         return 0
-    p = compute_Mn(n)
-    for i in range(1, m + 1):
-        for _ in range(-j[i - 1] - 1):
-            p = -fwd_diff(p, xvar(i))
-    for i in range(m + 1, n + 1):
-        for _ in range(j[i - 1] - 1):
-            p = bwd_diff(p, xvar(i))
-    point = {xvar(i): (j[i - 1] if i <= m else j[i - 1] + l - 3)
-             for i in range(1, n + 1)}
-    v = p.evaluate(point)
-    assert v.denominator == 1
-    return v.numerator
+    j, m = checked
+    return count_sttrees_formula(n, *_orders(j, m), _position_point(j, m, l))
 
 
 def gf_ast_prescribed(n: int, l: int, j) -> Gf:
@@ -129,30 +153,17 @@ def gf_ast_prescribed(n: int, l: int, j) -> Gf:
     ones, applied to M_n.  At P = Q = 1 this reduces to the plain count."""
     if l < 2:
         raise ValueError("the weighted operator formula needs l >= 2")
-    j, m = _split(j)
-    if len(j) != n:
-        raise ShapeMismatchError(f"need {n} positions, got {len(j)}")
-    if j[0] < -n or j[-1] > n:
+    checked = _positions(n, j)
+    if checked is None:
         return Gf.zero()
+    j, m = checked
     P = MPoly.variable("P")
     Q = MPoly.variable("Q")
-    p = compute_Mn(n)
-    for i in range(1, m + 1):
-        x = xvar(i)
-        for _ in range(-j[i - 1] - 1):
-            p = -fwd_diff(p, x)
-        p = p - P * bwd_diff(p, x)
-        p = shift(p, x, 1)
-    for i in range(m + 1, n + 1):
-        x = xvar(i)
-        for _ in range(j[i - 1] - 1):
-            p = bwd_diff(p, x)
-        p = p + Q * fwd_diff(p, x)
-        p = shift(p, x, -1)
+    p = _apply_diffs(n, *_orders(j, m))
     for i in range(1, n + 1):
-        value = j[i - 1] if i <= m else j[i - 1] + l - 3
-        p = p.substitute(xvar(i), value)
-    return gf_from_mpoly(p)
+        w, k = (P, 1) if i <= m else (Q, -1)
+        p = w * p + (1 - w) * shift(p, xvar(i), k)
+    return gf_from_mpoly(_substitute(p, _position_point(j, m, l)))
 
 
 def all_positions(n: int):
@@ -186,26 +197,13 @@ def t_polynomial(n: int) -> MPoly:
     ell = MPoly.variable("l")
     total = MPoly.constant(0)
     for m, j in all_positions(n):
-        p = compute_Mn(n)
-        for i in range(1, m + 1):
-            for _ in range(-j[i - 1] - 1):
-                p = -fwd_diff(p, xvar(i))
-        for i in range(m + 1, n + 1):
-            for _ in range(j[i - 1] - 1):
-                p = bwd_diff(p, xvar(i))
-        for i in range(1, n + 1):
-            if i <= m:
-                p = p.substitute(xvar(i), j[i - 1])
-            else:
-                p = p.substitute(xvar(i), ell + (j[i - 1] - 3))
-        total += p
+        p = _apply_diffs(n, *_orders(j, m))
+        total += _substitute(p, _position_point(j, m, ell))
     return total
 
 
 def t_value(n: int, l: int) -> int:
-    v = t_polynomial(n).evaluate({"l": l})
-    assert v.denominator == 1
-    return v.numerator
+    return _integer(t_polynomial(n).evaluate({"l": l}))
 
 
 def falling_factorial_coeffs(p: MPoly, name: str = "l"):

@@ -44,6 +44,19 @@ class TestCountCommand:
         assert code == 0
         assert out.strip() == "7"
 
+    def test_out_of_domain_exits_2(self, capsys):
+        for argv in (("count", "--n", "-1", "--l", "3"),
+                     ("count", "--n", "3", "--l", "0"),
+                     ("gf", "det", "--n", "2", "--l", "0")):
+            code, out = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+
+    def test_l1_allowed(self, capsys):
+        code, out = run(capsys, "count", "--n", "2", "--l", "1")
+        assert code == 0
+        assert out.strip() == "5"
+
 
 class TestEnumerateCommand:
     def test_ast_json_roundtrips(self, capsys):
@@ -133,6 +146,47 @@ class TestVerify:
         _, parallel = run(capsys, "verify", "main", "--n-max", "2",
                           "--l-max", "2", "--jobs", "2")
         assert serial == parallel
+
+    def test_empty_sweep_fails(self, capsys):
+        for argv in (("verify", "main", "--n-max", "0"),
+                     ("verify", "truncated", "--samples", "0")):
+            code, out = run(capsys, *argv)
+            assert code == 1, argv
+            assert "0/0 checks passed" in out
+
+    def test_jobs_below_1_rejected(self, capsys):
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "main", "--n-max", "1", "--jobs", jobs])
+            assert info.value.code == 2
+
+    def test_jobs_clamped(self, capsys, monkeypatch):
+        # a stand-in pool records its size and runs the tasks in process
+        from altsign import cli
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # verify main --n-max 2 --l-max 2 has 6 checks; one CPU runs serially
+        for cpus, jobs, expected in ((4, "1000", [4]), (4, "3", [3]),
+                                     (16, "1000", [6]), (1, "8", [])):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            code, _ = run(capsys, "verify", "main", "--n-max", "2",
+                          "--l-max", "2", "--jobs", jobs)
+            assert code == 0 and sizes == expected, (cpus, jobs)
 
 
 class TestReport:

@@ -1,3 +1,5 @@
+import pytest
+
 from altsign import cssp, operatorform, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, k_matrix_inverse, series_coeffs,
@@ -63,6 +65,15 @@ class TestCount:
         for n in range(1, 4):
             for l in range(2, 5):
                 assert count(n, l) == len(trapezoid.enumerate_trapezoids(n, l))
+
+    def test_domain(self):
+        # n < 0 or l < 1 is outside both formulas; l = 1 stays allowed
+        for n, l in [(-1, 3), (3, 0), (2, -5), (0, 0)]:
+            with pytest.raises(ValueError):
+                count(n, l)
+            with pytest.raises(ValueError):
+                gf_det(n, l)
+        assert count(2, 1) == gf_det(2, 1).evaluate()
 
 
 class TestBehrendCoeff:

@@ -100,6 +100,15 @@ class TestMPoly:
         p = var("x1") + var("x2") ** 2 - 1
         assert str(p) == "x2^2 + x1 - 1"
 
+    def test_hash_agrees_with_equality(self):
+        # constants hash as their value; unused registry slots do not count
+        assert len({MPoly.constant(1), 1}) == 1
+        assert len({MPoly.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({MPoly.constant(0), 0}) == 1
+        assert len({var("x1") - var("x1") + 3, 3}) == 1
+        padded = var("x1") - var("x1") + var("x2")
+        assert padded == var("x2") and hash(padded) == hash(var("x2"))
+
 
 def random_poly(rng, names=("x1", "x2", "Y1")):
     p = MPoly.constant(0)
@@ -138,6 +147,11 @@ class TestGf:
     def test_gf_from_mpoly(self):
         p = var("P") * var("R") + 2
         assert gf_from_mpoly(p) == Gf.monomial(p=1, r=1) + 2 * Gf.one()
+
+    def test_hash_agrees_with_equality(self):
+        assert len({Gf.one(), 1}) == 1
+        assert len({Gf.zero(), 0}) == 1
+        assert len({3 * Gf.one(), 3, Gf.monomial(q=1)}) == 2
 
 
 class TestDeterminant:

@@ -1,7 +1,13 @@
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import altsign
 from altsign import trapezoid
 from altsign.errors import ShapeMismatchError
 from altsign.exactalg import Gf, MPoly
@@ -151,6 +157,30 @@ class TestPrescribedCounts:
                         (n, l, j)
 
 
+class TestPositionChecks:
+    def test_error_order(self):
+        # ValueError for a malformed vector, then ShapeMismatchError for a
+        # wrong length, then zero outside the labeled range
+        for route, zero in ((lambda j: count_ast_prescribed(2, 4, j), 0),
+                            (lambda j: gf_ast_prescribed(2, 4, j), Gf.zero())):
+            for bad in [(1, 1, 2), (0, 1, 2), (2, 1, 3)]:
+                with pytest.raises(ValueError) as info:
+                    route(bad)
+                assert not isinstance(info.value, ShapeMismatchError)
+            with pytest.raises(ShapeMismatchError):
+                route((-9, 1, 2))
+            assert route((-3, 1)) == zero
+
+    def test_empty_order_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            gf_ast_via_operator(0, 3)
+
+    def test_weighted_formula_needs_l_2(self):
+        # the base-length check comes before the position checks
+        with pytest.raises(ValueError, match="l >= 2"):
+            gf_ast_prescribed(2, 1, (1, 1, 2))
+
+
 class TestPrescribedGf:
     def test_24_examples(self):
         assert gf_ast_prescribed(2, 4, (-1, 1)) == \
@@ -249,3 +279,28 @@ class TestAsymLemma:
     def test_deterministic_for_fixed_seed(self):
         assert verify_asym_lemma(2, 5, seed=42) == \
             verify_asym_lemma(2, 5, seed=42)
+
+
+class TestIntegrality:
+    def test_no_assert_statements(self):
+        # integrality checks must not vanish under python -O
+        src = Path(altsign.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not found, (path.name, found)
+
+    def test_non_integer_raises_under_optimize(self):
+        code = ("from fractions import Fraction\n"
+                "from altsign.operatorform import _integer\n"
+                "try:\n"
+                "    _integer(Fraction(1, 2))\n"
+                "except ArithmeticError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(altsign.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
