@@ -1,6 +1,7 @@
-"""Exact arithmetic kernel: generalized binomial coefficients, sparse
-multivariate polynomials over the rationals, three-variable generating
-functions with integer coefficients, and fraction-free determinants.
+"""Exact arithmetic kernel: generalized binomial coefficients, one sparse
+multivariate polynomial type over the rationals (``MPoly``) with its
+specialization to generating functions in P, Q, R over the integers
+(``Gf``), and fraction-free determinants.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.
@@ -9,6 +10,7 @@ types; nothing in this package ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import NonDivisibleError
 
@@ -41,10 +43,11 @@ def _sorted_vars(names):
 
 
 def _divide_sparse(num, den, coeff_div):
-    """Exact division of sparse exponent-dict polynomials (shared by MPoly
-    and Gf).  Terms are keyed by equal-length exponent tuples; leading terms
-    are taken in graded-lex order.  Raises NonDivisibleError (with the
-    residual terms as witness) when the division is not exact."""
+    """Exact division of sparse exponent-dict polynomials.  Terms are keyed
+    by equal-length exponent tuples; leading terms are taken in graded-lex
+    order.  coeff_div(x, y, rem) divides two coefficients.  Raises
+    NonDivisibleError (with the residual terms as witness) when the
+    division is not exact."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
@@ -56,13 +59,13 @@ def _divide_sparse(num, den, coeff_div):
     quot = {}
     while rem:
         lead = max(rem, key=order)
-        exp = tuple(a - b for a, b in zip(lead, den_lead))
+        exp = tuple(map(sub, lead, den_lead))
         if any(e < 0 for e in exp):
             raise NonDivisibleError("not divisible", remainder=rem)
-        c = coeff_div(rem[lead], den_lead_c, rem)
-        quot[exp] = quot.get(exp, 0) + c
+        # the leading exponent falls strictly each round, so exp is new
+        c = quot[exp] = coeff_div(rem[lead], den_lead_c, rem)
         for de, dc in den.items():
-            key = tuple(a + b for a, b in zip(exp, de))
+            key = tuple(map(add, exp, de))
             v = rem.get(key, 0) - c * dc
             if v:
                 rem[key] = v
@@ -75,30 +78,43 @@ class MPoly:
     """Sparse multivariate polynomial over Fraction coefficients.
 
     Stored as an ordered variable registry plus a map from exponent tuples
-    (one slot per registered variable) to nonzero Fraction coefficients.
+    (one slot per registered variable) to nonzero coefficients of type
+    _ring; _scalars combine with a polynomial.  Gf narrows both to int.
     Values are immutable in use: all operations return new polynomials.
     """
 
     __slots__ = ("vars", "terms")
+    _scalars = (int, Fraction)
+    _ring = Fraction
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, self._scalars):
+                    raise TypeError(f"coefficient {c!r} is not an exact "
+                                    f"{self._ring.__name__}")
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[tuple(exp)] = self._ring(c)
         self.terms = clean
 
     @classmethod
-    def constant(cls, c) -> "MPoly":
-        c = Fraction(c)
-        return cls((), {(): c} if c else {})
+    def _make(cls, vars_, terms):
+        """Wrap a finished exponent dict (nonzero coefficients of the ring)
+        without copying or cleaning it."""
+        p = object.__new__(cls)
+        p.vars = vars_
+        p.terms = terms
+        return p
 
-    @classmethod
-    def variable(cls, name: str) -> "MPoly":
-        return cls((name,), {(1,): Fraction(1)})
+    @staticmethod
+    def constant(c) -> "MPoly":
+        return MPoly((), {(): c})
+
+    @staticmethod
+    def variable(name: str) -> "MPoly":
+        return MPoly._make((name,), {(1,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -106,30 +122,32 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def _coerce(self, other):
+    def _scalar(self, c):
+        """The scalar c as a polynomial of this class over this registry."""
+        return self._make(self.vars,
+                          {(0,) * len(self.vars): self._ring(c)} if c else {})
+
+    def _align(self, other):
+        """(result class, registry, terms of self, terms of other) over one
+        registry, or None when other is neither a polynomial nor a scalar of
+        the ring.  A Gf meeting a plain MPoly is computed as an MPoly."""
         if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.constant(other)
+            if type(other) is type(self):
+                if other.vars == self.vars:
+                    return type(self), self.vars, self.terms, other.terms
+            else:
+                self, other = _as_mpoly(self), _as_mpoly(other)
+            union = _sorted_vars(self.vars + other.vars)
+            return MPoly, union, _remap(self, union), _remap(other, union)
+        if isinstance(other, self._scalars):
+            return type(self), self.vars, self.terms, self._scalar(other).terms
         return None
 
-    def _aligned(self, other: "MPoly"):
-        """Remap both polynomials onto the union registry."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = _sorted_vars(self.vars + other.vars)
-        return union, _remap(self, union), _remap(other, union)
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        aligned = self._align(other)
+        if aligned is None:
             return NotImplemented
-        _, a, b = self._aligned(other)
-        return a == b
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return aligned[2] == aligned[3]
 
     def __hash__(self):
         # equal over any registries -> equal hash; a constant hashes as its value
@@ -140,27 +158,26 @@ class MPoly:
             for exp, c in self.terms.items()))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        aligned = self._align(other)
+        if aligned is None:
             return NotImplemented
-        vars_, a, b = self._aligned(other)
+        cls, vars_, a, b = aligned
         out = dict(a)
         for exp, c in b.items():
             v = out.get(exp, 0) + c
             if v:
                 out[exp] = v
             else:
-                out.pop(exp, None)
-        return MPoly(vars_, out)
+                del out[exp]
+        return cls._make(vars_, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (MPoly, self._scalars)):
             return NotImplemented
         return self + (-other)
 
@@ -168,30 +185,32 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._scalars):
             if not other:
-                return MPoly(self.vars, {})
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MPoly):
+                return self._make(self.vars, {})
+            return self._make(self.vars,
+                              {e: c * other for e, c in self.terms.items()})
+        aligned = self._align(other)
+        if aligned is None:
             return NotImplemented
-        vars_, a, b = self._aligned(other)
+        cls, vars_, a, b = aligned
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 v = out.get(key, 0) + c1 * c2
                 if v:
                     out[key] = v
                 else:
                     out.pop(key, None)
-        return MPoly(vars_, out)
+        return cls._make(vars_, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.constant(1)
+        result = self._scalar(1)
         base = self
         while k:
             if k & 1:
@@ -208,28 +227,20 @@ class MPoly:
         """Replace a variable by a Fraction, int or MPoly."""
         if name not in self.vars:
             return self
-        idx = self.vars.index(name)
-        rest_vars = self.vars[:idx] + self.vars[idx + 1:]
-        if isinstance(value, (int, Fraction)):
-            value_poly = None
-        else:
-            value_poly = value
-        out = MPoly(rest_vars, {})
-        powers = {0: MPoly.constant(1)}
-        for exp, c in self.terms.items():
-            e = exp[idx]
-            rest = exp[:idx] + exp[idx + 1:]
-            if value_poly is None:
-                out += MPoly(rest_vars, {rest: c * Fraction(value) ** e})
-            else:
-                if e not in powers:
-                    powers[e] = value_poly ** e
-                out += MPoly(rest_vars, {rest: c}) * powers[e]
+        p = _as_mpoly(self)
+        idx = p.vars.index(name)
+        rest_vars = p.vars[:idx] + p.vars[idx + 1:]
+        groups = {}  # the terms by their power of name, one product each
+        for exp, c in p.terms.items():
+            groups.setdefault(exp[idx], {})[exp[:idx] + exp[idx + 1:]] = c
+        out = MPoly._make(rest_vars, {})
+        for e, group in groups.items():
+            out += MPoly._make(rest_vars, group) * value ** e
         return out
 
     def shift_var(self, name: str, c) -> "MPoly":
         """The substitution x -> x + c (used by the shift operator E_x)."""
-        return self.substitute(name, MPoly.variable(name) + Fraction(c))
+        return self.substitute(name, MPoly.variable(name) + c)
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate with every registered variable assigned a number."""
@@ -243,45 +254,37 @@ class MPoly:
             total += term
         return total
 
-    def coefficient(self, name: str, k: int) -> "MPoly":
-        """Coefficient of name**k, as a polynomial in the other variables."""
-        if name not in self.vars:
-            return self if k == 0 else MPoly(self.vars, {})
-        idx = self.vars.index(name)
-        rest_vars = self.vars[:idx] + self.vars[idx + 1:]
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[idx] == k:
-                out[exp[:idx] + exp[idx + 1:]] = c
-        return MPoly(rest_vars, out)
+    _divide_coeff = staticmethod(lambda x, y, _rem: Fraction(x, y))
 
     def exact_divide(self, other) -> "MPoly":
         """Exact division in the polynomial ring; NonDivisibleError otherwise."""
-        other = self._coerce(other)
-        vars_, a, b = self._aligned(other)
+        aligned = self._align(other)
+        if aligned is None:
+            raise TypeError(f"cannot divide {self!r} by {other!r}")
+        cls, vars_, a, b = aligned
+        return cls._make(vars_, _divide_sparse(a, b, cls._divide_coeff))
 
-        def coeff_div(x, y, _rem):
-            return x / y
-
-        quot = _divide_sparse(a, b, coeff_div)
-        return MPoly(vars_, quot)
-
-    def _canonical_terms(self):
-        union = _sorted_vars(self.vars)
-        terms = _remap(self, union)
-        order = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        return union, terms, order
+    @staticmethod
+    def _print_key(exp):
+        # total degree descending, then exponents descending in var order
+        return (-sum(exp), tuple(-x for x in exp))
 
     def __str__(self):
-        union, terms, order = self._canonical_terms()
-        if not order:
+        names = _sorted_vars(self.vars)
+        terms = _remap(self, names)
+        if not terms:
             return "0"
-        parts = []
-        for exp in order:
-            parts.append((terms[exp], _monomial_str(union, exp)))
-        return _join_terms(parts)
+        return _join_terms([(terms[e], _monomial_str(names, e))
+                            for e in sorted(terms, key=self._print_key)])
 
     __repr__ = __str__
+
+
+def _as_mpoly(p: MPoly) -> MPoly:
+    """p itself, or a Gf as an MPoly with Fraction coefficients."""
+    if type(p) is MPoly:
+        return p
+    return MPoly._make(p.vars, {e: Fraction(c) for e, c in p.terms.items()})
 
 
 def _remap(p: MPoly, target_vars):
@@ -327,27 +330,29 @@ def _join_terms(parts):
     return " ".join(chunks)
 
 
-class Gf:
-    """Generating-function value: a polynomial in P, Q, R with integer
-    coefficients, stored as a map (deg P, deg Q, deg R) -> coefficient."""
+_PQR = ("P", "Q", "R")
 
-    __slots__ = ("terms",)
+
+class Gf(MPoly):
+    """Generating-function value: an MPoly over the fixed registry
+    (P, Q, R) with int coefficients, so its terms map
+    (deg P, deg Q, deg R) -> coefficient.  Arithmetic among Gf values and
+    ints stays in Gf; with a plain MPoly it gives an MPoly."""
+
+    __slots__ = ()
+    _scalars = int
+    _ring = int
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if c:
-                    clean[tuple(exp)] = c
-        self.terms = clean
+        super().__init__(_PQR, terms)
 
     @classmethod
     def zero(cls) -> "Gf":
-        return cls()
+        return cls._make(_PQR, {})
 
     @classmethod
     def one(cls) -> "Gf":
-        return cls({(0, 0, 0): 1})
+        return cls._make(_PQR, {(0, 0, 0): 1})
 
     @classmethod
     def monomial(cls, p=0, q=0, r=0, coeff=1) -> "Gf":
@@ -355,60 +360,19 @@ class Gf:
 
     @classmethod
     def p_plus_q_minus_1(cls) -> "Gf":
-        return cls({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})
+        return cls._make(_PQR, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Gf({(0, 0, 0): other})
-        if not isinstance(other, Gf):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if set(self.terms) <= {(0, 0, 0)}:  # a constant hashes as its value
-            return hash(self.terms.get((0, 0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Gf({(0, 0, 0): other})
-        if not isinstance(other, Gf):
-            return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                del out[exp]
-        return Gf(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Gf({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Gf({(0, 0, 0): other})
-        if not isinstance(other, Gf):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # Bound in Gf's own namespace as well, so that a per-class profile
+    # counts Gf's adds and divisions apart from MPoly's.
+    __add__ = __radd__ = MPoly.__add__
+    exact_divide = MPoly.exact_divide
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Gf({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Gf):
-            return NotImplemented
+        # The one body of its own: adding the three exponent slots by hand
+        # is twice as fast as the generic tuple sum on the large Bareiss
+        # products of the determinant route.
+        if type(other) is not Gf:
+            return MPoly.__mul__(self, other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -418,70 +382,43 @@ class Gf:
                     out[key] = v
                 else:
                     out.pop(key, None)
-        return Gf(out)
+        return Gf._make(_PQR, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Gf.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def evaluate(self, p=1, q=1, r=1) -> int:
         return sum(c * p ** ep * q ** eq * r ** er
                    for (ep, eq, er), c in self.terms.items())
 
-    def exact_divide(self, other: "Gf") -> "Gf":
-        def coeff_div(x, y, rem):
-            q_, r_ = divmod(x, y)
-            if r_:
-                raise NonDivisibleError("coefficient not divisible",
-                                        remainder=rem)
-            return q_
+    @staticmethod
+    def _divide_coeff(x, y, rem):
+        q_, r_ = divmod(x, y)
+        if r_:
+            raise NonDivisibleError("coefficient not divisible", remainder=rem)
+        return q_
 
-        return Gf(_divide_sparse(self.terms, other.terms, coeff_div))
-
-    def __str__(self):
+    @staticmethod
+    def _print_key(exp):
         # R-major order, matching how these polynomials are written by hand:
         # R-degree descending, then total P,Q-degree ascending, then P before Q.
-        if not self.terms:
-            return "0"
-        order = sorted(self.terms,
-                       key=lambda e: (-e[2], e[0] + e[1], -e[0]))
-        parts = [(self.terms[e], _monomial_str(("P", "Q", "R"), e))
-                 for e in order]
-        return _join_terms(parts)
-
-    __repr__ = __str__
+        return (-exp[2], exp[0] + exp[1], -exp[0])
 
 
 def gf_from_mpoly(p: MPoly) -> Gf:
     """Convert a polynomial whose variables are among P, Q, R (with integer
     coefficients) into a Gf value."""
-    for v in p.vars:
-        if v not in ("P", "Q", "R"):
-            for exp in p.terms:
-                if exp[p.vars.index(v)]:
-                    raise ValueError(f"unexpected variable {v!r} in {p}")
-    pos = {v: p.vars.index(v) for v in p.vars}
-    out = {}
-    for exp, c in p.terms.items():
+    for i, v in enumerate(p.vars):
+        if v not in _PQR and any(exp[i] for exp in p.terms):
+            raise ValueError(f"unexpected variable {v!r} in {p}")
+    terms = _remap(p, _PQR)
+    for c in terms.values():
         if c.denominator != 1:
             raise ValueError(f"non-integer coefficient {c} in {p}")
-        key = tuple(exp[pos[v]] if v in pos else 0 for v in ("P", "Q", "R"))
-        out[key] = out.get(key, 0) + c.numerator
-    return Gf(out)
+    return Gf._make(_PQR, {e: int(c) for e, c in terms.items()})
 
 
 def _exact_div_element(a, b):
-    if isinstance(a, (MPoly, Gf)):
+    if isinstance(a, MPoly):
         return a.exact_divide(b)
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return Fraction(a) / Fraction(b)
@@ -492,11 +429,11 @@ def _exact_div_element(a, b):
 
 
 def det_fraction_free(matrix):
-    """Determinant of a square matrix over an integral domain (int, Fraction,
-    MPoly or Gf entries) by Bareiss elimination.
-
-    All intermediate divisions are exact, so no rational functions appear.
-    The 0x0 determinant is 1.
+    """Determinant of a square matrix of int, Fraction or MPoly (Gf
+    included) entries by Bareiss elimination.  Each step divides exactly by
+    the previous pivot, so no rational functions appear.  A zero pivot is
+    swapped with a row below; if none is nonzero the result is the zero of
+    the entry type.  The 0x0 determinant is the int 1.
     """
     n = len(matrix)
     if n == 0:

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,33 @@ class TestMPoly:
         padded = var("x1") - var("x1") + var("x2")
         assert padded == var("x2") and hash(padded) == hash(var("x2"))
 
+    def test_exact_divide_by_scalar_keeps_fractions(self):
+        x = var("x1")
+        q = (2 * x + 1).exact_divide(2)
+        assert q == x + Fraction(1, 2)
+        assert all(type(c) is Fraction for c in q.terms.values())
+
+    def test_inexact_coefficients_rejected(self):
+        for bad in (0.1, "1/2", None):
+            with pytest.raises(TypeError):
+                MPoly(("x1",), {(1,): bad})
+            with pytest.raises(TypeError):
+                var("x1") + bad
+        with pytest.raises(TypeError):
+            MPoly.constant(0.5)
+        with pytest.raises(TypeError):
+            var("x1").shift_var("x1", 0.5)
+        assert all(type(c) is Fraction
+                   for c in MPoly(("x1",), {(1,): 3, (0,): True}).terms.values())
+
+    def test_equals_gf_and_hashes_alike(self):
+        assert var("P") == Gf.monomial(p=1)
+        assert hash(var("P")) == hash(Gf.monomial(p=1))
+        mixed = var("P") * var("x1") + Gf.monomial(p=1, coeff=2)
+        assert type(mixed) is MPoly
+        assert all(type(c) is Fraction for c in mixed.terms.values())
+        assert mixed - var("P") * var("x1") == 2 * Gf.monomial(p=1)
+
 
 def random_poly(rng, names=("x1", "x2", "Y1")):
     p = MPoly.constant(0)
@@ -147,6 +176,21 @@ class TestGf:
     def test_gf_from_mpoly(self):
         p = var("P") * var("R") + 2
         assert gf_from_mpoly(p) == Gf.monomial(p=1, r=1) + 2 * Gf.one()
+
+    def test_coefficients_stay_int(self):
+        g = Gf.monomial(p=1, coeff=3) * Gf.p_plus_q_minus_1() - 2
+        assert type(g) is Gf
+        assert all(type(c) is int for c in g.terms.values())
+        assert all(type(c) is int
+                   for c in (g ** 3).exact_divide(g).terms.values())
+        with pytest.raises(TypeError):
+            g * Fraction(1, 2)
+        with pytest.raises(TypeError):
+            g + Fraction(1)
+        with pytest.raises(TypeError):
+            Gf({(0, 0, 0): Fraction(1)})
+        with pytest.raises(TypeError):
+            Gf.monomial(coeff=1.0)
 
     def test_hash_agrees_with_equality(self):
         assert len({Gf.one(), 1}) == 1
@@ -191,3 +235,20 @@ class TestDeterminant:
         for n in range(1, 6):
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(m) == det_cofactor(m)
+
+
+class TestTracerTable:
+    """The benchmark's tracer finds each function it wraps by looking the
+    name up in its owner's own namespace (Gf.__add__ must be bound in Gf,
+    not only inherited from MPoly)."""
+
+    def test_every_entry_is_found(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_altsign_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for name, module, attr in tracer.WRAPPED + tracer.COUNTED:
+            assert tracer._lookup(module, attr) is not None, name
+        # reflected operators are the same functions, so one wrapper each
+        assert vars(Gf)["__radd__"] is vars(Gf)["__add__"]
+        assert vars(Gf)["__rmul__"] is vars(Gf)["__mul__"]

@@ -1,0 +1,114 @@
+"""Property tests for the polynomial core: MPoly, and Gf as its
+specialization to the registry (P, Q, R) with int coefficients."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from altsign.exactalg import Gf, MPoly, gf_from_mpoly  # noqa: E402
+
+props = settings(max_examples=40, deadline=None)
+
+exps = st.tuples(*[st.integers(0, 2)] * 3)
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def mpolys(draw):
+    """Up to four terms over a registry of at most three of four names."""
+    names = draw(st.lists(st.sampled_from(["x1", "x2", "P", "Q"]),
+                          unique=True, max_size=3))
+    terms = draw(st.dictionaries(exps.map(lambda e: e[:len(names)]),
+                                 fractions, max_size=4))
+    return MPoly(names, terms)
+
+
+gfs = st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(Gf)
+
+
+def as_mpoly(g: Gf) -> MPoly:
+    return MPoly(("P", "Q", "R"), g.terms)
+
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def check_ring_axioms(a, b, c, zero, one):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a - b == -(b - a)
+    assert a ** 2 == a * a
+
+
+@props
+@given(mpolys(), mpolys(), mpolys())
+def test_mpoly_ring_axioms(a, b, c):
+    check_ring_axioms(a, b, c, MPoly.constant(0), MPoly.constant(1))
+
+
+@props
+@given(gfs, gfs, gfs)
+def test_gf_ring_axioms(a, b, c):
+    check_ring_axioms(a, b, c, Gf.zero(), Gf.one())
+
+
+@props
+@given(mpolys(), mpolys())
+def test_mpoly_exact_divide_undoes_product(a, b):
+    if b:
+        assert (a * b).exact_divide(b) == a
+
+
+@props
+@given(gfs, gfs)
+def test_gf_exact_divide_undoes_product(a, b):
+    if b:
+        assert (a * b).exact_divide(b) == a
+
+
+@props
+@given(gfs, gfs, st.integers(-3, 3))
+def test_gf_ops_match_mpoly_ops(a, b, k):
+    ma, mb = as_mpoly(a), as_mpoly(b)
+    pairs = [(a + b, ma + mb), (a - b, ma - mb), (a * b, ma * mb),
+             (-a, -ma), (a ** 2, ma ** 2), (a * k, ma * k), (k - a, k - ma)]
+    if b:
+        pairs.append(((a * b).exact_divide(b), (ma * mb).exact_divide(mb)))
+    for g, m in pairs:
+        assert type(g) is Gf
+        assert gf_from_mpoly(m).terms == g.terms
+        assert str(gf_from_mpoly(m)) == str(g)
+
+
+@props
+@given(mpolys(), mpolys(), gfs)
+def test_equal_values_hash_alike(a, b, g):
+    m = as_mpoly(g)
+    padded = m + MPoly.variable("x1") - MPoly.variable("x1")
+    for x, y in [(a, b), (a + b, b + a), (a - a, 0), (g, m), (g, padded),
+                 (m, padded), (g - g + 3, 3), (a * 0 + Fraction(1, 2),
+                                               Fraction(1, 2))]:
+        if x == y:
+            assert hash(x) == hash(y)
+    assert g == m and g == padded
+
+
+@props
+@given(mpolys(), mpolys(), gfs, gfs)
+def test_coefficient_types(a, b, g, h):
+    for p in (a + b, a - b, a * b, -a, a ** 2, a * Fraction(1, 3), 2 * a,
+              a.exact_divide(3), g + a, a * g, g - a):
+        assert type(p) is MPoly
+        assert coefficient_types(p) <= {Fraction}
+    for p in (g + h, g - h, g * h, -g, g ** 2, 3 * g, g - 1, 1 - g):
+        assert type(p) is Gf
+        assert coefficient_types(p) <= {int}
