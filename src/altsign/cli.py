@@ -15,6 +15,8 @@ output order.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import random
@@ -54,10 +56,16 @@ def _parse_int_list(text):
 
 # --- verification workers (top-level so process pools can pickle them) ----
 
+@functools.lru_cache(maxsize=1)
+def _ast_gf(n, l):
+    # main's tasks come grouped by (n, l), so one entry lets the d values
+    # of an (n, l) share its enumeration in each process
+    return trapezoid.gf(n, l)
+
+
 def _check_main(args):
     n, l, d = args
-    lhs = trapezoid.gf(n, l)
-    rhs = cssp.gf(l - 1, n, d)
+    lhs, rhs = _ast_gf(n, l), cssp.gf(l - 1, n, d)
     return lhs == rhs, (str(lhs), str(rhs))
 
 
@@ -68,14 +76,27 @@ def _check_truncated(inst):
     return formula == brute, (f"formula {formula}", f"brute force {brute}")
 
 
+def _check_qast(args):
+    n, part = args
+    if part == "count":
+        value = operatorform.t_value(n, 1)
+        brute = len(trapezoid.enumerate_trapezoids(n, 1))
+        return value == brute, (f"t_{n}(1) = {value}", f"enumeration {brute}")
+    return all(operatorform.count_ast_prescribed(n, 1, j) == 0
+               for m, j in operatorform.all_positions(n)
+               if 0 < m < n and j[m - 1] < -1 and j[m] > 1), ()
+
+
 def _check_asymm(args):
-    n, x = args
-    return operatorform.verify_asymM(n, x), ()
+    return operatorform.verify_asymM(*args), ()
+
+
+def _check_asym(args):
+    return operatorform.verify_asym_lemma(*args), ()
 
 
 def _check_coeff(args):
-    n, l = args
-    return detform.verify_coeff_route(n, l), ()
+    return detform.verify_coeff_route(*args), ()
 
 
 def _check_bijections(args):
@@ -122,32 +143,58 @@ def random_tree_instances(count, seed, max_n=4, spread=3, max_trunc=2):
     return out
 
 
+def _n_l(args, l_min):
+    return [(n, l) for n in range(1, args.n_max + 1)
+            for l in range(l_min, args.l_max + 1)]
+
+
+# identity -> (the tasks its arguments call for, the check of one task, the
+# label of a task as a format string over the task's fields)
+IDENTITIES = {
+    "main": (lambda a: [(n, l, d) for n, l in _n_l(a, 1) for d in range(l)],
+             _check_main, "main (n={}, l={}, d={})"),
+    "truncated": (lambda a: random_tree_instances(a.samples, a.seed),
+                  _check_truncated, "truncated (n={}, s={}, t={}, b={})"),
+    "qast": (lambda a: [(n, part) for n in range(1, a.n_max + 1)
+                        for part in ("count", "vanishing")],
+             _check_qast, "qast {1} (n={0})"),
+    "asymm": (lambda a: [(n, x) for n in range(1, a.n_max + 1)
+                         for x in itertools.product(range(4), repeat=n)],
+              _check_asymm, "asymM (n={}, x={})"),
+    "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],
+             _check_asym, "asym lemma (n={}, samples={})"),
+    "coeff": (lambda a: _n_l(a, 2), _check_coeff, "coeff (n={}, l={})"),
+    "bijections": (lambda a: _n_l(a, 2), _check_bijections,
+                   "bijections (n={}, l={})"),
+}
+
+
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_enumerate(args, out):
     if args.family == "ast":
         objs = trapezoid.enumerate_trapezoids(args.n, args.l)
-        dicts = [trapezoid.to_json(t) for t in objs]
-        texts = ["\n".join(" ".join(f"{e:2d}" for e in row) for row in t.rows)
-                 for t in objs]
+        to_json = trapezoid.to_json
+        text = lambda t: "\n".join(" ".join(f"{e:2d}" for e in row)
+                                   for row in t.rows)
     elif args.family == "cssp":
         objs = cssp.enumerate_cssps(args.k, args.n)
-        dicts = [cssp.to_json(c) for c in objs]
-        texts = [cssp.pretty(c) for c in objs]
+        to_json, text = cssp.to_json, cssp.pretty
     else:
-        s, t, b = (_parse_int_list(args.s), _parse_int_list(args.t),
-                   _parse_int_list(args.b))
-        objs = sttree.enumerate_sttrees(args.n, s, t, b)
-        dicts = [sttree.to_json(tr) for tr in objs]
-        texts = ["\n".join(" ".join("." if v is None else str(v) for v in row)
-                           for row in tr.rows) for tr in objs]
+        lists = map(_parse_int_list, (args.s, args.t, args.b))
+        objs = sttree.enumerate_sttrees(args.n, *lists)
+        to_json = sttree.to_json
+        text = lambda tr: "\n".join(
+            " ".join("." if v is None else str(v) for v in row)
+            for row in tr.rows)
+    # build only the form that is printed
     if args.format == "json":
-        print(json.dumps(dicts, indent=2), file=out)
-    else:
-        for i, text in enumerate(texts):
-            print(f"# {i + 1}", file=out)
-            print(text, file=out)
-        print(f"total: {len(objs)}", file=out)
+        print(json.dumps([to_json(o) for o in objs], indent=2), file=out)
+        return 0
+    for i, obj in enumerate(objs):
+        print(f"# {i + 1}", file=out)
+        print(text(obj), file=out)
+    print(f"total: {len(objs)}", file=out)
     return 0
 
 
@@ -192,58 +239,11 @@ def _cmd_tpoly(args, out):
 
 
 def _cmd_verify(args, out):
-    jobs = args.jobs
-    kind = args.identity
-    if kind == "main":
-        tuples = [(n, l, d)
-                  for n in range(1, args.n_max + 1)
-                  for l in range(1, args.l_max + 1)
-                  for d in range(0, l)]
-        results = _run_tasks(_check_main, tuples, jobs)
-        lines = [(f"main (n={n}, l={l}, d={d})", ok, detail)
-                 for (n, l, d), (ok, detail) in zip(tuples, results)]
-    elif kind == "truncated":
-        instances = random_tree_instances(args.samples, args.seed)
-        results = _run_tasks(_check_truncated, instances, jobs)
-        lines = [(f"truncated (n={n}, s={s}, t={t}, b={b})", ok, detail)
-                 for (n, s, t, b), (ok, detail) in zip(instances, results)]
-    elif kind == "qast":
-        lines = []
-        for n in range(1, args.n_max + 1):
-            value = operatorform.t_value(n, 1)
-            brute = len(trapezoid.enumerate_trapezoids(n, 1))
-            lines.append((f"qast count (n={n})", value == brute,
-                          (f"t_{n}(1) = {value}", f"enumeration {brute}")))
-            vanish = all(
-                operatorform.count_ast_prescribed(n, 1, j) == 0
-                for m, j in operatorform.all_positions(n)
-                if 0 < m < n and j[m - 1] < -1 and j[m] > 1)
-            lines.append((f"qast vanishing (n={n})", vanish, ()))
-    elif kind == "asymm":
-        from itertools import product
-        tuples = [(n, x) for n in range(1, args.n_max + 1)
-                  for x in product(range(4), repeat=n)]
-        results = _run_tasks(_check_asymm, tuples, jobs)
-        lines = [(f"asymM (n={n}, x={x})", ok, detail)
-                 for (n, x), (ok, detail) in zip(tuples, results)]
-    elif kind == "asym":
-        lines = []
-        for n in range(1, args.n_max + 1):
-            ok = operatorform.verify_asym_lemma(n, args.samples, args.seed)
-            lines.append((f"asym lemma (n={n}, samples={args.samples})", ok, ()))
-    elif kind == "coeff":
-        tuples = [(n, l) for n in range(1, args.n_max + 1)
-                  for l in range(2, args.l_max + 1)]
-        results = _run_tasks(_check_coeff, tuples, jobs)
-        lines = [(f"coeff (n={n}, l={l})", ok, detail)
-                 for (n, l), (ok, detail) in zip(tuples, results)]
-    else:  # bijections
-        tuples = [(n, l) for n in range(1, args.n_max + 1)
-                  for l in range(2, args.l_max + 1)]
-        results = _run_tasks(_check_bijections, tuples, jobs)
-        lines = [(f"bijections (n={n}, l={l})", ok, detail)
-                 for (n, l), (ok, detail) in zip(tuples, results)]
-    return _report(lines, out)
+    tasks_for, check, label = IDENTITIES[args.identity]
+    tasks = tasks_for(args)
+    results = _run_tasks(check, tasks, args.jobs)
+    return _report([(label.format(*task), ok, detail)
+                    for task, (ok, detail) in zip(tasks, results)], out)
 
 
 def _cmd_svg(args, out):
@@ -297,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tpoly)
 
     p = sub.add_parser("verify", help="cross-route verification sweeps")
-    p.add_argument("identity", choices=("main", "truncated", "qast", "asymm",
-                                        "asym", "coeff", "bijections"))
+    p.add_argument("identity", choices=tuple(IDENTITIES))
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--l-max", type=int, default=5)
     p.add_argument("--samples", type=int, default=100)

@@ -74,6 +74,15 @@ def _divide_sparse(num, den, coeff_div):
     return quot
 
 
+def _exact(value):
+    """value unchanged if it is an int or a Fraction; evaluation points
+    must be exact, as coefficients must."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"evaluation point {value!r} is not an int or a "
+                        f"Fraction")
+    return value
+
+
 class MPoly:
     """Sparse multivariate polynomial over Fraction coefficients.
 
@@ -245,7 +254,7 @@ class MPoly:
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate with every registered variable assigned a number."""
         total = Fraction(0)
-        values = [Fraction(assignment[v]) for v in self.vars]
+        values = [Fraction(_exact(assignment[v])) for v in self.vars]
         for exp, c in self.terms.items():
             term = c
             for v, e in zip(values, exp):
@@ -387,6 +396,7 @@ class Gf(MPoly):
     __rmul__ = __mul__
 
     def evaluate(self, p=1, q=1, r=1) -> int:
+        p, q, r = map(_exact, (p, q, r))
         return sum(c * p ** ep * q ** eq * r ** er
                    for (ep, eq, er), c in self.terms.items())
 

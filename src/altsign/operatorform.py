@@ -169,6 +169,8 @@ def gf_ast_prescribed(n: int, l: int, j) -> Gf:
 def all_positions(n: int):
     """All admissible 1-column position vectors: m negative labels from
     -n..-1 and n-m positive labels from 1..n, for m = 0..n."""
+    if n < 1:
+        raise ValueError("n must be positive")
     for m in range(n + 1):
         for neg in itertools.combinations(range(-n, 0), m):
             for pos in itertools.combinations(range(1, n + 1), n - m):

@@ -194,6 +194,8 @@ def lgv_weight(f: PathFamily, d, l: int) -> Gf:
 def all_families(n: int, l: int):
     """Every non-intersecting family on subsets of {0..n-1} (brute force
     with an incremental disjointness filter)."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     for r in range(n + 1):
         for indices in itertools.combinations(range(n), r):
             chosen: list[LatticePath] = []

@@ -44,13 +44,20 @@ class TestCountCommand:
         assert code == 0
         assert out.strip() == "7"
 
-    def test_out_of_domain_exits_2(self, capsys):
+    def test_out_of_domain_exits_2(self, capsys, tmp_path):
+        sheet = tmp_path / "sheet.svg"
         for argv in (("count", "--n", "-1", "--l", "3"),
                      ("count", "--n", "3", "--l", "0"),
-                     ("gf", "det", "--n", "2", "--l", "0")):
+                     ("gf", "det", "--n", "2", "--l", "0"),
+                     ("tpoly", "--n", "-1"),
+                     ("gf", "operator", "--n", "-2", "--l", "3"),
+                     ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
+                     ("svg", "paths", "--n", "-1", "--l", "3",
+                      "--out", str(sheet))):
             code, out = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""
+        assert not sheet.exists()
 
     def test_l1_allowed(self, capsys):
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
@@ -117,11 +124,19 @@ class TestVerify:
     def test_qast(self, capsys):
         code, out = run(capsys, "verify", "qast", "--n-max", "2")
         assert code == 0
+        assert out == ("PASS qast count (n=1)\n"
+                       "PASS qast vanishing (n=1)\n"
+                       "PASS qast count (n=2)\n"
+                       "PASS qast vanishing (n=2)\n"
+                       "4/4 checks passed\n")
 
     def test_asym_with_seed(self, capsys):
         code, out = run(capsys, "verify", "asym", "--n-max", "2",
                         "--samples", "5", "--seed", "11")
         assert code == 0
+        assert out == ("PASS asym lemma (n=1, samples=5)\n"
+                       "PASS asym lemma (n=2, samples=5)\n"
+                       "2/2 checks passed\n")
 
     def test_coeff(self, capsys):
         code, out = run(capsys, "verify", "coeff", "--n-max", "2",
@@ -141,11 +156,36 @@ class TestVerify:
         assert first == second
 
     def test_jobs_flag_keeps_order(self, capsys):
-        _, serial = run(capsys, "verify", "main", "--n-max", "2",
-                        "--l-max", "2")
-        _, parallel = run(capsys, "verify", "main", "--n-max", "2",
-                          "--l-max", "2", "--jobs", "2")
-        assert serial == parallel
+        from altsign.cli import IDENTITIES
+        small = {"main": ("--n-max", "2", "--l-max", "2"),
+                 "truncated": ("--samples", "4", "--seed", "3"),
+                 "qast": ("--n-max", "2"),
+                 "asymm": ("--n-max", "1"),
+                 "asym": ("--n-max", "2", "--samples", "3"),
+                 "coeff": ("--n-max", "2", "--l-max", "3"),
+                 "bijections": ("--n-max", "2", "--l-max", "3")}
+        assert set(small) == set(IDENTITIES)
+        for identity, flags in small.items():
+            _, serial = run(capsys, "verify", identity, *flags)
+            _, parallel = run(capsys, "verify", identity, *flags,
+                              "--jobs", "2")
+            assert serial == parallel and "checks passed" in serial, identity
+
+    def test_main_enumerates_each_n_l_once(self, capsys, monkeypatch):
+        from altsign import cli, trapezoid
+        calls = []
+        enumerate_trapezoids = trapezoid.enumerate_trapezoids
+
+        def counted(n, l):
+            calls.append((n, l))
+            return enumerate_trapezoids(n, l)
+
+        monkeypatch.setattr(trapezoid, "enumerate_trapezoids", counted)
+        cli._ast_gf.cache_clear()
+        code, _ = run(capsys, "verify", "main", "--n-max", "2",
+                      "--l-max", "3")
+        assert code == 0
+        assert sorted(calls) == [(n, l) for n in (1, 2) for l in (1, 2, 3)]
 
     def test_empty_sweep_fails(self, capsys):
         for argv in (("verify", "main", "--n-max", "0"),

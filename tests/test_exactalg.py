@@ -130,6 +130,14 @@ class TestMPoly:
         assert all(type(c) is Fraction
                    for c in MPoly(("x1",), {(1,): 3, (0,): True}).terms.values())
 
+    def test_inexact_evaluation_points_rejected(self):
+        x = var("x")
+        for bad in (0.1, "1/2"):
+            with pytest.raises(TypeError):
+                x.evaluate({"x": bad})
+        assert x.evaluate({"x": Fraction(1, 2)}) == Fraction(1, 2)
+        assert (x * x).evaluate({"x": -3}) == 9
+
     def test_equals_gf_and_hashes_alike(self):
         assert var("P") == Gf.monomial(p=1)
         assert hash(var("P")) == hash(Gf.monomial(p=1))
@@ -191,6 +199,13 @@ class TestGf:
             Gf({(0, 0, 0): Fraction(1)})
         with pytest.raises(TypeError):
             Gf.monomial(coeff=1.0)
+
+    def test_inexact_evaluation_points_rejected(self):
+        g = Gf.monomial(p=1)
+        with pytest.raises(TypeError):
+            g.evaluate(p=0.5)
+        assert g.evaluate(p=Fraction(1, 2)) == Fraction(1, 2)
+        assert (g + Gf.monomial(r=2)).evaluate(p=2, r=-1) == 3
 
     def test_hash_agrees_with_equality(self):
         assert len({Gf.one(), 1}) == 1
