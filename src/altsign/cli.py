@@ -15,7 +15,6 @@ output order.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -56,16 +55,9 @@ def _parse_int_list(text):
 
 # --- verification workers (top-level so process pools can pickle them) ----
 
-@functools.lru_cache(maxsize=1)
-def _ast_gf(n, l):
-    # main's tasks come grouped by (n, l), so one entry lets the d values
-    # of an (n, l) share its enumeration in each process
-    return trapezoid.gf(n, l)
-
-
 def _check_main(args):
     n, l, d = args
-    lhs, rhs = _ast_gf(n, l), cssp.gf(l - 1, n, d)
+    lhs, rhs = trapezoid.gf(n, l), cssp.gf(l - 1, n, d)
     return lhs == rhs, (str(lhs), str(rhs))
 
 

@@ -11,6 +11,25 @@ heights plus one, and the first part is the end height plus one.
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
 a west step is what the P-statistics record.
+
+The weight of a path is a product of per-step factors that depend only on
+where the step is (_step_weight), so the generating function of all
+families is one determinant (Gessel-Viennot, Adv. Math. 58 (1985), summed
+over index subsets as in Stembridge, Adv. Math. 83 (1990)):
+
+    sum over families of R^(#paths) * weight = det(I + R*M),
+
+where M[u][v] is the weighted count of paths from (u, 0) to
+(0, v + l - 1).  Expanding det(I + R*M) gives, for every index subset S,
+R^|S| times the principal minor det M[S, S], a signed sum over path
+systems from the sources S to the sinks S.  Swapping the tails of two
+paths at their first common point keeps every step where it was, hence
+the weight, and flips the sign, so intersecting systems cancel.  The
+sources lie on the x-axis and the sinks on the y-axis, both ordered by
+index away from the origin, so a path from (u, 0) to (0, v + l - 1) cuts
+the quadrant between the smaller and the larger indices: vertex-disjoint
+paths must join source u to sink u.  Only the identity pairing survives,
+with sign +1, and it is exactly a family.
 """
 
 from __future__ import annotations
@@ -23,7 +42,7 @@ from functools import lru_cache
 from .cssp import Cssp
 from .cssp import validate as validate_cssp
 from .errors import NotInImageError, OutOfRangeError
-from .exactalg import Gf
+from .exactalg import Gf, det_fraction_free
 
 
 @dataclass(frozen=True)
@@ -135,48 +154,30 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     return c
 
 
-def _diagonal_arrival(path: LatticePath, d: int):
-    """The step (index into path.steps) that first lands on y = x + d, or
-    None when the path starts on or above the line.  Since y - x increases
-    by one per step, the arrival index is u + d - 1 when it exists."""
-    start_level = -path.u
-    if start_level >= d:
-        return None
-    idx = path.u + d - 1
-    return idx if idx < len(path.steps) else None
+def _step_weight(x: int, y: int, d) -> Gf:
+    """P,Q-factor of the west step from (x, y) to (x - 1, y); north steps
+    weigh 1.
+
+    d = None ("P = 1 mode"): Q at height 0.
+    d >= 1: Q at height 0, and P when the step lands on y = x + d (every
+    step raises y - x by one, so this is the path's only arrival there).
+    d = 0: the same with the main diagonal, except that the step landing
+    in the origin (on the diagonal and at height 0) weighs (P+Q-1)
+    instead of P*Q.
+    """
+    if d == 0 and (x, y) == (1, 0):
+        return Gf.p_plus_q_minus_1()
+    p = d is not None and y - x == d - 1
+    return Gf.monomial(p=int(p), q=int(y == 0))
 
 
 def path_weight(path: LatticePath, d) -> Gf:
-    """P,Q-weight of a single path.
-
-    d = None ("P = 1 mode"): Q per west step at height 0.
-    d >= 1: additionally P when the line y = x + d is reached through a
-    west step.
-    d = 0: P when the main diagonal is reached through a west step away
-    from the origin, (P+Q-1) when it is reached in the origin, and Q only
-    for west steps on the x-axis not containing the origin.
-    """
-    pts = path.points()
-    if d is None:
-        q = sum(1 for i, s in enumerate(path.steps)
-                if s == "W" and pts[i][1] == 0)
-        return Gf.monomial(q=q)
-    if d >= 1:
-        q = sum(1 for i, s in enumerate(path.steps)
-                if s == "W" and pts[i][1] == 0)
-        arrival = _diagonal_arrival(path, d)
-        p = 1 if arrival is not None and path.steps[arrival] == "W" else 0
-        return Gf.monomial(p=p, q=q)
-    # d = 0
-    q = sum(1 for i, s in enumerate(path.steps)
-            if s == "W" and pts[i][1] == 0 and pts[i + 1][0] >= 1)
-    w = Gf.monomial(q=q)
-    arrival = _diagonal_arrival(path, 0)
-    if arrival is not None and path.steps[arrival] == "W":
-        if pts[arrival + 1] == (0, 0):
-            w = w * Gf.p_plus_q_minus_1()
-        else:
-            w = w * Gf.monomial(p=1)
+    """P,Q-weight of a single path: the product of _step_weight over its
+    west steps."""
+    w = Gf.one()
+    for (x, y), step in zip(path.points(), path.steps):
+        if step == "W":
+            w = w * _step_weight(x, y, d)
     return w
 
 
@@ -193,7 +194,8 @@ def lgv_weight(f: PathFamily, d, l: int) -> Gf:
 
 def all_families(n: int, l: int):
     """Every non-intersecting family on subsets of {0..n-1} (brute force
-    with an incremental disjointness filter)."""
+    with an incremental disjointness filter), for drawing and as the
+    oracle of gf_via_paths."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
     for r in range(n + 1):
@@ -215,14 +217,38 @@ def all_families(n: int, l: int):
             yield from rec(0, frozenset())
 
 
+def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
+    """M[u][v]: the weighted count of N/W paths from (u, 0) to
+    (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
+    top = n + l - 2
+    steps = {(x, y): _step_weight(x, y, d)
+             for x in range(1, n) for y in range(top + 1)}
+    out = []
+    for u in range(n):
+        # column x of the sweep: the weighted count of paths reaching (x, y)
+        column = [Gf.one()] * (top + 1)
+        for x in range(u - 1, -1, -1):
+            west = [c * steps[x + 1, y] for y, c in enumerate(column)]
+            column = [west[0]]
+            for y in range(1, top + 1):
+                column.append(column[-1] + west[y])
+        out.append(column[l - 1:])
+    return out
+
+
 def gf_via_paths(n: int, l: int, d: int) -> Gf:
-    """Generating function of all non-intersecting families."""
+    """Generating function of all non-intersecting families, as
+    det(I + R*M) over the path matrix M."""
     if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
-    total = Gf.zero()
-    for f in all_families(n, l):
-        total += lgv_weight(f, d, l)
-    return total
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    if n == 0:
+        return Gf.one()
+    r = Gf.monomial(r=1)
+    m = path_matrix(n, l, d)
+    return det_fraction_free([[r * m[u][v] + int(u == v) for v in range(n)]
+                              for u in range(n)])
 
 
 def to_json(f: PathFamily) -> dict:

@@ -57,19 +57,23 @@ class Trapezoid:
         return self.entry(self.last_row_covering(c), c)
 
     def column_label(self, c: int):
-        """Signed column label; None for the middle columns (l >= 3).
+        return column_label(self.n, self.l, c)
 
-        For l >= 2 the n leftmost columns carry -n..-1 and the n rightmost
-        carry 1..n.  For l = 1 the 2n-1 columns carry -(n-1)..n-1 with the
-        central column labeled 0.
-        """
-        if self.l == 1:
-            return c - self.n
-        if c <= self.n:
-            return c - self.n - 1
-        if c >= self.n + self.l - 1:
-            return c - (self.n + self.l - 2)
-        return None
+
+def column_label(n: int, l: int, c: int):
+    """Signed label of column c; None for the middle columns (l >= 3).
+
+    For l >= 2 the n leftmost columns carry -n..-1 and the n rightmost
+    carry 1..n.  For l = 1 the 2n-1 columns carry -(n-1)..n-1 with the
+    central column labeled 0.
+    """
+    if l == 1:
+        return c - n
+    if c <= n:
+        return c - n - 1
+    if c >= n + l - 1:
+        return c - (n + l - 2)
+    return None
 
 
 def validate(t: Trapezoid):
@@ -120,81 +124,83 @@ def validate(t: Trapezoid):
     return None
 
 
+def _next_rows(s: tuple[int, ...], quasi: bool):
+    """Every valid row over the column partial sums s (each 0 or 1), in
+    lexicographic order with -1 < 0 < 1.
+
+    Nonzero entries alternate along the row; +1 goes only on a 0-column
+    and -1 only on a 1-column (column alternation plus the topmost-1
+    rule); the row sums to 1, or to 0 or 1 when quasi (the bottom row for
+    l = 1).  Prefixes that no alternating tail can bring to that sum are
+    dropped as soon as they appear.
+    """
+    target_lo = 0 if quasi else 1
+    prefixes = [((), 0, 0)]  # (entries, last nonzero, sum)
+    for j, column in enumerate(s):
+        more = j < len(s) - 1
+        extended = []
+        for row, last, total in prefixes:
+            for e in (-1, 0) if column else (0, 1):
+                if e and e == last:
+                    continue
+                new_last = e or last
+                new_sum = total + e
+                # an alternating tail changes the sum by at most +1 (if the
+                # next nonzero may be +1) and at least -1 (if it may be -1)
+                hi_gain = 1 if new_last != 1 and more else 0
+                lo_gain = -1 if new_last != -1 and more else 0
+                if new_sum + hi_gain < target_lo or new_sum + lo_gain > 1:
+                    continue
+                extended.append((row + (e,), new_last, new_sum))
+        prefixes = extended
+    for row, _, _ in prefixes:
+        yield row
+
+
+def _steps(n: int, l: int, i: int, s: tuple[int, ...]):
+    """(row, state for row i + 1, closed 1-columns) for every valid row i
+    over the column partial sums s of the columns row i covers.
+
+    After row i its outermost two columns leave coverage (every column
+    after row n).  A column that leaves with sum 1 is a 1-column, listed
+    as (label, is_10) with is_10 when its last entry is 0; a middle column
+    must leave with sum 0.
+    """
+    lo, hi = i, 2 * n + l - 1 - i
+    closing = range(lo, hi + 1) if i == n else (lo, hi)
+    for row in _next_rows(s, l == 1 and i == n):
+        sums = tuple(a + e for a, e in zip(s, row))
+        ones = tuple((column_label(n, l, c), row[c - lo] == 0)
+                     for c in closing if sums[c - lo])
+        if any(label is None for label, _ in ones):
+            continue
+        yield row, sums[1:-1], ones
+
+
 def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
     """All (n,l)-alternating sign trapezoids, in row-major lexicographic
-    order of the concatenated rows with -1 < 0 < 1.
-
-    Backtracking with a per-column state machine: a column accepts 1 when
-    untouched or after a -1, and -1 only after a 1 (this encodes column
-    alternation plus the topmost-1 rule).  Middle columns are checked for
-    zero sum as soon as no further row covers them.
+    order of the concatenated rows with -1 < 0 < 1: a depth-first search
+    over the rows that _steps allows below each state of column partial
+    sums.
     """
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 and l >= 1")
-    width = 2 * n + l - 2
-    col_state = [0] * (width + 1)   # last nonzero seen in the column
-    col_sum = [0] * (width + 1)
     rows: list[tuple[int, ...]] = []
     out: list[Trapezoid] = []
+    below: dict = {}  # (i, state) -> the steps of row i over that state
 
-    def finish_row(i):
-        # columns no longer covered after row i must satisfy their sum rule
-        for c in range(1, width + 1):
-            if min(c, 2 * n + l - 1 - c, n) == i:
-                if l >= 2 and n + 1 <= c <= n + l - 2 and col_sum[c] != 0:
-                    return False
-        return True
+    def fill_row(i, s):
+        if (i, s) not in below:
+            below[i, s] = list(_steps(n, l, i, s))
+        for row, state, _ in below[i, s]:
+            rows.append(row)
+            if i == n:
+                out.append(Trapezoid(n, l, tuple(rows)))
+            else:
+                fill_row(i + 1, state)
+            rows.pop()
 
-    def fill_row(i):
-        lo, hi = i, 2 * n + l - 1 - i
-        quasi_bottom = (l == 1 and i == n)
-        row: list[int] = []
-
-        def cell(c, row_last, row_sum):
-            if c > hi:
-                ok = row_sum == 1 or (quasi_bottom and row_sum == 0)
-                if ok and finish_row(i):
-                    rows.append(tuple(row))
-                    if i == n:
-                        out.append(Trapezoid(n, l, tuple(rows)))
-                    else:
-                        fill_row(i + 1)
-                    rows.pop()
-                return
-            remaining = hi - c  # cells after this one
-            for e in (-1, 0, 1):
-                if e:
-                    if e == row_last:
-                        continue  # row alternation
-                    if e == 1 and col_state[c] == 1:
-                        continue  # column alternation
-                    if e == -1 and col_state[c] != 1:
-                        continue  # topmost nonzero must be 1
-                new_sum = row_sum + e
-                new_last = e if e else row_last
-                # an alternating tail of `remaining` cells changes the sum
-                # by at most +1 (if the next nonzero may be +1) and at
-                # least -1 (if it may be -1)
-                hi_gain = 1 if (new_last != 1 and remaining >= 1) else 0
-                lo_gain = -1 if (new_last != -1 and remaining >= 1) else 0
-                target_hi = 1
-                target_lo = 0 if quasi_bottom else 1
-                if new_sum + hi_gain < target_lo or new_sum + lo_gain > target_hi:
-                    continue
-                if e:
-                    saved = col_state[c]
-                    col_state[c] = e
-                    col_sum[c] += e
-                row.append(e)
-                cell(c + 1, new_last, new_sum)
-                row.pop()
-                if e:
-                    col_state[c] = saved
-                    col_sum[c] -= e
-
-        cell(lo, 0, 0)
-
-    fill_row(1)
+    fill_row(1, (0,) * (2 * n + l - 2))
     return out
 
 
@@ -235,44 +241,54 @@ def stats(t: Trapezoid) -> AstStats:
     return AstStats(p, q, r)
 
 
-def weight(t: Trapezoid) -> Gf:
-    """W(T) as a generating-function value.
+def _column_weight(label: int, is_10: bool) -> Gf:
+    """Factor of one 1-column in W(T): R for a label < 0, times P for a
+    10-column; Q for a 10-column with label > 0; for the central column of
+    l = 1 (label 0) R, times the expanded (P+Q-1) for a 10-column."""
+    if label < 0:
+        return Gf.monomial(p=int(is_10), r=1)
+    if label > 0:
+        return Gf.monomial(q=int(is_10))
+    r = Gf.monomial(r=1)
+    return r * Gf.p_plus_q_minus_1() if is_10 else r
 
-    For l >= 2 this is the monomial P^p Q^q R^r.  For l = 1 the central
-    column contributes the expanded factor (P+Q-1) when it is a 10-column,
-    p and q count 10-columns strictly left/right of the center, and r
-    counts 1-columns with label <= 0.
+
+def weight(t: Trapezoid) -> Gf:
+    """W(T) as a generating-function value: the product of _column_weight
+    over the 1-columns.  For l >= 2 this is the monomial P^p Q^q R^r of
+    stats(t).  For l = 1, p and q count 10-columns strictly left/right of
+    the center, r counts 1-columns with label <= 0, and the central column
+    contributes (P+Q-1) when it is a 10-column.
     """
-    if t.l >= 2:
-        s = stats(t)
-        return Gf.monomial(s.p, s.q, s.r)
-    p = q = r = 0
-    central_10 = False
+    w = Gf.one()
     for c in range(1, t.width + 1):
         if t.column_sum(c) != 1:
             continue
-        lab = t.column_label(c)
-        is_10 = t.column_bottom(c) == 0
-        if lab <= 0:
-            r += 1
-        if lab < 0 and is_10:
-            p += 1
-        elif lab > 0 and is_10:
-            q += 1
-        elif lab == 0 and is_10:
-            central_10 = True
-    w = Gf.monomial(p, q, r)
-    if central_10:
-        w = w * Gf.p_plus_q_minus_1()
+        label = t.column_label(c)
+        if label is None:
+            raise ValueError(f"middle column {c} has sum 1")
+        w = w * _column_weight(label, t.column_bottom(c) == 0)
     return w
 
 
 def gf(n: int, l: int) -> Gf:
-    """Generating function of all (n,l)-alternating sign trapezoids."""
-    total = Gf.zero()
-    for t in enumerate_trapezoids(n, l):
-        total += weight(t)
-    return total
+    """Generating function of all (n,l)-alternating sign trapezoids, by a
+    transfer matrix over the rows of column partial sums (monotone-triangle
+    rows): a dict from the state before row i to the summed weight of the
+    columns closed so far, without building a trapezoid."""
+    if n < 1 or l < 1:
+        raise ValueError("need n >= 1 and l >= 1")
+    states = {(0,) * (2 * n + l - 2): Gf.one()}
+    for i in range(1, n + 1):
+        after: dict = {}
+        for s, g in states.items():
+            for _, state, ones in _steps(n, l, i, s):
+                w = g
+                for label, is_10 in ones:
+                    w = w * _column_weight(label, is_10)
+                after[state] = after[state] + w if state in after else w
+        states = after
+    return sum(states.values(), Gf.zero())
 
 
 def column_partial_sums(t: Trapezoid) -> tuple[tuple[int, ...], ...]:

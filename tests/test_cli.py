@@ -30,6 +30,14 @@ class TestGfCommand:
         outputs.add(out)
         assert len(outputs) == 1
 
+    def test_paths_n0_is_1(self, capsys):
+        code, out = run(capsys, "gf", "paths", "--n", "0", "--l", "3")
+        assert (code, out) == (0, "1\n")
+        code, out = run(capsys, "gf", "paths", "--n", "0", "--l", "3",
+                        "--format", "json")
+        assert (code, json.loads(out)) == (0, [{"p": 0, "q": 0, "r": 0,
+                                                "coeff": 1}])
+
     def test_json_format(self, capsys):
         code, out = run(capsys, "gf", "det", "--n", "1", "--l", "2",
                         "--format", "json")
@@ -49,6 +57,7 @@ class TestCountCommand:
         for argv in (("count", "--n", "-1", "--l", "3"),
                      ("count", "--n", "3", "--l", "0"),
                      ("gf", "det", "--n", "2", "--l", "0"),
+                     ("gf", "ast", "--n", "0", "--l", "3"),
                      ("tpoly", "--n", "-1"),
                      ("gf", "operator", "--n", "-2", "--l", "3"),
                      ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
@@ -171,8 +180,9 @@ class TestVerify:
                               "--jobs", "2")
             assert serial == parallel and "checks passed" in serial, identity
 
-    def test_main_enumerates_each_n_l_once(self, capsys, monkeypatch):
-        from altsign import cli, trapezoid
+    def test_main_enumerates_no_trapezoids(self, capsys, monkeypatch):
+        # the trapezoid side of main is the row-state transfer matrix
+        from altsign import trapezoid
         calls = []
         enumerate_trapezoids = trapezoid.enumerate_trapezoids
 
@@ -181,11 +191,11 @@ class TestVerify:
             return enumerate_trapezoids(n, l)
 
         monkeypatch.setattr(trapezoid, "enumerate_trapezoids", counted)
-        cli._ast_gf.cache_clear()
-        code, _ = run(capsys, "verify", "main", "--n-max", "2",
-                      "--l-max", "3")
+        code, out = run(capsys, "verify", "main", "--n-max", "2",
+                        "--l-max", "3")
         assert code == 0
-        assert sorted(calls) == [(n, l) for n in (1, 2) for l in (1, 2, 3)]
+        assert out.endswith("12/12 checks passed\n")
+        assert calls == []
 
     def test_empty_sweep_fails(self, capsys):
         for argv in (("verify", "main", "--n-max", "0"),

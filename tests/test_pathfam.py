@@ -1,15 +1,16 @@
 import xml.etree.ElementTree as ET
+from math import comb
 
 import pytest
 
-from altsign import cssp, detform
+from altsign import cssp, detform, trapezoid
 from altsign.cssp import Cssp, enumerate_cssps
 from altsign.errors import NotInImageError, OutOfRangeError
 from altsign.exactalg import Gf
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, families_svg, from_json,
                              gf_via_paths, is_nonintersecting, lgv_weight,
-                             paths_for_index, paths_to_cssp,
+                             path_matrix, paths_for_index, paths_to_cssp,
                              to_json, write_families_svg)
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -127,6 +128,34 @@ class TestGfViaPaths:
                 for d in range(0, l):
                     assert gf_via_paths(n, l, d) == cssp.gf(l - 1, n, d), \
                         (n, l, d)
+
+    def test_is_the_sum_over_families(self):
+        for n in range(0, 5):
+            for l in range(1, 5):
+                families = list(all_families(n, l))
+                for d in range(0, l):
+                    total = Gf.zero()
+                    for f in families:
+                        total += lgv_weight(f, d, l)
+                    assert gf_via_paths(n, l, d) == total, (n, l, d)
+
+    def test_path_matrix_counts_paths(self):
+        # at P = Q = 1 every path weighs 1: M[u][v] = C(u + v + l - 1, u)
+        m = path_matrix(4, 3, 1)
+        assert [[e.evaluate() for e in row] for row in m] == \
+            [[comb(u + v + 2, u) for v in range(4)] for u in range(4)]
+
+    def test_out_of_domain(self):
+        with pytest.raises(OutOfRangeError):
+            gf_via_paths(2, 3, 3)
+        with pytest.raises(ValueError):
+            gf_via_paths(-1, 3, 1)
+
+    def test_n6_three_routes(self):
+        # beyond what enumeration reaches in the suite
+        for l in (2, 3, 4):
+            ast = trapezoid.gf(6, l)
+            assert ast == gf_via_paths(6, l, 1) == detform.gf_det(6, l), l
 
     def test_matches_determinant(self):
         for n in range(0, 5):

@@ -178,6 +178,83 @@ class TestGf:
         assert gf(2, 1) == expected
 
 
+def _backtracked_rows(n, l):
+    """The rows of every (n,l)-trapezoid from a cell-by-cell backtracker
+    with a per-column state machine (an independent oracle for the order
+    and the content of enumerate_trapezoids)."""
+    width = 2 * n + l - 2
+    col_state = [0] * (width + 1)  # last nonzero seen in the column
+    col_sum = [0] * (width + 1)
+    rows, out = [], []
+
+    def cell(i, c, row, row_last, row_sum):
+        lo, hi = i, 2 * n + l - 1 - i
+        quasi_bottom = l == 1 and i == n
+        if c > hi:
+            if row_sum != 1 and not (quasi_bottom and row_sum == 0):
+                return
+            if i == n and l >= 2 and any(col_sum[m]
+                                         for m in range(n + 1, n + l - 1)):
+                return  # a middle column leaves with a nonzero sum
+            rows.append(tuple(row))
+            if i == n:
+                out.append(tuple(rows))
+            else:
+                cell(i + 1, i + 1, [], 0, 0)
+            rows.pop()
+            return
+        for e in (-1, 0, 1):
+            if e and (e == row_last or (e == 1 and col_state[c] == 1)
+                      or (e == -1 and col_state[c] != 1)):
+                continue
+            last = e if e else row_last
+            more = c < hi
+            if (row_sum + e + (1 if last != 1 and more else 0)
+                    < (0 if quasi_bottom else 1)
+                    or row_sum + e - (1 if last != -1 and more else 0) > 1):
+                continue
+            saved = col_state[c]
+            if e:
+                col_state[c] = e
+                col_sum[c] += e
+            cell(i, c + 1, row + [e], last, row_sum + e)
+            col_state[c] = saved
+            col_sum[c] -= e
+
+    cell(1, 1, [], 0, 0)
+    return out
+
+
+class TestOracles:
+    def test_enumeration_matches_backtracker(self):
+        for n in range(1, 5):
+            for l in range(1, 5):
+                assert [t.rows for t in enumerate_trapezoids(n, l)] \
+                    == _backtracked_rows(n, l), (n, l)
+
+    def test_gf_is_the_sum_of_weights(self):
+        for n in range(1, 5):
+            for l in range(1, 6):
+                total = Gf.zero()
+                for t in enumerate_trapezoids(n, l):
+                    total += weight(t)
+                assert gf(n, l) == total, (n, l)
+
+    def test_out_of_domain(self):
+        for n, l in ((0, 3), (2, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                gf(n, l)
+            with pytest.raises(ValueError):
+                enumerate_trapezoids(n, l)
+
+    def test_middle_one_column_has_no_weight(self):
+        # (2,3): a middle column with sum 1 is not a trapezoid
+        t = Trapezoid(2, 3, ((0, 0, 1, 0, 0), (0, 0, 0)))
+        assert validate(t) is not None
+        with pytest.raises(ValueError):
+            weight(t)
+
+
 class TestPartialSums:
     def test_paper_example(self):
         assert column_partial_sums(T54) == (
