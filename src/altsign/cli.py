@@ -322,9 +322,10 @@ def _validate_args(args, parser):
                 parser.error("gf cssp requires --k")
         elif args.l is None:
             parser.error(f"gf {args.route} requires --l")
-        if args.route == "paths" and args.l is not None \
-                and not 0 <= args.d <= args.l - 1:
-            parser.error("gf paths requires 0 <= d <= l-1")
+    paths = args.command == "svg" or (args.command == "gf"
+                                      and args.route == "paths")
+    if paths and args.l is not None and not 0 <= args.d <= args.l - 1:
+        parser.error(f"{args.command} paths requires 0 <= d <= l-1")
     if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
 

@@ -17,6 +17,9 @@ one shift each:
 
     E (1 - P bwd)      = P + (1 - P) E
     E^{-1} (1 + Q fwd) = Q + (1 - Q) E^{-1}
+
+A position fixes both the operator on one variable and that variable's
+value, so every formula here folds one step per variable (_step).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ShapeMismatchError
+from .errors import InvalidShapeError, ShapeMismatchError
 from .exactalg import Gf, MPoly, gf_from_mpoly
 
 
@@ -67,30 +70,40 @@ def compute_Mn(n: int) -> MPoly:
     return poly
 
 
-def _apply_diffs(n: int, s, t) -> MPoly:
-    """(-fwd_{x_1})^{s_1} ... (-fwd_{x_m})^{s_m} bwd^{t_1} ... bwd_{x_n}^{t_k}
-    applied to M_n, with m = len(s) and k = len(t)."""
-    p = compute_Mn(n)
-    for i, si in enumerate(s, start=1):
-        for _ in range(si):
-            p = -fwd_diff(p, xvar(i))
-    for i, ti in enumerate(t, start=n - len(t) + 1):
-        for _ in range(ti):
-            p = bwd_diff(p, xvar(i))
-    return p
-
-
 def _integer(v: Fraction) -> int:
     if v.denominator != 1:
         raise ArithmeticError(f"operator value {v} is not an integer")
     return v.numerator
 
 
-def _substitute(p: MPoly, point) -> MPoly:
-    """p with x_i replaced by point[i-1] (numbers or polynomials)."""
-    for i, value in enumerate(point, start=1):
-        p = p.substitute(xvar(i), value)
+def _step(p: MPoly, i: int, x: int, value, weighted: bool = False) -> MPoly:
+    """The one operator step of variable x_i at the signed position x:
+    (-fwd)^{-x-1} for x < 0 or bwd^{x-1} for x > 0, then, when weighted,
+    the factor P + (1 - P) E (x < 0) or Q + (1 - Q) E^{-1} (x > 0), then
+    x_i = value (a number or a polynomial)."""
+    name = xvar(i)
+    for _ in range(-x - 1):
+        p = -fwd_diff(p, name)
+    for _ in range(x - 1):
+        p = bwd_diff(p, name)
+    if weighted:
+        w, k = (MPoly.variable("P"), 1) if x < 0 else (MPoly.variable("Q"), -1)
+        p = w * p + (1 - w) * shift(p, name, k)
+    return p.substitute(name, value)
+
+
+def _fold(n: int, xs, values, weighted: bool = False) -> MPoly:
+    """M_n after the step of every variable x_i at (xs[i-1], values[i-1])."""
+    p = compute_Mn(n)
+    for i, (x, value) in enumerate(zip(xs, values), start=1):
+        p = _step(p, i, x, value, weighted)
     return p
+
+
+def _at(x: int, l):
+    """The value of x_i at the signed position x: x itself for x < 0,
+    x + l - 3 for x > 0; l may be a number or the symbolic polynomial l."""
+    return x if x < 0 else x + l - 3
 
 
 def eval_Mn(n: int, values) -> int:
@@ -100,19 +113,23 @@ def eval_Mn(n: int, values) -> int:
 def count_sttrees_formula(n: int, s, t, b) -> int:
     """Closed-form count of (s,t)-trees of order n with diagonal bottom
     entries b: apply (-fwd_{x_1})^{s_1} ... bwd_{x_n}^{t_n} to M_n and
-    evaluate at x = b."""
+    evaluate at x = b.  As positions: s_k is x = -s_k - 1, t_k is
+    x = t_k + 1, and a free variable is x = -1 (no difference)."""
     s, t, b = tuple(s), tuple(t), tuple(b)
     if len(s) + len(t) > n:
         raise ShapeMismatchError("len(s) + len(t) exceeds n")
     if len(b) != n:
         raise ShapeMismatchError(f"need {n} bottom entries, got {len(b)}")
-    p = _apply_diffs(n, s, t)
-    return _integer(p.evaluate({xvar(i + 1): b[i] for i in range(n)}))
+    if any(k < 0 for k in s + t):
+        raise InvalidShapeError("truncation lengths must be non-negative")
+    xs = ([-k - 1 for k in s] + [-1] * (n - len(s) - len(t))
+          + [k + 1 for k in t])
+    return _integer(_fold(n, xs, b).evaluate({}))
 
 
 def _positions(n: int, j):
     """Check the signed positions j_1 < ... < j_m < 0 < j_{m+1} < ... < j_n;
-    (j, m), or None outside the labeled range -n..n (the value is 0 there)."""
+    j, or None outside the labeled range -n..n (the value is 0 there)."""
     j = tuple(j)
     if any(x == 0 for x in j) or list(j) != sorted(set(j)):
         raise ValueError(f"positions must be strictly increasing and nonzero: {j}")
@@ -120,30 +137,17 @@ def _positions(n: int, j):
         raise ShapeMismatchError(f"need {n} positions, got {len(j)}")
     if j and (j[0] < -n or j[-1] > n):
         return None
-    return j, sum(1 for x in j if x < 0)
-
-
-def _orders(j, m):
-    """The difference orders of the positions j: (-fwd)^{-j_i-1} on the m
-    negative ones, bwd^{j_i-1} on the rest."""
-    return tuple(-x - 1 for x in j[:m]), tuple(x - 1 for x in j[m:])
-
-
-def _position_point(j, m, l):
-    """The evaluation point x_i = j_i (i <= m), x_i = j_i + l - 3 (i > m);
-    l may be a number or the symbolic polynomial l."""
-    return tuple(x if i < m else x + l - 3 for i, x in enumerate(j))
+    return j
 
 
 def count_ast_prescribed(n: int, l: int, j) -> int:
     """Number of (n,l)-trapezoids whose 1-columns sit at the signed
     positions j_1 < ... < j_m < 0 < j_{m+1} < ... < j_n; zero when the
     positions leave the labeled range."""
-    checked = _positions(n, j)
-    if checked is None:
+    j = _positions(n, j)
+    if j is None:
         return 0
-    j, m = checked
-    return count_sttrees_formula(n, *_orders(j, m), _position_point(j, m, l))
+    return _integer(_fold(n, j, [_at(x, l) for x in j]).evaluate({}))
 
 
 def gf_ast_prescribed(n: int, l: int, j) -> Gf:
@@ -153,17 +157,10 @@ def gf_ast_prescribed(n: int, l: int, j) -> Gf:
     ones, applied to M_n.  At P = Q = 1 this reduces to the plain count."""
     if l < 2:
         raise ValueError("the weighted operator formula needs l >= 2")
-    checked = _positions(n, j)
-    if checked is None:
+    j = _positions(n, j)
+    if j is None:
         return Gf.zero()
-    j, m = checked
-    P = MPoly.variable("P")
-    Q = MPoly.variable("Q")
-    p = _apply_diffs(n, *_orders(j, m))
-    for i in range(1, n + 1):
-        w, k = (P, 1) if i <= m else (Q, -1)
-        p = w * p + (1 - w) * shift(p, xvar(i), k)
-    return gf_from_mpoly(_substitute(p, _position_point(j, m, l)))
+    return gf_from_mpoly(_fold(n, j, [_at(x, l) for x in j], weighted=True))
 
 
 def all_positions(n: int):
@@ -177,17 +174,39 @@ def all_positions(n: int):
                 yield m, neg + pos
 
 
+def _position_sum(n: int, l, weighted: bool) -> MPoly:
+    """The operator values of all_positions(n) summed, each times R^m when
+    weighted.  A depth-first walk over increasing labels: x_i takes each
+    label that leaves enough larger ones for x_{i+1}..x_n, so the position
+    vectors that share a prefix share its steps."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if weighted and l < 2:
+        raise ValueError("the weighted operator formula needs l >= 2")
+    labels = [*range(-n, 0), *range(1, n + 1)]
+    r = MPoly.variable("R") if weighted else 1
+
+    def walk(p, i, first):
+        if i > n:
+            return p
+        total = MPoly.constant(0)
+        for k in range(first, n + i):
+            x = labels[k]
+            below = walk(_step(p, i, x, _at(x, l), weighted), i + 1, k + 1)
+            total += r * below if x < 0 else below
+        return total
+
+    return walk(compute_Mn(n), 1, 0)
+
+
 def gf_ast_via_operator(n: int, l: int) -> Gf:
     """Full generating function by the operator route: sum R^m times the
     prescribed-position P,Q-polynomials over all position vectors."""
-    total = Gf.zero()
-    for m, j in all_positions(n):
-        total += Gf.monomial(r=m) * gf_ast_prescribed(n, l, j)
-    return total
+    return gf_from_mpoly(_position_sum(n, l, True))
 
 
 def count_ast_via_operator(n: int, l: int) -> int:
-    return sum(count_ast_prescribed(n, l, j) for _, j in all_positions(n))
+    return _integer(_position_sum(n, l, False).evaluate({}))
 
 
 def t_polynomial(n: int) -> MPoly:
@@ -196,12 +215,7 @@ def t_polynomial(n: int) -> MPoly:
     positions, with x_i = j_i + l - 3 substituted symbolically for the
     positive positions.  Valid counts for l >= 2; t_n(1) counts the quasi
     variant."""
-    ell = MPoly.variable("l")
-    total = MPoly.constant(0)
-    for m, j in all_positions(n):
-        p = _apply_diffs(n, *_orders(j, m))
-        total += _substitute(p, _position_point(j, m, ell))
-    return total
+    return _position_sum(n, MPoly.variable("l"), False)
 
 
 def t_value(n: int, l: int) -> int:

@@ -70,30 +70,34 @@ def _shape_cells(n, s, t):
             if (i, j) not in gone}
 
 
+def _regular(cells, i, j):
+    """Both the SW neighbour (i+1, j) and the SE neighbour (i+1, j+1) are
+    cells of the shape."""
+    return (i + 1, j) in cells and (i + 1, j + 1) in cells
+
+
+def _bottom_cells(n, r, cells):
+    """The bottom cell of each diagonal that b prescribes (NE-diagonals
+    1..n-r, then SE-diagonals n-r+1..n), or None for an empty one."""
+    bottoms = []
+    for j in range(1, n - r + 1):
+        column = [i for i in range(j, n + 1) if (i, j) in cells]
+        bottoms.append((column[-1], j) if column else None)
+    for k in range(n - r + 1, n + 1):
+        diag = [i for i in range(n - k + 1, n + 1) if (i, i - n + k) in cells]
+        bottoms.append((diag[-1], diag[-1] - n + k) if diag else None)
+    return bottoms
+
+
 def _prescribed(n, s, t, b, cells):
     """Map cell -> required value for the diagonal bottom entries; None when
     two prescriptions collide with different values (no tree then).  Empty
     (fully deleted) diagonals impose nothing."""
-    r = len(t)
     assignment = {}
-
-    def put(cell, value):
-        if cell in assignment and assignment[cell] != value:
-            return False
-        assignment[cell] = value
-        return True
-
-    ok = True
-    for j in range(1, n - r + 1):  # NE-diagonal j, bottom entry b_j
-        column = [i for i in range(j, n + 1) if (i, j) in cells]
-        if column:
-            ok = ok and put((max(column), j), b[j - 1])
-    for k in range(n - r + 1, n + 1):  # SE-diagonal k, bottom entry b_k
-        diag = [i for i in range(n - k + 1, n + 1) if (i, i - n + k) in cells]
-        if diag:
-            i = max(diag)
-            ok = ok and put((i, i - n + k), b[k - 1])
-    return assignment if ok else None
+    for cell, value in zip(_bottom_cells(n, len(t), cells), b):
+        if cell is not None and assignment.setdefault(cell, value) != value:
+            return None
+    return assignment
 
 
 def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
@@ -126,9 +130,6 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
                        if (i, j) in cells and (i, j) not in prescribed]
                    for i in range(1, n + 1)}
 
-    def regular(i, j):
-        return (i + 1, j) in cells and (i + 1, j + 1) in cells
-
     def fill_row(i):
         if i == 0:
             out.append(SttTree(n, s, t, _to_rows(n, cells, values)))
@@ -143,7 +144,8 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
             lo, hi = values[(i + 1, j)], values[(i + 1, j + 1)]
             for v in range(lo, hi + 1):
                 if (j - 1 in todo or (i, j - 1) in prescribed) and \
-                        regular(i, j - 1) and regular(i, j) and \
+                        _regular(cells, i, j - 1) and \
+                        _regular(cells, i, j) and \
                         values.get((i, j - 1)) == v:
                     continue  # adjacent regular entries must differ
                 values[(i, j)] = v
@@ -153,7 +155,7 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
         # sanity: free cells must be regular, otherwise the search space
         # would be unbounded (cannot happen for admissible shapes)
         for j in todo:
-            if not regular(i, j):
+            if not _regular(cells, i, j):
                 raise InvalidShapeError(
                     f"free cell ({i},{j}) lacks a neighbour")
         fill_cell(0)
@@ -185,15 +187,12 @@ def validate(tree: SttTree):
             if ((i, j) in cells) != (v is not None):
                 return f"cell ({i},{j}) presence does not match the shape"
 
-    def regular(i, j):
-        return (i + 1, j) in cells and (i + 1, j + 1) in cells
-
     for (i, j) in cells:
-        if regular(i, j):
+        if _regular(cells, i, j):
             v = tree.value(i, j)
             if not tree.value(i + 1, j) <= v <= tree.value(i + 1, j + 1):
                 return f"cell ({i},{j}) violates the sandwich inequality"
-            if (i, j + 1) in cells and regular(i, j + 1) \
+            if (i, j + 1) in cells and _regular(cells, i, j + 1) \
                     and tree.value(i, j + 1) == v:
                 return f"cells ({i},{j}) and ({i},{j + 1}) are equal"
     return None
@@ -219,16 +218,9 @@ def is_monotone_triangle(rows) -> bool:
 def diagonal_bottoms(tree: SttTree) -> tuple[int, ...]:
     """The vector b recovered from a tree (bottom entries of the n-r
     NE-diagonals followed by those of the r last SE-diagonals)."""
-    n, r = tree.n, len(tree.t)
-    cells = _shape_cells(n, tree.s, tree.t)
-    b = []
-    for j in range(1, n - r + 1):
-        column = [i for i in range(j, n + 1) if (i, j) in cells]
-        b.append(tree.value(max(column), j) if column else None)
-    for k in range(n - r + 1, n + 1):
-        diag = [i for i in range(n - k + 1, n + 1) if (i, i - n + k) in cells]
-        b.append(tree.value(max(diag), diag[-1] - n + k) if diag else None)
-    return tuple(b)
+    cells = _shape_cells(tree.n, tree.s, tree.t)
+    return tuple(None if cell is None else tree.value(*cell)
+                 for cell in _bottom_cells(tree.n, len(tree.t), cells))
 
 
 def ast_to_sttree(trap: Trapezoid) -> SttTree:

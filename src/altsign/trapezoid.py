@@ -204,18 +204,22 @@ def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
     return out
 
 
+def _one_columns(t: Trapezoid):
+    """(label, is_10) for every column of t with sum 1, left to right;
+    is_10 when its bottom entry is 0.  A middle column with sum 1 raises."""
+    for c in range(1, t.width + 1):
+        if t.column_sum(c) == 1:
+            label = t.column_label(c)
+            if label is None:
+                raise ValueError(f"middle column {c} has sum 1")
+            yield label, t.column_bottom(c) == 0
+
+
 def one_column_positions(t: Trapezoid) -> tuple[int, ...]:
     """Sorted signed labels of the columns with sum 1 (requires l >= 2)."""
     if t.l < 2:
         raise ValueError("1-column positions are defined for l >= 2")
-    labels = []
-    for c in range(1, t.width + 1):
-        if t.column_sum(c) == 1:
-            lab = t.column_label(c)
-            if lab is None:
-                raise ValueError(f"middle column {c} has sum 1")
-            labels.append(lab)
-    return tuple(sorted(labels))
+    return tuple(sorted(label for label, _ in _one_columns(t)))
 
 
 def stats(t: Trapezoid) -> AstStats:
@@ -224,21 +228,10 @@ def stats(t: Trapezoid) -> AstStats:
     among the n leftmost/rightmost columns."""
     if t.l < 2:
         raise ValueError("stats are defined for l >= 2; use weight for l = 1")
-    p = q = r = 0
-    for c in range(1, t.width + 1):
-        if t.column_sum(c) != 1:
-            continue
-        lab = t.column_label(c)
-        if lab is None:
-            raise ValueError(f"middle column {c} has sum 1")
-        is_10 = t.column_bottom(c) == 0
-        if lab < 0:
-            r += 1
-            if is_10:
-                p += 1
-        elif is_10:
-            q += 1
-    return AstStats(p, q, r)
+    ones = list(_one_columns(t))
+    return AstStats(sum(is_10 for label, is_10 in ones if label < 0),
+                    sum(is_10 for label, is_10 in ones if label > 0),
+                    sum(1 for label, _ in ones if label < 0))
 
 
 def _column_weight(label: int, is_10: bool) -> Gf:
@@ -261,13 +254,8 @@ def weight(t: Trapezoid) -> Gf:
     contributes (P+Q-1) when it is a 10-column.
     """
     w = Gf.one()
-    for c in range(1, t.width + 1):
-        if t.column_sum(c) != 1:
-            continue
-        label = t.column_label(c)
-        if label is None:
-            raise ValueError(f"middle column {c} has sum 1")
-        w = w * _column_weight(label, t.column_bottom(c) == 0)
+    for label, is_10 in _one_columns(t):
+        w = w * _column_weight(label, is_10)
     return w
 
 

@@ -7,7 +7,10 @@ from altsign.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # an argument error exits through the parser
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out
 
@@ -62,6 +65,10 @@ class TestCountCommand:
                      ("gf", "operator", "--n", "-2", "--l", "3"),
                      ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
                      ("svg", "paths", "--n", "-1", "--l", "3",
+                      "--out", str(sheet)),
+                     ("svg", "paths", "--n", "2", "--l", "3", "--d", "5",
+                      "--out", str(sheet)),
+                     ("svg", "paths", "--n", "2", "--l", "3", "--d", "-3",
                       "--out", str(sheet))):
             code, out = run(capsys, *argv)
             assert code == 2, argv

@@ -112,3 +112,11 @@ def test_coefficient_types(a, b, g, h):
     for p in (g + h, g - h, g * h, -g, g ** 2, 3 * g, g - 1, 1 - g):
         assert type(p) is Gf
         assert coefficient_types(p) <= {int}
+
+
+@props
+@given(mpolys(), st.sampled_from(["x1", "x2", "P", "Q"]),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_shifts_compose(p, x, a, b):
+    # E^a E^b = E^(a+b)
+    assert p.shift_var(x, a).shift_var(x, b) == p.shift_var(x, a + b)

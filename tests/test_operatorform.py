@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import altsign
-from altsign import trapezoid
-from altsign.errors import ShapeMismatchError
+from altsign import detform, trapezoid
+from altsign.errors import InvalidShapeError, ShapeMismatchError
 from altsign.exactalg import Gf, MPoly
-from altsign.operatorform import (bwd_diff, compute_Mn, count_ast_prescribed,
+from altsign.operatorform import (all_positions, bwd_diff, compute_Mn,
+                                  count_ast_prescribed,
+                                  count_ast_via_operator,
                                   count_sttrees_formula, eval_Mn,
                                   falling_factorial_coeffs, fwd_diff,
                                   gf_ast_prescribed, gf_ast_via_operator,
@@ -94,6 +96,12 @@ class TestSttreeFormula:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             count_sttrees_formula(2, (0,), (0, 0), (1, 2))
+
+    def test_negative_truncation_rejected(self):
+        # a negative order would land on a position of the other kind
+        for s, t in [((-2,), ()), ((), (-2,)), ((0, -1), (0,))]:
+            with pytest.raises(InvalidShapeError):
+                count_sttrees_formula(3, s, t, (0, 1, 2))
 
     def test_random_instances_match_brute_force(self):
         rng = random.Random(97)
@@ -213,6 +221,30 @@ class TestOperatorRoute:
             for l in (2, 3, 4, 5):
                 assert gf_ast_via_operator(n, l) == trapezoid.gf(n, l), (n, l)
 
+    def test_position_sum_equals_sum_of_prescribed(self):
+        # the prefix-sharing walk against one fold per position vector
+        for n in (1, 2, 3):
+            for l in (2, 3, 4, 5):
+                total = Gf.zero()
+                for m, j in all_positions(n):
+                    total += Gf.monomial(r=m) * gf_ast_prescribed(n, l, j)
+                assert gf_ast_via_operator(n, l) == total, (n, l)
+
+    def test_count_via_operator(self):
+        for n in (1, 2, 3, 4):
+            for l in (1, 2, 3, 4):
+                count = count_ast_via_operator(n, l)
+                assert count == t_value(n, l), (n, l)
+                if l >= 2:
+                    assert count == detform.count(n, l), (n, l)
+
+    def test_check_order(self):
+        # n is checked before l
+        with pytest.raises(ValueError, match="n must be positive"):
+            gf_ast_via_operator(0, 1)
+        with pytest.raises(ValueError, match="l >= 2"):
+            gf_ast_via_operator(2, 1)
+
 
 class TestTPolynomial:
     def test_t1_constant_2(self):
@@ -227,6 +259,14 @@ class TestTPolynomial:
         for n in (1, 2, 3):
             for l in (2, 3, 4):
                 assert t_value(n, l) == len(trapezoid.enumerate_trapezoids(n, l))
+
+    def test_n5_counts(self):
+        # t_value(5, l) without building t_5 once per l
+        t5 = t_polynomial(5)
+        for l in range(2, 7):
+            assert t5.evaluate({"l": l}) == detform.count(5, l), l
+        assert t5.evaluate({"l": 1}) == \
+            len(trapezoid.enumerate_trapezoids(5, 1))
 
     def test_quasi_counts(self):
         # l = 1 gives the quasi trapezoid counts (2, 5, 20 for n <= 3)

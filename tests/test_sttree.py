@@ -74,6 +74,15 @@ class TestEnumerate:
     def test_bottoms_recoverable(self):
         for tree in enumerate_sttrees(3, (1,), (0, 1), (-1, 0, 2)):
             assert diagonal_bottoms(tree) == (-1, 0, 2)
+        assert diagonal_bottoms(TREE54) == (-2, -1, 2, 3, 4)
+
+    def test_shared_bottom_cell(self):
+        # s_1 = t_2 = 1 at n = 2: NE-diagonal 1 and SE-diagonal 2 both end
+        # at (1, 1), so their bottom entries must agree
+        assert enumerate_sttrees(2, (1,), (1,), (0, 1)) == []
+        trees = enumerate_sttrees(2, (1,), (1,), (0, 0))
+        assert [tree.rows for tree in trees] == [((0,), (None, None))]
+        assert diagonal_bottoms(trees[0]) == (0, 0)
 
 
 class TestAstCorrespondence:

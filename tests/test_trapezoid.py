@@ -251,8 +251,9 @@ class TestOracles:
         # (2,3): a middle column with sum 1 is not a trapezoid
         t = Trapezoid(2, 3, ((0, 0, 1, 0, 0), (0, 0, 0)))
         assert validate(t) is not None
-        with pytest.raises(ValueError):
-            weight(t)
+        for route in (weight, stats, one_column_positions):
+            with pytest.raises(ValueError, match="middle column 3 has sum 1"):
+                route(t)
 
 
 class TestPartialSums:
