@@ -18,7 +18,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -107,34 +106,6 @@ def _check_bijections(args):
     return True, ()
 
 
-def random_tree_instances(count, seed, max_n=4, spread=3, max_trunc=2):
-    """Seeded stream of admissible (s,t)-tree instances whose prescribed
-    diagonals are all nonempty and prescribe distinct cells (the closed
-    formula does not apply otherwise)."""
-    from .errors import InvalidShapeError
-    from .sttree import _prescribed, _shape_cells
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(1, max_n)
-        lc = rng.randint(0, n)
-        rc = rng.randint(0, n - lc)
-        s = tuple(sorted((rng.randint(0, max_trunc) for _ in range(lc)),
-                         reverse=True))
-        t = tuple(sorted(rng.randint(0, max_trunc) for _ in range(rc)))
-        b = tuple(sorted(rng.randint(-spread, spread) for _ in range(n)))
-        try:
-            cells = _shape_cells(n, s, t)
-        except InvalidShapeError:
-            continue
-        prescribed = _prescribed(n, s, t, b, cells)
-        if prescribed is None or len(prescribed) != n:
-            continue
-        out.append((n, s, t, b))
-    return out
-
-
 def _n_l(args, l_min):
     return [(n, l) for n in range(1, args.n_max + 1)
             for l in range(l_min, args.l_max + 1)]
@@ -145,7 +116,7 @@ def _n_l(args, l_min):
 IDENTITIES = {
     "main": (lambda a: [(n, l, d) for n, l in _n_l(a, 1) for d in range(l)],
              _check_main, "main (n={}, l={}, d={})"),
-    "truncated": (lambda a: random_tree_instances(a.samples, a.seed),
+    "truncated": (lambda a: sttree.random_tree_instances(a.samples, a.seed),
                   _check_truncated, "truncated (n={}, s={}, t={}, b={})"),
     "qast": (lambda a: [(n, part) for n in range(1, a.n_max + 1)
                         for part in ("count", "vanishing")],

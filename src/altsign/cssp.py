@@ -81,49 +81,51 @@ def validate(c: Cssp):
 
 def enumerate_cssps(k: int, n: int) -> list[Cssp]:
     """All class-k column strict shifted plane partitions whose first row
-    has at most n parts, including the empty one.  Rows are filled top to
-    bottom with the first part of row i forced to lambda_i + k."""
+    has at most n parts, the empty one first: a depth-first search over
+    the rows that _next_rows allows below each row, listing every prefix."""
     if k < 0 or n < 0:
         raise ValueError("need k >= 0 and n >= 0")
-    out = [Cssp(k, ())]
+    out = []
 
-    def extend(rows, prev_len):
-        # next row is shorter than the previous one
-        for length in range(1, prev_len):
-            first = length + k
-            for row in _fill_row(length, first, rows[-1]):
-                new = rows + [row]
-                out.append(Cssp(k, tuple(tuple(r) for r in new)))
-                extend(new, length)
+    def extend(rows):
+        out.append(Cssp(k, rows))
+        for row in _next_rows(k, n, rows[-1] if rows else None):
+            extend(rows + (row,))
 
-    for length in range(1, n + 1):
-        first = length + k
-        for row in _fill_row(length, first, None):
-            out.append(Cssp(k, (tuple(row),)))
-            extend([row], length)
+    extend(())
     return out
 
 
-def _fill_row(length, first, above):
-    """All rows of the given length starting with `first`, weakly decreasing,
-    with each later part strictly below `above` shifted one position right
-    (above is None for the top row)."""
-    row = [first] + [0] * (length - 1)
+def _next_rows(k, n, above):
+    """Every row that can follow `above` (None for the top row, which has
+    at most n parts), by length and then lexicographically: shorter than
+    `above`, first part its length plus k, weakly decreasing, and each
+    part strictly below the part of `above` one position to its right."""
+    for length in range(1, n + 1 if above is None else len(above)):
+        first = length + k
+        # part t of a row sits under part t + 1 of the row above
+        ceiling = (first + 1,) * length if above is None else above[1:]
+        if ceiling[0] <= first:
+            continue
+        rows = [(first,)]
+        for t in range(1, length):
+            rows = [row + (v,) for row in rows
+                    for v in range(1, min(row[-1], ceiling[t] - 1) + 1)]
+        yield from rows
 
-    def rec(t):
-        if t > length:
-            yield list(row)
-            return
-        hi = row[t - 2]
-        if above is not None:
-            # the cell above position t is position t+1 of the row above
-            hi = min(hi, above[t] - 1)
-        for v in range(1, hi + 1):
-            row[t - 1] = v
-            yield from rec(t + 1)
 
-    if above is None or above[1] > first:
-        yield from rec(2)
+def _pq(rows, d):
+    """(p, q) of the weight W_d: p counts parts equal to j - i + d (j the
+    column), q counts parts equal to 1.  For d = 0, p skips parts equal to
+    1 and q skips positions 1 and 2."""
+    p = q = 0
+    for row in rows:
+        for t, part in enumerate(row, start=1):
+            if part == t - 1 + d and (d or part != 1):  # j = i + t - 1
+                p += 1
+            if part == 1 and (d or t >= 3):
+                q += 1
+    return p, q
 
 
 def stats(c: Cssp, d: int) -> CsspStats:
@@ -131,14 +133,7 @@ def stats(c: Cssp, d: int) -> CsspStats:
     q counts parts equal to 1, r counts rows.  Requires 1 <= d <= k."""
     if not 1 <= d <= c.k:
         raise OutOfRangeError(f"d = {d} not in 1..{c.k}")
-    p = q = 0
-    for row in c.rows:
-        for t, part in enumerate(row, start=1):
-            if part == t - 1 + d:  # j - i + d with j = i + t - 1
-                p += 1
-            if part == 1:
-                q += 1
-    return CsspStats(p, q, len(c.rows), d)
+    return CsspStats(*_pq(c.rows, d), len(c.rows), d)
 
 
 def weight(c: Cssp, d: int) -> Gf:
@@ -146,19 +141,9 @@ def weight(c: Cssp, d: int) -> Gf:
     class) with its expanded (P+Q-1) factor."""
     if d < 0 or (d > c.k and d != 0):
         raise OutOfRangeError(f"d = {d} not admissible for class {c.k}")
-    if d >= 1:
-        s = stats(c, d)
-        return Gf.monomial(s.p, s.q, s.r)
-    p = q = 0
-    for row in c.rows:
-        for t, part in enumerate(row, start=1):
-            if part > 1 and part == t - 1:
-                p += 1
-            if part == 1 and t >= 3:
-                q += 1
-    w = Gf.monomial(p, q, len(c.rows))
+    w = Gf.monomial(*_pq(c.rows, d), len(c.rows))
     bottom = c.rows[-1] if c.rows else ()
-    if len(bottom) >= 2 and bottom[1] == 1:
+    if d == 0 and len(bottom) >= 2 and bottom[1] == 1:
         w = w * Gf.p_plus_q_minus_1()
     return w
 

@@ -13,6 +13,10 @@ numerically: the closed coefficient formula is compared against a direct
 series expansion, and the two matrices are checked to have equal
 determinants.
 
+The matrix equals I + R * pathfam.path_matrix(n, l, 1) entry by entry
+(path_matrix(n, 1, 0) when l = 1), so `gf det` and `gf paths --d 1`
+eliminate the same matrix.
+
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is
 covered transitively by the agreement of this route with the operator

@@ -209,6 +209,7 @@ def count_ast_via_operator(n: int, l: int) -> int:
     return _integer(_position_sum(n, l, False).evaluate({}))
 
 
+@lru_cache(maxsize=None)
 def t_polynomial(n: int) -> MPoly:
     """The number of (n,l)-trapezoids as a polynomial in the symbolic base
     length l: the prescribed-position operator values summed over all
@@ -287,6 +288,8 @@ def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool
     at sample_count rational points avoiding all poles (every nonempty
     subset product must differ from 1).  Exact rational arithmetic, so any
     agreement failure is decisive."""
+    if sample_count < 1:
+        raise ValueError(f"need at least one sample, got {sample_count}")
     rng = random.Random(seed)
     for _ in range(sample_count):
         x = _sample_point(rng, n)

@@ -14,6 +14,8 @@ must differ.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import InvalidShapeError, NotInImageError
@@ -104,11 +106,14 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     """All (s,t)-trees of order n whose NE-diagonal bottoms are b_1..b_{n-r}
     and SE-diagonal bottoms are b_{n-r+1}..b_n (r = len(t)).
 
-    Brute force over the free cells.  Every free cell is regular (a cell
-    missing a neighbour is the bottom of some prescribed diagonal), so by
-    induction along descending rows each free cell is sandwiched between
-    entries of the row below, hence between min(b) and max(b); the regular
-    inequalities make the search self-pruning.
+    Filled row by row from the bottom up.  Every free cell is regular (a
+    cell missing a neighbour is the bottom of some prescribed diagonal), so
+    the free cells of a row take each tuple of values sandwiched between
+    their SW and SE neighbours in the row below.  A prescribed cell ends
+    its diagonal and so is never regular, and the cells of a row form one
+    run (truncations cut a prefix and a suffix), hence so do its regular
+    cells: adjacent regular entries are neighbours in the tuple, and a
+    tuple with two equal neighbours is skipped.
     """
     s, t = tuple(s), tuple(t)
     b = tuple(b)
@@ -117,50 +122,58 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     if any(b[i] > b[i + 1] for i in range(n - 1)):
         raise InvalidShapeError("b must be weakly increasing")
     cells = _shape_cells(n, s, t)
-    if not cells:
-        return [SttTree(n, s, t, _to_rows(n, cells, {}))]
     prescribed = _prescribed(n, s, t, b, cells)
     if prescribed is None:
         return []
     values = dict(prescribed)
     out = []
-    # fill bottom-up, left to right; free cells take values between their
-    # SW and SE neighbours
-    free_by_row = {i: [j for j in range(1, i + 1)
-                       if (i, j) in cells and (i, j) not in prescribed]
-                   for i in range(1, n + 1)}
 
     def fill_row(i):
         if i == 0:
             out.append(SttTree(n, s, t, _to_rows(n, cells, values)))
             return
-        todo = free_by_row[i]
-
-        def fill_cell(idx):
-            if idx == len(todo):
-                fill_row(i - 1)
-                return
-            j = todo[idx]
-            lo, hi = values[(i + 1, j)], values[(i + 1, j + 1)]
-            for v in range(lo, hi + 1):
-                if (j - 1 in todo or (i, j - 1) in prescribed) and \
-                        _regular(cells, i, j - 1) and \
-                        _regular(cells, i, j) and \
-                        values.get((i, j - 1)) == v:
-                    continue  # adjacent regular entries must differ
-                values[(i, j)] = v
-                fill_cell(idx + 1)
-                del values[(i, j)]
-
+        free = [j for j in range(1, i + 1)
+                if (i, j) in cells and (i, j) not in prescribed]
         # sanity: free cells must be regular, otherwise the search space
         # would be unbounded (cannot happen for admissible shapes)
-        for j in todo:
+        for j in free:
             if not _regular(cells, i, j):
                 raise InvalidShapeError(
                     f"free cell ({i},{j}) lacks a neighbour")
-        fill_cell(0)
+        ranges = [range(values[i + 1, j], values[i + 1, j + 1] + 1)
+                  for j in free]
+        for row in itertools.product(*ranges):
+            if any(a == c for a, c in zip(row, row[1:])):
+                continue
+            values.update(((i, j), v) for j, v in zip(free, row))
+            fill_row(i - 1)
 
     fill_row(n)
+    return out
+
+
+def random_tree_instances(count, seed, max_n=4, spread=3, max_trunc=2):
+    """Seeded stream of admissible (s,t)-tree instances whose prescribed
+    diagonals are all nonempty and prescribe distinct cells (the closed
+    formula does not apply otherwise)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        lc = rng.randint(0, n)
+        rc = rng.randint(0, n - lc)
+        s = tuple(sorted((rng.randint(0, max_trunc) for _ in range(lc)),
+                         reverse=True))
+        t = tuple(sorted(rng.randint(0, max_trunc) for _ in range(rc)))
+        b = tuple(sorted(rng.randint(-spread, spread) for _ in range(n)))
+        try:
+            cells = _shape_cells(n, s, t)
+        except InvalidShapeError:
+            continue
+        prescribed = _prescribed(n, s, t, b, cells)
+        if prescribed is None or len(prescribed) != n:
+            continue
+        out.append((n, s, t, b))
     return out
 
 

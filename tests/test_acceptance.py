@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from altsign import cssp, detform, operatorform, pathfam, sttree, trapezoid
-from altsign.cli import main as cli_main, random_tree_instances
+from altsign.cli import main as cli_main
 
 
 @lru_cache(maxsize=None)
@@ -114,8 +114,8 @@ def test_criterion_4_operator_route(capsys):
 
 def test_criterion_5_theorem_truncated(capsys):
     started = time.monotonic()
-    instances = random_tree_instances(200, seed=20240815, max_n=4,
-                                      spread=3, max_trunc=2)
+    instances = sttree.random_tree_instances(200, seed=20240815, max_n=4,
+                                             spread=3, max_trunc=2)
     ok = len(instances) >= 200
     for n, s, t, b in instances:
         formula = operatorform.count_sttrees_formula(n, s, t, b)

@@ -1,8 +1,11 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import altsign
 from altsign.cli import main
 
 
@@ -69,7 +72,9 @@ class TestCountCommand:
                      ("svg", "paths", "--n", "2", "--l", "3", "--d", "5",
                       "--out", str(sheet)),
                      ("svg", "paths", "--n", "2", "--l", "3", "--d", "-3",
-                      "--out", str(sheet))):
+                      "--out", str(sheet)),
+                     ("verify", "asym", "--n-max", "2", "--samples", "0"),
+                     ("verify", "asym", "--n-max", "2", "--samples", "-3")):
             code, out = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""
@@ -265,3 +270,15 @@ class TestSvg:
         assert code == 0
         assert out_file.exists()
         assert "families" in out
+
+
+def test_no_private_imports_across_modules():
+    # a helper that another module needs is public in its own module
+    found = []
+    for path in sorted(Path(altsign.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: from .{node.module or ''} import "
+                          f"{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

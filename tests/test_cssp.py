@@ -170,3 +170,87 @@ class TestInterfaces:
         assert lines[0].strip() == "7 7 6 6 3"
         assert lines[1].startswith("  ")
         assert pretty(Cssp(1, ())) == "(empty)"
+
+
+# --- oracles: copies of the top-row loop, the cell-by-cell row filler and
+# the two part scans that the row generator and the one p/q rule replaced
+
+def _fill_row(length, first, above):
+    row = [first] + [0] * (length - 1)
+
+    def rec(t):
+        if t > length:
+            yield list(row)
+            return
+        hi = row[t - 2]
+        if above is not None:
+            hi = min(hi, above[t] - 1)
+        for v in range(1, hi + 1):
+            row[t - 1] = v
+            yield from rec(t + 1)
+
+    if above is None or above[1] > first:
+        yield from rec(2)
+
+
+def _searched_rows(k, n):
+    out = [()]
+
+    def extend(rows, prev_len):
+        for length in range(1, prev_len):
+            for row in _fill_row(length, length + k, rows[-1]):
+                new = rows + [row]
+                out.append(tuple(tuple(r) for r in new))
+                extend(new, length)
+
+    for length in range(1, n + 1):
+        for row in _fill_row(length, length + k, None):
+            out.append((tuple(row),))
+            extend([row], length)
+    return out
+
+
+def _scanned_stats(c, d):
+    p = q = 0
+    for row in c.rows:
+        for t, part in enumerate(row, start=1):
+            if part == t - 1 + d:
+                p += 1
+            if part == 1:
+                q += 1
+    return CsspStats(p, q, len(c.rows), d)
+
+
+def _scanned_weight(c, d):
+    if d >= 1:
+        s = _scanned_stats(c, d)
+        return Gf.monomial(s.p, s.q, s.r)
+    p = q = 0
+    for row in c.rows:
+        for t, part in enumerate(row, start=1):
+            if part > 1 and part == t - 1:
+                p += 1
+            if part == 1 and t >= 3:
+                q += 1
+    w = Gf.monomial(p, q, len(c.rows))
+    bottom = c.rows[-1] if c.rows else ()
+    if len(bottom) >= 2 and bottom[1] == 1:
+        w = w * Gf.p_plus_q_minus_1()
+    return w
+
+
+class TestOracles:
+    def test_enumeration_matches_cell_search(self):
+        for k in range(0, 5):
+            for n in range(0, 5):
+                assert [c.rows for c in enumerate_cssps(k, n)] == \
+                    _searched_rows(k, n), (k, n)
+
+    def test_weights_match_part_scans(self):
+        for k in range(0, 5):
+            for n in range(0, 5):
+                for c in enumerate_cssps(k, n):
+                    for d in range(0, k + 1):
+                        assert weight(c, d) == _scanned_weight(c, d), (c, d)
+                        if d:
+                            assert stats(c, d) == _scanned_stats(c, d)

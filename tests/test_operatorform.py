@@ -19,7 +19,7 @@ from altsign.operatorform import (all_positions, bwd_diff, compute_Mn,
                                   gf_ast_prescribed, gf_ast_via_operator,
                                   shift, t_polynomial, t_value, verify_asymM,
                                   verify_asym_lemma)
-from altsign.sttree import enumerate_sttrees
+from altsign.sttree import enumerate_sttrees, random_tree_instances
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
@@ -104,40 +104,9 @@ class TestSttreeFormula:
                 count_sttrees_formula(3, s, t, (0, 1, 2))
 
     def test_random_instances_match_brute_force(self):
-        rng = random.Random(97)
-        done = 0
-        while done < 60:
-            inst = random_tree_instance(rng, max_n=4)
-            if inst is None:
-                continue
-            n, s, t, b = inst
+        for n, s, t, b in random_tree_instances(60, 97):
             assert count_sttrees_formula(n, s, t, b) == \
-                len(enumerate_sttrees(n, s, t, b)), inst
-            done += 1
-
-
-def random_tree_instance(rng, max_n=4, spread=3, max_trunc=2):
-    """Random admissible instance, skipping shapes where a prescribed
-    diagonal is empty or two prescriptions land on the same cell (there the
-    closed formula does not apply)."""
-    from altsign.sttree import _prescribed, _shape_cells
-    from altsign.errors import InvalidShapeError
-
-    n = rng.randint(1, max_n)
-    lc = rng.randint(0, n)
-    rc = rng.randint(0, n - lc)
-    s = sorted((rng.randint(0, max_trunc) for _ in range(lc)), reverse=True)
-    t = sorted(rng.randint(0, max_trunc) for _ in range(rc))
-    b = sorted(rng.randint(-spread, spread) for _ in range(n))
-    try:
-        cells = _shape_cells(n, tuple(s), tuple(t))
-    except InvalidShapeError:
-        return None
-    # every prescribed diagonal must be nonempty and prescribe its own cell
-    prescribed = _prescribed(n, tuple(s), tuple(t), tuple(b), cells)
-    if prescribed is None or len(prescribed) != n:
-        return None
-    return n, tuple(s), tuple(t), tuple(b)
+                len(enumerate_sttrees(n, s, t, b)), (n, s, t, b)
 
 
 class TestPrescribedCounts:
@@ -261,12 +230,17 @@ class TestTPolynomial:
                 assert t_value(n, l) == len(trapezoid.enumerate_trapezoids(n, l))
 
     def test_n5_counts(self):
-        # t_value(5, l) without building t_5 once per l
-        t5 = t_polynomial(5)
         for l in range(2, 7):
-            assert t5.evaluate({"l": l}) == detform.count(5, l), l
-        assert t5.evaluate({"l": 1}) == \
-            len(trapezoid.enumerate_trapezoids(5, 1))
+            assert t_value(5, l) == detform.count(5, l), l
+        assert t_value(5, 1) == len(trapezoid.enumerate_trapezoids(5, 1))
+
+    def test_t_value_builds_t_n_once(self):
+        t_polynomial.cache_clear()
+        for l in range(1, 7):
+            value = t_value(4, l)
+            if l >= 2:
+                assert value == detform.count(4, l), l
+        assert t_polynomial.cache_info().misses == 1
 
     def test_quasi_counts(self):
         # l = 1 gives the quasi trapezoid counts (2, 5, 20 for n <= 3)
@@ -319,6 +293,12 @@ class TestAsymLemma:
     def test_deterministic_for_fixed_seed(self):
         assert verify_asym_lemma(2, 5, seed=42) == \
             verify_asym_lemma(2, 5, seed=42)
+
+    def test_needs_a_sample(self):
+        # a check over no sample points would pass while checking nothing
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="at least one sample"):
+                verify_asym_lemma(2, count)
 
 
 class TestIntegrality:

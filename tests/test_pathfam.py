@@ -162,6 +162,17 @@ class TestGfViaPaths:
             for l in range(2, 6):
                 assert gf_via_paths(n, l, 1) == detform.gf_det(n, l), (n, l)
 
+    def test_binomial_matrix_is_the_path_matrix(self):
+        # det_matrix = I + R * path_matrix (at d = 0 for l = 1): the det and
+        # paths routes eliminate the same matrix
+        r = Gf.monomial(r=1)
+        for n, l, d in ([(n, l, 1) for n in range(1, 8) for l in range(2, 7)]
+                        + [(2, 1, 0), (3, 1, 0)]):
+            m = path_matrix(n, l, d)
+            assert detform.det_matrix(n, l) == [
+                [(Gf.one() if u == v else Gf.zero()) + r * m[u][v]
+                 for v in range(n)] for u in range(n)], (n, l)
+
 
 class TestJson:
     def test_roundtrip(self):

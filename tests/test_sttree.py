@@ -1,7 +1,11 @@
+import random
+from itertools import combinations_with_replacement as multisets
+
 import pytest
 
 from altsign.errors import InvalidShapeError, NotInImageError
-from altsign.sttree import (SttTree, ast_to_sttree, diagonal_bottoms,
+from altsign.sttree import (SttTree, _prescribed, _regular, _shape_cells,
+                            _to_rows, ast_to_sttree, diagonal_bottoms,
                             deleted_cells, enumerate_sttrees, from_json,
                             is_monotone_triangle, sttree_to_ast, to_json,
                             validate)
@@ -38,6 +42,26 @@ class TestShape:
     def test_too_long(self):
         with pytest.raises(InvalidShapeError):
             deleted_cells(3, (1, 1), (0, 0))
+
+    def test_rows_are_runs(self):
+        # s cuts a prefix and t a suffix of each row, so the cells of a row
+        # (and its free cells, in enumerate_sttrees) are one run
+        shapes = 0
+        for n in range(1, 6):
+            for m in range(n + 1):
+                for s, t in ((s, t) for s in multisets(range(n, -1, -1), m)
+                             for r in range(n - m + 1)
+                             for t in multisets(range(n + 1), r)):
+                    try:
+                        cells = _shape_cells(n, s, t)
+                    except InvalidShapeError:
+                        continue
+                    shapes += 1
+                    for i in range(1, n + 1):
+                        row = [j for j in range(1, i + 1) if (i, j) in cells]
+                        assert not row or row == list(
+                            range(row[0], row[-1] + 1)), (n, s, t, i)
+        assert shapes > 1000
 
 
 class TestEnumerate:
@@ -141,3 +165,88 @@ class TestJson:
         bad["rows"][1] = [3, 0]
         with pytest.raises(ValueError):
             from_json(bad)
+
+
+def _searched_sttrees(n, s, t, b):
+    """Copy of the cell-by-cell search that the row walk replaced."""
+    s, t = tuple(s), tuple(t)
+    b = tuple(b)
+    if len(b) != n:
+        raise InvalidShapeError(f"need {n} bottom entries, got {len(b)}")
+    if any(b[i] > b[i + 1] for i in range(n - 1)):
+        raise InvalidShapeError("b must be weakly increasing")
+    cells = _shape_cells(n, s, t)
+    if not cells:
+        return [SttTree(n, s, t, _to_rows(n, cells, {}))]
+    prescribed = _prescribed(n, s, t, b, cells)
+    if prescribed is None:
+        return []
+    values = dict(prescribed)
+    out = []
+    free_by_row = {i: [j for j in range(1, i + 1)
+                       if (i, j) in cells and (i, j) not in prescribed]
+                   for i in range(1, n + 1)}
+
+    def fill_row(i):
+        if i == 0:
+            out.append(SttTree(n, s, t, _to_rows(n, cells, values)))
+            return
+        todo = free_by_row[i]
+
+        def fill_cell(idx):
+            if idx == len(todo):
+                fill_row(i - 1)
+                return
+            j = todo[idx]
+            lo, hi = values[(i + 1, j)], values[(i + 1, j + 1)]
+            for v in range(lo, hi + 1):
+                if (j - 1 in todo or (i, j - 1) in prescribed) and \
+                        _regular(cells, i, j - 1) and \
+                        _regular(cells, i, j) and \
+                        values.get((i, j - 1)) == v:
+                    continue
+                values[(i, j)] = v
+                fill_cell(idx + 1)
+                del values[(i, j)]
+
+        for j in todo:
+            if not _regular(cells, i, j):
+                raise InvalidShapeError(
+                    f"free cell ({i},{j}) lacks a neighbour")
+        fill_cell(0)
+
+    fill_row(n)
+    return out
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except InvalidShapeError as e:
+        return type(e), str(e)
+
+
+class TestOracles:
+    def test_row_walk_matches_cell_search(self):
+        # random instances, inadmissible shapes and bottoms included
+        rng = random.Random(11)
+        lengths = (-1,) + (0, 1, 2, 3) * 4
+        outcomes = set()
+        for _ in range(1200):
+            n = rng.randint(0, 4)
+            lc = rng.randint(0, n)
+            s = [rng.choice(lengths) for _ in range(lc)]
+            rc = rng.randint(0, n - lc) + (rng.random() < 0.1)
+            t = [rng.choice(lengths) for _ in range(rc)]
+            if rng.random() < 0.9:
+                s.sort(reverse=True)
+                t.sort()
+            b = [rng.randint(-3, 3) for _ in range(n + (rng.random() < 0.05))]
+            if rng.random() < 0.95:
+                b.sort()
+            expected = _outcome(_searched_sttrees, n, s, t, b)
+            assert _outcome(enumerate_sttrees, n, s, t, b) == expected, \
+                (n, s, t, b)
+            outcomes.add(min(len(expected), 2) if type(expected) is list
+                         else "raised")
+        assert outcomes == {0, 1, 2, "raised"}
