@@ -28,10 +28,6 @@ class Cssp:
     k: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
 
 def structure_violation(rows):
     """None if rows form a column strict shifted plane partition (of any
@@ -83,8 +79,7 @@ def enumerate_cssps(k: int, n: int) -> list[Cssp]:
     """All class-k column strict shifted plane partitions whose first row
     has at most n parts, the empty one first: a depth-first search over
     the rows that _next_rows allows below each row, listing every prefix."""
-    if k < 0 or n < 0:
-        raise ValueError("need k >= 0 and n >= 0")
+    _check_class(k, n)
     out = []
 
     def extend(rows):
@@ -94,6 +89,16 @@ def enumerate_cssps(k: int, n: int) -> list[Cssp]:
 
     extend(())
     return out
+
+
+def _check_class(k, n):
+    if k < 0 or n < 0:
+        raise ValueError("need k >= 0 and n >= 0")
+
+
+def _check_d(k, d):
+    if d < 0 or (d > k and d != 0):
+        raise OutOfRangeError(f"d = {d} not admissible for class {k}")
 
 
 def _next_rows(k, n, above):
@@ -139,8 +144,7 @@ def stats(c: Cssp, d: int) -> CsspStats:
 def weight(c: Cssp, d: int) -> Gf:
     """W_d(C) for 1 <= d <= k, or the d = 0 weight (admissible for every
     class) with its expanded (P+Q-1) factor."""
-    if d < 0 or (d > c.k and d != 0):
-        raise OutOfRangeError(f"d = {d} not admissible for class {c.k}")
+    _check_d(c.k, d)
     w = Gf.monomial(*_pq(c.rows, d), len(c.rows))
     bottom = c.rows[-1] if c.rows else ()
     if d == 0 and len(bottom) >= 2 and bottom[1] == 1:
@@ -150,6 +154,8 @@ def weight(c: Cssp, d: int) -> Gf:
 
 def gf(k: int, n: int, d: int) -> Gf:
     """Generating function of class-k objects with first row at most n."""
+    _check_class(k, n)
+    _check_d(k, d)
     total = Gf.zero()
     for c in enumerate_cssps(k, n):
         total += weight(c, d)

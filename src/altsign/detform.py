@@ -13,9 +13,12 @@ numerically: the closed coefficient formula is compared against a direct
 series expansion, and the two matrices are checked to have equal
 determinants.
 
-The matrix equals I + R * pathfam.path_matrix(n, l, 1) entry by entry
-(path_matrix(n, 1, 0) when l = 1), so `gf det` and `gf paths --d 1`
-eliminate the same matrix.
+The code eliminates K(n) + R B(n, l) = K(n) (I + R K(n)^{-1} B(n, l)),
+with K(n) = I - Q S of determinant 1 (S the shift below the diagonal) and
+B(n, l) the two binomials at k = i: the determinant is the same, and no
+entry has more than three terms.  With the path matrix, det_matrix(n, l)
+= K(n) (I + R pathfam.path_matrix(n, l, 1)) (at d = 0 when l = 1), so
+`gf det` and `gf paths --d 1` reach the same determinant.
 
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is
@@ -28,24 +31,23 @@ from __future__ import annotations
 from .exactalg import Gf, binomial, det_fraction_free
 
 
+def k_matrix(n: int) -> list[list[Gf]]:
+    """K(n) = (delta_{ij} - Q delta_{i,j+1})."""
+    return [[Gf.one() if i == j else
+             (Gf.monomial(q=1, coeff=-1) if i == j + 1 else Gf.zero())
+             for j in range(n)] for i in range(n)]
+
+
 def det_matrix(n: int, l: int) -> list[list[Gf]]:
-    """The n x n matrix behind the final determinant."""
-    out = []
+    """The n x n matrix the determinant route eliminates: K(n) + R B(n, l),
+    with B[i][j] = C(i+j+l-3, i) + P C(i+j+l-3, i-1)."""
+    m = k_matrix(n)
     for i in range(n):
-        row = []
         for j in range(n):
-            entry = Gf.zero()
-            for k in range(i + 1):
-                c = binomial(k + j + l - 3, k)
-                cp = binomial(k + j + l - 3, k - 1)
-                entry += Gf.monomial(q=i - k, r=1, coeff=c)
-                if cp:
-                    entry += Gf.monomial(p=1, q=i - k, r=1, coeff=cp)
-            if i == j:
-                entry += Gf.one()
-            row.append(entry)
-        out.append(row)
-    return out
+            a = i + j + l - 3
+            m[i][j] += Gf({(0, 0, 1): binomial(a, i),
+                           (1, 0, 1): binomial(a, i - 1)})
+    return m
 
 
 def gf_det(n: int, l: int) -> Gf:
@@ -55,8 +57,7 @@ def gf_det(n: int, l: int) -> Gf:
         raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
     if n == 0:
         return Gf.one()
-    d = det_fraction_free(det_matrix(n, l))
-    return d
+    return det_fraction_free(det_matrix(n, l))
 
 
 def count(n: int, l: int) -> int:
@@ -147,15 +148,3 @@ def verify_coeff_route(n: int, l: int, order: int = 6) -> bool:
                 return False
     return det_fraction_free(coeff_matrix(n, l)) == gf_det(n, l)
 
-
-def k_matrix(n: int) -> list[list[Gf]]:
-    """K(n) = (delta_{ij} - Q delta_{i,j+1})."""
-    return [[Gf.one() if i == j else
-             (Gf.monomial(q=1, coeff=-1) if i == j + 1 else Gf.zero())
-             for j in range(n)] for i in range(n)]
-
-
-def k_matrix_inverse(n: int) -> list[list[Gf]]:
-    """K(n)^{-1} = (Q^{i-j} for i >= j, else 0)."""
-    return [[Gf.monomial(q=i - j) if i >= j else Gf.zero()
-             for j in range(n)] for i in range(n)]

@@ -125,9 +125,6 @@ class MPoly:
     def variable(name: str) -> "MPoly":
         return MPoly._make((name,), {(1,): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -74,7 +74,9 @@ class TestCountCommand:
                      ("svg", "paths", "--n", "2", "--l", "3", "--d", "-3",
                       "--out", str(sheet)),
                      ("verify", "asym", "--n-max", "2", "--samples", "0"),
-                     ("verify", "asym", "--n-max", "2", "--samples", "-3")):
+                     ("verify", "asym", "--n-max", "2", "--samples", "-3"),
+                     ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
+                     ("gf", "cssp", "--k", "0", "--n", "7")):
             code, out = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from altsign import trapezoid
+from altsign import cssp, trapezoid
 from altsign.cssp import (Cssp, CsspStats, cssp_class, enumerate_cssps,
                           from_json, gf, pretty, stats, structure_violation,
                           to_json, validate, weight)
@@ -142,6 +142,21 @@ class TestGf:
                 for d in range(2, k + 1):
                     assert Counter(stats(c, d)[:3] for c in objs) == base
 
+    def test_domain_checked_before_enumerating(self, monkeypatch):
+        def never(k, n):
+            raise AssertionError("enumerated before the domain check")
+
+        monkeypatch.setattr(cssp, "enumerate_cssps", never)
+        with pytest.raises(OutOfRangeError,
+                           match=r"^d = 9 not admissible for class 3$"):
+            gf(3, 6, 9)
+        with pytest.raises(OutOfRangeError,
+                           match=r"^d = 1 not admissible for class 0$"):
+            gf(0, 7, 1)
+        # a bad class still wins over a bad d
+        with pytest.raises(ValueError, match=r"^need k >= 0 and n >= 0$"):
+            gf(-1, 2, 9)
+
     def test_evaluation_counts(self):
         for k in range(0, 4):
             for n in range(0, 4):
@@ -161,8 +176,10 @@ class TestTheoremMainSmall:
 
 class TestInterfaces:
     def test_json_roundtrip(self):
-        for c in enumerate_cssps(3, 2):
-            assert from_json(to_json(c)) == c
+        for k in range(0, 4):
+            for n in range(0, 4):
+                for c in enumerate_cssps(k, n):
+                    assert from_json(to_json(c)) == c, (k, n, c)
 
     def test_pretty(self):
         text = pretty(CLASS2)

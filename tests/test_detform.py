@@ -2,9 +2,9 @@ import pytest
 
 from altsign import cssp, operatorform, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
-                             gf_det, k_matrix, k_matrix_inverse, series_coeffs,
+                             gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
-from altsign.exactalg import Gf, det_fraction_free
+from altsign.exactalg import Gf, binomial, det_fraction_free
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
@@ -14,6 +14,25 @@ def mat_mul(a, b):
     n = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(n)), Gf.zero())
              for j in range(n)] for i in range(n)]
+
+
+def summed_matrix(n, l):
+    """The paper's matrix, entries R sum_{k<=i} Q^{i-k} (C(k+j+l-3, k)
+    + P C(k+j+l-3, k-1)) + [i = j], built term by term (the oracle for
+    det_matrix = K(n) times this matrix)."""
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = Gf.one() if i == j else Gf.zero()
+            for k in range(i + 1):
+                entry += Gf.monomial(q=i - k, r=1,
+                                     coeff=binomial(k + j + l - 3, k))
+                entry += Gf.monomial(p=1, q=i - k, r=1,
+                                     coeff=binomial(k + j + l - 3, k - 1))
+            row.append(entry)
+        out.append(row)
+    return out
 
 
 class TestGfDet:
@@ -114,10 +133,31 @@ class TestCoeffRoute:
 
 
 class TestKMatrix:
-    def test_inverse(self):
-        for n in range(1, 9):
-            prod = mat_mul(k_matrix(n), k_matrix_inverse(n))
-            for i in range(n):
-                for j in range(n):
-                    expected = Gf.one() if i == j else Gf.zero()
-                    assert prod[i][j] == expected
+    def test_determinant_is_one(self):
+        for n in range(0, 9):
+            assert det_fraction_free(k_matrix(n)) == 1, n
+
+
+class TestDetMatrix:
+    def test_same_determinant_as_the_summed_matrix(self):
+        for n in range(0, 7):
+            for l in range(1, 9):
+                assert det_fraction_free(summed_matrix(n, l)) == \
+                    gf_det(n, l), (n, l)
+
+    def test_is_k_times_the_summed_matrix(self):
+        for n in range(0, 8):
+            for l in range(1, 9):
+                assert det_matrix(n, l) == \
+                    mat_mul(k_matrix(n), summed_matrix(n, l)), (n, l)
+
+    def test_entries_have_at_most_three_terms_of_degree_one(self):
+        # every entry is linear in each of P, Q and R, so the determinant
+        # has degree <= n in each: the bound an evaluation kernel needs
+        for n in range(0, 9):
+            for l in range(1, 9):
+                for row in det_matrix(n, l):
+                    for entry in row:
+                        assert len(entry.terms) <= 3, (n, l, entry)
+                        assert all(e <= 1 for exp in entry.terms
+                                   for e in exp), (n, l, entry)

@@ -162,7 +162,7 @@ class TestGf:
         w = Gf.monomial(1, 0, 1) + Gf.monomial(0, 1, 1) + 2 * Gf.monomial(0, 0, 1)
         assert w.evaluate() == 4
         assert w.evaluate(p=2, q=3, r=1) == 7
-        assert (w - w).is_zero()
+        assert not (w - w)
 
     def test_p_plus_q_minus_1(self):
         b = Gf.p_plus_q_minus_1()

@@ -163,14 +163,17 @@ class TestGfViaPaths:
                 assert gf_via_paths(n, l, 1) == detform.gf_det(n, l), (n, l)
 
     def test_binomial_matrix_is_the_path_matrix(self):
-        # det_matrix = I + R * path_matrix (at d = 0 for l = 1): the det and
-        # paths routes eliminate the same matrix
+        # det_matrix = K * (I + R * path_matrix) (at d = 0 for l = 1), and
+        # det K = 1: the det and paths routes reach the same determinant
         r = Gf.monomial(r=1)
         for n, l, d in ([(n, l, 1) for n in range(1, 8) for l in range(2, 7)]
                         + [(2, 1, 0), (3, 1, 0)]):
             m = path_matrix(n, l, d)
+            k = detform.k_matrix(n)
+            lgv = [[int(u == v) + r * m[u][v] for v in range(n)]
+                   for u in range(n)]
             assert detform.det_matrix(n, l) == [
-                [(Gf.one() if u == v else Gf.zero()) + r * m[u][v]
+                [sum((k[u][w] * lgv[w][v] for w in range(n)), Gf.zero())
                  for v in range(n)] for u in range(n)], (n, l)
 
 
@@ -178,6 +181,11 @@ class TestJson:
     def test_roundtrip(self):
         fam = cssp_to_paths(FIGURE)
         assert from_json(to_json(fam)) == fam
+        for k in range(0, 4):
+            for n in range(0, 4):
+                for c in enumerate_cssps(k, n):
+                    fam = cssp_to_paths(c)
+                    assert from_json(to_json(fam)) == fam, (k, n, c)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):

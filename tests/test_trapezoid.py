@@ -297,9 +297,27 @@ class TestOneColumnPositions:
 
 class TestJson:
     def test_roundtrip(self):
-        for t in enumerate_trapezoids(2, 4):
-            assert from_json(to_json(t)) == t
+        for n in range(1, 4):
+            for l in range(1, 5):
+                for t in enumerate_trapezoids(n, l):
+                    assert from_json(to_json(t)) == t, (n, l, t)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             from_json({"n": 1, "l": 2, "rows": [[-1, 0]]})
+
+    def test_single_entry_change_is_rejected(self):
+        # for l >= 2 every row sums to 1, so changing one entry breaks it
+        for n in range(1, 4):
+            for l in range(2, 5):
+                for t in enumerate_trapezoids(n, l):
+                    d = to_json(t)
+                    for row in d["rows"]:
+                        for j, e in enumerate(row):
+                            for v in (-2, -1, 0, 1, 2):
+                                if v == e:
+                                    continue
+                                row[j] = v
+                                with pytest.raises(ValueError):
+                                    from_json(d)
+                                row[j] = e
