@@ -13,12 +13,17 @@ numerically: the closed coefficient formula is compared against a direct
 series expansion, and the two matrices are checked to have equal
 determinants.
 
-The code eliminates K(n) + R B(n, l) = K(n) (I + R K(n)^{-1} B(n, l)),
-with K(n) = I - Q S of determinant 1 (S the shift below the diagonal) and
-B(n, l) the two binomials at k = i: the determinant is the same, and no
-entry has more than three terms.  With the path matrix, det_matrix(n, l)
-= K(n) (I + R pathfam.path_matrix(n, l, 1)) (at d = 0 when l = 1), so
-`gf det` and `gf paths --d 1` reach the same determinant.
+The code takes the determinant of K(n) + R B(n, l) = K(n) (I + R K(n)^{-1}
+B(n, l)), with K(n) = I - Q S of determinant 1 (S the shift below the
+diagonal) and B(n, l) the two binomials at k = i: the determinant is the
+same, and no entry has more than three terms or degree above 1 in P, Q or
+R.  exactalg.det_gf evaluates it at the n^2 (n+1) integer points of
+{0..n-1} x {0..n-1} x {0..n} (its degree bounds), takes each integer
+determinant and interpolates, so no polynomial is ever divided.  With the
+path matrix, det_matrix(n, l) = K(n) (I + R pathfam.path_matrix(n, l, 1))
+(at d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach the same
+determinant; `gf paths` and the coefficient-matrix check of `verify coeff`
+eliminate by Bareiss over Gf, independently of the grid.
 
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is
@@ -28,7 +33,7 @@ route.
 
 from __future__ import annotations
 
-from .exactalg import Gf, binomial, det_fraction_free
+from .exactalg import Gf, binomial, det_fraction_free, det_gf
 
 
 def k_matrix(n: int) -> list[list[Gf]]:
@@ -39,14 +44,14 @@ def k_matrix(n: int) -> list[list[Gf]]:
 
 
 def det_matrix(n: int, l: int) -> list[list[Gf]]:
-    """The n x n matrix the determinant route eliminates: K(n) + R B(n, l),
+    """The n x n matrix whose determinant the route takes: K(n) + R B(n, l),
     with B[i][j] = C(i+j+l-3, i) + P C(i+j+l-3, i-1)."""
+    P, R = Gf.monomial(p=1), Gf.monomial(r=1)
     m = k_matrix(n)
     for i in range(n):
         for j in range(n):
             a = i + j + l - 3
-            m[i][j] += Gf({(0, 0, 1): binomial(a, i),
-                           (1, 0, 1): binomial(a, i - 1)})
+            m[i][j] += R * (binomial(a, i) + P * binomial(a, i - 1))
     return m
 
 
@@ -55,9 +60,7 @@ def gf_det(n: int, l: int) -> Gf:
     l = 1 is allowed experimentally but carries no guarantee)."""
     if n < 0 or l < 1:
         raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
-    if n == 0:
-        return Gf.one()
-    return det_fraction_free(det_matrix(n, l))
+    return det_gf(det_matrix(n, l))
 
 
 def count(n: int, l: int) -> int:

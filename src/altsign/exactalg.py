@@ -1,7 +1,10 @@
 """Exact arithmetic kernel: generalized binomial coefficients, one sparse
 multivariate polynomial type over the rationals (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
-(``Gf``), and fraction-free determinants.
+(``Gf``), and two determinants: fraction-free (Bareiss) elimination over
+any of these entry types, and ``det_gf``, which takes a ``Gf``
+determinant as integer determinants on a grid of points followed by Newton
+interpolation.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.
@@ -425,10 +428,13 @@ def gf_from_mpoly(p: MPoly) -> Gf:
 
 
 def _exact_div_element(a, b):
-    if isinstance(a, MPoly):
-        return a.exact_divide(b)
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
+    # ints first: the grid kernel runs integer Bareiss at every point, and
+    # the ABC isinstance checks below cost more than the division itself
+    if type(a) is not int or type(b) is not int:
+        if isinstance(a, MPoly):
+            return a.exact_divide(b)
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)
     if r:
         raise NonDivisibleError(f"{a} not divisible by {b}", remainder=r)
@@ -441,6 +447,10 @@ def det_fraction_free(matrix):
     the previous pivot, so no rational functions appear.  A zero pivot is
     swapped with a row below; if none is nonzero the result is the zero of
     the entry type.  The 0x0 determinant is the int 1.
+
+    Over ints it is det_gf's determinant at each grid point and
+    detform.count.  Over Gf it is the elimination that det_gf is checked
+    against: gf_via_paths and verify coeff's coefficient matrix use it.
     """
     n = len(matrix)
     if n == 0:
@@ -470,3 +480,99 @@ def det_fraction_free(matrix):
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def _degree_bound(matrix, v: int) -> int:
+    """An upper bound on the degree of det(matrix) in variable slot v: the
+    smaller of the sums of the row maxima and of the column maxima of the
+    entry degrees (each term of the Leibniz expansion takes one entry from
+    every row and one from every column)."""
+    deg = [[max((e[v] for e in x.terms), default=0) for x in row]
+           for row in matrix]
+    return min(sum(map(max, deg)), sum(map(max, zip(*deg))))
+
+
+def _newton(values) -> list[int]:
+    """Monomial coefficients, lowest first, of the polynomial of degree
+    < len(values) that takes values[x] at x = 0, 1, 2, ...  The Newton
+    coefficients D^k f(0) / k! are the coordinates in the falling-factorial
+    basis, which are integers for an integer polynomial; NonDivisibleError
+    when one is not."""
+    a = list(values)
+    size = len(a)
+    for k in range(1, size):
+        # after this sweep a[k] is the k-th forward difference at 0
+        for i in range(size - 1, k - 1, -1):
+            a[i] -= a[i - 1]
+    fact = 1
+    for k in range(2, size):
+        fact *= k
+        a[k], rem = divmod(a[k], fact)
+        if rem:
+            raise NonDivisibleError(f"{k}-th difference {a[k] * fact + rem} "
+                                    f"not divisible by {k}!", remainder=rem)
+    # Horner in the Newton form a0 + x (a1 + (x-1) (a2 + (x-2) (...)))
+    out = [a[-1]]
+    for k in range(size - 2, -1, -1):
+        out = ([a[k] - k * out[0]]
+               + [out[i - 1] - k * out[i] for i in range(1, len(out))]
+               + [out[-1]])
+    return out
+
+
+def _combine(n: int, weighted):
+    """The n x n integer matrix sum of w * c over the (w, c) pairs."""
+    m = [[0] * n for _ in range(n)]
+    for w, c in weighted:
+        if w:
+            m = [[x + w * y for x, y in zip(mi, ci)] for mi, ci in zip(m, c)]
+    return m
+
+
+def det_gf(matrix) -> Gf:
+    """Determinant of a square Gf matrix by evaluation and interpolation.
+
+    With D_P, D_Q, D_R the degree bounds of _degree_bound, the integer
+    determinant (det_fraction_free) is taken at every point of
+    {0..D_P} x {0..D_Q} x {0..D_R}, and the values are Newton-interpolated
+    one axis at a time, R, then Q, then P; a Newton coefficient that is not
+    an integer raises NonDivisibleError.  The 0x0 determinant is Gf.one().
+    """
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    dp, dq, dr = (_degree_bound(matrix, v) for v in range(3))
+    top = max(dp, dq)
+    powers = [[x ** e for e in range(top + 1)] for x in range(top + 1)]
+    # the matrix as a polynomial in R: layers[g] lists (deg P, deg Q,
+    # integer matrix) of its monomials with R^g
+    exps = {e for row in matrix for x in row for e in x.terms}
+    layers = [[] for _ in range(1 + max((e[2] for e in exps), default=0))]
+    for e in exps:
+        layers[e[2]].append(
+            (e[0], e[1], [[x.terms.get(e, 0) for x in row] for row in matrix]))
+    grid = []
+    for p in range(dp + 1):
+        pp = powers[p]
+        plane = []
+        for q in range(dq + 1):
+            qq = powers[q]
+            at = [_combine(n, [(pp[a] * qq[b], c) for a, b, c in layer])
+                  for layer in layers]
+            line = []
+            for r in range(dr + 1):
+                m = at[-1]  # Horner in R
+                for c in reversed(at[:-1]):
+                    m = [[x * r + y for x, y in zip(mi, ci)]
+                         for mi, ci in zip(m, c)]
+                line.append(det_fraction_free(m))
+            plane.append(_newton(line))
+        # plane[q][k] is [R^k] at (p, q), so grid[p][k][j] is [Q^j R^k] at p
+        grid.append([_newton(col) for col in zip(*plane)])
+    terms = {}
+    for k, by_p in enumerate(zip(*grid)):
+        for j, col in enumerate(zip(*by_p)):
+            for i, c in enumerate(_newton(col)):
+                terms[(i, j, k)] = c
+    return Gf(terms)

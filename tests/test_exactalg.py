@@ -1,13 +1,17 @@
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import altsign
 from altsign.errors import NonDivisibleError
-from altsign.exactalg import (Gf, MPoly, binomial, det_fraction_free,
-                              gf_from_mpoly)
+from altsign.exactalg import (Gf, MPoly, _newton, binomial, det_fraction_free,
+                              det_gf, gf_from_mpoly)
 
 
 def var(name):
@@ -231,6 +235,10 @@ class TestDeterminant:
         expected = (R * R + 4 * R + P * R + Q * R + one)
         assert det_fraction_free(m) == expected
         assert det_cofactor(m) == expected
+        assert det_gf(m) == expected
+        assert type(det_gf([])) is Gf and det_gf([]) == 1
+        with pytest.raises(ValueError):
+            det_gf([[one, R], [one]])
 
     def test_equal_rows_zero(self):
         x = var("x1")
@@ -250,6 +258,27 @@ class TestDeterminant:
         for n in range(1, 6):
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(m) == det_cofactor(m)
+
+    def test_newton_gives_monomial_coefficients(self):
+        # x^2 - 3x + 5 at x = 0, 1, 2; x^3 at 0..4, one node more than needed
+        assert _newton([5, 3, 3]) == [5, -3, 1]
+        assert _newton([0, 1, 8, 27, 64]) == [0, 0, 0, 1, 0]
+        assert _newton([7]) == [7]
+
+    def test_non_integer_interpolation_raises_under_optimize(self):
+        # C(x, 2) is integer-valued at 0, 1, 2 but has monomial coefficients
+        # -1/2 and 1/2: the k! divisibility check must survive python -O
+        code = ("from altsign.exactalg import _newton\n"
+                "try:\n"
+                "    _newton([0, 0, 1])\n"
+                "except ArithmeticError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(altsign.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestTracerTable:

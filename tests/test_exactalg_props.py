@@ -7,9 +7,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from altsign.exactalg import Gf, MPoly, gf_from_mpoly  # noqa: E402
+from altsign.exactalg import (Gf, MPoly, det_fraction_free,  # noqa: E402
+                              det_gf, gf_from_mpoly)
 
 props = settings(max_examples=40, deadline=None)
 
@@ -28,6 +29,9 @@ def mpolys(draw):
 
 
 gfs = st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(Gf)
+gf_matrices = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(gfs, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
 
 
 def as_mpoly(g: Gf) -> MPoly:
@@ -120,3 +124,15 @@ def test_coefficient_types(a, b, g, h):
 def test_shifts_compose(p, x, a, b):
     # E^a E^b = E^(a+b)
     assert p.shift_var(x, a).shift_var(x, b) == p.shift_var(x, a + b)
+
+
+@props
+@given(gf_matrices, st.sampled_from([Gf.one(), Gf.monomial(p=1) - 1,
+                                     Gf.zero()]))
+@example([[Gf.zero()] * 3] * 3, Gf.one())
+def test_grid_determinant_matches_elimination(m, factor):
+    # a P - 1 factor on the first row makes every grid point with P = 1
+    # singular, a zero factor every point
+    m = [[factor * x for x in row] if i == 0 else row
+         for i, row in enumerate(m)]
+    assert det_gf(m) == det_fraction_free(m)

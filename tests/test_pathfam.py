@@ -162,6 +162,11 @@ class TestGfViaPaths:
             for l in range(2, 6):
                 assert gf_via_paths(n, l, 1) == detform.gf_det(n, l), (n, l)
 
+    def test_matches_determinant_to_n10(self):
+        # elimination over Gf (paths) against the grid kernel (det)
+        for n in range(7, 11):
+            assert gf_via_paths(n, 4, 1) == detform.gf_det(n, 4), n
+
     def test_binomial_matrix_is_the_path_matrix(self):
         # det_matrix = K * (I + R * path_matrix) (at d = 0 for l = 1), and
         # det K = 1: the det and paths routes reach the same determinant
