@@ -19,11 +19,12 @@ diagonal) and B(n, l) the two binomials at k = i: the determinant is the
 same, and no entry has more than three terms or degree above 1 in P, Q or
 R.  exactalg.det_gf evaluates it at the n^2 (n+1) integer points of
 {0..n-1} x {0..n-1} x {0..n} (its degree bounds), takes each integer
-determinant and interpolates, so no polynomial is ever divided.  With the
-path matrix, det_matrix(n, l) = K(n) (I + R pathfam.path_matrix(n, l, 1))
-(at d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach the same
-determinant; `gf paths` and the coefficient-matrix check of `verify coeff`
-eliminate by Bareiss over Gf, independently of the grid.
+determinant and interpolates, so no polynomial is ever divided.  The paths
+route takes its determinant on the same form (k_form): with the path
+matrix, det_matrix(n, l) = K(n) (I + R pathfam.path_matrix(n, l, 1)) (at
+d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach the same matrix.
+Only the coefficient-matrix check of `verify coeff` eliminates by Bareiss
+over Gf, as the reference independent of the grid.
 
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is
@@ -43,16 +44,24 @@ def k_matrix(n: int) -> list[list[Gf]]:
              for j in range(n)] for i in range(n)]
 
 
+def k_form(x) -> list[list[Gf]]:
+    """K(n) + R X for an n x n matrix X free of R, the form both
+    determinant routes take: X = B(n, l) here, X = K(n) M in pathfam.  The
+    entries of both have at most two terms, of degree <= 1 in P and 0 in Q,
+    so no entry of the form has more than three terms or degree above 1 in
+    P, Q or R."""
+    R = Gf.monomial(r=1)
+    return [[k + R * e for k, e in zip(k_row, x_row)]
+            for k_row, x_row in zip(k_matrix(len(x)), x)]
+
+
 def det_matrix(n: int, l: int) -> list[list[Gf]]:
     """The n x n matrix whose determinant the route takes: K(n) + R B(n, l),
     with B[i][j] = C(i+j+l-3, i) + P C(i+j+l-3, i-1)."""
-    P, R = Gf.monomial(p=1), Gf.monomial(r=1)
-    m = k_matrix(n)
-    for i in range(n):
-        for j in range(n):
-            a = i + j + l - 3
-            m[i][j] += R * (binomial(a, i) + P * binomial(a, i - 1))
-    return m
+    P = Gf.monomial(p=1)
+    return k_form([[binomial(a, i) + P * binomial(a, i - 1)
+                    for a in range(i + l - 3, i + l - 3 + n)]
+                   for i in range(n)])
 
 
 def gf_det(n: int, l: int) -> Gf:
@@ -68,8 +77,6 @@ def count(n: int, l: int) -> int:
     C(i+j+l-1, i) + [i = j]."""
     if n < 0 or l < 1:
         raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
-    if n == 0:
-        return 1
     m = [[binomial(i + j + l - 1, i) + (1 if i == j else 0)
           for j in range(n)] for i in range(n)]
     return det_fraction_free(m)

@@ -30,6 +30,17 @@ index away from the origin, so a path from (u, 0) to (0, v + l - 1) cuts
 the quadrant between the smaller and the larger indices: vertex-disjoint
 paths must join source u to sink u.  Only the identity pairing survives,
 with sign +1, and it is exactly a family.
+
+The determinant is taken as det(K(n) + R K(n) M) = det(I + R M), with
+K(n) = I - Q S of determinant 1 (detform.k_matrix, S the shift below the
+diagonal).  A path from (u, 0) takes all of its height-0 west steps before
+its first north step, and each weighs Q, so M[u] = Q M[u-1] + N[u] with
+N[u] the paths from (u, 0) that start north.  The one exception is the
+d = 0 step from (1, 0) into the origin, which weighs P+Q-1.  Row u of
+K(n) M is therefore N[u], which has no Q (at d = 0, row 1 is N[1] plus
+P - 1), and the form has at most three terms of degree <= 1 in P, Q and R
+per entry, as the determinant route's K(n) + R B(n, l) has.
+exactalg.det_gf takes it on the same grid of n^2 (n+1) integer points.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ from functools import lru_cache
 
 from .cssp import Cssp
 from .cssp import validate as validate_cssp
+from .detform import k_form
 from .errors import NotInImageError, OutOfRangeError
-from .exactalg import Gf, det_fraction_free
+from .exactalg import Gf, det_gf
 
 
 @dataclass(frozen=True)
@@ -236,19 +248,23 @@ def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
     return out
 
 
+def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
+    """K(n) + R K(n) M, with M = path_matrix(n, l, d): the matrix whose
+    determinant the route takes.  Row u of K(n) M is M[u] - Q M[u-1]."""
+    m = path_matrix(n, l, d)
+    q = Gf.monomial(q=1)
+    return k_form([[a - q * b for a, b in zip(row, above)]
+                   for row, above in zip(m, [[0] * n] + m)])
+
+
 def gf_via_paths(n: int, l: int, d: int) -> Gf:
     """Generating function of all non-intersecting families, as
-    det(I + R*M) over the path matrix M."""
+    det(I + R*M) = det(K(n) + R K(n) M) over the path matrix M."""
     if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
-    if n == 0:
-        return Gf.one()
-    r = Gf.monomial(r=1)
-    m = path_matrix(n, l, d)
-    return det_fraction_free([[r * m[u][v] + int(u == v) for v in range(n)]
-                              for u in range(n)])
+    return det_gf(det_matrix(n, l, d))
 
 
 def to_json(f: PathFamily) -> dict:

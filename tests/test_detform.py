@@ -1,6 +1,6 @@
 import pytest
 
-from altsign import cssp, operatorform, trapezoid
+from altsign import cssp, operatorform, pathfam, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
@@ -153,11 +153,16 @@ class TestDetMatrix:
 
     def test_entries_have_at_most_three_terms_of_degree_one(self):
         # every entry is linear in each of P, Q and R, so the determinant
-        # has degree <= n in each: the bound an evaluation kernel needs
-        for n in range(0, 9):
-            for l in range(1, 9):
-                for row in det_matrix(n, l):
-                    for entry in row:
-                        assert len(entry.terms) <= 3, (n, l, entry)
-                        assert all(e <= 1 for exp in entry.terms
-                                   for e in exp), (n, l, entry)
+        # has degree <= n in each: the bound an evaluation kernel needs,
+        # for the paths route's K(n) + R K(n) M as for K(n) + R B(n, l)
+        matrices = [((n, l), det_matrix(n, l))
+                    for n in range(0, 9) for l in range(1, 9)]
+        matrices += [((n, l, d), pathfam.det_matrix(n, l, d))
+                     for n in range(0, 9) for l in range(1, 7)
+                     for d in range(0, l)]
+        for key, m in matrices:
+            for row in m:
+                for entry in row:
+                    assert len(entry.terms) <= 3, (key, entry)
+                    assert all(e <= 1 for exp in entry.terms
+                               for e in exp), (key, entry)

@@ -6,9 +6,10 @@ import pytest
 from altsign import cssp, detform, trapezoid
 from altsign.cssp import Cssp, enumerate_cssps
 from altsign.errors import NotInImageError, OutOfRangeError
-from altsign.exactalg import Gf
+from altsign.exactalg import Gf, det_fraction_free
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
-                             cssp_to_paths, families_svg, from_json,
+                             cssp_to_paths, det_matrix, families_svg,
+                             from_json,
                              gf_via_paths, is_nonintersecting, lgv_weight,
                              path_matrix, paths_for_index, paths_to_cssp,
                              to_json, write_families_svg)
@@ -163,23 +164,35 @@ class TestGfViaPaths:
                 assert gf_via_paths(n, l, 1) == detform.gf_det(n, l), (n, l)
 
     def test_matches_determinant_to_n10(self):
-        # elimination over Gf (paths) against the grid kernel (det)
+        # the grid kernel on the K-form against Bareiss over Gf on the
+        # Gessel-Viennot matrix I + R*M itself
+        r = Gf.monomial(r=1)
         for n in range(7, 11):
-            assert gf_via_paths(n, 4, 1) == detform.gf_det(n, 4), n
+            m = path_matrix(n, 4, 1)
+            assert gf_via_paths(n, 4, 1) == det_fraction_free(
+                [[int(u == v) + r * m[u][v] for v in range(n)]
+                 for u in range(n)]), n
 
     def test_binomial_matrix_is_the_path_matrix(self):
-        # det_matrix = K * (I + R * path_matrix) (at d = 0 for l = 1), and
-        # det K = 1: the det and paths routes reach the same determinant
+        # det_matrix = K * (I + R * path_matrix) for every d (row u of K*M
+        # is M[u] - Q*M[u-1]), and det K = 1; at d = 1 (d = 0 for l = 1)
+        # it is detform.det_matrix: the det and paths routes take the
+        # determinant of one matrix
         r = Gf.monomial(r=1)
-        for n, l, d in ([(n, l, 1) for n in range(1, 8) for l in range(2, 7)]
-                        + [(2, 1, 0), (3, 1, 0)]):
-            m = path_matrix(n, l, d)
+        for n in range(0, 8):
             k = detform.k_matrix(n)
-            lgv = [[int(u == v) + r * m[u][v] for v in range(n)]
-                   for u in range(n)]
-            assert detform.det_matrix(n, l) == [
-                [sum((k[u][w] * lgv[w][v] for w in range(n)), Gf.zero())
-                 for v in range(n)] for u in range(n)], (n, l)
+            for l in range(1, 7):
+                for d in range(0, l):
+                    m = path_matrix(n, l, d)
+                    lgv = [[int(u == v) + r * m[u][v] for v in range(n)]
+                           for u in range(n)]
+                    form = det_matrix(n, l, d)
+                    assert form == [
+                        [sum((k[u][w] * lgv[w][v] for w in range(n)),
+                             Gf.zero()) for v in range(n)]
+                        for u in range(n)], (n, l, d)
+                    if d == min(1, l - 1):
+                        assert form == detform.det_matrix(n, l), (n, l)
 
 
 class TestJson:
