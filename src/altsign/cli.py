@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import cssp, detform, operatorform, pathfam, sttree, trapezoid
+# Each handler and check imports the modules it runs, so that a command
+# loads only those (every op is a fresh process).
 
 
 def _run_tasks(fn, args_list, jobs):
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args_list))
     return [fn(a) for a in args_list]
@@ -55,12 +55,14 @@ def _parse_int_list(text):
 # --- verification workers (top-level so process pools can pickle them) ----
 
 def _check_main(args):
+    from . import cssp, trapezoid
     n, l, d = args
     lhs, rhs = trapezoid.gf(n, l), cssp.gf(l - 1, n, d)
     return lhs == rhs, (str(lhs), str(rhs))
 
 
 def _check_truncated(inst):
+    from . import operatorform, sttree
     n, s, t, b = inst
     formula = operatorform.count_sttrees_formula(n, s, t, b)
     brute = len(sttree.enumerate_sttrees(n, s, t, b))
@@ -68,6 +70,7 @@ def _check_truncated(inst):
 
 
 def _check_qast(args):
+    from . import operatorform, trapezoid
     n, part = args
     if part == "count":
         value = operatorform.t_value(n, 1)
@@ -79,18 +82,22 @@ def _check_qast(args):
 
 
 def _check_asymm(args):
+    from . import operatorform
     return operatorform.verify_asymM(*args), ()
 
 
 def _check_asym(args):
+    from . import operatorform
     return operatorform.verify_asym_lemma(*args), ()
 
 
 def _check_coeff(args):
+    from . import detform
     return detform.verify_coeff_route(*args), ()
 
 
 def _check_bijections(args):
+    from . import cssp, pathfam, sttree, trapezoid
     n, l = args
     for t in trapezoid.enumerate_trapezoids(n, l):
         tree = sttree.ast_to_sttree(t)
@@ -106,6 +113,11 @@ def _check_bijections(args):
     return True, ()
 
 
+def _random_tree_instances(args):
+    from . import sttree
+    return sttree.random_tree_instances(args.samples, args.seed)
+
+
 def _n_l(args, l_min):
     return [(n, l) for n in range(1, args.n_max + 1)
             for l in range(l_min, args.l_max + 1)]
@@ -116,8 +128,8 @@ def _n_l(args, l_min):
 IDENTITIES = {
     "main": (lambda a: [(n, l, d) for n, l in _n_l(a, 1) for d in range(l)],
              _check_main, "main (n={}, l={}, d={})"),
-    "truncated": (lambda a: sttree.random_tree_instances(a.samples, a.seed),
-                  _check_truncated, "truncated (n={}, s={}, t={}, b={})"),
+    "truncated": (_random_tree_instances, _check_truncated,
+                  "truncated (n={}, s={}, t={}, b={})"),
     "qast": (lambda a: [(n, part) for n in range(1, a.n_max + 1)
                         for part in ("count", "vanishing")],
              _check_qast, "qast {1} (n={0})"),
@@ -136,14 +148,17 @@ IDENTITIES = {
 
 def _cmd_enumerate(args, out):
     if args.family == "ast":
+        from . import trapezoid
         objs = trapezoid.enumerate_trapezoids(args.n, args.l)
         to_json = trapezoid.to_json
         text = lambda t: "\n".join(" ".join(f"{e:2d}" for e in row)
                                    for row in t.rows)
     elif args.family == "cssp":
+        from . import cssp
         objs = cssp.enumerate_cssps(args.k, args.n)
         to_json, text = cssp.to_json, cssp.pretty
     else:
+        from . import sttree
         lists = map(_parse_int_list, (args.s, args.t, args.b))
         objs = sttree.enumerate_sttrees(args.n, *lists)
         to_json = sttree.to_json
@@ -152,6 +167,7 @@ def _cmd_enumerate(args, out):
             for row in tr.rows)
     # build only the form that is printed
     if args.format == "json":
+        import json
         print(json.dumps([to_json(o) for o in objs], indent=2), file=out)
         return 0
     for i, obj in enumerate(objs):
@@ -163,16 +179,22 @@ def _cmd_enumerate(args, out):
 
 def _cmd_gf(args, out):
     if args.route == "ast":
+        from . import trapezoid
         g = trapezoid.gf(args.n, args.l)
     elif args.route == "cssp":
+        from . import cssp
         g = cssp.gf(args.k, args.n, args.d)
     elif args.route == "det":
+        from . import detform
         g = detform.gf_det(args.n, args.l)
     elif args.route == "operator":
+        from . import operatorform
         g = operatorform.gf_ast_via_operator(args.n, args.l)
     else:
+        from . import pathfam
         g = pathfam.gf_via_paths(args.n, args.l, args.d)
     if args.format == "json":
+        import json
         terms = [{"p": e[0], "q": e[1], "r": e[2], "coeff": c}
                  for e, c in sorted(g.terms.items())]
         print(json.dumps(terms), file=out)
@@ -182,17 +204,20 @@ def _cmd_gf(args, out):
 
 
 def _cmd_count(args, out):
+    from . import detform
     print(detform.count(args.n, args.l), file=out)
     return 0
 
 
 def _cmd_tpoly(args, out):
+    from . import operatorform
     p = operatorform.t_polynomial(args.n)
     coeffs = operatorform.falling_factorial_coeffs(p)
     ff = " + ".join(
         (f"{c}" if k == 0 else (f"{c}*(l)_{k}" if c != 1 else f"(l)_{k}"))
         for k, c in enumerate(coeffs) if c != 0) or "0"
     if args.format == "json":
+        import json
         print(json.dumps({"n": args.n, "monomial": str(p),
                           "falling_factorial": ff}), file=out)
     else:
@@ -210,6 +235,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_svg(args, out):
+    from . import pathfam
     drawn = pathfam.write_families_svg(args.out, args.n, args.l, args.d)
     print(f"wrote {drawn} families to {args.out}", file=out)
     return 0

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import Gf, MPoly, gf_from_mpoly
+from .exactalg import Gf, MPoly, binomial, gf_from_mpoly
 
 
 def xvar(i: int) -> str:
@@ -240,33 +240,46 @@ def falling_factorial_coeffs(p: MPoly, name: str = "l"):
     return coeffs
 
 
-def verify_asymM(n: int, x) -> bool:
-    """Check the constant-term representation of M_n at a non-negative
-    integer point: antisymmetrize prod (1+Y_i)^{x_i} prod_{i<j}
-    (1+Y_j+Y_i Y_j) over the Y's, exact-divide by the Vandermonde product,
-    evaluate at Y = 0 and compare with M_n(x)."""
+def asymM_constant_term(n: int, x) -> int:
+    """S(0) for the quotient S of the antisymmetrization of
+    F = prod (1+Y_i)^{x_i} prod_{i<j} (1+Y_j+Y_i Y_j) by the Vandermonde
+    product prod_{i<j} (Y_j - Y_i), read off without dividing.
+
+    The Vandermonde product is homogeneous of degree n(n-1)/2 with
+    coefficient 1 at Y^delta, delta = (0, 1, ..., n-1), so S(0) is the
+    coefficient of Y^delta in the antisymmetrization: the sum over
+    permutations sigma of sign(sigma) times F's coefficient at the exponent
+    vector sigma.  No factor lowers an exponent, so F is built with every
+    term that has an exponent above n-1 dropped."""
     x = tuple(x)
     if len(x) != n or any(v < 0 for v in x):
         raise ValueError("x must be n non-negative integers")
-    ys = [f"Y{i}" for i in range(1, n + 1)]
-    total = MPoly.constant(0)
-    for sigma in itertools.permutations(range(n)):
-        term = MPoly.constant(_sign(sigma))
-        for i in range(n):
-            term *= (MPoly.variable(ys[sigma[i]]) + 1) ** x[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                yi = MPoly.variable(ys[sigma[i]])
-                yj = MPoly.variable(ys[sigma[j]])
-                term *= 1 + yj + yi * yj
-        total += term
-    vandermonde = MPoly.constant(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde *= MPoly.variable(ys[j]) - MPoly.variable(ys[i])
-    quotient = total.exact_divide(vandermonde)
-    at_zero = quotient.evaluate({y: 0 for y in ys})
-    return at_zero == Fraction(eval_Mn(n, x))
+
+    def unit(*idx):
+        return tuple(idx.count(i) for i in range(n))
+
+    factors = [{unit(*[i] * k): binomial(x[i], k)
+                for k in range(min(x[i], n - 1) + 1)} for i in range(n)]
+    factors += [{unit(): 1, unit(j): 1, unit(i, j): 1}
+                for i in range(n) for j in range(i + 1, n)]
+    poly = {unit(): 1}
+    for factor in factors:
+        product = {}
+        for e, c in poly.items():
+            for f, d in factor.items():
+                g = tuple(a + b for a, b in zip(e, f))
+                if max(g) < n:
+                    product[g] = product.get(g, 0) + c * d
+        poly = product
+    return sum(_sign(sigma) * poly.get(sigma, 0)
+               for sigma in itertools.permutations(range(n)))
+
+
+def verify_asymM(n: int, x) -> bool:
+    """Check the constant-term representation of M_n at a non-negative
+    integer point: the constant term of ASym[F] / Vandermonde
+    (asymM_constant_term) equals M_n(x)."""
+    return asymM_constant_term(n, x) == eval_Mn(n, x)
 
 
 def _sign(sigma):

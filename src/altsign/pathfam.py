@@ -46,7 +46,6 @@ exactalg.det_gf takes it on the same grid of n^2 (n+1) integer points.
 from __future__ import annotations
 
 import itertools
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -300,6 +299,7 @@ def _family_group(f: PathFamily, d, n: int, cell: int, origin):
     def sy(y):
         return oy + (max_y - y) * cell  # flip: SVG y grows downwards
 
+    import xml.etree.ElementTree as ET  # loaded only when drawing
     g = ET.Element("g")
     for x in range(max_x + 1):
         ET.SubElement(g, "line", x1=str(sx(x)), y1=str(sy(0)),
@@ -336,6 +336,7 @@ def families_svg(families, d, n: int, l: int, cell: int = 18) -> str:
     panel_h = (max_y + 2) * cell
     per_row = max(1, min(6, len(families)))
     rows = (len(families) + per_row - 1) // per_row if families else 1
+    import xml.etree.ElementTree as ET  # loaded only when drawing
     root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
                       width=str(per_row * panel_w),
                       height=str(rows * panel_h))

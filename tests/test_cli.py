@@ -1,5 +1,9 @@
 import ast
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -242,7 +246,9 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # _run_tasks imports the pool class only when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         # verify main --n-max 2 --l-max 2 has 6 checks; one CPU runs serially
         for cpus, jobs, expected in ((4, "1000", [4]), (4, "3", [3]),
                                      (16, "1000", [6]), (1, "8", [])):
@@ -284,3 +290,46 @@ def test_no_private_imports_across_modules():
                           f"{alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def _fresh_process(code, *argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(altsign.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Modules that neither `count` nor `gf det` runs: every op is a fresh
+# process, so loading one is start-up time spent for nothing.
+UNUSED_BY_DET = ("concurrent.futures", "multiprocessing",
+                 "xml.etree.ElementTree", "json", "altsign.cssp",
+                 "altsign.trapezoid", "altsign.sttree", "altsign.pathfam",
+                 "altsign.operatorform")
+
+
+@pytest.mark.parametrize("argv", [("count", "--n", "3", "--l", "2"),
+                                  ("gf", "det", "--n", "3", "--l", "3")])
+def test_a_command_loads_only_what_it_runs(argv):
+    probe = ("import sys\n"
+             "if sys.argv[1:]:\n"
+             "    from altsign.cli import main\n"
+             "    assert main(sys.argv[1:]) == 0\n"
+             f"print(*[m for m in {UNUSED_BY_DET!r} if m in sys.modules])\n")
+    bare = set(_fresh_process(probe).split())
+    loaded = _fresh_process(probe, *argv).splitlines()[-1].split()
+    assert set(loaded) - bare == set()
+
+
+def test_package_names_resolve_on_first_use():
+    names = _fresh_process(
+        "import altsign\n"
+        "print(*[n for n in altsign.__all__ if getattr(altsign, n) is None])\n"
+        "from altsign import *\n"
+        "print(cssp.__name__, pathfam.gf_via_paths.__module__)\n"
+        "try:\n"
+        "    altsign.no_such_module\n"
+        "except AttributeError:\n"
+        "    print('absent')\n")
+    assert names == "\naltsign.cssp altsign.pathfam\nabsent\n"

@@ -11,7 +11,8 @@ import altsign
 from altsign import detform, trapezoid
 from altsign.errors import InvalidShapeError, ShapeMismatchError
 from altsign.exactalg import Gf, MPoly
-from altsign.operatorform import (all_positions, bwd_diff, compute_Mn,
+from altsign.operatorform import (all_positions, asymM_constant_term,
+                                  bwd_diff, compute_Mn,
                                   count_ast_prescribed,
                                   count_ast_via_operator,
                                   count_sttrees_formula, eval_Mn,
@@ -278,6 +279,55 @@ class TestAsymMIdentity:
             from itertools import product
             for x in product(range(3), repeat=n):
                 assert verify_asymM(n, x)
+
+    def test_n4(self):
+        for x in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 0, 2, 3), (2, 2, 3, 1)):
+            assert verify_asymM(4, x)
+
+    def test_rejects_a_wrong_target(self, monkeypatch):
+        from altsign import operatorform
+        value = operatorform.eval_Mn
+        monkeypatch.setattr(operatorform, "eval_Mn",
+                            lambda n, x: value(n, x) + 1)
+        for n, x in ((1, (0,)), (2, (1, 0)), (3, (1, 2, 3)),
+                     (4, (0, 1, 2, 3))):
+            assert not verify_asymM(n, x), (n, x)
+
+    def test_constant_term_equals_the_quotient_route(self):
+        from itertools import product
+        for n in (1, 2, 3):
+            for x in product(range(4), repeat=n):
+                assert asymM_constant_term(n, x) == _quotient_at_zero(n, x)
+
+    def test_rejects_bad_points(self):
+        for n, x in ((2, (1,)), (2, (1, -1))):
+            with pytest.raises(ValueError, match="non-negative"):
+                verify_asymM(n, x)
+
+
+def _quotient_at_zero(n, x):
+    """The quotient route, kept as the oracle: antisymmetrize
+    prod (1+Y_i)^{x_i} prod_{i<j} (1+Y_j+Y_i Y_j), exact-divide by the
+    Vandermonde product and evaluate at Y = 0."""
+    from itertools import permutations
+    ys = [var(f"Y{i}") for i in range(1, n + 1)]
+    total = MPoly.constant(0)
+    for sigma in permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = MPoly.constant((-1) ** inversions)
+        y = [ys[k] for k in sigma]
+        for i in range(n):
+            term *= (y[i] + 1) ** x[i]
+            for j in range(i + 1, n):
+                term *= 1 + y[j] + y[i] * y[j]
+        total += term
+    vandermonde = MPoly.constant(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            vandermonde *= ys[j] - ys[i]
+    quotient = total.exact_divide(vandermonde)
+    return quotient.evaluate({f"Y{i}": 0 for i in range(1, n + 1)})
 
 
 class TestAsymLemma:
