@@ -236,7 +236,10 @@ def _cmd_verify(args, out):
 
 def _cmd_svg(args, out):
     from . import pathfam
-    drawn = pathfam.write_families_svg(args.out, args.n, args.l, args.d)
+    try:
+        drawn = pathfam.write_families_svg(args.out, args.n, args.l, args.d)
+    except OSError as e:  # an --out that cannot be written is an argument error
+        raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from e
     print(f"wrote {drawn} families to {args.out}", file=out)
     return 0
 

@@ -9,7 +9,6 @@ at position t (1-based) sits in column j = i + t - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import OutOfRangeError
@@ -23,8 +22,7 @@ class CsspStats(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class Cssp:
+class Cssp(NamedTuple):
     k: int
     rows: tuple[tuple[int, ...], ...]
 

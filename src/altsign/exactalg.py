@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: generalized binomial coefficients, one sparse
-multivariate polynomial type over the rationals (``MPoly``) with its
+multivariate polynomial type with exact coefficients (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
 (``Gf``), and two determinants: ``det_gf``, the one kernel of both
 determinant routes, which takes a ``Gf`` determinant as integer
@@ -89,17 +89,18 @@ def _exact(value):
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Fraction coefficients.
+    """Sparse multivariate polynomial with int or Fraction coefficients.
 
     Stored as an ordered variable registry plus a map from exponent tuples
-    (one slot per registered variable) to nonzero coefficients of type
-    _ring; _scalars combine with a polynomial.  Gf narrows both to int.
-    Values are immutable in use: all operations return new polynomials.
+    (one slot per registered variable) to nonzero coefficients, each kept
+    as given: int arithmetic stays in int, and a Fraction appears only
+    where one is put in.  _scalars are the coefficient and scalar types;
+    Gf narrows them to int.  Values are immutable in use: all operations
+    return new polynomials.
     """
 
     __slots__ = ("vars", "terms")
     _scalars = (int, Fraction)
-    _ring = Fraction
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
@@ -108,14 +109,14 @@ class MPoly:
             for exp, c in terms.items():
                 if not isinstance(c, self._scalars):
                     raise TypeError(f"coefficient {c!r} is not an exact "
-                                    f"{self._ring.__name__}")
+                                    f"{type(self).__name__} coefficient")
                 if c:
-                    clean[tuple(exp)] = self._ring(c)
+                    clean[tuple(exp)] = +c  # a bool is stored as an int
         self.terms = clean
 
     @classmethod
     def _make(cls, vars_, terms):
-        """Wrap a finished exponent dict (nonzero coefficients of the ring)
+        """Wrap a finished exponent dict (nonzero exact coefficients)
         without copying or cleaning it."""
         p = object.__new__(cls)
         p.vars = vars_
@@ -128,7 +129,7 @@ class MPoly:
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        return MPoly._make((name,), {(1,): Fraction(1)})
+        return MPoly._make((name,), {(1,): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -136,18 +137,17 @@ class MPoly:
     def _scalar(self, c):
         """The scalar c as a polynomial of this class over this registry."""
         return self._make(self.vars,
-                          {(0,) * len(self.vars): self._ring(c)} if c else {})
+                          {(0,) * len(self.vars): c} if c else {})
 
     def _align(self, other):
         """(result class, registry, terms of self, terms of other) over one
-        registry, or None when other is neither a polynomial nor a scalar of
-        the ring.  A Gf meeting a plain MPoly is computed as an MPoly."""
+        registry, or None when other is neither a polynomial nor one of
+        _scalars.  Operands of one class over one registry keep their class;
+        any other pair, a Gf meeting a plain MPoly included, is computed as
+        an MPoly over the union of the registries."""
         if isinstance(other, MPoly):
-            if type(other) is type(self):
-                if other.vars == self.vars:
-                    return type(self), self.vars, self.terms, other.terms
-            else:
-                self, other = _as_mpoly(self), _as_mpoly(other)
+            if type(other) is type(self) and other.vars == self.vars:
+                return type(self), self.vars, self.terms, other.terms
             union = _sorted_vars(self.vars + other.vars)
             return MPoly, union, _remap(self, union), _remap(other, union)
         if isinstance(other, self._scalars):
@@ -163,7 +163,7 @@ class MPoly:
     def __hash__(self):
         # equal over any registries -> equal hash; a constant hashes as its value
         if self.degree() <= 0:
-            return hash(sum(self.terms.values(), Fraction(0)))
+            return hash(sum(self.terms.values()))
         return hash(frozenset(
             (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)
             for exp, c in self.terms.items()))
@@ -235,14 +235,13 @@ class MPoly:
         return max((sum(e) for e in self.terms), default=-1)
 
     def substitute(self, name: str, value) -> "MPoly":
-        """Replace a variable by a Fraction, int or MPoly."""
+        """Replace a variable by an int, a Fraction or an MPoly."""
         if name not in self.vars:
             return self
-        p = _as_mpoly(self)
-        idx = p.vars.index(name)
-        rest_vars = p.vars[:idx] + p.vars[idx + 1:]
+        idx = self.vars.index(name)
+        rest_vars = self.vars[:idx] + self.vars[idx + 1:]
         groups = {}  # the terms by their power of name, one product each
-        for exp, c in p.terms.items():
+        for exp, c in self.terms.items():
             groups.setdefault(exp[idx], {})[exp[:idx] + exp[idx + 1:]] = c
         out = MPoly._make(rest_vars, {})
         for e, group in groups.items():
@@ -253,10 +252,12 @@ class MPoly:
         """The substitution x -> x + c (used by the shift operator E_x)."""
         return self.substitute(name, MPoly.variable(name) + c)
 
-    def evaluate(self, assignment: dict) -> Fraction:
-        """Evaluate with every registered variable assigned a number."""
-        total = Fraction(0)
-        values = [Fraction(_exact(assignment[v])) for v in self.vars]
+    def evaluate(self, assignment: dict):
+        """Evaluate with every registered variable assigned an int or a
+        Fraction; the value is an int when the coefficients and the
+        point are."""
+        total = 0
+        values = [_exact(assignment[v]) for v in self.vars]
         for exp, c in self.terms.items():
             term = c
             for v, e in zip(values, exp):
@@ -289,13 +290,6 @@ class MPoly:
                             for e in sorted(terms, key=self._print_key)])
 
     __repr__ = __str__
-
-
-def _as_mpoly(p: MPoly) -> MPoly:
-    """p itself, or a Gf as an MPoly with Fraction coefficients."""
-    if type(p) is MPoly:
-        return p
-    return MPoly._make(p.vars, {e: Fraction(c) for e, c in p.terms.items()})
 
 
 def _remap(p: MPoly, target_vars):
@@ -352,7 +346,6 @@ class Gf(MPoly):
 
     __slots__ = ()
     _scalars = int
-    _ring = int
 
     def __init__(self, terms=None):
         super().__init__(_PQR, terms)

@@ -25,6 +25,7 @@ value, so every formula here folds one step per variable (_step).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -49,10 +50,17 @@ def bwd_diff(p: MPoly, name: str) -> MPoly:
     return p - p.shift_var(name, -1)
 
 
+def _denominator(n: int) -> int:
+    """D_n = prod_{i<j} (j - i): compute_Mn(n) is D_n M_n."""
+    return math.prod(j - i for j in range(1, n + 1) for i in range(1, j))
+
+
 @lru_cache(maxsize=None)
 def compute_Mn(n: int) -> MPoly:
-    """The polynomial prod_{p<q} (1 + fwd_q + fwd_p fwd_q) applied to
-    prod_{i<j} (x_j - x_i)/(j - i); total degree n(n-1)/2, M_1 = 1.
+    """D_n M_n, the integer polynomial prod_{p<q} (1 + fwd_q + fwd_p fwd_q)
+    applied to prod_{i<j} (x_j - x_i), with D_n = _denominator(n); M_n
+    itself has total degree n(n-1)/2 and M_1 = 1.  Every fold divides by
+    D_n once, at its end, so the operators run over the integers.
 
     Cached per n; practical up to n = 6 or so.
     """
@@ -62,7 +70,6 @@ def compute_Mn(n: int) -> MPoly:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             poly = poly * (MPoly.variable(xvar(j)) - MPoly.variable(xvar(i)))
-            poly = poly * Fraction(1, j - i)
     for p_ in range(1, n + 1):
         for q_ in range(p_ + 1, n + 1):
             dq = fwd_diff(poly, xvar(q_))
@@ -70,7 +77,7 @@ def compute_Mn(n: int) -> MPoly:
     return poly
 
 
-def _integer(v: Fraction) -> int:
+def _integer(v) -> int:
     if v.denominator != 1:
         raise ArithmeticError(f"operator value {v} is not an integer")
     return v.numerator
@@ -97,7 +104,7 @@ def _fold(n: int, xs, values, weighted: bool = False) -> MPoly:
     p = compute_Mn(n)
     for i, (x, value) in enumerate(zip(xs, values), start=1):
         p = _step(p, i, x, value, weighted)
-    return p
+    return p * Fraction(1, _denominator(n))
 
 
 def _at(x: int, l):
@@ -196,7 +203,7 @@ def _position_sum(n: int, l, weighted: bool) -> MPoly:
             total += r * below if x < 0 else below
         return total
 
-    return walk(compute_Mn(n), 1, 0)
+    return walk(compute_Mn(n), 1, 0) * Fraction(1, _denominator(n))
 
 
 def gf_ast_via_operator(n: int, l: int) -> Gf:
@@ -233,7 +240,7 @@ def falling_factorial_coeffs(p: MPoly, name: str = "l"):
     for k in range(deg + 1):
         if k:
             fact *= k
-        coeffs.append(values[0] / fact)
+        coeffs.append(Fraction(values[0], fact))
         values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

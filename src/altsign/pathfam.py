@@ -46,8 +46,8 @@ exactalg.det_gf takes it on the same grid of n^2 (n+1) integer points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cssp import Cssp
 from .cssp import validate as validate_cssp
@@ -56,8 +56,7 @@ from .errors import NotInImageError, OutOfRangeError
 from .exactalg import Gf, det_gf
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     u: int
     l: int
     steps: str  # 'N'/'W' sequence from (u, 0) to (0, u + l - 1)
@@ -94,8 +93,7 @@ def validate_path(p: LatticePath):
     return None
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     l: int
     paths: tuple[LatticePath, ...]  # sorted by index u descending
 
@@ -349,8 +347,10 @@ def families_svg(families, d, n: int, l: int, cell: int = 18) -> str:
 
 def write_families_svg(path: str, n: int, l: int, d) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
-    returns the number of families drawn."""
+    returns the number of families drawn.  The sheet is rendered before
+    the file is opened, so a failed render leaves no file behind."""
     families = list(all_families(n, l))
+    sheet = families_svg(families, d, n, l)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(families_svg(families, d, n, l))
+        handle.write(sheet)
     return len(families)

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidShapeError, NotInImageError
 from .trapezoid import Trapezoid, column_partial_sums, one_column_positions
 from .trapezoid import validate as validate_trapezoid
 
 
-@dataclass(frozen=True)
-class SttTree:
+class SttTree(NamedTuple):
     n: int
     s: tuple[int, ...]
     t: tuple[int, ...]

@@ -12,7 +12,6 @@ l-2 columns sum to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactalg import Gf
@@ -24,8 +23,7 @@ class AstStats(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class Trapezoid(NamedTuple):
     n: int
     l: int
     rows: tuple[tuple[int, ...], ...]

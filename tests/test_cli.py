@@ -64,6 +64,7 @@ class TestCountCommand:
 
     def test_out_of_domain_exits_2(self, capsys, tmp_path):
         sheet = tmp_path / "sheet.svg"
+        unwritable = tmp_path / "no_such_dir" / "sheet.svg"
         for argv in (("count", "--n", "-1", "--l", "3"),
                      ("count", "--n", "3", "--l", "0"),
                      ("gf", "det", "--n", "2", "--l", "0"),
@@ -77,6 +78,8 @@ class TestCountCommand:
                       "--out", str(sheet)),
                      ("svg", "paths", "--n", "2", "--l", "3", "--d", "-3",
                       "--out", str(sheet)),
+                     ("svg", "paths", "--n", "2", "--l", "3",
+                      "--out", str(unwritable)),
                      ("verify", "asym", "--n-max", "2", "--samples", "0"),
                      ("verify", "asym", "--n-max", "2", "--samples", "-3"),
                      ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
@@ -85,6 +88,7 @@ class TestCountCommand:
             assert code == 2, argv
             assert out == ""
         assert not sheet.exists()
+        assert not unwritable.parent.exists()
 
     def test_l1_allowed(self, capsys):
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
@@ -302,21 +306,30 @@ def _fresh_process(code, *argv):
 
 
 # Modules that neither `count` nor `gf det` runs: every op is a fresh
-# process, so loading one is start-up time spent for nothing.
+# process, so loading one is start-up time spent for nothing.  No command
+# loads dataclasses (with inspect, ast and dis behind it): the object
+# classes of the enumeration routes are named tuples.
 UNUSED_BY_DET = ("concurrent.futures", "multiprocessing",
                  "xml.etree.ElementTree", "json", "altsign.cssp",
                  "altsign.trapezoid", "altsign.sttree", "altsign.pathfam",
-                 "altsign.operatorform")
+                 "altsign.operatorform", "dataclasses")
 
 
 @pytest.mark.parametrize("argv", [("count", "--n", "3", "--l", "2"),
-                                  ("gf", "det", "--n", "3", "--l", "3")])
+                                  ("gf", "det", "--n", "3", "--l", "3"),
+                                  ("gf", "ast", "--n", "3", "--l", "2"),
+                                  ("gf", "cssp", "--k", "2", "--n", "4",
+                                   "--d", "1"),
+                                  ("gf", "paths", "--n", "3", "--l", "3",
+                                   "--d", "1")])
 def test_a_command_loads_only_what_it_runs(argv):
+    unused = (UNUSED_BY_DET if argv[0] == "count" or argv[1] == "det"
+              else ("dataclasses",))
     probe = ("import sys\n"
              "if sys.argv[1:]:\n"
              "    from altsign.cli import main\n"
              "    assert main(sys.argv[1:]) == 0\n"
-             f"print(*[m for m in {UNUSED_BY_DET!r} if m in sys.modules])\n")
+             f"print(*[m for m in {unused!r} if m in sys.modules])\n")
     bare = set(_fresh_process(probe).split())
     loaded = _fresh_process(probe, *argv).splitlines()[-1].split()
     assert set(loaded) - bare == set()

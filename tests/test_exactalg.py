@@ -131,7 +131,8 @@ class TestMPoly:
             MPoly.constant(0.5)
         with pytest.raises(TypeError):
             var("x1").shift_var("x1", 0.5)
-        assert all(type(c) is Fraction
+        # coefficients are kept as given; a bool is stored as an int
+        assert all(type(c) is int
                    for c in MPoly(("x1",), {(1,): 3, (0,): True}).terms.values())
 
     def test_inexact_evaluation_points_rejected(self):
@@ -147,7 +148,7 @@ class TestMPoly:
         assert hash(var("P")) == hash(Gf.monomial(p=1))
         mixed = var("P") * var("x1") + Gf.monomial(p=1, coeff=2)
         assert type(mixed) is MPoly
-        assert all(type(c) is Fraction for c in mixed.terms.values())
+        assert all(type(c) is int for c in mixed.terms.values())
         assert mixed - var("P") * var("x1") == 2 * Gf.monomial(p=1)
 
 

@@ -19,12 +19,12 @@ fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite
-def mpolys(draw):
+def mpolys(draw, coeffs=fractions):
     """Up to four terms over a registry of at most three of four names."""
     names = draw(st.lists(st.sampled_from(["x1", "x2", "P", "Q"]),
                           unique=True, max_size=3))
     terms = draw(st.dictionaries(exps.map(lambda e: e[:len(names)]),
-                                 fractions, max_size=4))
+                                 coeffs, max_size=4))
     return MPoly(names, terms)
 
 
@@ -112,10 +112,25 @@ def test_coefficient_types(a, b, g, h):
     for p in (a + b, a - b, a * b, -a, a ** 2, a * Fraction(1, 3), 2 * a,
               a.exact_divide(3), g + a, a * g, g - a):
         assert type(p) is MPoly
-        assert coefficient_types(p) <= {Fraction}
+        assert coefficient_types(p) <= {int, Fraction}
     for p in (g + h, g - h, g * h, -g, g ** 2, 3 * g, g - 1, 1 - g):
         assert type(p) is Gf
         assert coefficient_types(p) <= {int}
+
+
+int_mpolys = mpolys(st.integers(-4, 4))
+
+
+@props
+@given(int_mpolys, int_mpolys, gfs, st.sampled_from(["x1", "x2", "P", "Q"]),
+       st.integers(-3, 3))
+def test_int_operands_give_int_coefficients(a, b, g, x, k):
+    # coefficients are kept as given: no Fraction unless one is put in
+    for p in (a + b, a - b, a * b, -a, a ** 3, k * a, a + k, k - a, a * g,
+              g - a, a.shift_var(x, k), a.substitute(x, k),
+              a.substitute(x, b)):
+        assert coefficient_types(p) <= {int}
+    assert type(a.evaluate({v: k for v in a.vars})) is int
 
 
 @props

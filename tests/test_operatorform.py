@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import altsign
-from altsign import detform, trapezoid
+from altsign import detform, operatorform, trapezoid
 from altsign.errors import InvalidShapeError, ShapeMismatchError
 from altsign.exactalg import Gf, MPoly
-from altsign.operatorform import (all_positions, asymM_constant_term,
+from altsign.operatorform import (_denominator, all_positions,
+                                  asymM_constant_term,
                                   bwd_diff, compute_Mn,
                                   count_ast_prescribed,
                                   count_ast_via_operator,
@@ -262,6 +264,14 @@ class TestTPolynomial:
         assert falling_factorial_coeffs(p) == [1, 1, 1]
         assert falling_factorial_coeffs(t_polynomial(2)) == [4, 1]
 
+    def test_falling_factorial_coefficients_are_exact(self):
+        # an int polynomial evaluates to ints; dividing by k! must not
+        # turn them into floats
+        t4 = falling_factorial_coeffs(t_polynomial(4))
+        assert t4 == [60, 72, 23, Fraction(5, 2), Fraction(1, 12)]
+        for coeffs in (t4, falling_factorial_coeffs(var("l") ** 2 + 1)):
+            assert not any(isinstance(c, float) for c in coeffs), coeffs
+
 
 class TestAsymMIdentity:
     def test_n1(self):
@@ -351,6 +361,69 @@ class TestAsymLemma:
                 verify_asym_lemma(2, count)
 
 
+def _mn_by_fractions(n):
+    """M_n built in Fraction arithmetic, each Vandermonde factor divided
+    by j - i as it is taken: the oracle for compute_Mn = D_n M_n."""
+    poly = MPoly.constant(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            poly *= (var(f"x{j}") - var(f"x{i}")) * Fraction(1, j - i)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            dq = fwd_diff(poly, f"x{q}")
+            poly = poly + dq + fwd_diff(dq, f"x{p}")
+    return poly
+
+
+def _run_optimized(code):
+    """Run code under python -O: (whether it exited 0, its stderr)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(altsign.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode == 0, done.stderr
+
+
+class TestIntegerCore:
+    def test_denominator(self):
+        assert [_denominator(n) for n in range(1, 7)] == \
+            [1, 1, 2, 12, 288, 34560]
+
+    def test_mn_is_d_n_times_the_fraction_construction(self):
+        for n in range(1, 5):
+            assert compute_Mn(n) == _denominator(n) * _mn_by_fractions(n), n
+
+    def test_mn_has_int_coefficients(self):
+        assert {type(c) for c in compute_Mn(5).terms.values()} == {int}
+
+    def test_a_wrong_denominator_is_caught(self, monkeypatch):
+        # the count at (2, 3) is 7 and the (2, 4) generating function has
+        # odd coefficients, so halving either leaves a fraction behind
+        d = operatorform._denominator
+        monkeypatch.setattr(operatorform, "_denominator", lambda n: 2 * d(n))
+        with pytest.raises(ArithmeticError):
+            count_ast_via_operator(2, 3)
+        with pytest.raises(ValueError, match="non-integer coefficient"):
+            gf_ast_via_operator(2, 4)
+
+    def test_a_wrong_denominator_is_caught_under_optimize(self):
+        ok, err = _run_optimized("from altsign import operatorform\n"
+                                 "d = operatorform._denominator\n"
+                                 "operatorform._denominator = "
+                                 "lambda n: 2 * d(n)\n"
+                                 "try:\n"
+                                 "    operatorform.count_ast_via_operator(2, 3)\n"
+                                 "except ArithmeticError:\n"
+                                 "    raise SystemExit(0)\n"
+                                 "raise SystemExit(1)\n")
+        assert ok, err
+
+    def test_operator_route_equals_det(self):
+        for l in range(2, 6):
+            assert gf_ast_via_operator(4, l) == detform.gf_det(4, l), l
+        assert gf_ast_via_operator(5, 3) == detform.gf_det(5, 3)
+
+
 class TestIntegrality:
     def test_no_assert_statements(self):
         # integrality checks must not vanish under python -O
@@ -362,15 +435,11 @@ class TestIntegrality:
             assert not found, (path.name, found)
 
     def test_non_integer_raises_under_optimize(self):
-        code = ("from fractions import Fraction\n"
-                "from altsign.operatorform import _integer\n"
-                "try:\n"
-                "    _integer(Fraction(1, 2))\n"
-                "except ArithmeticError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(altsign.__file__).parent.parent))
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+        ok, err = _run_optimized("from fractions import Fraction\n"
+                                 "from altsign.operatorform import _integer\n"
+                                 "try:\n"
+                                 "    _integer(Fraction(1, 2))\n"
+                                 "except ArithmeticError:\n"
+                                 "    raise SystemExit(0)\n"
+                                 "raise SystemExit(1)\n")
+        assert ok, err
