@@ -17,14 +17,14 @@ The code takes the determinant of K(n) + R B(n, l) = K(n) (I + R K(n)^{-1}
 B(n, l)), with K(n) = I - Q S of determinant 1 (S the shift below the
 diagonal) and B(n, l) the two binomials at k = i: the determinant is the
 same, and no entry has more than three terms or degree above 1 in P, Q or
-R.  exactalg.det_gf evaluates it at the n^2 (n+1) integer points of
-{0..n-1} x {0..n-1} x {0..n} (its degree bounds), takes each integer
-determinant and interpolates, so no polynomial is ever divided.  The paths
-route takes its determinant on the same form (k_form): with the path
-matrix, det_matrix(n, l) = K(n) (I + R pathfam.path_matrix(n, l, 1)) (at
-d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach the same matrix.
+R.  exactalg.det_gf writes P R, R and Q as x, y and z, so the determinant
+has total degree <= n, takes the integer determinants at the C(n+3, 3)
+lattice points x + y + z <= n and interpolates, so no polynomial is ever
+divided.  The paths route takes its determinant on the same form (k_form):
+with M = pathfam.path_matrix(n, l, 1), det_matrix(n, l) = K(n) (I + R M)
+(at d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach one matrix.
 Only the coefficient-matrix check of `verify coeff` eliminates by Bareiss
-over Gf, as the reference independent of the grid.
+over Gf, as the reference independent of det_gf.
 
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is

@@ -3,10 +3,10 @@ multivariate polynomial type with exact coefficients (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
 (``Gf``), and two determinants: ``det_gf``, the one kernel of both
 determinant routes, which takes a ``Gf`` determinant as integer
-determinants on a grid of points followed by Newton interpolation, and
-fraction-free (Bareiss) elimination over any of these entry types, which
-``det_gf`` runs over ints at each point and which over polynomial entries
-is only the independent reference.
+determinants at the lattice points of a simplex followed by Newton
+interpolation, and fraction-free (Bareiss) elimination over any of these
+entry types, which ``det_gf`` runs over ints at each point and which over
+polynomial entries is only the independent reference.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.
@@ -15,6 +15,7 @@ types; nothing in this package ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add, sub
 
 from .errors import NonDivisibleError
@@ -28,11 +29,9 @@ def binomial(a: int, k: int) -> int:
     """
     if k < 0:
         return 0
-    c = 1
-    for i in range(k):
-        # c equals C(a, i) here, so c*(a-i) is divisible by i+1 exactly
-        c = c * (a - i) // (i + 1)
-    return c
+    if a >= 0:
+        return comb(a, k)
+    return -comb(k - a - 1, k) if k & 1 else comb(k - a - 1, k)
 
 
 def _var_key(name: str):
@@ -425,7 +424,7 @@ def gf_from_mpoly(p: MPoly) -> Gf:
 
 
 def _exact_div_element(a, b):
-    # ints first: the grid kernel runs integer Bareiss at every point, and
+    # ints first: det_gf runs integer Bareiss at every point, and
     # the ABC isinstance checks below cost more than the division itself
     if type(a) is not int or type(b) is not int:
         if isinstance(a, MPoly):
@@ -445,7 +444,7 @@ def det_fraction_free(matrix):
     swapped with a row below; if none is nonzero the result is the zero of
     the entry type.  The 0x0 determinant is the int 1.
 
-    Over ints it is det_gf's determinant at each grid point and
+    Over ints it is det_gf's determinant at each lattice point and
     detform.count.  Over Gf it is only the independent elimination that
     det_gf is checked against, in verify coeff and the tests.
     """
@@ -479,22 +478,18 @@ def det_fraction_free(matrix):
     return d if sign == 1 else -d
 
 
-def _degree_bound(matrix, v: int) -> int:
-    """An upper bound on the degree of det(matrix) in variable slot v: the
-    smaller of the sums of the row maxima and of the column maxima of the
-    entry degrees (each term of the Leibniz expansion takes one entry from
-    every row and one from every column)."""
-    deg = [[max((e[v] for e in x.terms), default=0) for x in row]
-           for row in matrix]
+def _degree_bound(rows) -> int:
+    """The Leibniz bound on the total degree of the determinant of a matrix
+    of exponent dicts (each term takes one entry from every row and column):
+    the smaller of the summed row and column maxima of the entry degrees."""
+    deg = [[max(map(sum, t), default=0) for t in row] for row in rows]
     return min(sum(map(max, deg)), sum(map(max, zip(*deg))))
 
 
-def _newton(values) -> list[int]:
-    """Monomial coefficients, lowest first, of the polynomial of degree
-    < len(values) that takes values[x] at x = 0, 1, 2, ...  The Newton
-    coefficients D^k f(0) / k! are the coordinates in the falling-factorial
-    basis, which are integers for an integer polynomial; NonDivisibleError
-    when one is not."""
+def _newton_coordinates(values) -> list[int]:
+    """The coordinates D^k f(0) / k!, lowest first, in the falling-factorial
+    basis of the f of degree < len(values) with f(x) = values[x], x = 0, 1,
+    ...; integers for an integer polynomial, else NonDivisibleError."""
     a = list(values)
     size = len(a)
     for k in range(1, size):
@@ -508,68 +503,83 @@ def _newton(values) -> list[int]:
         if rem:
             raise NonDivisibleError(f"{k}-th difference {a[k] * fact + rem} "
                                     f"not divisible by {k}!", remainder=rem)
+    return a
+
+
+def _monomials(a) -> list[int]:
+    """Monomial coefficients, lowest first, of sum_k a[k] x(x-1)...(x-k+1)."""
     # Horner in the Newton form a0 + x (a1 + (x-1) (a2 + (x-2) (...)))
     out = [a[-1]]
-    for k in range(size - 2, -1, -1):
+    for k in range(len(a) - 2, -1, -1):
         out = ([a[k] - k * out[0]]
                + [out[i - 1] - k * out[i] for i in range(1, len(out))]
                + [out[-1]])
     return out
 
 
-def _combine(n: int, weighted):
-    """The n x n integer matrix sum of w * c over the (w, c) pairs."""
-    m = [[0] * n for _ in range(n)]
-    for w, c in weighted:
-        if w:
-            m = [[x + w * y for x, y in zip(mi, ci)] for mi, ci in zip(m, c)]
-    return m
+def _newton(values) -> list[int]:
+    """Monomial coefficients, lowest first, of the polynomial of degree
+    < len(values) that takes values[x] at x = 0, 1, 2, ..."""
+    return _monomials(_newton_coordinates(values))
+
+
+def _simplex_lines(c: dict, top: int, step) -> None:
+    """Replace each line of c, a dict over the lattice points
+    i + j + k <= top, by step of it: along k, then j, then i."""
+    for axis in (2, 1, 0):
+        for u in range(top + 1):
+            for v in range(top + 1 - u):
+                keys = [(u, v)[:axis] + (t,) + (u, v)[axis:]
+                        for t in range(top + 1 - u - v)]
+                c.update(zip(keys, step([c[key] for key in keys])))
+
+
+def _to_pqr(coeffs: dict, shift: int) -> Gf:
+    """The Gf with v at P^a Q^b R^(a+c-shift) for each v at x^a y^c z^b;
+    ArithmeticError, also under python -O, on a negative power of R."""
+    terms = {}
+    for (a, c, b), v in coeffs.items():
+        if v:
+            if a + c < shift:
+                raise ArithmeticError(f"R^{a + c - shift} in a determinant")
+            terms[a, b, a + c - shift] = v
+    return Gf(terms)
 
 
 def det_gf(matrix) -> Gf:
     """Determinant of a square Gf matrix by evaluation and interpolation.
 
-    With D_P, D_Q, D_R the degree bounds of _degree_bound, the integer
-    determinant (det_fraction_free) is taken at every point of
-    {0..D_P} x {0..D_Q} x {0..D_R}, and the values are Newton-interpolated
-    one axis at a time, R, then Q, then P; a Newton coefficient that is not
-    an integer raises NonDivisibleError.  The 0x0 determinant is Gf.one().
+    Row i is multiplied by R^s_i, the least power that leaves it no monomial
+    P^a Q^b R^c with a > c (s_i = 0 in both determinant routes).  Written in
+    x^a y^(c-a) z^b, the determinant has total degree <= D (_degree_bound;
+    n for K(n) + R X), so its integer values (det_fraction_free) at the
+    C(D+3, 3) lattice points x + y + z <= D determine it (Chung and Yao
+    1977).  Newton interpolation on that simplex (_simplex_lines) raises
+    NonDivisibleError on a non-integer coordinate, and _to_pqr maps the
+    result back.  The 0x0 determinant is Gf.one().
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    dp, dq, dr = (_degree_bound(matrix, v) for v in range(3))
-    top = max(dp, dq)
-    powers = [[x ** e for e in range(top + 1)] for x in range(top + 1)]
-    # the matrix as a polynomial in R: layers[g] lists (deg P, deg Q,
-    # integer matrix) of its monomials with R^g
-    exps = {e for row in matrix for x in row for e in x.terms}
-    layers = [[] for _ in range(1 + max((e[2] for e in exps), default=0))]
-    for e in exps:
-        layers[e[2]].append(
-            (e[0], e[1], [[x.terms.get(e, 0) for x in row] for row in matrix]))
-    grid = []
-    for p in range(dp + 1):
-        pp = powers[p]
-        plane = []
-        for q in range(dq + 1):
-            qq = powers[q]
-            at = [_combine(n, [(pp[a] * qq[b], c) for a, b, c in layer])
-                  for layer in layers]
-            line = []
-            for r in range(dr + 1):
-                m = at[-1]  # Horner in R
-                for c in reversed(at[:-1]):
-                    m = [[x * r + y for x, y in zip(mi, ci)]
-                         for mi, ci in zip(m, c)]
-                line.append(det_fraction_free(m))
-            plane.append(_newton(line))
-        # plane[q][k] is [R^k] at (p, q), so grid[p][k][j] is [Q^j R^k] at p
-        grid.append([_newton(col) for col in zip(*plane)])
-    terms = {}
-    for k, by_p in enumerate(zip(*grid)):
-        for j, col in enumerate(zip(*by_p)):
-            for i, c in enumerate(_newton(col)):
-                terms[(i, j, k)] = c
-    return Gf(terms)
+    shifts = [max([0] + [a - c for t in row for a, _, c in t.terms])
+              for row in matrix]
+    rows = [[{(a, c + s - a, b): v for (a, b, c), v in t.terms.items()}
+             for t in row] for row, s in zip(matrix, shifts)]
+    top = _degree_bound(rows)
+    # one integer matrix per monomial x^a y^b z^g of the entries
+    exps = {e for row in rows for t in row for e in t}
+    layers = [(e, [[t.get(e, 0) for t in row] for row in rows]) for e in exps]
+    values = {}
+    for x in range(top + 1):
+        for y in range(top + 1 - x):
+            for z in range(top + 1 - x - y):
+                m = [[0] * n for _ in range(n)]
+                for (a, b, g), c in layers:
+                    if w := x ** a * y ** b * z ** g:
+                        m = [[u + w * v for u, v in zip(mi, ci)]
+                             for mi, ci in zip(m, c)]
+                values[x, y, z] = det_fraction_free(m)
+    _simplex_lines(values, top, _newton_coordinates)
+    _simplex_lines(values, top, _monomials)
+    return _to_pqr(values, sum(shifts))

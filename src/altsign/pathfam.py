@@ -40,7 +40,7 @@ d = 0 step from (1, 0) into the origin, which weighs P+Q-1.  Row u of
 K(n) M is therefore N[u], which has no Q (at d = 0, row 1 is N[1] plus
 P - 1), and the form has at most three terms of degree <= 1 in P, Q and R
 per entry, as the determinant route's K(n) + R B(n, l) has.
-exactalg.det_gf takes it on the same grid of n^2 (n+1) integer points.
+exactalg.det_gf takes it at the same C(n+3, 3) lattice points.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from altsign import cssp, operatorform, pathfam, trapezoid
+from altsign import cssp, exactalg, operatorform, pathfam, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
@@ -166,3 +168,19 @@ class TestDetMatrix:
                     assert len(entry.terms) <= 3, (key, entry)
                     assert all(e <= 1 for exp in entry.terms
                                for e in exp), (key, entry)
+
+    def test_kernel_takes_one_determinant_per_simplex_point(self, monkeypatch):
+        # both routes take C(n+3, 3) integer determinants, the lattice
+        # points x + y + z <= n, not the n^2 (n+1) of a degree-bound box
+        calls = []
+        det = exactalg.det_fraction_free
+        monkeypatch.setattr(exactalg, "det_fraction_free",
+                            lambda m: calls.append(1) or det(m))
+        routes = [("det", lambda n: gf_det(n, 4)),
+                  ("paths", lambda n: pathfam.gf_via_paths(n, 4, 1)),
+                  ("paths d=0", lambda n: pathfam.gf_via_paths(n, 3, 0))]
+        for name, route in routes:
+            for n in range(1, 9):
+                calls.clear()
+                route(n)
+                assert len(calls) == comb(n + 3, 3), (name, n, len(calls))

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import altsign
+from altsign import exactalg
 from altsign.errors import NonDivisibleError
 from altsign.exactalg import (Gf, MPoly, _newton, binomial, det_fraction_free,
                               det_gf, gf_from_mpoly)
+from test_operatorform import _run_optimized
 
 
 def var(name):
@@ -280,6 +282,30 @@ class TestDeterminant:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_negative_power_of_r_is_caught(self, monkeypatch):
+        # a map-back that lowers R once too often sends the constant term
+        # of det [[P^2 + 1]] (shifted to R^2 P^2 + R^2) to R^-1
+        to_pqr = exactalg._to_pqr
+        monkeypatch.setattr(exactalg, "_to_pqr",
+                            lambda c, shift: to_pqr(c, shift + 1))
+        m = [[Gf.monomial(p=2) + 1]]
+        with pytest.raises(ArithmeticError, match="R\\^-1"):
+            det_gf(m)
+        monkeypatch.undo()
+        assert det_gf(m) == m[0][0]
+
+    def test_negative_power_of_r_is_caught_under_optimize(self):
+        ok, err = _run_optimized("from altsign import exactalg\n"
+                                 "to_pqr = exactalg._to_pqr\n"
+                                 "exactalg._to_pqr = "
+                                 "lambda c, shift: to_pqr(c, shift + 1)\n"
+                                 "try:\n"
+                                 "    exactalg.det_gf([[exactalg.Gf.one()]])\n"
+                                 "except ArithmeticError:\n"
+                                 "    raise SystemExit(0)\n"
+                                 "raise SystemExit(1)\n")
+        assert ok, err
 
 
 class TestTracerTable:

@@ -145,9 +145,15 @@ def test_shifts_compose(p, x, a, b):
 @given(gf_matrices, st.sampled_from([Gf.one(), Gf.monomial(p=1) - 1,
                                      Gf.zero()]))
 @example([[Gf.zero()] * 3] * 3, Gf.one())
+@example([[Gf.one(), Gf.monomial(r=1)],
+          [Gf.monomial(p=2) - Gf.monomial(q=1), Gf.monomial(p=1, r=1)]],
+         Gf.one())
+@example([[Gf({(1, 0, 0): 2, (0, 1, 1): -3, (0, 0, 0): 1})]],
+         Gf.monomial(p=1) - 1)
 def test_grid_determinant_matches_elimination(m, factor):
-    # a P - 1 factor on the first row makes every grid point with P = 1
-    # singular, a zero factor every point
+    # a P - 1 factor on the first row makes every point with P = 1 singular,
+    # a zero factor every point; a row with P^a R^c, a > c (the factor's P,
+    # the P^2 with no R of the second example) is shifted by R^(a - c)
     m = [[factor * x for x in row] if i == 0 else row
          for i, row in enumerate(m)]
     assert det_gf(m) == det_fraction_free(m)
