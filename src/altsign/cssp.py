@@ -144,20 +144,44 @@ def weight(c: Cssp, d: int) -> Gf:
     class) with its expanded (P+Q-1) factor."""
     _check_d(c.k, d)
     w = Gf.monomial(*_pq(c.rows, d), len(c.rows))
-    bottom = c.rows[-1] if c.rows else ()
-    if d == 0 and len(bottom) >= 2 and bottom[1] == 1:
+    if _has_factor(c.rows[-1] if c.rows else (), d):
         w = w * Gf.p_plus_q_minus_1()
     return w
 
 
+def _has_factor(bottom, d):
+    """Whether an object with this bottom row carries the (P+Q-1) factor
+    of the d = 0 weight: its bottom row has second part 1."""
+    return d == 0 and len(bottom) >= 2 and bottom[1] == 1
+
+
 def gf(k: int, n: int, d: int) -> Gf:
-    """Generating function of class-k objects with first row at most n."""
+    """Generating function of class-k objects with first row at most n, by
+    a depth-first sum over rows.  The sum over the rows below a row depends
+    only on what _next_rows and the d = 0 factor read of it, its parts
+    after the first, so it is computed once per such tail; no object is
+    built."""
     _check_class(k, n)
     _check_d(k, d)
-    total = Gf.zero()
-    for c in enumerate_cssps(k, n):
-        total += weight(c, d)
-    return total
+    memo = {}
+
+    def chains(above):
+        # {(p, q, r): coeff} over every chain of rows below `above`; the
+        # empty chain ends the object at `above` (None: the empty object)
+        key = None if above is None else above[1:]
+        if key in memo:
+            return memo[key]
+        end = Gf.p_plus_q_minus_1() if _has_factor(above or (), d) else Gf.one()
+        out = dict(end.terms)
+        for row in _next_rows(k, n, above):
+            p, q = _pq((row,), d)
+            for (ep, eq, er), c in chains(row).items():
+                e = (ep + p, eq + q, er + 1)  # each row adds one R
+                out[e] = out.get(e, 0) + c
+        memo[key] = out
+        return out
+
+    return Gf(chains(None))
 
 
 def pretty(c: Cssp) -> str:

@@ -31,6 +31,18 @@ TABLE_K3_N2 = [
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
 
+# gf(3, 5, d) for every d, the (5, 4)-trapezoid polynomial of the main theorem
+GF35 = (
+    "R^5 + 175*R^4 + 76*P*R^4 + 111*Q*R^4 + 27*P^2*R^4 + 35*P*Q*R^4"
+    " + 7*P^3*R^4 + 8*P^2*Q*R^4 + P^4*R^4 + P^3*Q*R^4 + 1574*R^3"
+    " + 1223*P*R^3 + 1395*Q*R^3 + 523*P^2*R^3 + 874*P*Q*R^3 + 462*Q^2*R^3"
+    " + 111*P^3*R^3 + 289*P^2*Q*R^3 + 222*P*Q^2*R^3 + 44*P^3*Q*R^3"
+    " + 44*P^2*Q^2*R^3 + 1574*R^2 + 1395*P*R^2 + 1223*Q*R^2 + 462*P^2*R^2"
+    " + 874*P*Q*R^2 + 523*Q^2*R^2 + 222*P^2*Q*R^2 + 289*P*Q^2*R^2"
+    " + 111*Q^3*R^2 + 44*P^2*Q^2*R^2 + 44*P*Q^3*R^2 + 175*R + 111*P*R"
+    " + 76*Q*R + 35*P*Q*R + 27*Q^2*R + 8*P*Q^2*R + 7*Q^3*R + P*Q^3*R"
+    " + Q^4*R + 1")
+
 
 class TestValidate:
     def test_structurally_valid_but_classless(self):
@@ -157,6 +169,15 @@ class TestGf:
         with pytest.raises(ValueError, match=r"^need k >= 0 and n >= 0$"):
             gf(-1, 2, 9)
 
+    def test_gf_builds_no_object(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("gf walked the objects")
+
+        monkeypatch.setattr(cssp, "enumerate_cssps", never)
+        monkeypatch.setattr(cssp, "weight", never)
+        for d in range(0, 4):
+            assert str(gf(3, 5, d)) == GF35, d
+
     def test_evaluation_counts(self):
         for k in range(0, 4):
             for n in range(0, 4):
@@ -257,6 +278,16 @@ def _scanned_weight(c, d):
 
 
 class TestOracles:
+    def test_row_sum_matches_enumeration_sum(self):
+        cases = [(k, n) for k in range(0, 6) for n in range(0, 5)] + [(3, 5)]
+        for k, n in cases:
+            objs = enumerate_cssps(k, n)
+            for d in range(0, k + 1):
+                expected = sum((weight(c, d) for c in objs), Gf.zero())
+                got = gf(k, n, d)
+                assert got == expected, (k, n, d)
+                assert str(got) == str(expected), (k, n, d)
+
     def test_enumeration_matches_cell_search(self):
         for k in range(0, 5):
             for n in range(0, 5):
