@@ -15,6 +15,7 @@ output order.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -54,10 +55,17 @@ def _parse_int_list(text):
 
 # --- verification workers (top-level so process pools can pickle them) ----
 
+@functools.cache
+def _ast_gf(n, l):
+    """trapezoid.gf(n, l), once per process for all the d of main."""
+    from . import trapezoid
+    return trapezoid.gf(n, l)
+
+
 def _check_main(args):
-    from . import cssp, trapezoid
+    from . import cssp
     n, l, d = args
-    lhs, rhs = trapezoid.gf(n, l), cssp.gf(l - 1, n, d)
+    lhs, rhs = _ast_gf(n, l), cssp.gf(l - 1, n, d)
     return lhs == rhs, (str(lhs), str(rhs))
 
 

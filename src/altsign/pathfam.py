@@ -132,15 +132,9 @@ def cssp_to_paths(c: Cssp) -> PathFamily:
     paths = []
     for row in c.rows:
         u = len(row) - 1
-        heights = [part - 1 for part in row[1:]]  # weakly decreasing
-        steps = []
-        y = 0
-        for h in reversed(heights):
-            steps.append("N" * (h - y))
-            steps.append("W")
-            y = h
-        steps.append("N" * (u + l - 1 - y))
-        paths.append(LatticePath(u, l, "".join(steps)))
+        ys = [0] + [part - 1 for part in reversed(row[1:])]  # weakly increasing
+        steps = "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:]))
+        paths.append(LatticePath(u, l, steps + "N" * (u + l - 1 - ys[-1])))
     return PathFamily(l, tuple(paths))
 
 
@@ -163,9 +157,9 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     return c
 
 
-def _step_weight(x: int, y: int, d) -> Gf:
-    """P,Q-factor of the west step from (x, y) to (x - 1, y); north steps
-    weigh 1.
+def _step_weight(x: int, y: int, d) -> tuple[int, int, int]:
+    """Exponents (p, q, o) of the factor P^p Q^q (P+Q-1)^o of the west step
+    from (x, y) to (x - 1, y); north steps weigh 1.
 
     d = None ("P = 1 mode"): Q at height 0.
     d >= 1: Q at height 0, and P when the step lands on y = x + d (every
@@ -175,19 +169,25 @@ def _step_weight(x: int, y: int, d) -> Gf:
     instead of P*Q.
     """
     if d == 0 and (x, y) == (1, 0):
-        return Gf.p_plus_q_minus_1()
-    p = d is not None and y - x == d - 1
-    return Gf.monomial(p=int(p), q=int(y == 0))
+        return 0, 0, 1
+    return int(d is not None and y - x == d - 1), int(y == 0), 0
+
+
+def _weight(paths, d, r: int) -> Gf:
+    """R^r times the product of _step_weight over the west steps of the
+    paths, built once from the exponent sums."""
+    p = q = o = 0
+    for path in paths:
+        for k, y in enumerate(path.west_heights()):  # the k-th from x = u - k
+            dp, dq, do = _step_weight(path.u - k, y, d)
+            p, q, o = p + dp, q + dq, o + do
+    w = Gf.monomial(p, q, r)
+    return w * Gf.p_plus_q_minus_1() ** o if o else w
 
 
 def path_weight(path: LatticePath, d) -> Gf:
-    """P,Q-weight of a single path: the product of _step_weight over its
-    west steps."""
-    w = Gf.one()
-    for (x, y), step in zip(path.points(), path.steps):
-        if step == "W":
-            w = w * _step_weight(x, y, d)
-    return w
+    """P,Q-weight of a single path."""
+    return _weight((path,), d, 0)
 
 
 def lgv_weight(f: PathFamily, d, l: int) -> Gf:
@@ -195,10 +195,7 @@ def lgv_weight(f: PathFamily, d, l: int) -> Gf:
     selects the P = 1 mode; otherwise 0 <= d <= l - 1."""
     if d is not None and not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
-    w = Gf.monomial(r=len(f.paths))
-    for p in f.paths:
-        w = w * path_weight(p, d)
-    return w
+    return _weight(f.paths, d, len(f.paths))
 
 
 def all_families(n: int, l: int):
@@ -230,8 +227,9 @@ def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
-    steps = {(x, y): _step_weight(x, y, d)
-             for x in range(1, n) for y in range(top + 1)}
+    steps = {(x, y): Gf.monomial(p, q) * Gf.p_plus_q_minus_1() ** o
+             for x in range(1, n) for y in range(top + 1)
+             for p, q, o in [_step_weight(x, y, d)]}
     out = []
     for u in range(n):
         # column x of the sweep: the weighted count of paths reaching (x, y)

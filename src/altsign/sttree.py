@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidShapeError, NotInImageError
@@ -246,20 +247,19 @@ def ast_to_sttree(trap: Trapezoid) -> SttTree:
     m = sum(1 for x in j if x < 0)
     s = tuple(-x - 1 for x in j[:m])
     t = tuple(x - 1 for x in j[m:])
-    psums = column_partial_sums(trap)
-    cells = _shape_cells(n, s, t)
-    values = {}
-    for i in range(1, n + 1):
-        lo, _ = trap.row_span(i)
-        labels = [lo + offset - n - 1
-                  for offset, e in enumerate(psums[i - 1]) if e == 1]
-        slots = sorted(jj for (ii, jj) in cells if ii == i)
+    gone = deleted_cells(n, s, t)
+    rows = []
+    for i, sums in enumerate(column_partial_sums(trap), start=1):
+        labels = [c - n - 1 for c, e in enumerate(sums, start=i) if e == 1]
+        slots = [j for j in range(i) if (i, j + 1) not in gone]
         if len(slots) != len(labels):
             raise ValueError(
                 f"row {i}: {len(labels)} ones but {len(slots)} tree cells")
-        for jj, lab in zip(slots, labels):
-            values[(i, jj)] = lab
-    return SttTree(n, s, t, _to_rows(n, cells, values))
+        row = [None] * i
+        for j, label in zip(slots, labels):
+            row[j] = label
+        rows.append(tuple(row))
+    return SttTree(n, s, t, tuple(rows))
 
 
 def sttree_to_ast(tree: SttTree, n: int, l: int) -> Trapezoid:
@@ -270,12 +270,11 @@ def sttree_to_ast(tree: SttTree, n: int, l: int) -> Trapezoid:
     m = len(tree.s)
     if m + len(tree.t) != n:
         raise NotInImageError("tree truncations do not split into n diagonals")
-    width = 2 * n + l - 2
-    prev = [0] * (width + 2)
+    above = (0,) * (2 * n + l)  # the partial sums of row i - 1, padded
     rows = []
     for i in range(1, n + 1):
         lo, hi = i, 2 * n + l - 1 - i
-        marked = set()
+        sums = [0] * (hi - lo + 1)
         for v in tree.rows[i - 1]:
             if v is None:
                 continue
@@ -283,13 +282,11 @@ def sttree_to_ast(tree: SttTree, n: int, l: int) -> Trapezoid:
             if not lo <= c <= hi:
                 raise NotInImageError(
                     f"row {i}: entry {v} falls outside the trapezoid")
-            if c in marked:
+            if sums[c - lo]:
                 raise NotInImageError(f"row {i}: duplicate column for {v}")
-            marked.add(c)
-        cur = [1 if c in marked else 0 for c in range(lo, hi + 1)]
-        rows.append(tuple(cur[c - lo] - prev[c] for c in range(lo, hi + 1)))
-        for c in range(lo, hi + 1):
-            prev[c] = cur[c - lo]
+            sums[c - lo] = 1
+        rows.append(tuple(map(sub, sums, above[1:-1])))
+        above = sums
     trap = Trapezoid(n, l, tuple(rows))
     problem = validate_trapezoid(trap)
     if problem:

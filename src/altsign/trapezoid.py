@@ -12,6 +12,7 @@ l-2 columns sum to 0.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .exactalg import Gf
@@ -45,14 +46,8 @@ class Trapezoid(NamedTuple):
     def last_row_covering(self, c: int) -> int:
         return min(c, 2 * self.n + self.l - 1 - c, self.n)
 
-    def column_entries(self, c: int) -> list[int]:
-        return [self.entry(i, c) for i in range(1, self.last_row_covering(c) + 1)]
-
     def column_sum(self, c: int) -> int:
-        return sum(self.column_entries(c))
-
-    def column_bottom(self, c: int) -> int:
-        return self.entry(self.last_row_covering(c), c)
+        return sum(self.entry(i, c) for i in range(1, self.last_row_covering(c) + 1))
 
     def column_label(self, c: int):
         return column_label(self.n, self.l, c)
@@ -74,6 +69,16 @@ def column_label(n: int, l: int, c: int):
     return None
 
 
+def _columns(t: Trapezoid) -> list[list[int]]:
+    """Each column's entries, top-down, in one pass over the rows (column c
+    at c - 1; row i + 1 starts in column i + 1)."""
+    columns = [[] for _ in range(t.width)]
+    for i, row in enumerate(t.rows):
+        for column, e in zip(columns[i:], row):
+            column.append(e)
+    return columns
+
+
 def validate(t: Trapezoid):
     """None if t is a valid trapezoid, else a message locating the first
     violation.  Columns are scanned before rows (each column top-down:
@@ -85,17 +90,16 @@ def validate(t: Trapezoid):
         return f"need n >= 1 and l >= 1, got n={n}, l={l}"
     if len(t.rows) != n:
         return f"expected {n} rows, got {len(t.rows)}"
-    for i in range(1, n + 1):
-        lo, hi = t.row_span(i)
-        if len(t.rows[i - 1]) != hi - lo + 1:
-            return f"row {i}: expected length {hi - lo + 1}, got {len(t.rows[i - 1])}"
-        for c, e in zip(range(lo, hi + 1), t.rows[i - 1]):
+    for i, row in enumerate(t.rows, start=1):
+        length = t.width + 2 - 2 * i
+        if len(row) != length:
+            return f"row {i}: expected length {length}, got {len(row)}"
+        for c, e in enumerate(row, start=i):
             if e not in (-1, 0, 1):
                 return f"row {i}, column {c}: entry {e} not in {{-1,0,1}}"
-    for c in range(1, t.width + 1):
+    for c, column in enumerate(_columns(t), start=1):
         prev = 0
-        for i in range(1, t.last_row_covering(c) + 1):
-            e = t.entry(i, c)
+        for i, e in enumerate(column, start=1):
             if e == 0:
                 continue
             if prev == 0 and e == -1:
@@ -103,17 +107,17 @@ def validate(t: Trapezoid):
             if e == prev:
                 return f"column {c}: non-zero entries do not alternate at row {i}"
             prev = e
-        if l >= 2 and n + 1 <= c <= n + l - 2 and t.column_sum(c) != 0:
-            return f"middle column {c}: sum {t.column_sum(c)} != 0"
-    for i in range(1, n + 1):
+        if l >= 2 and n + 1 <= c <= n + l - 2 and sum(column) != 0:
+            return f"middle column {c}: sum {sum(column)} != 0"
+    for i, row in enumerate(t.rows, start=1):
         prev = 0
-        for c, e in zip(range(t.row_span(i)[0], t.row_span(i)[1] + 1), t.rows[i - 1]):
+        for c, e in enumerate(row, start=i):
             if e == 0:
                 continue
             if e == prev:
                 return f"row {i}: non-zero entries do not alternate at column {c}"
             prev = e
-        s = sum(t.rows[i - 1])
+        s = sum(row)
         if l == 1 and i == n:
             if s not in (0, 1):
                 return f"bottom row: sum {s} not in {{0,1}}"
@@ -205,12 +209,12 @@ def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
 def _one_columns(t: Trapezoid):
     """(label, is_10) for every column of t with sum 1, left to right;
     is_10 when its bottom entry is 0.  A middle column with sum 1 raises."""
-    for c in range(1, t.width + 1):
-        if t.column_sum(c) == 1:
+    for c, column in enumerate(_columns(t), start=1):
+        if sum(column) == 1:
             label = t.column_label(c)
             if label is None:
                 raise ValueError(f"middle column {c} has sum 1")
-            yield label, t.column_bottom(c) == 0
+            yield label, column[-1] == 0
 
 
 def one_column_positions(t: Trapezoid) -> tuple[int, ...]:
@@ -278,17 +282,13 @@ def gf(n: int, l: int) -> Gf:
 
 
 def column_partial_sums(t: Trapezoid) -> tuple[tuple[int, ...], ...]:
-    """Replace every entry by the sum of its column down to its row; the
-    result is a 0/1 array of the same shape."""
+    """Replace every entry by the sum of its column down to its row (a 0/1
+    array of the same shape); row i + 1 adds to row i's inner sums."""
+    sums = (0,) * (t.width + 2)
     psums = []
-    running = {}
-    for i in range(1, t.n + 1):
-        lo, hi = t.row_span(i)
-        row = []
-        for c in range(lo, hi + 1):
-            running[c] = running.get(c, 0) + t.entry(i, c)
-            row.append(running[c])
-        psums.append(tuple(row))
+    for row in t.rows:
+        sums = tuple(map(add, sums[1:-1], row))
+        psums.append(sums)
     return tuple(psums)
 
 

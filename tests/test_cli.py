@@ -219,6 +219,26 @@ class TestVerify:
         assert out.endswith("12/12 checks passed\n")
         assert calls == []
 
+    def test_main_takes_each_ast_gf_once(self, capsys, monkeypatch):
+        # the d of one (n, l) share the trapezoid side
+        from altsign import cli, trapezoid
+        calls = []
+        ast_gf = trapezoid.gf
+
+        def counted(n, l):
+            calls.append((n, l))
+            return ast_gf(n, l)
+
+        monkeypatch.setattr(trapezoid, "gf", counted)
+        cli._ast_gf.cache_clear()
+        code, out = run(capsys, "verify", "main", "--n-max", "2",
+                        "--l-max", "3")
+        cli._ast_gf.cache_clear()
+        assert code == 0
+        assert out.endswith("12/12 checks passed\n")
+        assert out.count("PASS main") == 12
+        assert sorted(calls) == [(n, l) for n in (1, 2) for l in (1, 2, 3)]
+
     def test_empty_sweep_fails(self, capsys):
         for argv in (("verify", "main", "--n-max", "0"),
                      ("verify", "truncated", "--samples", "0")):

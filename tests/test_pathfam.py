@@ -11,7 +11,8 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, det_matrix, families_svg,
                              from_json,
                              gf_via_paths, is_nonintersecting, lgv_weight,
-                             path_matrix, paths_for_index, paths_to_cssp,
+                             path_matrix, path_weight, paths_for_index,
+                             paths_to_cssp,
                              to_json, write_families_svg)
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -95,6 +96,79 @@ class TestWeights:
         fam = cssp_to_paths(FIGURE)
         with pytest.raises(OutOfRangeError):
             lgv_weight(fam, 3, 3)
+
+
+# Weights as one Gf product per west step, and step strings appended one
+# run at a time: independent oracles for lgv_weight, path_weight and
+# cssp_to_paths.
+
+def _step_factor(x, y, d):
+    if d == 0 and (x, y) == (1, 0):
+        return Gf.p_plus_q_minus_1()
+    p = d is not None and y - x == d - 1
+    return Gf.monomial(p=int(p), q=int(y == 0))
+
+
+def _product_path_weight(path, d):
+    w = Gf.one()
+    for (x, y), step in zip(path.points(), path.steps):
+        if step == "W":
+            w = w * _step_factor(x, y, d)
+    return w
+
+
+def _product_lgv_weight(f, d):
+    w = Gf.monomial(r=len(f.paths))
+    for p in f.paths:
+        w = w * _product_path_weight(p, d)
+    return w
+
+
+def _appended_paths(c):
+    l = c.k + 1
+    paths = []
+    for row in c.rows:
+        u = len(row) - 1
+        steps = []
+        y = 0
+        for h in reversed([part - 1 for part in row[1:]]):
+            steps.append("N" * (h - y))
+            steps.append("W")
+            y = h
+        steps.append("N" * (u + l - 1 - y))
+        paths.append(LatticePath(u, l, "".join(steps)))
+    return PathFamily(l, tuple(paths))
+
+
+class TestExponentOracles:
+    def test_families_of_cssps(self):
+        for k in range(0, 5):
+            for n in range(0, 5):
+                for c in enumerate_cssps(k, n):
+                    fam = cssp_to_paths(c)
+                    assert fam == _appended_paths(c), c
+                    for d in (None, *range(k + 1)):
+                        w = lgv_weight(fam, d, k + 1)
+                        expected = _product_lgv_weight(fam, d)
+                        assert (w, str(w)) == (expected, str(expected)), \
+                            (c, d)
+                        for p in fam.paths:
+                            assert path_weight(p, d) \
+                                == _product_path_weight(p, d), (p, d)
+
+    def test_intersecting_pairs(self):
+        # two paths may share the d = 0 origin step: (P+Q-1)^2
+        for l in range(1, 4):
+            paths = [p for u in range(3) for p in paths_for_index(u, l)]
+            for a in paths:
+                for b in paths:
+                    fam = PathFamily(l, (a, b))
+                    for d in (None, *range(l)):
+                        assert lgv_weight(fam, d, l) \
+                            == _product_lgv_weight(fam, d), (fam, d)
+        twice = PathFamily(2, (LatticePath(1, 2, "WNN"),) * 2)
+        assert lgv_weight(twice, 0, 2) \
+            == Gf.monomial(r=2) * Gf.p_plus_q_minus_1() ** 2
 
 
 class TestCrossing:

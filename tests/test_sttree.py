@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations_with_replacement as multisets
 
 import pytest
@@ -9,9 +10,11 @@ from altsign.sttree import (SttTree, _prescribed, _regular, _shape_cells,
                             deleted_cells, enumerate_sttrees, from_json,
                             is_monotone_triangle, sttree_to_ast, to_json,
                             validate)
-from altsign.trapezoid import Trapezoid, enumerate_trapezoids
+from altsign.trapezoid import (Trapezoid, enumerate_trapezoids,
+                               one_column_positions)
+from altsign.trapezoid import validate as validate_trapezoid
 
-from test_trapezoid import T54
+from test_trapezoid import T54, _per_entry_partial_sums
 
 # the tree displayed for the (5,4) example
 TREE54 = SttTree(
@@ -250,3 +253,111 @@ class TestOracles:
             outcomes.add(min(len(expected), 2) if type(expected) is list
                          else "raised")
         assert outcomes == {0, 1, 2, "raised"}
+
+
+# Cell-set readers: independent oracles for the row-by-row ast_to_sttree
+# and sttree_to_ast.
+
+def _cell_set_ast_to_sttree(trap):
+    if trap.l < 2:
+        raise ValueError("the correspondence is defined for l >= 2")
+    n = trap.n
+    j = one_column_positions(trap)
+    m = sum(1 for x in j if x < 0)
+    s = tuple(-x - 1 for x in j[:m])
+    t = tuple(x - 1 for x in j[m:])
+    psums = _per_entry_partial_sums(trap)
+    cells = _shape_cells(n, s, t)
+    values = {}
+    for i in range(1, n + 1):
+        lo, _ = trap.row_span(i)
+        labels = [lo + offset - n - 1
+                  for offset, e in enumerate(psums[i - 1]) if e == 1]
+        slots = sorted(jj for (ii, jj) in cells if ii == i)
+        if len(slots) != len(labels):
+            raise ValueError(
+                f"row {i}: {len(labels)} ones but {len(slots)} tree cells")
+        for jj, lab in zip(slots, labels):
+            values[(i, jj)] = lab
+    return SttTree(n, s, t, _to_rows(n, cells, values))
+
+
+def _cell_set_sttree_to_ast(tree, n, l):
+    if tree.n != n:
+        raise NotInImageError(f"tree order {tree.n} does not match n={n}")
+    if len(tree.s) + len(tree.t) != n:
+        raise NotInImageError("tree truncations do not split into n diagonals")
+    prev = [0] * (2 * n + l)
+    rows = []
+    for i in range(1, n + 1):
+        lo, hi = i, 2 * n + l - 1 - i
+        marked = set()
+        for v in tree.rows[i - 1]:
+            if v is None:
+                continue
+            c = v + n + 1
+            if not lo <= c <= hi:
+                raise NotInImageError(
+                    f"row {i}: entry {v} falls outside the trapezoid")
+            if c in marked:
+                raise NotInImageError(f"row {i}: duplicate column for {v}")
+            marked.add(c)
+        cur = [1 if c in marked else 0 for c in range(lo, hi + 1)]
+        rows.append(tuple(cur[c - lo] - prev[c] for c in range(lo, hi + 1)))
+        for c in range(lo, hi + 1):
+            prev[c] = cur[c - lo]
+    trap = Trapezoid(n, l, tuple(rows))
+    problem = validate_trapezoid(trap)
+    if problem:
+        raise NotInImageError(problem)
+    if _cell_set_ast_to_sttree(trap) != tree:
+        raise NotInImageError("tree is not the image of its own preimage")
+    return trap
+
+
+def _result(convert, *args):
+    try:
+        return convert(*args)
+    except (NotInImageError, InvalidShapeError, ValueError) as e:
+        return type(e), str(e)
+
+
+class TestRowOracles:
+    def test_trees_match_the_cell_set_reader(self):
+        for n in range(1, 5):
+            for l in range(2, 6):
+                for t in enumerate_trapezoids(n, l):
+                    assert ast_to_sttree(t) == _cell_set_ast_to_sttree(t), t
+
+    def test_preimages_match_on_changed_trees(self):
+        # every tree with one value moved by -1/+1 or deleted, and every
+        # tree taken at the wrong l
+        kinds = set()
+        for n in range(1, 4):
+            for l in range(2, 5):
+                for t in enumerate_trapezoids(n, l):
+                    tree = ast_to_sttree(t)
+                    changed = [(tree, n, l + 1), (tree, n, l - 1)]
+                    for i, row in enumerate(tree.rows):
+                        for j, v in enumerate(row):
+                            if v is None:
+                                continue
+                            for w in (v - 1, v + 1, None):
+                                rows = list(tree.rows)
+                                rows[i] = row[:j] + (w,) + row[j + 1:]
+                                changed.append(
+                                    (tree._replace(rows=tuple(rows)), n, l))
+                    for args in changed:
+                        expected = _result(_cell_set_sttree_to_ast, *args)
+                        assert _result(sttree_to_ast, *args) == expected
+                        if type(expected) is tuple:
+                            kinds.add(re.sub(r"-?\d+", "#", expected[1]))
+        assert kinds == {
+            "middle column #: sum # != #",
+            "row #: duplicate column for #",
+            "row #: entry # falls outside the trapezoid",
+            "row #: non-zero entries do not alternate at column #",
+            "row #: sum # != #",
+            "the correspondence is defined for l >= #",
+            "tree is not the image of its own preimage",
+        }

@@ -1,10 +1,12 @@
+import re
+
 import pytest
 
 from altsign.exactalg import Gf
-from altsign.trapezoid import (AstStats, Trapezoid, column_partial_sums,
-                               enumerate_trapezoids, from_json, gf,
-                               one_column_positions, stats, to_json, validate,
-                               weight)
+from altsign.trapezoid import (AstStats, Trapezoid, _one_columns,
+                               column_partial_sums, enumerate_trapezoids,
+                               from_json, gf, one_column_positions, stats,
+                               to_json, validate, weight)
 
 # the displayed (5,4) example
 T54 = Trapezoid(5, 4, (
@@ -254,6 +256,149 @@ class TestOracles:
         for route in (weight, stats, one_column_positions):
             with pytest.raises(ValueError, match="middle column 3 has sum 1"):
                 route(t)
+
+
+# Per-entry readers through Trapezoid.entry: independent oracles for the
+# row-pass validate, _one_columns and column_partial_sums.
+
+def _per_entry_validate(t):
+    n, l = t.n, t.l
+    if n < 1 or l < 1:
+        return f"need n >= 1 and l >= 1, got n={n}, l={l}"
+    if len(t.rows) != n:
+        return f"expected {n} rows, got {len(t.rows)}"
+    for i in range(1, n + 1):
+        lo, hi = t.row_span(i)
+        if len(t.rows[i - 1]) != hi - lo + 1:
+            return (f"row {i}: expected length {hi - lo + 1}, "
+                    f"got {len(t.rows[i - 1])}")
+        for c, e in zip(range(lo, hi + 1), t.rows[i - 1]):
+            if e not in (-1, 0, 1):
+                return f"row {i}, column {c}: entry {e} not in {{-1,0,1}}"
+    for c in range(1, t.width + 1):
+        prev = 0
+        for i in range(1, t.last_row_covering(c) + 1):
+            e = t.entry(i, c)
+            if e == 0:
+                continue
+            if prev == 0 and e == -1:
+                return f"column {c}: topmost non-zero entry (row {i}) is -1"
+            if e == prev:
+                return (f"column {c}: non-zero entries do not alternate "
+                        f"at row {i}")
+            prev = e
+        if l >= 2 and n + 1 <= c <= n + l - 2 and t.column_sum(c) != 0:
+            return f"middle column {c}: sum {t.column_sum(c)} != 0"
+    for i in range(1, n + 1):
+        prev = 0
+        lo, hi = t.row_span(i)
+        for c, e in zip(range(lo, hi + 1), t.rows[i - 1]):
+            if e == 0:
+                continue
+            if e == prev:
+                return (f"row {i}: non-zero entries do not alternate "
+                        f"at column {c}")
+            prev = e
+        s = sum(t.rows[i - 1])
+        if l == 1 and i == n:
+            if s not in (0, 1):
+                return f"bottom row: sum {s} not in {{0,1}}"
+        elif s != 1:
+            return f"row {i}: sum {s} != 1"
+    return None
+
+
+def _per_entry_one_columns(t):
+    out = []
+    for c in range(1, t.width + 1):
+        if t.column_sum(c) == 1:
+            label = t.column_label(c)
+            if label is None:
+                raise ValueError(f"middle column {c} has sum 1")
+            out.append((label, t.entry(t.last_row_covering(c), c) == 0))
+    return out
+
+
+def _per_entry_partial_sums(t):
+    psums = []
+    running = {}
+    for i in range(1, t.n + 1):
+        lo, hi = t.row_span(i)
+        row = []
+        for c in range(lo, hi + 1):
+            running[c] = running.get(c, 0) + t.entry(i, c)
+            row.append(running[c])
+        psums.append(tuple(row))
+    return tuple(psums)
+
+
+def _corruptions(t, values=(-1, 0, 1, 2), lengths=True):
+    """Every array that differs from t in one entry (taking each of the
+    values), or in the length of one row."""
+    for i, row in enumerate(t.rows):
+        variants = [row[:j] + (v,) + row[j + 1:]
+                    for j, e in enumerate(row) for v in values if v != e]
+        if lengths:
+            variants += [row[:-1], row + (0,)]
+        for bad in variants:
+            yield Trapezoid(t.n, t.l, t.rows[:i] + (bad,) + t.rows[i + 1:])
+
+
+def _read(read, t):
+    try:
+        return read(t)
+    except ValueError as e:  # a middle column with sum 1
+        return str(e)
+
+
+class TestRowPassOracles:
+    def test_valid_trapezoids_read_alike(self):
+        for n in range(1, 5):
+            for l in range(1, 6):
+                for t in enumerate_trapezoids(n, l):
+                    assert validate(t) is None
+                    assert list(_one_columns(t)) == _per_entry_one_columns(t)
+                    assert column_partial_sums(t) \
+                        == _per_entry_partial_sums(t), t
+
+    def test_corruptions_get_the_same_message(self):
+        templates = set()
+        for n in range(1, 4):
+            for l in range(1, 5):
+                for t in enumerate_trapezoids(n, l):
+                    for bad in _corruptions(t):
+                        expected = _per_entry_validate(bad)
+                        assert validate(bad) == expected, bad
+                        if expected is None:  # the l = 1 bottom row
+                            continue
+                        with pytest.raises(ValueError) as caught:
+                            from_json({"n": n, "l": l,
+                                       "rows": [list(r) for r in bad.rows]})
+                        assert str(caught.value) == expected
+                        templates.add(re.sub(r"-?\d+", "#", expected))
+        # the corruptions reach every message of validate past the shape
+        # of the row tuple
+        assert templates == {
+            "row #: expected length #, got #",
+            "row #, column #: entry # not in {#,#,#}",
+            "column #: topmost non-zero entry (row #) is #",
+            "column #: non-zero entries do not alternate at row #",
+            "middle column #: sum # != #",
+            "row #: non-zero entries do not alternate at column #",
+            "row #: sum # != #",
+            "bottom row: sum # not in {#,#}",
+        }
+
+    def test_corrupted_arrays_read_alike(self):
+        # well-shaped 0/+-1 arrays that are not trapezoids
+        for n in range(1, 4):
+            for l in range(1, 5):
+                for t in enumerate_trapezoids(n, l):
+                    for bad in _corruptions(t, (-1, 0, 1), lengths=False):
+                        assert _read(lambda t: list(_one_columns(t)), bad) \
+                            == _read(_per_entry_one_columns, bad), bad
+                        assert column_partial_sums(bad) \
+                            == _per_entry_partial_sums(bad), bad
 
 
 class TestPartialSums:
