@@ -173,16 +173,18 @@ def _step_weight(x: int, y: int, d) -> tuple[int, int, int]:
     return int(d is not None and y - x == d - 1), int(y == 0), 0
 
 
+def _factor(p: int, q: int, o: int, r: int = 0) -> Gf:
+    """P^p Q^q R^r (P+Q-1)^o."""
+    w = Gf.monomial(p, q, r)
+    return w * Gf.p_plus_q_minus_1() ** o if o else w
+
+
 def _weight(paths, d, r: int) -> Gf:
     """R^r times the product of _step_weight over the west steps of the
     paths, built once from the exponent sums."""
-    p = q = o = 0
-    for path in paths:
-        for k, y in enumerate(path.west_heights()):  # the k-th from x = u - k
-            dp, dq, do = _step_weight(path.u - k, y, d)
-            p, q, o = p + dp, q + dq, o + do
-    w = Gf.monomial(p, q, r)
-    return w * Gf.p_plus_q_minus_1() ** o if o else w
+    steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
+             for path in paths for k, y in enumerate(path.west_heights())]
+    return _factor(*map(sum, zip((0, 0, 0), *steps)), r)
 
 
 def path_weight(path: LatticePath, d) -> Gf:
@@ -227,9 +229,8 @@ def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
-    steps = {(x, y): Gf.monomial(p, q) * Gf.p_plus_q_minus_1() ** o
-             for x in range(1, n) for y in range(top + 1)
-             for p, q, o in [_step_weight(x, y, d)]}
+    steps = {(x, y): _factor(*_step_weight(x, y, d))
+             for x in range(1, n) for y in range(top + 1)}
     out = []
     for u in range(n):
         # column x of the sweep: the weighted count of paths reaching (x, y)

@@ -139,6 +139,15 @@ class TestTpoly:
 
 
 class TestVerify:
+    @pytest.fixture(autouse=True)
+    def cold_ast_gf(self):
+        # verify main keeps trapezoid.gf per (n, l) for the process; each
+        # test starts from an empty cache so that it runs what it counts
+        from altsign import cli
+        cli._ast_gf.cache_clear()
+        yield
+        cli._ast_gf.cache_clear()
+
     def test_main_small(self, capsys):
         code, out = run(capsys, "verify", "main", "--n-max", "2",
                         "--l-max", "3")
@@ -221,7 +230,7 @@ class TestVerify:
 
     def test_main_takes_each_ast_gf_once(self, capsys, monkeypatch):
         # the d of one (n, l) share the trapezoid side
-        from altsign import cli, trapezoid
+        from altsign import trapezoid
         calls = []
         ast_gf = trapezoid.gf
 
@@ -230,10 +239,8 @@ class TestVerify:
             return ast_gf(n, l)
 
         monkeypatch.setattr(trapezoid, "gf", counted)
-        cli._ast_gf.cache_clear()
         code, out = run(capsys, "verify", "main", "--n-max", "2",
                         "--l-max", "3")
-        cli._ast_gf.cache_clear()
         assert code == 0
         assert out.endswith("12/12 checks passed\n")
         assert out.count("PASS main") == 12
