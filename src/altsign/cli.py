@@ -108,8 +108,9 @@ def _check_bijections(args):
     from . import cssp, pathfam, sttree, trapezoid
     n, l = args
     for t in trapezoid.enumerate_trapezoids(n, l):
-        tree = sttree.ast_to_sttree(t)
-        if sttree.sttree_to_ast(tree, n, l) != t:
+        # the tree is t's image, so a preimage equal to t passes
+        # sttree_to_ast's image check as well: the tree is built once
+        if sttree.preimage(sttree.ast_to_sttree(t), n, l) != t:
             return False, (f"trapezoid round trip failed: {t}",)
     for c in cssp.enumerate_cssps(l - 1, n):
         fam = pathfam.cssp_to_paths(c)

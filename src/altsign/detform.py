@@ -16,13 +16,14 @@ determinants.
 The code takes the determinant of K(n) + R B(n, l) = K(n) (I + R K(n)^{-1}
 B(n, l)), with K(n) = I - Q S of determinant 1 (S the shift below the
 diagonal) and B(n, l) the two binomials at k = i: the determinant is the
-same, and no entry has more than three terms or degree above 1 in P, Q or
-R.  exactalg.det_gf writes P R, R and Q as x, y and z, so the determinant
-has total degree <= n, takes the integer determinants at the C(n+3, 3)
-lattice points x + y + z <= n and interpolates, so no polynomial is ever
-divided.  The paths route takes its determinant on the same form (k_form):
-with M = pathfam.path_matrix(n, l, 1), det_matrix(n, l) = K(n) (I + R M)
-(at d = 0 when l = 1), so `gf det` and `gf paths --d 1` reach one matrix.
+same, and every entry is an integer combination of 1, P R, R and Q, the
+one form exactalg.det_gf takes.  It writes P R, R and Q as x, y and z, so
+the determinant has total degree <= n, takes the integer determinants at
+the C(n+3, 3) lattice points x + y + z <= n and interpolates, so no
+polynomial is ever divided.  The paths route takes its determinant on the
+same form (k_form): with M = pathfam.path_matrix(n, l, 1),
+det_matrix(n, l) = K(n) (I + R M) (at d = 0 when l = 1), so `gf det` and
+`gf paths --d 1` reach one matrix.
 Only the coefficient-matrix check of `verify coeff` eliminates by Bareiss
 over Gf, as the reference independent of det_gf.
 
@@ -47,9 +48,8 @@ def k_matrix(n: int) -> list[list[Gf]]:
 def k_form(x) -> list[list[Gf]]:
     """K(n) + R X for an n x n matrix X free of R, the form both
     determinant routes take: X = B(n, l) here, X = K(n) M in pathfam.  The
-    entries of both have at most two terms, of degree <= 1 in P and 0 in Q,
-    so no entry of the form has more than three terms or degree above 1 in
-    P, Q or R."""
+    entries of both are integer combinations of 1 and P, so every entry of
+    the form is one of 1, P R, R and Q, as exactalg.det_gf requires."""
     R = Gf.monomial(r=1)
     return [[k + R * e for k, e in zip(k_row, x_row)]
             for k_row, x_row in zip(k_matrix(len(x)), x)]
@@ -147,14 +147,12 @@ def series_coeffs(l: int, max_i: int, max_j: int) -> dict:
     return out
 
 
-def verify_coeff_route(n: int, l: int, order: int = 6) -> bool:
+def verify_coeff_route(n: int, l: int) -> bool:
     """Two independent checks of the coefficient-matrix step: the closed
-    coefficient formula against the direct series expansion up to the given
-    order, and det(coefficient matrix) = det(final matrix)."""
-    series = series_coeffs(l, order, order)
-    for i in range(order + 1):
-        for j in range(order + 1):
-            if series.get((i, j), Gf.zero()) != behrend_coeff(i, j, l):
-                return False
+    coefficient formula against the direct series expansion up to X^6 Y^6,
+    and det(coefficient matrix) = det(final matrix)."""
+    series = series_coeffs(l, 6, 6)
+    if any(series.get((i, j), Gf.zero()) != behrend_coeff(i, j, l)
+           for i in range(7) for j in range(7)):
+        return False
     return det_fraction_free(coeff_matrix(n, l)) == gf_det(n, l)
-

@@ -2,11 +2,12 @@
 multivariate polynomial type with exact coefficients (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
 (``Gf``), and two determinants: ``det_gf``, the one kernel of both
-determinant routes, which takes a ``Gf`` determinant as integer
-determinants at the lattice points of a simplex followed by Newton
-interpolation, and fraction-free (Bareiss) elimination over any of these
-entry types, which ``det_gf`` runs over ints at each point and which over
-polynomial entries is only the independent reference.
+determinant routes, which takes a ``Gf`` determinant whose entries are
+affine in P R, R and Q as integer determinants at the lattice points of a
+simplex followed by Newton interpolation, and fraction-free (Bareiss)
+elimination over any of these entry types, which ``det_gf`` runs over ints
+at each point and which over polynomial entries is only the independent
+reference.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.
@@ -373,9 +374,11 @@ class Gf(MPoly):
     def __mul__(self, other):
         # The one body of its own: adding the three exponent slots by hand
         # beats the generic tuple sum on the many small products of the
-        # weights, the series oracle and verify coeff's Bareiss reference
-        # (verify_coeff_route over n <= 5, l 2..6: 114-129 ms, against
-        # 139-140 ms with MPoly.__mul__).
+        # weights, the path matrix and verify coeff's Bareiss reference (ms,
+        # best of 5 in process, 5 runs, Python 3.11, 2 cores, against
+        # MPoly.__mul__): trapezoid.gf(7, 5) 253-309 vs 321-383,
+        # verify_coeff_route(8, 4) 163-227 vs 264-328, gf_via_paths(16, 4, 1)
+        # 590-698 vs 579-782; verify coeff's n <= 5 sweep 64-104 vs 97-122.
         if type(other) is not Gf:
             return MPoly.__mul__(self, other)
         out = {}
@@ -478,26 +481,23 @@ def det_fraction_free(matrix):
     return d if sign == 1 else -d
 
 
-def _degree_bound(rows) -> int:
-    """The Leibniz bound on the total degree of the determinant of a matrix
-    of exponent dicts (each term takes one entry from every row and column):
-    the smaller of the summed row and column maxima of the entry degrees."""
-    deg = [[max(map(sum, t), default=0) for t in row] for row in rows]
-    return min(sum(map(max, deg)), sum(map(max, zip(*deg))))
+def forward_differences(values) -> list:
+    """D^k f(0), k = 0 .. len(values) - 1, for f(x) = values[x]."""
+    a = list(values)
+    for k in range(1, len(a)):
+        # after this sweep a[k] is the k-th forward difference at 0
+        for i in range(len(a) - 1, k - 1, -1):
+            a[i] -= a[i - 1]
+    return a
 
 
 def _newton_coordinates(values) -> list[int]:
     """The coordinates D^k f(0) / k!, lowest first, in the falling-factorial
     basis of the f of degree < len(values) with f(x) = values[x], x = 0, 1,
     ...; integers for an integer polynomial, else NonDivisibleError."""
-    a = list(values)
-    size = len(a)
-    for k in range(1, size):
-        # after this sweep a[k] is the k-th forward difference at 0
-        for i in range(size - 1, k - 1, -1):
-            a[i] -= a[i - 1]
+    a = forward_differences(values)
     fact = 1
-    for k in range(2, size):
+    for k in range(2, len(a)):
         fact *= k
         a[k], rem = divmod(a[k], fact)
         if rem:
@@ -517,12 +517,6 @@ def _monomials(a) -> list[int]:
     return out
 
 
-def _newton(values) -> list[int]:
-    """Monomial coefficients, lowest first, of the polynomial of degree
-    < len(values) that takes values[x] at x = 0, 1, 2, ..."""
-    return _monomials(_newton_coordinates(values))
-
-
 def _simplex_lines(c: dict, top: int, step) -> None:
     """Replace each line of c, a dict over the lattice points
     i + j + k <= top, by step of it: along k, then j, then i."""
@@ -534,52 +528,38 @@ def _simplex_lines(c: dict, top: int, step) -> None:
                 c.update(zip(keys, step([c[key] for key in keys])))
 
 
-def _to_pqr(coeffs: dict, shift: int) -> Gf:
-    """The Gf with v at P^a Q^b R^(a+c-shift) for each v at x^a y^c z^b;
-    ArithmeticError, also under python -O, on a negative power of R."""
-    terms = {}
-    for (a, c, b), v in coeffs.items():
-        if v:
-            if a + c < shift:
-                raise ArithmeticError(f"R^{a + c - shift} in a determinant")
-            terms[a, b, a + c - shift] = v
-    return Gf(terms)
+# 1, P R, R and Q as (deg P, deg Q, deg R): the monomials det_gf takes
+_AFFINE = ((0, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0))
 
 
 def det_gf(matrix) -> Gf:
-    """Determinant of a square Gf matrix by evaluation and interpolation.
+    """Determinant of a square Gf matrix whose entries are affine in
+    x = P R, y = R and z = Q, as K(n) + R X is in both determinant routes;
+    ValueError on a ragged matrix or any other monomial; Gf.one() if empty.
 
-    Row i is multiplied by R^s_i, the least power that leaves it no monomial
-    P^a Q^b R^c with a > c (s_i = 0 in both determinant routes).  Written in
-    x^a y^(c-a) z^b, the determinant has total degree <= D (_degree_bound;
-    n for K(n) + R X), so its integer values (det_fraction_free) at the
-    C(D+3, 3) lattice points x + y + z <= D determine it (Chung and Yao
-    1977).  Newton interpolation on that simplex (_simplex_lines) raises
-    NonDivisibleError on a non-integer coordinate, and _to_pqr maps the
-    result back.  The 0x0 determinant is Gf.one().
+    Of order n, the determinant has total degree <= n in x, y, z, so its
+    integer values (det_fraction_free) at the C(n+3, 3) lattice points
+    x + y + z <= n determine it (Chung and Yao 1977).  Newton interpolation
+    on that simplex (_simplex_lines) raises NonDivisibleError on a
+    non-integer coordinate, and x^a y^c z^b is P^a Q^b R^(a+c).
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    shifts = [max([0] + [a - c for t in row for a, _, c in t.terms])
-              for row in matrix]
-    rows = [[{(a, c + s - a, b): v for (a, b, c), v in t.terms.items()}
-             for t in row] for row, s in zip(matrix, shifts)]
-    top = _degree_bound(rows)
-    # one integer matrix per monomial x^a y^b z^g of the entries
-    exps = {e for row in rows for t in row for e in t}
-    layers = [(e, [[t.get(e, 0) for t in row] for row in rows]) for e in exps]
+        if any(e not in _AFFINE for t in row for e in t.terms):
+            raise ValueError(f"row {row} is not affine in P*R, R and Q")
+    # one integer matrix per coordinate: c0 + x cx + y cy + z cz
+    layers = [[[t.terms.get(e, 0) for t in row] for row in matrix]
+              for e in _AFFINE]
     values = {}
-    for x in range(top + 1):
-        for y in range(top + 1 - x):
-            for z in range(top + 1 - x - y):
-                m = [[0] * n for _ in range(n)]
-                for (a, b, g), c in layers:
-                    if w := x ** a * y ** b * z ** g:
-                        m = [[u + w * v for u, v in zip(mi, ci)]
-                             for mi, ci in zip(m, c)]
-                values[x, y, z] = det_fraction_free(m)
-    _simplex_lines(values, top, _newton_coordinates)
-    _simplex_lines(values, top, _monomials)
-    return _to_pqr(values, sum(shifts))
+    for x in range(n + 1):
+        for y in range(n + 1 - x):
+            for z in range(n + 1 - x - y):
+                values[x, y, z] = det_fraction_free(
+                    [[c0 + x * cx + y * cy + z * cz
+                      for c0, cx, cy, cz in zip(*rows)]
+                     for rows in zip(*layers)])
+    _simplex_lines(values, n, _newton_coordinates)
+    _simplex_lines(values, n, _monomials)
+    return Gf({(a, b, a + c): v for (a, c, b), v in values.items()})

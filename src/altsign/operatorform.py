@@ -31,7 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import Gf, MPoly, binomial, gf_from_mpoly
+from .exactalg import (Gf, MPoly, binomial, forward_differences,
+                       gf_from_mpoly)
 
 
 def xvar(i: int) -> str:
@@ -233,15 +234,9 @@ def t_value(n: int, l: int) -> int:
 def falling_factorial_coeffs(p: MPoly, name: str = "l"):
     """Coefficients c_k with p = sum_k c_k * name*(name-1)*...*(name-k+1),
     via Newton's forward differences at 0."""
-    deg = p.degree() if p.degree() >= 0 else 0
-    values = [p.evaluate({name: i}) for i in range(deg + 1)]
-    coeffs = []
-    fact = 1
-    for k in range(deg + 1):
-        if k:
-            fact *= k
-        coeffs.append(Fraction(values[0], fact))
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    diffs = forward_differences(p.evaluate({name: i})
+                                for i in range(max(p.degree(), 0) + 1))
+    coeffs = [Fraction(d, math.factorial(k)) for k, d in enumerate(diffs)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

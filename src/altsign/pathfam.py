@@ -38,9 +38,9 @@ its first north step, and each weighs Q, so M[u] = Q M[u-1] + N[u] with
 N[u] the paths from (u, 0) that start north.  The one exception is the
 d = 0 step from (1, 0) into the origin, which weighs P+Q-1.  Row u of
 K(n) M is therefore N[u], which has no Q (at d = 0, row 1 is N[1] plus
-P - 1), and the form has at most three terms of degree <= 1 in P, Q and R
-per entry, as the determinant route's K(n) + R B(n, l) has.
-exactalg.det_gf takes it at the same C(n+3, 3) lattice points.
+P - 1), so every entry of the form is an integer combination of 1, P R, R
+and Q, as in the determinant route's K(n) + R B(n, l): the one form
+exactalg.det_gf takes, at the same C(n+3, 3) lattice points.
 """
 
 from __future__ import annotations

@@ -152,20 +152,21 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     return out
 
 
-def random_tree_instances(count, seed, max_n=4, spread=3, max_trunc=2):
-    """Seeded stream of admissible (s,t)-tree instances whose prescribed
+def random_tree_instances(count, seed):
+    """Seeded stream of admissible (s,t)-tree instances of order <= 4,
+    truncations <= 2 and bottom entries in -3..3, whose prescribed
     diagonals are all nonempty and prescribe distinct cells (the closed
     formula does not apply otherwise)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 4)
         lc = rng.randint(0, n)
         rc = rng.randint(0, n - lc)
-        s = tuple(sorted((rng.randint(0, max_trunc) for _ in range(lc)),
+        s = tuple(sorted((rng.randint(0, 2) for _ in range(lc)),
                          reverse=True))
-        t = tuple(sorted(rng.randint(0, max_trunc) for _ in range(rc)))
-        b = tuple(sorted(rng.randint(-spread, spread) for _ in range(n)))
+        t = tuple(sorted(rng.randint(0, 2) for _ in range(rc)))
+        b = tuple(sorted(rng.randint(-3, 3) for _ in range(n)))
         try:
             cells = _shape_cells(n, s, t)
         except InvalidShapeError:
@@ -265,6 +266,19 @@ def ast_to_sttree(trap: Trapezoid) -> SttTree:
 def sttree_to_ast(tree: SttTree, n: int, l: int) -> Trapezoid:
     """Inverse of ast_to_sttree; NotInImageError when no (n,l)-trapezoid
     maps to the given tree."""
+    trap = preimage(tree, n, l)
+    if ast_to_sttree(trap) != tree:
+        raise NotInImageError("tree is not the image of its own preimage")
+    return trap
+
+
+def preimage(tree: SttTree, n: int, l: int) -> Trapezoid:
+    """The (n,l)-trapezoid whose partial sums the tree records, or
+    NotInImageError; sttree_to_ast less the check that the trapezoid maps
+    back to the tree, which a caller holding the tree's own trapezoid
+    makes by comparing the two."""
+    if l < 2:
+        raise NotInImageError("the correspondence is defined for l >= 2")
     if tree.n != n:
         raise NotInImageError(f"tree order {tree.n} does not match n={n}")
     m = len(tree.s)
@@ -291,8 +305,6 @@ def sttree_to_ast(tree: SttTree, n: int, l: int) -> Trapezoid:
     problem = validate_trapezoid(trap)
     if problem:
         raise NotInImageError(problem)
-    if ast_to_sttree(trap) != tree:
-        raise NotInImageError("tree is not the image of its own preimage")
     return trap
 
 

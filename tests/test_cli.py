@@ -246,6 +246,28 @@ class TestVerify:
         assert out.count("PASS main") == 12
         assert sorted(calls) == [(n, l) for n in (1, 2) for l in (1, 2, 3)]
 
+    def test_bijections_build_each_tree_once(self, capsys, monkeypatch):
+        # one ast_to_sttree per trapezoid: the round trip's image check
+        # reuses the forward tree
+        from altsign import sttree, trapezoid
+        calls = []
+        ast_to_sttree = sttree.ast_to_sttree
+
+        def counted(t):
+            calls.append(t)
+            return ast_to_sttree(t)
+
+        monkeypatch.setattr(sttree, "ast_to_sttree", counted)
+        code, out = run(capsys, "verify", "bijections", "--n-max", "4",
+                        "--l-max", "4")
+        assert code == 0
+        assert out == "".join(f"PASS bijections (n={n}, l={l})\n"
+                              for n in range(1, 5) for l in range(2, 5)
+                              ) + "12/12 checks passed\n"
+        assert len(calls) == 1520 == sum(
+            len(trapezoid.enumerate_trapezoids(n, l))
+            for n in range(1, 5) for l in range(2, 5))
+
     def test_empty_sweep_fails(self, capsys):
         for argv in (("verify", "main", "--n-max", "0"),
                      ("verify", "truncated", "--samples", "0")):

@@ -1,18 +1,14 @@
 import importlib.util
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import altsign
-from altsign import exactalg
 from altsign.errors import NonDivisibleError
-from altsign.exactalg import (Gf, MPoly, _newton, binomial, det_fraction_free,
-                              det_gf, gf_from_mpoly)
+from altsign.exactalg import (Gf, MPoly, _monomials, _newton_coordinates,
+                              binomial, det_fraction_free, det_gf,
+                              gf_from_mpoly)
 from test_operatorform import _run_optimized
 
 
@@ -238,10 +234,23 @@ class TestDeterminant:
         expected = (R * R + 4 * R + P * R + Q * R + one)
         assert det_fraction_free(m) == expected
         assert det_cofactor(m) == expected
+        # Q R is not affine in P R, R and Q
+        with pytest.raises(ValueError):
+            det_gf(m)
+        m = [[R + one, P * R - Q], [2 * Q + R, one - P * R]]
+        expected = (one + R - P * R - 2 * P * R * R - 2 * P * Q * R
+                    + 2 * Q * Q + Q * R)
+        assert det_cofactor(m) == expected
         assert det_gf(m) == expected
         assert type(det_gf([])) is Gf and det_gf([]) == 1
         with pytest.raises(ValueError):
             det_gf([[one, R], [one]])
+
+    def test_grid_determinant_refuses_other_monomials(self):
+        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
+        for entry in (P, Q * R, R * R, P * R * R):
+            with pytest.raises(ValueError, match="not affine"):
+                det_gf([[Gf.one(), entry], [R, Q]])
 
     def test_equal_rows_zero(self):
         x = var("x1")
@@ -264,47 +273,22 @@ class TestDeterminant:
 
     def test_newton_gives_monomial_coefficients(self):
         # x^2 - 3x + 5 at x = 0, 1, 2; x^3 at 0..4, one node more than needed
-        assert _newton([5, 3, 3]) == [5, -3, 1]
-        assert _newton([0, 1, 8, 27, 64]) == [0, 0, 0, 1, 0]
-        assert _newton([7]) == [7]
+        def newton(values):
+            return _monomials(_newton_coordinates(values))
+        assert newton([5, 3, 3]) == [5, -3, 1]
+        assert newton([0, 1, 8, 27, 64]) == [0, 0, 0, 1, 0]
+        assert newton([7]) == [7]
 
     def test_non_integer_interpolation_raises_under_optimize(self):
         # C(x, 2) is integer-valued at 0, 1, 2 but has monomial coefficients
         # -1/2 and 1/2: the k! divisibility check must survive python -O
-        code = ("from altsign.exactalg import _newton\n"
-                "try:\n"
-                "    _newton([0, 0, 1])\n"
-                "except ArithmeticError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(altsign.__file__).parent.parent))
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-    def test_negative_power_of_r_is_caught(self, monkeypatch):
-        # a map-back that lowers R once too often sends the constant term
-        # of det [[P^2 + 1]] (shifted to R^2 P^2 + R^2) to R^-1
-        to_pqr = exactalg._to_pqr
-        monkeypatch.setattr(exactalg, "_to_pqr",
-                            lambda c, shift: to_pqr(c, shift + 1))
-        m = [[Gf.monomial(p=2) + 1]]
-        with pytest.raises(ArithmeticError, match="R\\^-1"):
-            det_gf(m)
-        monkeypatch.undo()
-        assert det_gf(m) == m[0][0]
-
-    def test_negative_power_of_r_is_caught_under_optimize(self):
-        ok, err = _run_optimized("from altsign import exactalg\n"
-                                 "to_pqr = exactalg._to_pqr\n"
-                                 "exactalg._to_pqr = "
-                                 "lambda c, shift: to_pqr(c, shift + 1)\n"
-                                 "try:\n"
-                                 "    exactalg.det_gf([[exactalg.Gf.one()]])\n"
-                                 "except ArithmeticError:\n"
-                                 "    raise SystemExit(0)\n"
-                                 "raise SystemExit(1)\n")
+        ok, err = _run_optimized(
+            "from altsign.exactalg import _monomials, _newton_coordinates\n"
+            "try:\n"
+            "    _monomials(_newton_coordinates([0, 0, 1]))\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
         assert ok, err
 
 

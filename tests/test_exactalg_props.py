@@ -29,8 +29,12 @@ def mpolys(draw, coeffs=fractions):
 
 
 gfs = st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(Gf)
-gf_matrices = st.integers(0, 4).flatmap(
-    lambda n: st.lists(st.lists(gfs, min_size=n, max_size=n),
+# integer combinations of 1, P R, R and Q, the entries det_gf takes
+affine_gfs = st.dictionaries(
+    st.sampled_from([(0, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0)]),
+    st.integers(-4, 4), max_size=4).map(Gf)
+affine_matrices = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(affine_gfs, min_size=n, max_size=n),
                        min_size=n, max_size=n))
 
 
@@ -142,18 +146,16 @@ def test_shifts_compose(p, x, a, b):
 
 
 @props
-@given(gf_matrices, st.sampled_from([Gf.one(), Gf.monomial(p=1) - 1,
-                                     Gf.zero()]))
-@example([[Gf.zero()] * 3] * 3, Gf.one())
-@example([[Gf.one(), Gf.monomial(r=1)],
-          [Gf.monomial(p=2) - Gf.monomial(q=1), Gf.monomial(p=1, r=1)]],
-         Gf.one())
-@example([[Gf({(1, 0, 0): 2, (0, 1, 1): -3, (0, 0, 0): 1})]],
-         Gf.monomial(p=1) - 1)
-def test_grid_determinant_matches_elimination(m, factor):
-    # a P - 1 factor on the first row makes every point with P = 1 singular,
-    # a zero factor every point; a row with P^a R^c, a > c (the factor's P,
-    # the P^2 with no R of the second example) is shifted by R^(a - c)
-    m = [[factor * x for x in row] if i == 0 else row
-         for i, row in enumerate(m)]
-    assert det_gf(m) == det_fraction_free(m)
+@given(affine_matrices, st.sampled_from(["", "zero row", "equal rows"]))
+@example([[Gf.zero()] * 3] * 3, "")
+def test_grid_determinant_matches_elimination(m, singular):
+    # a zero row, or two equal rows, makes every point singular
+    if singular == "zero row" and m:
+        m = [[Gf.zero()] * len(m)] + m[1:]
+    elif singular == "equal rows" and len(m) > 1:
+        m = [m[0]] + m[:1] + m[2:]
+    else:
+        singular = ""
+    d = det_gf(m)
+    assert d == det_fraction_free(m)
+    assert not singular or d == 0

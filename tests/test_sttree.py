@@ -156,6 +156,16 @@ class TestAstCorrespondence:
         with pytest.raises(NotInImageError):
             sttree_to_ast(tree, 2, 4)
 
+    def test_l_below_2_is_not_in_image(self):
+        # taken at l = 1, the tree of the (1, 2)-trapezoid ((1, 0),) has a
+        # preimage that passes the trapezoid validation; it is refused
+        # up front
+        tree = ast_to_sttree(Trapezoid(1, 2, ((1, 0),)))
+        assert sttree_to_ast(tree, 1, 2).rows == ((1, 0),)
+        for l in (1, 0, -1):
+            with pytest.raises(NotInImageError, match="l >= 2"):
+                sttree_to_ast(tree, 1, l)
+
 
 class TestJson:
     def test_roundtrip(self):
@@ -283,6 +293,8 @@ def _cell_set_ast_to_sttree(trap):
 
 
 def _cell_set_sttree_to_ast(tree, n, l):
+    if l < 2:
+        raise NotInImageError("the correspondence is defined for l >= 2")
     if tree.n != n:
         raise NotInImageError(f"tree order {tree.n} does not match n={n}")
     if len(tree.s) + len(tree.t) != n:
