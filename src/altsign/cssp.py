@@ -9,6 +9,7 @@ at position t (1-based) sits in column j = i + t - 1.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .errors import OutOfRangeError
@@ -117,13 +118,15 @@ def _next_rows(k, n, above):
         yield from rows
 
 
-def _pq(rows, d):
-    """(p, q) of the weight W_d: p counts parts equal to j - i + d (j the
+def _pq(rows, d, start=1):
+    """(p, q) of the weight W_d, one factor per part read from the part's
+    value and position t alone: p counts parts equal to j - i + d (j the
     column), q counts parts equal to 1.  For d = 0, p skips parts equal to
-    1 and q skips positions 1 and 2."""
+    1 and q skips positions 1 and 2.  Each row's first part is at position
+    start, so gf can weigh a row's parts after the first on their own."""
     p = q = 0
     for row in rows:
-        for t, part in enumerate(row, start=1):
+        for t, part in enumerate(row, start):
             if part == t - 1 + d and (d or part != 1):  # j = i + t - 1
                 p += 1
             if part == 1 and (d or t >= 3):
@@ -144,44 +147,91 @@ def weight(c: Cssp, d: int) -> Gf:
     class) with its expanded (P+Q-1) factor."""
     _check_d(c.k, d)
     w = Gf.monomial(*_pq(c.rows, d), len(c.rows))
-    if _has_factor(c.rows[-1] if c.rows else (), d):
+    if _has_factor(c.rows[-1][1:] if c.rows else (), d):
         w = w * Gf.p_plus_q_minus_1()
     return w
 
 
-def _has_factor(bottom, d):
-    """Whether an object with this bottom row carries the (P+Q-1) factor
-    of the d = 0 weight: its bottom row has second part 1."""
-    return d == 0 and len(bottom) >= 2 and bottom[1] == 1
+def _has_factor(tail, d):
+    """Whether an object whose bottom row has these parts after the first
+    carries the (P+Q-1) factor of the d = 0 weight: its bottom row has
+    second part 1."""
+    return d == 0 and tail[:1] == (1,)
 
 
 def gf(k: int, n: int, d: int) -> Gf:
-    """Generating function of class-k objects with first row at most n, by
-    a depth-first sum over rows.  The sum over the rows below a row depends
-    only on what _next_rows and the d = 0 factor read of it, its parts
-    after the first, so it is computed once per such tail; no object is
-    built."""
+    """Generating function of class-k objects with first row at most n,
+    summed over bounds rather than over rows; no object or row is built.
+
+    C(tau) sums over the chains of rows below a row whose parts after the
+    first are tau, the empty chain included.  A row of length L under it
+    has first part f = L + k < tau_1, and its parts after the first form
+    a weakly decreasing sigma with 1 <= sigma_j <= b_j, where b_j is the
+    least of f and tau_2 - 1, ..., tau_(j+1) - 1.  Each part's factor
+    reads only its value and position (_pq), so C(tau) is the end
+    factor plus R x^w(f) S(b) over L, where S(b) sums x^w(sigma) C(sigma)
+    over those sigma.  G(j, v) is that sum with all but the last j
+    coordinates of sigma fixed to v: a prefix sum over the value of the
+    first free coordinate of G(j - 1, .), each prefix memoized, and
+    S(b) = G(len(b), b).  The top row lies under the tail
+    (n + k + 1,) * n, which no row can have.
+    """
     _check_class(k, n)
     _check_d(k, d)
-    memo = {}
+    below = {}  # C: tail -> {(p, q, r): coeff}
+    sums = {}  # G: (j, v) -> {(p, q, r): coeff}
+    # the factor of a row's first part, L + k at position 1, by length L
+    heads = [_pq(((length + k,),), d) for length in range(n + 1)]
+    one, factor = Gf.one().terms, Gf.p_plus_q_minus_1().terms
 
-    def chains(above):
-        # {(p, q, r): coeff} over every chain of rows below `above`; the
-        # empty chain ends the object at `above` (None: the empty object)
-        key = None if above is None else above[1:]
-        if key in memo:
-            return memo[key]
-        end = Gf.p_plus_q_minus_1() if _has_factor(above or (), d) else Gf.one()
-        out = dict(end.terms)
-        for row in _next_rows(k, n, above):
-            p, q = _pq((row,), d)
-            for (ep, eq, er), c in chains(row).items():
+    def chains(tail):
+        if tail in below:
+            return below[tail]
+        # the empty chain ends the object here (d = 0: the (P+Q-1) factor
+        # when the row's second part is 1)
+        out = dict(factor if _has_factor(tail, d) else one)
+        # part t + 1 of a row sits under part t + 2 of the row above
+        caps = list(itertools.accumulate((v - 1 for v in tail[1:]), min))
+        for length in range(1, len(tail) + 1):
+            first = length + k
+            if first >= tail[0] or (length > 1 and caps[length - 2] < 1):
+                break
+            bound = tuple(min(first, c) for c in caps[:length - 1])
+            p, q = heads[length]
+            for (ep, eq, er), c in fill(length - 1, bound).items():
                 e = (ep + p, eq + q, er + 1)  # each row adds one R
                 out[e] = out.get(e, 0) + c
-        memo[key] = out
+        below[tail] = out
         return out
 
-    return Gf(chains(None))
+    def fill(j, v):
+        key = (j, v)
+        if key in sums:
+            return sums[key]
+        if not j:
+            p, q = _pq((v,), d, start=2)  # v: a row's parts after the first
+            out = sums[key] = {(ep + p, eq + q, er): c
+                               for (ep, eq, er), c in chains(v).items()}
+            return out
+        i = len(v) - j
+        head, rest = v[:i], v[i + 1:]
+        # coordinate i set to c = 1..v_i and the later ones clamped to it:
+        # G(j, .) of these are the prefix sums of G(j - 1, .), so start
+        # above the highest one memoized (v itself is not)
+        lowered = [head + (c,) + tuple(min(x, c) for x in rest)
+                   for c in range(1, v[i] + 1)]
+        start = len(lowered) - 1
+        while start and (j, lowered[start - 1]) not in sums:
+            start -= 1
+        out = sums[(j, lowered[start - 1])] if start else {}
+        for u in lowered[start:]:
+            out = dict(out)
+            for e, x in fill(j - 1, u).items():
+                out[e] = out.get(e, 0) + x
+            sums[(j, u)] = out
+        return out
+
+    return Gf(chains((n + k + 1,) * n))
 
 
 def pretty(c: Cssp) -> str:

@@ -10,13 +10,15 @@ at each point and which over polynomial entries is only the independent
 reference.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
-types; nothing in this package ever touches floating point.
+types; nothing in this package ever touches floating point.  The type
+checks accept any ``numbers.Rational``, and ``fractions`` is imported only
+where a Fraction is made, so the integer routes never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from numbers import Rational
 from operator import add, sub
 
 from .errors import NonDivisibleError
@@ -82,7 +84,7 @@ def _divide_sparse(num, den, coeff_div):
 def _exact(value):
     """value unchanged if it is an int or a Fraction; evaluation points
     must be exact, as coefficients must."""
-    if not isinstance(value, (int, Fraction)):
+    if not isinstance(value, (int, Rational)):
         raise TypeError(f"evaluation point {value!r} is not an int or a "
                         f"Fraction")
     return value
@@ -100,7 +102,7 @@ class MPoly:
     """
 
     __slots__ = ("vars", "terms")
-    _scalars = (int, Fraction)
+    _scalars = (int, Rational)
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
@@ -266,7 +268,10 @@ class MPoly:
             total += term
         return total
 
-    _divide_coeff = staticmethod(lambda x, y, _rem: Fraction(x, y))
+    @staticmethod
+    def _divide_coeff(x, y, _rem):
+        from fractions import Fraction
+        return Fraction(x, y)
 
     def exact_divide(self, other) -> "MPoly":
         """Exact division in the polynomial ring; NonDivisibleError otherwise."""
@@ -432,6 +437,7 @@ def _exact_div_element(a, b):
     if type(a) is not int or type(b) is not int:
         if isinstance(a, MPoly):
             return a.exact_divide(b)
+        from fractions import Fraction
         if isinstance(a, Fraction) or isinstance(b, Fraction):
             return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)

@@ -47,13 +47,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cssp import Cssp
-from .cssp import validate as validate_cssp
 from .detform import k_form
 from .errors import NotInImageError, OutOfRangeError
 from .exactalg import Gf, det_gf
+
+if TYPE_CHECKING:
+    from .cssp import Cssp
 
 
 class LatticePath(NamedTuple):
@@ -142,6 +143,7 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     """Inverse correspondence; NotInImageError if the heights do not
     assemble into a class-(l-1) object (cannot happen for vertex-disjoint
     families)."""
+    from .cssp import Cssp, validate  # only here: gf paths never loads it
     rows = []
     for p in f.paths:
         problem = validate_path(p)
@@ -151,7 +153,7 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
         parts = [first] + [h + 1 for h in reversed(p.west_heights())]
         rows.append(tuple(parts))
     c = Cssp(l - 1, tuple(rows))
-    problem = validate_cssp(c)
+    problem = validate(c)
     if problem:
         raise NotInImageError(problem)
     return c

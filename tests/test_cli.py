@@ -228,6 +228,25 @@ class TestVerify:
         assert out.endswith("12/12 checks passed\n")
         assert calls == []
 
+    def test_main_prints_both_sides_only_on_failure(self, capsys,
+                                                    monkeypatch):
+        from altsign import cli, cssp, trapezoid
+        assert cli._check_main((2, 3, 1)) == (True, ())
+        cssp_gf = cssp.gf
+
+        def off_by_one(k, n, d):
+            return cssp_gf(k, n, d) + (n == 2 and k == 1 and d == 1)
+
+        monkeypatch.setattr(cssp, "gf", off_by_one)
+        code, out = run(capsys, "verify", "main", "--n-max", "2",
+                        "--l-max", "2")
+        lhs = trapezoid.gf(2, 2)
+        assert code == 1
+        assert out.endswith(f"PASS main (n=2, l=2, d=0)\n"
+                            f"FAIL main (n=2, l=2, d=1)\n"
+                            f"     {lhs}\n     {lhs + 1}\n"
+                            f"5/6 checks passed\n")
+
     def test_main_takes_each_ast_gf_once(self, capsys, monkeypatch):
         # the d of one (n, l) share the trapezoid side
         from altsign import trapezoid
@@ -354,26 +373,36 @@ def _fresh_process(code, *argv):
     return done.stdout
 
 
-# Modules that neither `count` nor `gf det` runs: every op is a fresh
-# process, so loading one is start-up time spent for nothing.  No command
-# loads dataclasses (with inspect, ast and dis behind it): the object
-# classes of the enumeration routes are named tuples.
-UNUSED_BY_DET = ("concurrent.futures", "multiprocessing",
-                 "xml.etree.ElementTree", "json", "altsign.cssp",
-                 "altsign.trapezoid", "altsign.sttree", "altsign.pathfam",
-                 "altsign.operatorform", "dataclasses")
+# Modules that a command does not run: every op is a fresh process, so
+# loading one is start-up time spent for nothing.  No command loads
+# dataclasses (with inspect, ast and dis behind it): the object classes of
+# the enumeration routes are named tuples.  Only the operator route makes
+# a Fraction, so no other route loads fractions (with decimal behind it),
+# and gf paths, which never sums over CSSPPs, does not load cssp.
+NO_FRACTIONS = ("dataclasses", "fractions", "decimal")
+UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
+                                "xml.etree.ElementTree", "json",
+                                "altsign.cssp", "altsign.trapezoid",
+                                "altsign.sttree", "altsign.pathfam",
+                                "altsign.operatorform")
+COMMANDS = [
+    (("count", "--n", "3", "--l", "2"), UNUSED_BY_DET),
+    (("gf", "det", "--n", "3", "--l", "3"), UNUSED_BY_DET),
+    (("gf", "ast", "--n", "3", "--l", "2"), NO_FRACTIONS),
+    (("gf", "cssp", "--k", "2", "--n", "4", "--d", "1"), NO_FRACTIONS),
+    (("gf", "paths", "--n", "3", "--l", "3", "--d", "1"),
+     NO_FRACTIONS + ("altsign.cssp",)),
+    # these load what the others leave out, and still run
+    (("gf", "operator", "--n", "2", "--l", "3"), ("dataclasses",)),
+    (("enumerate", "cssp", "--k", "1", "--n", "2"), ("dataclasses",)),
+    (("verify", "bijections", "--n-max", "2", "--l-max", "3"),
+     ("dataclasses",)),
+]
 
 
-@pytest.mark.parametrize("argv", [("count", "--n", "3", "--l", "2"),
-                                  ("gf", "det", "--n", "3", "--l", "3"),
-                                  ("gf", "ast", "--n", "3", "--l", "2"),
-                                  ("gf", "cssp", "--k", "2", "--n", "4",
-                                   "--d", "1"),
-                                  ("gf", "paths", "--n", "3", "--l", "3",
-                                   "--d", "1")])
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_a_command_loads_only_what_it_runs(argv):
-    unused = (UNUSED_BY_DET if argv[0] == "count" or argv[1] == "det"
-              else ("dataclasses",))
+    unused = dict(COMMANDS)[argv]
     probe = ("import sys\n"
              "if sys.argv[1:]:\n"
              "    from altsign.cli import main\n"

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from altsign import cssp, trapezoid
+from altsign import cssp, detform, trapezoid
 from altsign.cssp import (Cssp, CsspStats, cssp_class, enumerate_cssps,
                           from_json, gf, pretty, stats, structure_violation,
                           to_json, validate, weight)
@@ -210,8 +210,35 @@ class TestInterfaces:
         assert pretty(Cssp(1, ())) == "(empty)"
 
 
-# --- oracles: copies of the top-row loop, the cell-by-cell row filler and
-# the two part scans that the row generator and the one p/q rule replaced
+# --- oracles: copies of the top-row loop, the cell-by-cell row filler,
+# the two part scans that the row generator and the one p/q rule replaced,
+# and the row DP that the sum over bounds replaced
+
+def _row_dp(k, n, d):
+    """gf(k, n, d) as a depth-first sum over rows, memoized on a row's
+    parts after the first: one step per (row tail, next row) pair."""
+    memo = {}
+
+    def chains(above):
+        key = None if above is None else above[1:]
+        if key in memo:
+            return memo[key]
+        end = (Gf.p_plus_q_minus_1() if cssp._has_factor(key or (), d)
+               else Gf.one())
+        out = dict(end.terms)
+        for row in cssp._next_rows(k, n, above):
+            p, q = cssp._pq((row,), d)
+            for (ep, eq, er), c in chains(row).items():
+                e = (ep + p, eq + q, er + 1)
+                out[e] = out.get(e, 0) + c
+        memo[key] = out
+        return out
+
+    return Gf(chains(None))
+
+
+ORACLE_CASES = [(k, n, d) for k in range(0, 6) for n in range(0, 6)
+                for d in range(0, k + 1)] + [(3, 6, d) for d in range(4)]
 
 def _fill_row(length, first, above):
     row = [first] + [0] * (length - 1)
@@ -287,6 +314,29 @@ class TestOracles:
                 got = gf(k, n, d)
                 assert got == expected, (k, n, d)
                 assert str(got) == str(expected), (k, n, d)
+
+    def test_bound_sum_matches_row_dp(self):
+        for k, n, d in ORACLE_CASES:
+            got, expected = gf(k, n, d), _row_dp(k, n, d)
+            assert got == expected, (k, n, d)
+            assert str(got) == str(expected), (k, n, d)
+
+    def test_bound_sum_matches_row_dp_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(hypothesis.strategies.sampled_from(ORACLE_CASES))
+        def check(case):
+            got, expected = gf(*case), _row_dp(*case)
+            assert got == expected and str(got) == str(expected)
+
+        check()
+
+    def test_bound_sum_matches_determinant_at_n6(self):
+        # class 4, first row at most 6: the (6, 5)-trapezoids
+        expected = detform.gf_det(6, 5)
+        for d in range(0, 5):
+            assert gf(4, 6, d) == expected, d
 
     def test_enumeration_matches_cell_search(self):
         for k in range(0, 5):
