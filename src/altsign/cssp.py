@@ -216,19 +216,18 @@ def gf(k: int, n: int, d: int) -> Gf:
         i = len(v) - j
         head, rest = v[:i], v[i + 1:]
         # coordinate i set to c = 1..v_i and the later ones clamped to it:
-        # G(j, .) of these are the prefix sums of G(j - 1, .), so start
-        # above the highest one memoized (v itself is not)
-        lowered = [head + (c,) + tuple(min(x, c) for x in rest)
-                   for c in range(1, v[i] + 1)]
-        start = len(lowered) - 1
-        while start and (j, lowered[start - 1]) not in sums:
-            start -= 1
-        out = sums[(j, lowered[start - 1])] if start else {}
-        for u in lowered[start:]:
+        # G(j, .) of these are the prefix sums of G(j - 1, .), and a
+        # memoized one was memoized with every prefix below it
+        out = {}
+        for c in range(1, v[i] + 1):
+            u = head + (c,) + tuple(min(x, c) for x in rest)
+            if (j, u) in sums:
+                out = sums[j, u]
+                continue
             out = dict(out)
             for e, x in fill(j - 1, u).items():
                 out[e] = out.get(e, 0) + x
-            sums[(j, u)] = out
+            sums[j, u] = out
         return out
 
     return Gf(chains((n + k + 1,) * n))

@@ -1,13 +1,10 @@
 """Exact arithmetic kernel: generalized binomial coefficients, one sparse
 multivariate polynomial type with exact coefficients (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
-(``Gf``), and two determinants: ``det_gf``, the one kernel of both
-determinant routes, which takes a ``Gf`` determinant whose entries are
-affine in P R, R and Q as integer determinants at the lattice points of a
-simplex followed by Newton interpolation, and fraction-free (Bareiss)
-elimination over any of these entry types, which ``det_gf`` runs over ints
-at each point and which over polynomial entries is only the independent
-reference.
+(``Gf``), Bareiss elimination over ints, and the determinant of a ``Gf``
+matrix affine in P R, R and Q, the form of both determinant routes, as
+integer determinants at the lattice points of a simplex: ``det_gf``
+interpolates them, ``det_agrees`` compares a polynomial with them.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.  The type
@@ -19,7 +16,7 @@ from __future__ import annotations
 
 from math import comb
 from numbers import Rational
-from operator import add, sub
+from operator import add, index, sub
 
 from .errors import NonDivisibleError
 
@@ -379,11 +376,11 @@ class Gf(MPoly):
     def __mul__(self, other):
         # The one body of its own: adding the three exponent slots by hand
         # beats the generic tuple sum on the many small products of the
-        # weights, the path matrix and verify coeff's Bareiss reference (ms,
-        # best of 5 in process, 5 runs, Python 3.11, 2 cores, against
-        # MPoly.__mul__): trapezoid.gf(7, 5) 253-309 vs 321-383,
-        # verify_coeff_route(8, 4) 163-227 vs 264-328, gf_via_paths(16, 4, 1)
-        # 590-698 vs 579-782; verify coeff's n <= 5 sweep 64-104 vs 97-122.
+        # weights and the path matrix (ms, best of 3-5 in process, 5 runs,
+        # Python 3.11, 2 cores, against MPoly.__mul__): trapezoid.gf(7, 5)
+        # 248-327 vs 280-363, trapezoid.gf at n = 4, 5 and l = 2..4 25-36
+        # vs 27-42, path_matrix(16, 4, 1) 15-24 vs 26-36; verify
+        # bijections' check at n, l <= 4 is even, 179-214 vs 173-211.
         if type(other) is not Gf:
             return MPoly.__mul__(self, other)
         out = {}
@@ -431,43 +428,22 @@ def gf_from_mpoly(p: MPoly) -> Gf:
     return Gf._make(_PQR, {e: int(c) for e, c in terms.items()})
 
 
-def _exact_div_element(a, b):
-    # ints first: det_gf runs integer Bareiss at every point, and
-    # the ABC isinstance checks below cost more than the division itself
-    if type(a) is not int or type(b) is not int:
-        if isinstance(a, MPoly):
-            return a.exact_divide(b)
-        from fractions import Fraction
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            return Fraction(a) / Fraction(b)
-    q, r = divmod(a, b)
-    if r:
-        raise NonDivisibleError(f"{a} not divisible by {b}", remainder=r)
-    return q
+def det_fraction_free(matrix) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.  Each
+    step divides exactly by the previous pivot; a nonzero remainder raises
+    NonDivisibleError, which python -O keeps.  A zero pivot is swapped with
+    a row below, and a column with none is a determinant of 0.  TypeError
+    on any entry that is not an int; the 0x0 determinant is 1.
 
-
-def det_fraction_free(matrix):
-    """Determinant of a square matrix of int, Fraction or MPoly (Gf
-    included) entries by Bareiss elimination.  Each step divides exactly by
-    the previous pivot, so no rational functions appear.  A zero pivot is
-    swapped with a row below; if none is nonzero the result is the zero of
-    the entry type.  The 0x0 determinant is the int 1.
-
-    Over ints it is det_gf's determinant at each lattice point and
-    detform.count.  Over Gf it is only the independent elimination that
-    det_gf is checked against, in verify coeff and the tests.
+    It is det_gf's determinant at each lattice point and detform.count.
     """
     n = len(matrix)
-    if n == 0:
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    m = [list(map(index, row)) for row in matrix]  # TypeError on a non-int
+    if not n:
         return 1
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 1:
-        return matrix[0][0]
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = None  # pivot of the previous sweep; None means divide by one
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -476,15 +452,17 @@ def det_fraction_free(matrix):
                     sign = -sign
                     break
             else:
-                return matrix[0][0] - matrix[0][0]
-        pivot = m[k][k]
-        for i in range(k + 1, n):
+                return 0
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                t = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = t if prev is None else _exact_div_element(t, prev)
+                row[j], r = divmod(row[j] * pivot - a * top[j], prev)
+                if r:
+                    raise NonDivisibleError("step not divisible", remainder=r)
         prev = pivot
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    return m[-1][-1] if sign == 1 else -m[-1][-1]
 
 
 def forward_differences(values) -> list:
@@ -538,17 +516,10 @@ def _simplex_lines(c: dict, top: int, step) -> None:
 _AFFINE = ((0, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0))
 
 
-def det_gf(matrix) -> Gf:
-    """Determinant of a square Gf matrix whose entries are affine in
-    x = P R, y = R and z = Q, as K(n) + R X is in both determinant routes;
-    ValueError on a ragged matrix or any other monomial; Gf.one() if empty.
-
-    Of order n, the determinant has total degree <= n in x, y, z, so its
-    integer values (det_fraction_free) at the C(n+3, 3) lattice points
-    x + y + z <= n determine it (Chung and Yao 1977).  Newton interpolation
-    on that simplex (_simplex_lines) raises NonDivisibleError on a
-    non-integer coordinate, and x^a y^c z^b is P^a Q^b R^(a+c).
-    """
+def _simplex_dets(matrix) -> dict:
+    """{(x, y, z): det_fraction_free of matrix at x = P R, y = R, z = Q}
+    over the lattice points x + y + z <= n, the order of matrix, whose
+    entries must be affine in x, y and z (else ValueError)."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -566,6 +537,33 @@ def det_gf(matrix) -> Gf:
                     [[c0 + x * cx + y * cy + z * cz
                       for c0, cx, cy, cz in zip(*rows)]
                      for rows in zip(*layers)])
-    _simplex_lines(values, n, _newton_coordinates)
-    _simplex_lines(values, n, _monomials)
+    return values
+
+
+def det_gf(matrix) -> Gf:
+    """Determinant of a square Gf matrix whose entries are affine in
+    x = P R, y = R and z = Q, as K(n) + R X is in both determinant routes;
+    ValueError on a ragged matrix or any other monomial; Gf.one() if empty.
+
+    Of order n, the determinant has total degree <= n in x, y, z, so its
+    integer values at the C(n+3, 3) lattice points x + y + z <= n
+    (_simplex_dets) determine it (Chung and Yao 1977).  Newton
+    interpolation on that simplex (_simplex_lines) raises NonDivisibleError
+    on a non-integer coordinate, and x^a y^c z^b is P^a Q^b R^(a+c).
+    """
+    values = _simplex_dets(matrix)
+    _simplex_lines(values, len(matrix), _newton_coordinates)
+    _simplex_lines(values, len(matrix), _monomials)
     return Gf({(a, b, a + c): v for (a, c, b), v in values.items()})
+
+
+def det_agrees(matrix, g: Gf) -> bool:
+    """Whether g is det(matrix), for a matrix det_gf takes: g has total
+    degree <= n in x = P R, y = R and z = Q (no term P^p Q^q R^r with p > r
+    or q + r > n) and equals the integer determinant at each point
+    x + y + z <= n, which determine a polynomial of that degree."""
+    if any(p > r or q + r > len(matrix) for p, q, r in g.terms):
+        return False
+    return all(v == sum(c * x ** p * y ** (r - p) * z ** q
+                        for (p, q, r), c in g.terms.items())
+               for (x, y, z), v in _simplex_dets(matrix).items())

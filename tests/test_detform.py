@@ -2,11 +2,13 @@ from math import comb
 
 import pytest
 
-from altsign import cssp, exactalg, operatorform, pathfam, trapezoid
+from altsign import (cssp, detform, exactalg, operatorform, pathfam,
+                     trapezoid)
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
-from altsign.exactalg import Gf, binomial, det_fraction_free
+from altsign.exactalg import Gf, binomial
+from test_exactalg import det_bareiss, det_cofactor
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
@@ -128,23 +130,37 @@ class TestCoeffRoute:
         assert verify_coeff_route(3, 4)
 
     def test_dets_equal(self):
-        for n in range(1, 4):
+        for n in range(1, 5):
             for l in range(2, 6):
-                assert det_fraction_free(coeff_matrix(n, l)) == \
-                    det_fraction_free(det_matrix(n, l)), (n, l)
+                assert det_cofactor(coeff_matrix(n, l)) == \
+                    det_cofactor(det_matrix(n, l)), (n, l)
+
+    def test_changed_entry_fails(self, monkeypatch):
+        # one coefficient-matrix entry off by R changes the determinant
+        R = Gf.monomial(r=1)
+        for n, l in ((1, 2), (3, 4), (5, 3)):
+            assert verify_coeff_route(n, l)
+            m = coeff_matrix(n, l)
+            m[n - 1][n - 1] += R
+            monkeypatch.setattr(detform, "coeff_matrix", lambda *_: m)
+            assert not verify_coeff_route(n, l), (n, l)
+            monkeypatch.undo()
 
 
 class TestKMatrix:
     def test_determinant_is_one(self):
+        # lower triangular with ones on the diagonal
         for n in range(0, 9):
-            assert det_fraction_free(k_matrix(n)) == 1, n
+            k = k_matrix(n)
+            assert all(k[i][j] == (i == j) for i in range(n)
+                       for j in range(i, n)), n
 
 
 class TestDetMatrix:
     def test_same_determinant_as_the_summed_matrix(self):
         for n in range(0, 7):
             for l in range(1, 9):
-                assert det_fraction_free(summed_matrix(n, l)) == \
+                assert det_bareiss(summed_matrix(n, l)) == \
                     gf_det(n, l), (n, l)
 
     def test_is_k_times_the_summed_matrix(self):

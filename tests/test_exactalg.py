@@ -7,8 +7,8 @@ import pytest
 
 from altsign.errors import NonDivisibleError
 from altsign.exactalg import (Gf, MPoly, _monomials, _newton_coordinates,
-                              binomial, det_fraction_free, det_gf,
-                              gf_from_mpoly)
+                              binomial, det_agrees, det_fraction_free,
+                              det_gf, gf_from_mpoly)
 from test_operatorform import _run_optimized
 
 
@@ -31,6 +31,34 @@ def det_cofactor(m):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def det_bareiss(m):
+    """Bareiss elimination over polynomial entries, each step divided by the
+    previous pivot through exact_divide: the determinant oracle beyond the
+    orders det_cofactor reaches, independent of det_gf's interpolation."""
+    n = len(m)
+    m = [list(row) for row in m]
+    sign = 1
+    prev = None  # pivot of the previous sweep; None means divide by one
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = m[i][j] * pivot - m[i][k] * m[k][j]
+                m[i][j] = t if prev is None else t.exact_divide(prev)
+        prev = pivot
+    if not n:
+        return 1
+    return m[-1][-1] if sign == 1 else -m[-1][-1]
 
 
 class TestBinomial:
@@ -232,8 +260,8 @@ class TestDeterminant:
         m = [[R + one, R],
              [R * (P + Q + 2 * one), R * (P + Q + 3 * one) + one]]
         expected = (R * R + 4 * R + P * R + Q * R + one)
-        assert det_fraction_free(m) == expected
         assert det_cofactor(m) == expected
+        assert det_bareiss(m) == expected
         # Q R is not affine in P R, R and Q
         with pytest.raises(ValueError):
             det_gf(m)
@@ -253,17 +281,74 @@ class TestDeterminant:
                 det_gf([[Gf.one(), entry], [R, Q]])
 
     def test_equal_rows_zero(self):
-        x = var("x1")
-        m = [[x, x + 1], [x, x + 1]]
-        assert det_fraction_free(m) == MPoly.constant(0)
+        # equal rows, and a column with no nonzero pivot, give the int 0
+        for m in ([[3, -4], [3, -4]], [[2, 0, 1], [5, 0, 7], [1, 0, 4]],
+                  [[0, 1, 2], [0, 3, 4], [0, 5, 6]]):
+            d = det_fraction_free(m)
+            assert d == 0 and type(d) is int, m
 
     def test_against_cofactor_random(self):
+        # mostly zero entries force pivot swaps; large ones keep the exact
+        # division honest beyond machine words
         rng = random.Random(23)
+        for n in range(1, 6):
+            for _ in range(20):
+                m = [[rng.choice((0, 0, 0, 1, -1, 2, 3 ** 40, -(5 ** 30)))
+                      for _ in range(n)] for _ in range(n)]
+                assert det_fraction_free(m) == det_cofactor(m), m
+
+    def test_only_int_entries(self):
+        # no Fraction or polynomial is eliminated, not even at order one
+        for bad in (Fraction(1, 2), Fraction(3), Gf.one(), Gf.monomial(q=1),
+                    var("x1"), MPoly.constant(2)):
+            with pytest.raises(TypeError):
+                det_fraction_free([[bad]])
+            with pytest.raises(TypeError):
+                det_fraction_free([[1, 2], [bad, 4]])
+        assert det_fraction_free([[True, 2], [0, True]]) == 1
+
+    def test_bareiss_oracle_against_cofactor(self):
+        # the tests' polynomial oracle, on the matrices the kernel refuses
+        rng = random.Random(29)
         for n in range(1, 5):
             for _ in range(8):
                 m = [[random_poly(rng, ("x1", "P")) for _ in range(n)]
                      for _ in range(n)]
-                assert det_fraction_free(m) == det_cofactor(m)
+                assert det_bareiss(m) == det_cofactor(m)
+        x = var("x1")
+        assert det_bareiss([[x, x + 1], [x, x + 1]]) == 0
+
+    def test_agreement_check(self):
+        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
+        one = Gf.one()
+        m = [[R + one, P * R - Q, R], [2 * Q + R, one - P * R, Q],
+             [one, 3 * R, P * R + Q]]
+        d = det_cofactor(m)
+        assert det_agrees(m, d) and det_gf(m) == d
+        assert not det_agrees(m, d + one)
+        assert not det_agrees(m, d + P)  # not a polynomial in P R, R, Q
+        with pytest.raises(ValueError, match="not affine"):
+            det_agrees([[Q * R]], Q)
+        assert det_agrees([], one) and not det_agrees([], R)
+
+    def test_agreement_refuses_a_term_of_too_high_degree(self):
+        # v (v - 1) ... (v - n) for v = x = P R, y = R or z = Q vanishes at
+        # every simplex point x + y + z <= n, so only the degree bound tells
+        # g plus it from g
+        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
+        one = Gf.one()
+        for m in ([[R + one, P * R - Q], [2 * Q + R, one - P * R]],
+                  [[one, Q, R], [P * R, one, Q], [R, R, one + P * R]]):
+            n, d = len(m), det_cofactor(m)
+            assert det_agrees(m, d)
+            for v, at in ((P * R, lambda c: (c, 1, 1)),
+                          (R, lambda c: (1, 1, c)), (Q, lambda c: (1, c, 1))):
+                vanishing = one
+                for c in range(n + 1):
+                    vanishing *= v - c
+                assert all(vanishing.evaluate(*at(c)) == 0
+                           for c in range(n + 1))
+                assert not det_agrees(m, d + vanishing), (n, v)
 
     def test_int_matrix(self):
         rng = random.Random(5)

@@ -9,8 +9,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from altsign.exactalg import (Gf, MPoly, det_fraction_free,  # noqa: E402
+from altsign.exactalg import (Gf, MPoly, det_agrees,  # noqa: E402
                               det_gf, gf_from_mpoly)
+from test_exactalg import det_cofactor  # noqa: E402
 
 props = settings(max_examples=40, deadline=None)
 
@@ -157,5 +158,6 @@ def test_grid_determinant_matches_elimination(m, singular):
     else:
         singular = ""
     d = det_gf(m)
-    assert d == det_fraction_free(m)
+    assert d == det_cofactor(m)
+    assert det_agrees(m, d) and not det_agrees(m, d + 1)
     assert not singular or d == 0

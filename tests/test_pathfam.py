@@ -6,7 +6,7 @@ import pytest
 from altsign import cssp, detform, trapezoid
 from altsign.cssp import Cssp, enumerate_cssps
 from altsign.errors import NotInImageError, OutOfRangeError
-from altsign.exactalg import Gf, det_fraction_free
+from altsign.exactalg import Gf
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, det_matrix, families_svg,
                              from_json,
@@ -14,6 +14,7 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              path_matrix, path_weight, paths_for_index,
                              paths_to_cssp,
                              to_json, write_families_svg)
+from test_exactalg import det_bareiss
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
@@ -238,12 +239,12 @@ class TestGfViaPaths:
                 assert gf_via_paths(n, l, 1) == detform.gf_det(n, l), (n, l)
 
     def test_matches_determinant_to_n10(self):
-        # the grid kernel on the K-form against Bareiss over Gf on the
-        # Gessel-Viennot matrix I + R*M itself
+        # the grid kernel on the K-form against the tests' Bareiss over
+        # Gf on the Gessel-Viennot matrix I + R*M itself
         r = Gf.monomial(r=1)
         for n in range(7, 11):
             m = path_matrix(n, 4, 1)
-            assert gf_via_paths(n, 4, 1) == det_fraction_free(
+            assert gf_via_paths(n, 4, 1) == det_bareiss(
                 [[int(u == v) + r * m[u][v] for v in range(n)]
                  for u in range(n)]), n
 
