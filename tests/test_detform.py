@@ -152,7 +152,7 @@ class TestKMatrix:
         # lower triangular with ones on the diagonal
         for n in range(0, 9):
             k = k_matrix(n)
-            assert all(k[i][j] == (i == j) for i in range(n)
+            assert all(k[i][j] == int(i == j) for i in range(n)
                        for j in range(i, n)), n
 
 
