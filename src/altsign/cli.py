@@ -4,6 +4,10 @@ Subcommands: ``enumerate`` (ast / cssp / sttree), ``gf`` (ast / cssp / det /
 operator / paths), ``count``, ``tpoly``, ``verify`` (main / truncated /
 qast / asymm / asym / coeff / bijections), and ``svg paths``.
 
+The tables in COMMANDS name the flags each route, family or identity reads;
+the parsers, defaults, required flags and dispatch come from them, and a
+flag that the chosen row does not read exits 2.
+
 Verification subcommands print one PASS/FAIL line per parameter tuple plus
 a summary and exit 1 on any failure or when no check ran; argument errors
 exit 2.  Output for a fixed command line (including --seed) is
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import os
 import sys
@@ -51,6 +56,55 @@ def _parse_int_list(text):
     if not text:
         return ()
     return tuple(int(x) for x in text.split(","))
+
+
+# flag -> (its add_argument keywords, its value when the chosen row reads it
+# and the command line leaves it out; None: the row requires it)
+FLAGS = {
+    "--n": ({"type": int}, None),
+    "--l": ({"type": int}, None),
+    "--k": ({"type": int}, None),
+    "--d": ({"type": int}, 1),
+    "--s": ({"type": _parse_int_list}, ()),
+    "--t": ({"type": _parse_int_list}, ()),
+    "--b": ({"type": _parse_int_list}, None),
+    "--format": ({"choices": ("text", "json")}, "text"),
+    "--n-max": ({"type": int}, 3),
+    "--l-max": ({"type": int}, 5),
+    "--samples": ({"type": int}, 100),
+    "--seed": ({"type": int}, 2024),
+    "--jobs": ({"type": int}, 1),
+    "--out": ({}, None),
+}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _call(row, args):
+    """The row's (module, function, flags) call on the flags' values."""
+    module, function, flags = row
+    fn = getattr(importlib.import_module(f".{module}", __package__), function)
+    return fn(*(getattr(args, _dest(flag)) for flag in flags))
+
+
+# route -> (module, function, the flags of its arguments in call order)
+GF_ROUTES = {
+    "ast": ("trapezoid", "gf", ("--n", "--l")),
+    "cssp": ("cssp", "gf", ("--k", "--n", "--d")),
+    "det": ("detform", "gf_det", ("--n", "--l")),
+    "operator": ("operatorform", "gf_ast_via_operator", ("--n", "--l")),
+    "paths": ("pathfam", "gf_via_paths", ("--n", "--l", "--d")),
+}
+
+# family -> (module, its enumerator, the flags of its arguments in call
+# order); the module's to_json and pretty print the objects
+FAMILIES = {
+    "ast": ("trapezoid", "enumerate_trapezoids", ("--n", "--l")),
+    "cssp": ("cssp", "enumerate_cssps", ("--k", "--n")),
+    "sttree": ("sttree", "enumerate_sttrees", ("--n", "--s", "--t", "--b")),
+}
 
 
 # --- verification workers (top-level so process pools can pickle them) ----
@@ -134,75 +188,50 @@ def _n_l(args, l_min):
 
 
 # identity -> (the tasks its arguments call for, the check of one task, the
-# label of a task as a format string over the task's fields)
+# label of a task as a format string over the task's fields, the flags it
+# reads besides --jobs)
 IDENTITIES = {
     "main": (lambda a: [(n, l, d) for n, l in _n_l(a, 1) for d in range(l)],
-             _check_main, "main (n={}, l={}, d={})"),
+             _check_main, "main (n={}, l={}, d={})", ("--n-max", "--l-max")),
     "truncated": (_random_tree_instances, _check_truncated,
-                  "truncated (n={}, s={}, t={}, b={})"),
+                  "truncated (n={}, s={}, t={}, b={})",
+                  ("--samples", "--seed")),
     "qast": (lambda a: [(n, part) for n in range(1, a.n_max + 1)
                         for part in ("count", "vanishing")],
-             _check_qast, "qast {1} (n={0})"),
+             _check_qast, "qast {1} (n={0})", ("--n-max",)),
     "asymm": (lambda a: [(n, x) for n in range(1, a.n_max + 1)
                          for x in itertools.product(range(4), repeat=n)],
-              _check_asymm, "asymM (n={}, x={})"),
+              _check_asymm, "asymM (n={}, x={})", ("--n-max",)),
     "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],
-             _check_asym, "asym lemma (n={}, samples={})"),
-    "coeff": (lambda a: _n_l(a, 2), _check_coeff, "coeff (n={}, l={})"),
+             _check_asym, "asym lemma (n={}, samples={})",
+             ("--n-max", "--samples", "--seed")),
+    "coeff": (lambda a: _n_l(a, 2), _check_coeff, "coeff (n={}, l={})",
+              ("--n-max", "--l-max")),
     "bijections": (lambda a: _n_l(a, 2), _check_bijections,
-                   "bijections (n={}, l={})"),
+                   "bijections (n={}, l={})", ("--n-max", "--l-max")),
 }
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- subcommand handlers: each takes the chosen table row ------------------
 
-def _cmd_enumerate(args, out):
-    if args.family == "ast":
-        from . import trapezoid
-        objs = trapezoid.enumerate_trapezoids(args.n, args.l)
-        to_json = trapezoid.to_json
-        text = lambda t: "\n".join(" ".join(f"{e:2d}" for e in row)
-                                   for row in t.rows)
-    elif args.family == "cssp":
-        from . import cssp
-        objs = cssp.enumerate_cssps(args.k, args.n)
-        to_json, text = cssp.to_json, cssp.pretty
-    else:
-        from . import sttree
-        lists = map(_parse_int_list, (args.s, args.t, args.b))
-        objs = sttree.enumerate_sttrees(args.n, *lists)
-        to_json = sttree.to_json
-        text = lambda tr: "\n".join(
-            " ".join("." if v is None else str(v) for v in row)
-            for row in tr.rows)
+def _cmd_enumerate(row, args, out):
+    objs = _call(row, args)
+    module = sys.modules[f"{__package__}.{row[0]}"]
     # build only the form that is printed
     if args.format == "json":
         import json
-        print(json.dumps([to_json(o) for o in objs], indent=2), file=out)
+        print(json.dumps([module.to_json(o) for o in objs], indent=2),
+              file=out)
         return 0
     for i, obj in enumerate(objs):
         print(f"# {i + 1}", file=out)
-        print(text(obj), file=out)
+        print(module.pretty(obj), file=out)
     print(f"total: {len(objs)}", file=out)
     return 0
 
 
-def _cmd_gf(args, out):
-    if args.route == "ast":
-        from . import trapezoid
-        g = trapezoid.gf(args.n, args.l)
-    elif args.route == "cssp":
-        from . import cssp
-        g = cssp.gf(args.k, args.n, args.d)
-    elif args.route == "det":
-        from . import detform
-        g = detform.gf_det(args.n, args.l)
-    elif args.route == "operator":
-        from . import operatorform
-        g = operatorform.gf_ast_via_operator(args.n, args.l)
-    else:
-        from . import pathfam
-        g = pathfam.gf_via_paths(args.n, args.l, args.d)
+def _cmd_gf(row, args, out):
+    g = _call(row, args)
     if args.format == "json":
         import json
         terms = [{"p": e[0], "q": e[1], "r": e[2], "coeff": c}
@@ -213,15 +242,14 @@ def _cmd_gf(args, out):
     return 0
 
 
-def _cmd_count(args, out):
-    from . import detform
-    print(detform.count(args.n, args.l), file=out)
+def _cmd_count(row, args, out):
+    print(_call(row, args), file=out)
     return 0
 
 
-def _cmd_tpoly(args, out):
+def _cmd_tpoly(row, args, out):
     from . import operatorform
-    p = operatorform.t_polynomial(args.n)
+    p = _call(row, args)
     coeffs = operatorform.falling_factorial_coeffs(p)
     ff = " + ".join(
         (f"{c}" if k == 0 else (f"{c}*(l)_{k}" if c != 1 else f"(l)_{k}"))
@@ -236,22 +264,42 @@ def _cmd_tpoly(args, out):
     return 0
 
 
-def _cmd_verify(args, out):
-    tasks_for, check, label = IDENTITIES[args.identity]
+def _cmd_verify(row, args, out):
+    tasks_for, check, label, _ = row
     tasks = tasks_for(args)
     results = _run_tasks(check, tasks, args.jobs)
     return _report([(label.format(*task), ok, detail)
                     for task, (ok, detail) in zip(tasks, results)], out)
 
 
-def _cmd_svg(args, out):
-    from . import pathfam
+def _cmd_svg(row, args, out):
     try:
-        drawn = pathfam.write_families_svg(args.out, args.n, args.l, args.d)
+        drawn = _call(row, args)
     except OSError as e:  # an --out that cannot be written is an argument error
         raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from e
     print(f"wrote {drawn} families to {args.out}", file=out)
     return 0
+
+
+# command -> (help, the positional argument that picks a row of its table,
+# or None for a command of one row; that table or row; the flags every row
+# reads besides its own; handler)
+COMMANDS = {
+    "enumerate": ("list objects", "family", FAMILIES, ("--format",),
+                  _cmd_enumerate),
+    "gf": ("generating function by one route", "route", GF_ROUTES,
+           ("--format",), _cmd_gf),
+    "count": ("number of trapezoids (determinant)", None,
+              ("detform", "count", ("--n", "--l")), (), _cmd_count),
+    "tpoly": ("trapezoid count as a polynomial in l", None,
+              ("operatorform", "t_polynomial", ("--n",)), ("--format",),
+              _cmd_tpoly),
+    "verify": ("cross-route verification sweeps", "identity", IDENTITIES,
+               ("--jobs",), _cmd_verify),
+    "svg": ("draw lattice path families", "what",
+            {"paths": ("pathfam", "write_families_svg",
+                       ("--out", "--n", "--l", "--d"))}, (), _cmd_svg),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,91 +309,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "plane partitions, and their generating functions "
                     "(exact arithmetic throughout).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, n=False, l=False, d=False, k=False):
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if l:
-            p.add_argument("--l", type=int, required=True)
-        if d:
-            p.add_argument("--d", type=int, default=1)
-        if k:
-            p.add_argument("--k", type=int)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("enumerate", help="list objects")
-    p.add_argument("family", choices=("ast", "cssp", "sttree"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", default="")
-    p.add_argument("--t", default="")
-    p.add_argument("--b", default="")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("gf", help="generating function by one route")
-    p.add_argument("route", choices=("ast", "cssp", "det", "operator", "paths"))
-    add_common(p, n=True, d=True, k=True)
-    p.add_argument("--l", type=int)
-    p.set_defaults(func=_cmd_gf)
-
-    p = sub.add_parser("count", help="number of trapezoids (determinant)")
-    add_common(p, n=True, l=True)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("tpoly", help="trapezoid count as a polynomial in l")
-    add_common(p, n=True)
-    p.set_defaults(func=_cmd_tpoly)
-
-    p = sub.add_parser("verify", help="cross-route verification sweeps")
-    p.add_argument("identity", choices=tuple(IDENTITIES))
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--l-max", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("svg", help="draw lattice path families")
-    p.add_argument("what", choices=("paths",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_svg)
-
+    for name, (help_, positional, table, common, handler) in COMMANDS.items():
+        # no prefixes: --l on verify would otherwise stand for --l-max
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        if positional:
+            p.add_argument(positional, choices=tuple(table))
+        rows = table.values() if positional else (table,)
+        for flag in dict.fromkeys(common + sum((r[-1] for r in rows), ())):
+            p.add_argument(flag, **FLAGS[flag][0])
+        p.set_defaults(func=handler)
     return parser
 
 
 def _validate_args(args, parser):
-    if args.command == "enumerate":
-        if args.family == "ast" and args.l is None:
-            parser.error("enumerate ast requires --l")
-        if args.family == "cssp" and args.k is None:
-            parser.error("enumerate cssp requires --k")
-        if args.family == "sttree" and not args.b:
-            parser.error("enumerate sttree requires --b")
-    if args.command == "gf":
-        if args.route == "cssp":
-            if args.k is None:
-                parser.error("gf cssp requires --k")
-        elif args.l is None:
-            parser.error(f"gf {args.route} requires --l")
-    paths = args.command == "svg" or (args.command == "gf"
-                                      and args.route == "paths")
-    if paths and args.l is not None and not 0 <= args.d <= args.l - 1:
-        parser.error(f"{args.command} paths requires 0 <= d <= l-1")
+    """The chosen row, once each flag it reads has its value: exits 2 on a
+    flag it does not read or on a missing one that it requires."""
+    _, positional, table, common, _ = COMMANDS[args.command]
+    choice = getattr(args, positional) if positional else None
+    row = table[choice] if positional else table
+    name = f"{args.command} {choice}" if positional else args.command
+    reads = common + row[-1]
+    for flag, (_, default) in FLAGS.items():
+        value = getattr(args, _dest(flag), None)  # None: not given or no flag
+        if flag not in reads and value is not None:
+            parser.error(f"{name} does not read {flag}")
+        if flag in reads and value is None:
+            if default is None:
+                parser.error(f"{name} requires {flag}")
+            setattr(args, _dest(flag), default)
     if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    return row
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_args(args, parser)
+    row = _validate_args(args, parser)
     try:
-        return args.func(args, sys.stdout)
+        return args.func(row, args, sys.stdout)
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -369,32 +369,10 @@ class Gf(MPoly):
         return cls._make(_PQR, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})
 
     # Bound in Gf's own namespace as well, so that a per-class profile
-    # counts Gf's adds and divisions apart from MPoly's.
+    # counts Gf's adds, products and divisions apart from MPoly's.
     __add__ = __radd__ = MPoly.__add__
+    __mul__ = __rmul__ = MPoly.__mul__
     exact_divide = MPoly.exact_divide
-
-    def __mul__(self, other):
-        # The one body of its own: adding the three exponent slots by hand
-        # beats the generic tuple sum on the many small products of the
-        # weights and the path matrix (ms, best of 3-5 in process, 5 runs,
-        # Python 3.11, 2 cores, against MPoly.__mul__): trapezoid.gf(7, 5)
-        # 248-327 vs 280-363, trapezoid.gf at n = 4, 5 and l = 2..4 25-36
-        # vs 27-42, path_matrix(16, 4, 1) 15-24 vs 26-36; verify
-        # bijections' check at n, l <= 4 is even, 179-214 vs 173-211.
-        if type(other) is not Gf:
-            return MPoly.__mul__(self, other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return Gf._make(_PQR, out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, p=1, q=1, r=1) -> int:
         p, q, r = map(_exact, (p, q, r))

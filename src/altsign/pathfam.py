@@ -350,6 +350,8 @@ def write_families_svg(path: str, n: int, l: int, d) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
     returns the number of families drawn.  The sheet is rendered before
     the file is opened, so a failed render leaves no file behind."""
+    if d is not None and not 0 <= d <= l - 1:
+        raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
     families = list(all_families(n, l))
     sheet = families_svg(families, d, n, l)
     with open(path, "w", encoding="utf-8") as handle:

@@ -313,6 +313,12 @@ def to_json(tree: SttTree) -> dict:
             "rows": [list(r) for r in tree.rows]}
 
 
+def pretty(tree: SttTree) -> str:
+    """The rows, one line each; a deleted cell is a dot."""
+    return "\n".join(" ".join("." if v is None else str(v) for v in row)
+                     for row in tree.rows)
+
+
 def from_json(d: dict) -> SttTree:
     tree = SttTree(int(d["n"]), tuple(int(x) for x in d["s"]),
                    tuple(int(x) for x in d["t"]),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import altsign
-from altsign.cli import main
+from altsign.cli import COMMANDS, FLAGS, main
 
 
 def run(capsys, *argv):
@@ -329,6 +329,38 @@ class TestVerify:
             code, _ = run(capsys, "verify", "main", "--n-max", "2",
                           "--l-max", "2", "--jobs", jobs)
             assert code == 0 and sizes == expected, (cpus, jobs)
+
+
+# a value of each flag at which every command that reads it runs quickly
+TINY = {"--n": "1", "--l": "2", "--k": "1", "--d": "1", "--s": "", "--t": "",
+        "--b": "1", "--format": "text", "--n-max": "1", "--l-max": "2",
+        "--samples": "1", "--seed": "1", "--jobs": "1", "--out": "sheet.svg"}
+
+
+def _table_rows():
+    """(command words, the flags the row reads) for every row of every
+    command's table."""
+    for command, (_, positional, table, common, _) in COMMANDS.items():
+        for choice, row in (table.items() if positional else [(None, table)]):
+            words = (command, choice) if choice else (command,)
+            yield words, common + row[-1]
+
+
+TABLE_ROWS = list(_table_rows())
+
+
+@pytest.mark.parametrize("words, reads", TABLE_ROWS,
+                         ids=[" ".join(w) for w, _ in TABLE_ROWS])
+def test_a_command_takes_only_the_flags_it_reads(words, reads, capsys,
+                                                 tmp_path, monkeypatch):
+    assert set(TINY) == set(FLAGS)
+    monkeypatch.chdir(tmp_path)  # svg paths writes its sheet here
+    argv = [*words, *(x for flag in reads for x in (flag, TINY[flag]))]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out, argv
+    for flag in set(FLAGS) - set(reads):
+        code, out = run(capsys, *argv, flag, TINY[flag])
+        assert (code, out) == (2, ""), (argv, flag)
 
 
 class TestReport:

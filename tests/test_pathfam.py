@@ -297,6 +297,17 @@ class TestSvg:
                   if el.get("stroke-dasharray")]
         assert dashed  # the y = x + d guide line
 
+    def test_refuses_d_out_of_range_before_drawing(self, tmp_path,
+                                                   monkeypatch):
+        # a d outside 0..l-1 would put the guide line y = x + d off the grid
+        from altsign import pathfam
+        monkeypatch.setattr(pathfam, "all_families", None)  # never reached
+        out = tmp_path / "families.svg"
+        for d in (-1, 3, 5):
+            with pytest.raises(OutOfRangeError):
+                write_families_svg(str(out), 2, 3, d)
+        assert not out.exists()
+
     def test_p1_mode_sheet_without_line(self):
         text = families_svg(all_families(1, 2), None, 1, 2)
         assert "polyline" in text and "stroke-dasharray" not in text
