@@ -55,7 +55,11 @@ def _report(lines, out):
 def _parse_int_list(text):
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 # flag -> (its add_argument keywords, its value when the chosen row reads it

@@ -146,10 +146,8 @@ def weight(c: Cssp, d: int) -> Gf:
     """W_d(C) for 1 <= d <= k, or the d = 0 weight (admissible for every
     class) with its expanded (P+Q-1) factor."""
     _check_d(c.k, d)
-    w = Gf.monomial(*_pq(c.rows, d), len(c.rows))
-    if _has_factor(c.rows[-1][1:] if c.rows else (), d):
-        w = w * Gf.p_plus_q_minus_1()
-    return w
+    o = int(_has_factor(c.rows[-1][1:] if c.rows else (), d))
+    return Gf.weight(*_pq(c.rows, d), len(c.rows), o)
 
 
 def _has_factor(tail, d):
@@ -182,14 +180,14 @@ def gf(k: int, n: int, d: int) -> Gf:
     sums = {}  # G: (j, v) -> {(p, q, r): coeff}
     # the factor of a row's first part, L + k at position 1, by length L
     heads = [_pq(((length + k,),), d) for length in range(n + 1)]
-    one, factor = Gf.one().terms, Gf.p_plus_q_minus_1().terms
+    ends = [Gf.weight(o=o).terms for o in (0, 1)]  # by _has_factor
 
     def chains(tail):
         if tail in below:
             return below[tail]
         # the empty chain ends the object here (d = 0: the (P+Q-1) factor
         # when the row's second part is 1)
-        out = dict(factor if _has_factor(tail, d) else one)
+        out = dict(ends[_has_factor(tail, d)])
         # part t + 1 of a row sits under part t + 2 of the row above
         caps = list(itertools.accumulate((v - 1 for v in tail[1:]), min))
         for length in range(1, len(tail) + 1):

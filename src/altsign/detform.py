@@ -86,21 +86,33 @@ def behrend_coeff(i: int, j: int, l: int) -> Gf:
     """[X^i Y^j] F(X,Y) in closed form:
     R (-1)^j (C(-j,i) - P C(-j-1,i-1)) + C(l-2,i-j) + Q C(l-2,i-j-1)."""
     sign = -1 if j % 2 else 1
-    out = Gf.monomial(r=1, coeff=sign * binomial(-j, i))
-    cp = binomial(-j - 1, i - 1)
-    if cp:
-        out += Gf.monomial(p=1, r=1, coeff=-sign * cp)
-    c = binomial(l - 2, i - j)
-    if c:
-        out += Gf.monomial(coeff=c)
-    cq = binomial(l - 2, i - j - 1)
-    if cq:
-        out += Gf.monomial(q=1, coeff=cq)
-    return out
+    return Gf({(0, 0, 1): sign * binomial(-j, i),
+               (1, 0, 1): -sign * binomial(-j - 1, i - 1),
+               (0, 0, 0): binomial(l - 2, i - j),
+               (0, 1, 0): binomial(l - 2, i - j - 1)})
 
 
 def coeff_matrix(n: int, l: int) -> list[list[Gf]]:
     return [[behrend_coeff(i, j, l) for j in range(n)] for i in range(n)]
+
+
+def _series_terms(l: int, max_i: int, max_j: int):
+    """(i, j, (deg P, deg Q, deg R), coefficient) for every term of the
+    truncated expansion of F(X,Y), one summand at a time."""
+    # R (1 + X - P X) / (1 + X + Y), with
+    # 1/(1+X+Y) = sum_m (-(X+Y))^m; [X^a Y^b] = (-1)^(a+b) C(a+b, a)
+    for a in range(max_i + 1):
+        for b in range(max_j + 1):
+            c = (-1) ** (a + b) * binomial(a + b, a)
+            yield a, b, (0, 0, 1), c
+            if a < max_i:  # the X and -P X shifts
+                yield a + 1, b, (0, 0, 1), c
+                yield a + 1, b, (1, 0, 1), -c
+    # (1+X)^(l-2) (1+QX) / (1-XY);  1/(1-XY) = sum_k X^k Y^k
+    for k in range(min(max_i, max_j) + 1):
+        for a in range(max_i - k + 1):
+            yield a + k, k, (0, 0, 0), binomial(l - 2, a)
+            yield a + k, k, (0, 1, 0), binomial(l - 2, a - 1)
 
 
 def series_coeffs(l: int, max_i: int, max_j: int) -> dict:
@@ -109,42 +121,11 @@ def series_coeffs(l: int, max_i: int, max_j: int) -> dict:
     behrend_coeff).  Requires l >= 2."""
     if l < 2:
         raise ValueError("the series expansion is defined for l >= 2")
-    bound = max_i + max_j
-
-    def add(dst, key, value):
-        v = dst.get(key, Gf.zero()) + value
-        if v:
-            dst[key] = v
-        else:
-            dst.pop(key, None)
-
-    # 1/(1+X+Y) = sum_m (-(X+Y))^m; [X^a Y^b] = (-1)^(a+b) C(a+b, a)
-    inv1 = {}
-    for a in range(max_i + 1):
-        for b in range(max_j + 1):
-            sign = -1 if (a + b) % 2 else 1
-            add(inv1, (a, b), Gf.monomial(coeff=sign * binomial(a + b, a)))
-    # R (1 + X - P X) / (1 + X + Y)
-    part1 = {}
-    R = Gf.monomial(r=1)
-    PR = Gf.monomial(p=1, r=1)
-    for (a, b), c in inv1.items():
-        add(part1, (a, b), R * c)
-        add(part1, (a + 1, b), (R - PR) * c)
-    # (1+X)^(l-2) (1+QX) / (1-XY);  1/(1-XY) = sum_k X^k Y^k
-    part2 = {}
-    for k in range(min(max_i, max_j) + 1):
-        for a in range(max_i - k + 1):
-            c = binomial(l - 2, a)
-            cq = binomial(l - 2, a - 1)
-            coeff = Gf.monomial(coeff=c) + Gf.monomial(q=1, coeff=cq)
-            add(part2, (a + k, k), coeff)
-    out = {}
-    for (a, b) in set(part1) | set(part2):
-        if a <= max_i and b <= max_j:
-            v = part1.get((a, b), Gf.zero()) + part2.get((a, b), Gf.zero())
-            out[(a, b)] = v
-    return out
+    cells = {}  # (i, j) -> {(deg P, deg Q, deg R): coefficient}
+    for i, j, e, c in _series_terms(l, max_i, max_j):
+        cell = cells.setdefault((i, j), {})
+        cell[e] = cell.get(e, 0) + c
+    return {key: Gf(terms) for key, terms in cells.items()}
 
 
 def verify_coeff_route(n: int, l: int) -> bool:

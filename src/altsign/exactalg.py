@@ -368,6 +368,14 @@ class Gf(MPoly):
     def p_plus_q_minus_1(cls) -> "Gf":
         return cls._make(_PQR, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})
 
+    @classmethod
+    def weight(cls, p=0, q=0, r=0, o=0) -> "Gf":
+        """P^p Q^q R^r (P+Q-1)^o: the weight of the statistics p, q, r, with
+        the expanded (P+Q-1) factor of quasi trapezoids (l = 1) and of the
+        d = 0 weight taken o times."""
+        w = cls._make(_PQR, {(p, q, r): 1})
+        return w * cls.p_plus_q_minus_1() ** o if o else w
+
     # Bound in Gf's own namespace as well, so that a per-class profile
     # counts Gf's adds, products and divisions apart from MPoly's.
     __add__ = __radd__ = MPoly.__add__

@@ -159,9 +159,9 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     return c
 
 
-def _step_weight(x: int, y: int, d) -> tuple[int, int, int]:
-    """Exponents (p, q, o) of the factor P^p Q^q (P+Q-1)^o of the west step
-    from (x, y) to (x - 1, y); north steps weigh 1.
+def _step_weight(x: int, y: int, d) -> tuple[int, int, int, int]:
+    """Exponents (p, q, r, o) of the Gf.weight of the west step from (x, y)
+    to (x - 1, y), with r = 0; north steps weigh 1.
 
     d = None ("P = 1 mode"): Q at height 0.
     d >= 1: Q at height 0, and P when the step lands on y = x + d (every
@@ -171,14 +171,8 @@ def _step_weight(x: int, y: int, d) -> tuple[int, int, int]:
     instead of P*Q.
     """
     if d == 0 and (x, y) == (1, 0):
-        return 0, 0, 1
-    return int(d is not None and y - x == d - 1), int(y == 0), 0
-
-
-def _factor(p: int, q: int, o: int, r: int = 0) -> Gf:
-    """P^p Q^q R^r (P+Q-1)^o."""
-    w = Gf.monomial(p, q, r)
-    return w * Gf.p_plus_q_minus_1() ** o if o else w
+        return 0, 0, 0, 1
+    return int(d is not None and y - x == d - 1), int(y == 0), 0, 0
 
 
 def _weight(paths, d, r: int) -> Gf:
@@ -186,7 +180,8 @@ def _weight(paths, d, r: int) -> Gf:
     paths, built once from the exponent sums."""
     steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
              for path in paths for k, y in enumerate(path.west_heights())]
-    return _factor(*map(sum, zip((0, 0, 0), *steps)), r)
+    p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
+    return Gf.weight(p, q, r, o)
 
 
 def path_weight(path: LatticePath, d) -> Gf:
@@ -231,7 +226,7 @@ def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
-    steps = {(x, y): _factor(*_step_weight(x, y, d))
+    steps = {(x, y): Gf.weight(*_step_weight(x, y, d))
              for x in range(1, n) for y in range(top + 1)}
     out = []
     for u in range(n):

@@ -224,41 +224,38 @@ def one_column_positions(t: Trapezoid) -> tuple[int, ...]:
     return tuple(sorted(label for label, _ in _one_columns(t)))
 
 
+def _exponents(ones) -> tuple[int, int, int, int]:
+    """(p, q, r, o) of the weight P^p Q^q R^r (P+Q-1)^o of the 1-columns
+    given as (label, is_10): p and q count 10-columns with label < 0 and
+    > 0, r counts 1-columns with label <= 0, and o counts a central
+    10-column (label 0, only for l = 1)."""
+    p = q = r = o = 0
+    for label, is_10 in ones:
+        r += label <= 0
+        if is_10:
+            if label < 0:
+                p += 1
+            elif label > 0:
+                q += 1
+            else:
+                o += 1
+    return p, q, r, o
+
+
 def stats(t: Trapezoid) -> AstStats:
     """The triple (p, q, r) for l >= 2: r counts 1-columns among the n
     leftmost columns, p/q count 10-columns (1-columns with bottom entry 0)
     among the n leftmost/rightmost columns."""
     if t.l < 2:
         raise ValueError("stats are defined for l >= 2; use weight for l = 1")
-    ones = list(_one_columns(t))
-    return AstStats(sum(is_10 for label, is_10 in ones if label < 0),
-                    sum(is_10 for label, is_10 in ones if label > 0),
-                    sum(1 for label, _ in ones if label < 0))
-
-
-def _column_weight(label: int, is_10: bool) -> Gf:
-    """Factor of one 1-column in W(T): R for a label < 0, times P for a
-    10-column; Q for a 10-column with label > 0; for the central column of
-    l = 1 (label 0) R, times the expanded (P+Q-1) for a 10-column."""
-    if label < 0:
-        return Gf.monomial(p=int(is_10), r=1)
-    if label > 0:
-        return Gf.monomial(q=int(is_10))
-    r = Gf.monomial(r=1)
-    return r * Gf.p_plus_q_minus_1() if is_10 else r
+    return AstStats(*_exponents(_one_columns(t))[:3])
 
 
 def weight(t: Trapezoid) -> Gf:
-    """W(T) as a generating-function value: the product of _column_weight
-    over the 1-columns.  For l >= 2 this is the monomial P^p Q^q R^r of
-    stats(t).  For l = 1, p and q count 10-columns strictly left/right of
-    the center, r counts 1-columns with label <= 0, and the central column
-    contributes (P+Q-1) when it is a 10-column.
-    """
-    w = Gf.one()
-    for label, is_10 in _one_columns(t):
-        w = w * _column_weight(label, is_10)
-    return w
+    """W(T) as a generating-function value, from _exponents of its
+    1-columns: the monomial P^p Q^q R^r of stats(t) for l >= 2; for l = 1
+    the central column contributes (P+Q-1) when it is a 10-column."""
+    return Gf.weight(*_exponents(_one_columns(t)))
 
 
 def gf(n: int, l: int) -> Gf:
@@ -273,9 +270,7 @@ def gf(n: int, l: int) -> Gf:
         after: dict = {}
         for s, g in states.items():
             for _, state, ones in _steps(n, l, i, s):
-                w = g
-                for label, is_10 in ones:
-                    w = w * _column_weight(label, is_10)
+                w = g * Gf.weight(*_exponents(ones))
                 after[state] = after[state] + w if state in after else w
         states = after
     return sum(states.values(), Gf.zero())

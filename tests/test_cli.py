@@ -129,6 +129,19 @@ class TestEnumerateCommand:
             main(["enumerate", "ast", "--n", "2"])
         assert info.value.code == 2
 
+    def test_malformed_int_list_names_the_form(self, capsys):
+        for argv, bad in (
+                (("enumerate", "sttree", "--n", "1", "--b", "1,x"), "1,x"),
+                (("enumerate", "sttree", "--n", "2", "--b", "1,2",
+                  "--t", "0,,1"), "0,,1")):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            captured = capsys.readouterr()
+            assert (info.value.code, captured.out) == (2, ""), argv
+            assert (f"expected comma-separated integers, got {bad!r}"
+                    in captured.err), captured.err
+            assert "_parse_int_list" not in captured.err
+
 
 class TestTpoly:
     def test_t2(self, capsys):

@@ -7,7 +7,7 @@ from altsign import (cssp, detform, exactalg, operatorform, pathfam,
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
-from altsign.exactalg import Gf, binomial
+from altsign.exactalg import Gf, MPoly, binomial
 from test_exactalg import det_bareiss, det_cofactor
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -123,6 +123,35 @@ class TestBehrendCoeff:
                 for j in range(7):
                     assert series.get((i, j), Gf.zero()) == \
                         behrend_coeff(i, j, l), (i, j, l)
+
+
+def _product_series(l, top):
+    """{(i, j): [X^i Y^j] F(X,Y)} for i, j <= top, from MPoly products of
+    the two factors of F(X,Y) = R (1+X-PX)/(1+X+Y) + (1+X)^(l-2) (1+QX)/(1-XY),
+    each geometric series truncated past every needed power."""
+    X, Y, P, Q, R = map(MPoly.variable, "XYPQR")
+    inv_sum = sum(((-X - Y) ** m for m in range(2 * top + 1)), MPoly())
+    inv_xy = sum(((X * Y) ** k for k in range(top + 1)), MPoly())
+    f = (R * (1 + X - P * X) * inv_sum
+         + (1 + X) ** (l - 2) * (1 + Q * X) * inv_xy)
+    slots = [f.vars.index(v) for v in "XYPQR"]
+    cells = {}
+    for exp, c in f.terms.items():
+        i, j, p, q, r = (exp[k] for k in slots)
+        if i <= top and j <= top:
+            cells.setdefault((i, j), {})[p, q, r] = c
+    return {key: Gf(terms) for key, terms in cells.items()}
+
+
+class TestSeriesOracle:
+    def test_series_matches_the_mpoly_product(self):
+        for l in range(2, 7):
+            product = _product_series(l, 6)
+            series = series_coeffs(l, 6, 6)
+            for i in range(7):
+                for j in range(7):
+                    assert (series.get((i, j), Gf.zero())
+                            == product.get((i, j), Gf.zero())), (i, j, l)
 
 
 class TestCoeffRoute:

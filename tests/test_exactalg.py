@@ -200,6 +200,20 @@ class TestGf:
         assert b.evaluate() == 1
         assert b * Gf.one() == b
 
+    def test_weight_is_the_explicit_product(self):
+        P, Q, R = (Gf.monomial(p=1), Gf.monomial(q=1), Gf.monomial(r=1))
+        bracket = P + Q - 1
+        for p, q, r in ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 0)):
+            base = Gf.one()
+            for factor, e in ((P, p), (Q, q), (R, r)):
+                for _ in range(e):
+                    base = base * factor
+            assert Gf.weight(p, q, r) == base
+            assert Gf.weight(p, q, r, 1) == base * bracket
+            assert Gf.weight(p, q, r, 2) == base * bracket * bracket
+        assert Gf.weight() == Gf.one()
+        assert str(Gf.weight(o=2)) == "1 - 2*P - 2*Q + P^2 + 2*P*Q + Q^2"
+
     def test_str_matches_handwritten_order(self):
         g = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
              + Gf.monomial(q=1, r=1) + Gf.one())

@@ -428,7 +428,7 @@ class TestIntegrality:
     def test_no_assert_statements(self):
         # integrality checks must not vanish under python -O
         src = Path(altsign.__file__).parent
-        for path in sorted(src.glob("*.py")):
+        for path in sorted(src.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             found = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, ast.Assert)]

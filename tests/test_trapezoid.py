@@ -156,6 +156,37 @@ class TestWeight:
         assert weight(t) == Gf.p_plus_q_minus_1() * Gf.monomial(r=1)
 
 
+def _column_product_weight(t):
+    """W(T) as one Gf product per column with sum 1, read from the array
+    with Trapezoid's own accessors: R for a label < 0, times P when the
+    bottom entry is 0; Q for a 10-column with label > 0; for the central
+    column of l = 1, R, times (P+Q-1) for a 10-column."""
+    w = Gf.one()
+    for c in range(1, t.width + 1):
+        if t.column_sum(c) != 1:
+            continue
+        label = t.column_label(c)
+        is_10 = t.entry(t.last_row_covering(c), c) == 0
+        if label < 0:
+            w = w * Gf.monomial(r=1) * (Gf.monomial(p=1) if is_10 else 1)
+        elif label > 0:
+            w = w * (Gf.monomial(q=1) if is_10 else 1)
+        else:
+            w = w * Gf.monomial(r=1) * (Gf.p_plus_q_minus_1() if is_10 else 1)
+    return w
+
+
+class TestWeightOracle:
+    def test_weight_is_the_column_product(self):
+        for n in range(1, 5):
+            for l in range(1, 5):
+                for t in enumerate_trapezoids(n, l):
+                    assert weight(t) == _column_product_weight(t), t
+                    if l >= 2:
+                        s = stats(t)
+                        assert weight(t) == Gf.monomial(s.p, s.q, s.r), t
+
+
 class TestGf:
     def test_24(self):
         assert gf(2, 4) == GF24
