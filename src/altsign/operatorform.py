@@ -4,22 +4,21 @@ with prescribed 1-column positions, the base-length polynomial t_n, and
 exact verification of the two symmetrizer identities the derivation rests
 on.
 
-Operators act on sparse polynomials by substitution:
+Every operator is a polynomial in the shifts E_x: p(x) -> p(x+1):
 
-    shift E_x:            p(x) -> p(x+1)
     forward difference:   fwd = E_x - Id
     backward difference:  bwd = Id - E_x^{-1}
+    weight factors:       E (1 - P bwd)      = E + P (1 - E)
+                          E^{-1} (1 + Q fwd) = E^{-1} + Q (1 - E^{-1})
 
 Operators in distinct variables commute, as do all operators in the same
-variable (they are polynomials in E_x).  Since E bwd = fwd and
-E^{-1} fwd = bwd, the weight factors of the generating function reduce to
-one shift each:
-
-    E (1 - P bwd)      = P + (1 - P) E
-    E^{-1} (1 + Q fwd) = Q + (1 - Q) E^{-1}
-
-A position fixes both the operator on one variable and that variable's
-value, so every formula here folds one step per variable (_step).
+variable.  A position x fixes both the operator on one variable and that
+variable's value v: (-fwd)^a = (1 - E)^a (x < 0) or bwd^a = (1 - E^{-1})^a
+(x > 0), times the weight factor.  Read at v, a polynomial in E^e
+(e = +-1) is a signed binomial combination of the values at v + e k, so
+each step (_step) substitutes shifted points and shifts no polynomial, and
+every formula here folds one step per variable.  Only compute_Mn applies
+fwd to a whole polynomial.
 """
 
 from __future__ import annotations
@@ -85,19 +84,19 @@ def _integer(v) -> int:
 
 
 def _step(p: MPoly, i: int, x: int, value, weighted: bool = False) -> MPoly:
-    """The one operator step of variable x_i at the signed position x:
-    (-fwd)^{-x-1} for x < 0 or bwd^{x-1} for x > 0, then, when weighted,
-    the factor P + (1 - P) E (x < 0) or Q + (1 - Q) E^{-1} (x > 0), then
-    x_i = value (a number or a polynomial)."""
-    name = xvar(i)
-    for _ in range(-x - 1):
-        p = -fwd_diff(p, name)
-    for _ in range(x - 1):
-        p = bwd_diff(p, name)
-    if weighted:
-        w, k = (MPoly.variable("P"), 1) if x < 0 else (MPoly.variable("Q"), -1)
-        p = w * p + (1 - w) * shift(p, name, k)
-    return p.substitute(name, value)
+    """The one operator step of x_i at the signed position x, read at
+    x_i = value: (1 - E^e)^a, times E^e + w (1 - E^e) when weighted, with
+    (a, e, w) = (-x-1, 1, P) for x < 0 and (x-1, -1, Q) for x > 0."""
+    a, e, w = (-x - 1, 1, "P") if x < 0 else (x - 1, -1, "Q")
+    at = [p.substitute(xvar(i), value + e * k)
+          for k in range(a + 1 + weighted)]
+
+    def diffs(b, s):  # (1 - E^e)^b E^{es}, read at value
+        return sum((-1) ** k * math.comb(b, k) * at[s + k]
+                   for k in range(b + 1))
+
+    return (diffs(a, 1) + MPoly.variable(w) * diffs(a + 1, 0) if weighted
+            else diffs(a, 0))
 
 
 def _fold(n: int, xs, values, weighted: bool = False) -> MPoly:
@@ -115,14 +114,21 @@ def _at(x: int, l):
 
 
 def eval_Mn(n: int, values) -> int:
-    return count_sttrees_formula(n, (), (), values)
+    """M_n at any integer point, monotone or not (no operator acts)."""
+    values = tuple(values)
+    if len(values) != n:
+        raise ShapeMismatchError(f"need {n} values, got {len(values)}")
+    return _integer(_fold(n, [-1] * n, values).evaluate({}))
 
 
 def count_sttrees_formula(n: int, s, t, b) -> int:
     """Closed-form count of (s,t)-trees of order n with diagonal bottom
     entries b: apply (-fwd_{x_1})^{s_1} ... bwd_{x_n}^{t_n} to M_n and
     evaluate at x = b.  As positions: s_k is x = -s_k - 1, t_k is
-    x = t_k + 1, and a free variable is x = -1 (no difference)."""
+    x = t_k + 1, and a free variable is x = -1 (no difference).  Outside
+    sttree.formula_domain (where enumerate_sttrees refuses the input or the
+    formula miscounts) it raises InvalidShapeError."""
+    from .sttree import formula_domain
     s, t, b = tuple(s), tuple(t), tuple(b)
     if len(s) + len(t) > n:
         raise ShapeMismatchError("len(s) + len(t) exceeds n")
@@ -130,6 +136,9 @@ def count_sttrees_formula(n: int, s, t, b) -> int:
         raise ShapeMismatchError(f"need {n} bottom entries, got {len(b)}")
     if any(k < 0 for k in s + t):
         raise InvalidShapeError("truncation lengths must be non-negative")
+    if not formula_domain(n, s, t, b):
+        raise InvalidShapeError(f"the closed formula does not apply to "
+                                f"n={n}, s={s}, t={t}, b={b}")
     xs = ([-k - 1 for k in s] + [-1] * (n - len(s) - len(t))
           + [k + 1 for k in t])
     return _integer(_fold(n, xs, b).evaluate({}))

@@ -38,6 +38,8 @@ def deleted_cells(n: int, s, t) -> set:
     """Cells removed by the truncation vectors; InvalidShapeError when the
     vectors are inadmissible or the two deletion regions interfere."""
     s, t = tuple(s), tuple(t)
+    if n < 0:
+        raise InvalidShapeError(f"order n must be non-negative, got {n}")
     if len(s) + len(t) > n:
         raise InvalidShapeError("len(s) + len(t) exceeds n")
     if any(x < 0 for x in s) or any(x < 0 for x in t):
@@ -117,6 +119,8 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     """
     s, t = tuple(s), tuple(t)
     b = tuple(b)
+    if n < 0:
+        raise InvalidShapeError(f"order n must be non-negative, got {n}")
     if len(b) != n:
         raise InvalidShapeError(f"need {n} bottom entries, got {len(b)}")
     if any(b[i] > b[i + 1] for i in range(n - 1)):
@@ -153,10 +157,8 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
 
 
 def random_tree_instances(count, seed):
-    """Seeded stream of admissible (s,t)-tree instances of order <= 4,
-    truncations <= 2 and bottom entries in -3..3, whose prescribed
-    diagonals are all nonempty and prescribe distinct cells (the closed
-    formula does not apply otherwise)."""
+    """Seeded stream of (s,t)-tree instances of order <= 4, truncations
+    <= 2 and bottom entries in -3..3 that lie in formula_domain."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -167,15 +169,25 @@ def random_tree_instances(count, seed):
                          reverse=True))
         t = tuple(sorted(rng.randint(0, 2) for _ in range(rc)))
         b = tuple(sorted(rng.randint(-3, 3) for _ in range(n)))
-        try:
-            cells = _shape_cells(n, s, t)
-        except InvalidShapeError:
-            continue
-        prescribed = _prescribed(n, s, t, b, cells)
-        if prescribed is None or len(prescribed) != n:
-            continue
-        out.append((n, s, t, b))
+        if formula_domain(n, s, t, b):
+            out.append((n, s, t, b))
     return out
+
+
+def formula_domain(n: int, s, t, b) -> bool:
+    """Whether the closed formula for the number of (s,t)-trees
+    (operatorform.count_sttrees_formula) applies: an admissible shape of
+    order n >= 1, n weakly increasing bottom entries, and n nonempty
+    prescribed diagonals whose bottom cells are distinct."""
+    t, b = tuple(t), tuple(b)
+    try:
+        cells = _shape_cells(n, s, t)
+    except InvalidShapeError:
+        return False
+    if len(b) != n or any(b[i] > b[i + 1] for i in range(n - 1)):
+        return False
+    bottoms = _bottom_cells(n, len(t), cells)
+    return n > 0 and None not in bottoms and len(set(bottoms)) == n
 
 
 def _to_rows(n, cells, values):

@@ -83,7 +83,8 @@ class TestCountCommand:
                      ("verify", "asym", "--n-max", "2", "--samples", "0"),
                      ("verify", "asym", "--n-max", "2", "--samples", "-3"),
                      ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
-                     ("gf", "cssp", "--k", "0", "--n", "7")):
+                     ("gf", "cssp", "--k", "0", "--n", "7"),
+                     ("enumerate", "sttree", "--n", "-1", "--b=")):
             code, out = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""

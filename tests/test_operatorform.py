@@ -22,7 +22,8 @@ from altsign.operatorform import (_denominator, all_positions,
                                   gf_ast_prescribed, gf_ast_via_operator,
                                   shift, t_polynomial, t_value, verify_asymM,
                                   verify_asym_lemma)
-from altsign.sttree import enumerate_sttrees, random_tree_instances
+from altsign.sttree import (enumerate_sttrees, formula_domain,
+                            random_tree_instances)
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
@@ -49,14 +50,45 @@ class TestOperators:
             assert a == b
 
 
-def _random_poly(rng):
+    def test_step_equals_the_difference_chain(self):
+        # the step read at shifted points against the chain of whole-
+        # polynomial differences and shifts that it replaced
+        rng = random.Random(22)
+        for _ in range(12):
+            p = _random_poly(rng, ("x1", "x2", "x3"))
+            for i in (1, 2, 3):
+                for x in (-4, -3, -2, -1, 1, 2, 3, 4):
+                    for value in (rng.randint(-5, 5),
+                                  var("l") + rng.randint(-3, 3)):
+                        for weighted in (False, True):
+                            args = (p, i, x, value, weighted)
+                            assert operatorform._step(*args) == \
+                                _chain_step(*args), args
+
+
+def _random_poly(rng, names=("x1", "x2")):
     p = MPoly.constant(0)
     for _ in range(rng.randint(1, 4)):
         term = MPoly.constant(rng.randint(-3, 3))
-        for name in ("x1", "x2"):
+        for name in names:
             term = term * var(name) ** rng.randint(0, 3)
         p += term
     return p
+
+
+def _chain_step(p, i, x, value, weighted=False):
+    """The step as a chain of operators on the whole polynomial, kept as
+    the oracle of _step: (-fwd)^{-x-1} or bwd^{x-1}, then the weight
+    factor P + (1 - P) E or Q + (1 - Q) E^{-1}, then x_i = value."""
+    name = f"x{i}"
+    for _ in range(-x - 1):
+        p = -fwd_diff(p, name)
+    for _ in range(x - 1):
+        p = bwd_diff(p, name)
+    if weighted:
+        w, k = (var("P"), 1) if x < 0 else (var("Q"), -1)
+        p = w * p + (1 - w) * shift(p, name, k)
+    return p.substitute(name, value)
 
 
 class TestMn:
@@ -76,6 +108,13 @@ class TestMn:
     def test_degree(self):
         for n in range(1, 5):
             assert compute_Mn(n).degree() == n * (n - 1) // 2
+
+    def test_value_at_points_that_are_not_monotone(self):
+        for b in [(3, 1, 2), (2, 2, -1), (0, 5, -4)]:
+            assert eval_Mn(3, b) * _denominator(3) == compute_Mn(3).evaluate(
+                {f"x{i}": v for i, v in enumerate(b, start=1)})
+        with pytest.raises(ShapeMismatchError):
+            eval_Mn(3, (1, 2))
 
     def test_translation_invariance(self):
         for b in [(1, 2, 3), (-1, 0, 4)]:
@@ -105,6 +144,35 @@ class TestSttreeFormula:
         for s, t in [((-2,), ()), ((), (-2,)), ((0, -1), (0,))]:
             with pytest.raises(InvalidShapeError):
                 count_sttrees_formula(3, s, t, (0, 1, 2))
+
+    def test_refuses_outside_the_domain(self):
+        # an empty diagonal (the parent formula gave 0 against one tree),
+        # a decreasing b, an increasing s, two diagonals ending in one cell
+        for n, s, t, b in [(1, (), (1,), (0,)), (2, (), (), (1, 0)),
+                           (2, (0, 1), (), (0, 1)), (2, (1,), (1,), (0, 0))]:
+            assert not formula_domain(n, s, t, b)
+            with pytest.raises(InvalidShapeError):
+                count_sttrees_formula(n, s, t, b)
+
+    def test_domain_sweep_matches_enumeration(self):
+        # every input with n <= 2, truncations 0..2 and b in -2..2: the
+        # formula raises outside formula_domain and counts the trees inside
+        from itertools import product
+        inside = 0
+        for n in (1, 2):
+            for m in range(n + 1):
+                for r in range(n - m + 1):
+                    for s, t, b in product(product(range(3), repeat=m),
+                                           product(range(3), repeat=r),
+                                           product(range(-2, 3), repeat=n)):
+                        if not formula_domain(n, s, t, b):
+                            with pytest.raises(InvalidShapeError):
+                                count_sttrees_formula(n, s, t, b)
+                            continue
+                        inside += 1
+                        assert count_sttrees_formula(n, s, t, b) == \
+                            len(enumerate_sttrees(n, s, t, b)), (n, s, t, b)
+        assert inside > 50
 
     def test_random_instances_match_brute_force(self):
         for n, s, t, b in random_tree_instances(60, 97):

@@ -42,6 +42,12 @@ class TestShape:
         with pytest.raises(InvalidShapeError):
             deleted_cells(4, (4,), (0, 0, 4))
 
+    def test_negative_order_refused_by_name(self):
+        with pytest.raises(InvalidShapeError, match="order n"):
+            deleted_cells(-1, (), ())
+        with pytest.raises(InvalidShapeError, match="order n"):
+            enumerate_sttrees(-1, (), (), ())
+
     def test_too_long(self):
         with pytest.raises(InvalidShapeError):
             deleted_cells(3, (1, 1), (0, 0))
