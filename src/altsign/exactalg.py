@@ -401,19 +401,6 @@ class Gf(MPoly):
         return (-exp[2], exp[0] + exp[1], -exp[0])
 
 
-def gf_from_mpoly(p: MPoly) -> Gf:
-    """Convert a polynomial whose variables are among P, Q, R (with integer
-    coefficients) into a Gf value."""
-    for i, v in enumerate(p.vars):
-        if v not in _PQR and any(exp[i] for exp in p.terms):
-            raise ValueError(f"unexpected variable {v!r} in {p}")
-    terms = _remap(p, _PQR)
-    for c in terms.values():
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} in {p}")
-    return Gf._make(_PQR, {e: int(c) for e, c in terms.items()})
-
-
 def det_fraction_free(matrix) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.  Each
     step divides exactly by the previous pivot; a nonzero remainder raises
@@ -476,8 +463,9 @@ def _newton_coordinates(values) -> list[int]:
     return a
 
 
-def _monomials(a) -> list[int]:
-    """Monomial coefficients, lowest first, of sum_k a[k] x(x-1)...(x-k+1)."""
+def monomials(a) -> list:
+    """Monomial coefficients, lowest first, of sum_k a[k] x(x-1)...(x-k+1):
+    ints for int a, Fractions for Fraction a."""
     # Horner in the Newton form a0 + x (a1 + (x-1) (a2 + (x-2) (...)))
     out = [a[-1]]
     for k in range(len(a) - 2, -1, -1):
@@ -539,7 +527,7 @@ def det_gf(matrix) -> Gf:
     """
     values = _simplex_dets(matrix)
     _simplex_lines(values, len(matrix), _newton_coordinates)
-    _simplex_lines(values, len(matrix), _monomials)
+    _simplex_lines(values, len(matrix), monomials)
     return Gf({(a, b, a + c): v for (a, c, b), v in values.items()})
 
 

@@ -4,7 +4,11 @@ with prescribed 1-column positions, the base-length polynomial t_n, and
 exact verification of the two symmetrizer identities the derivation rests
 on.
 
-Every operator is a polynomial in the shifts E_x: p(x) -> p(x+1):
+M_n is kept as integer coordinates m_a over the binomial basis
+prod_i C(x_i, a_i), where the forward difference is an index shift,
+fwd C(x, a) = C(x, a - 1), and prod_{i<j} (x_j - x_i) / (j - i) =
+det[C(x_j, i - 1)] has coordinate sgn(sigma) at a = sigma: nothing on the
+route divides.  Every operator is a polynomial in the shifts E_x:
 
     forward difference:   fwd = E_x - Id
     backward difference:  bwd = Id - E_x^{-1}
@@ -16,9 +20,9 @@ variable.  A position x fixes both the operator on one variable and that
 variable's value v: (-fwd)^a = (1 - E)^a (x < 0) or bwd^a = (1 - E^{-1})^a
 (x > 0), times the weight factor.  Read at v, a polynomial in E^e
 (e = +-1) is a signed binomial combination of the values at v + e k, so
-each step (_step) substitutes shifted points and shifts no polynomial, and
-every formula here folds one step per variable.  Only compute_Mn applies
-fwd to a whole polynomial.
+each step (_step) reads C(., a_1) at shifted points and contracts the
+first index; every formula folds one step per variable into an int (a Gf
+when weighted), and t_n interpolates these numbers in l.
 """
 
 from __future__ import annotations
@@ -26,16 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import (Gf, MPoly, binomial, forward_differences,
-                       gf_from_mpoly)
-
-
-def xvar(i: int) -> str:
-    return f"x{i}"
+from .exactalg import Gf, MPoly, binomial, forward_differences, monomials
 
 
 def shift(p: MPoly, name: str, k: int = 1) -> MPoly:
@@ -50,66 +49,72 @@ def bwd_diff(p: MPoly, name: str) -> MPoly:
     return p - p.shift_var(name, -1)
 
 
-def _denominator(n: int) -> int:
-    """D_n = prod_{i<j} (j - i): compute_Mn(n) is D_n M_n."""
-    return math.prod(j - i for j in range(1, n + 1) for i in range(1, j))
+def _add(coords: dict, a: tuple, c) -> None:
+    coords[a] = coords[a] + c if a in coords else c
 
 
 @lru_cache(maxsize=None)
-def compute_Mn(n: int) -> MPoly:
-    """D_n M_n, the integer polynomial prod_{p<q} (1 + fwd_q + fwd_p fwd_q)
-    applied to prod_{i<j} (x_j - x_i), with D_n = _denominator(n); M_n
-    itself has total degree n(n-1)/2 and M_1 = 1.  Every fold divides by
-    D_n once, at its end, so the operators run over the integers.
-
-    Cached per n; practical up to n = 6 or so.
-    """
+def compute_Mn(n: int) -> MappingProxyType:
+    """M_n as {a: m_a} over prod_i C(x_i, a_i): prod_{p<q} (1 + fwd_q +
+    fwd_p fwd_q) applied to the scaled Vandermonde product {sigma: sgn
+    sigma}, each fwd lowering one index by one.  M_n has total degree
+    n(n-1)/2 and M_1 = 1.  Cached per n, so read-only; practical up to
+    n = 7 or so."""
     if n < 1:
         raise ValueError("n must be positive")
-    poly = MPoly.constant(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            poly = poly * (MPoly.variable(xvar(j)) - MPoly.variable(xvar(i)))
-    for p_ in range(1, n + 1):
-        for q_ in range(p_ + 1, n + 1):
-            dq = fwd_diff(poly, xvar(q_))
-            poly = poly + dq + fwd_diff(dq, xvar(p_))
-    return poly
+    coords = {sigma: _sign(sigma)
+              for sigma in itertools.permutations(range(n))}
+    for p_ in range(n):
+        for q_ in range(p_ + 1, n):
+            out = {}
+            for a, c in coords.items():
+                _add(out, a, c)
+                if a[q_]:
+                    b = a[:q_] + (a[q_] - 1,) + a[q_ + 1:]
+                    _add(out, b, c)
+                    if a[p_]:
+                        _add(out, b[:p_] + (a[p_] - 1,) + b[p_ + 1:], c)
+            coords = {a: c for a, c in out.items() if c}
+    return MappingProxyType(coords)
 
 
-def _integer(v) -> int:
-    if v.denominator != 1:
-        raise ArithmeticError(f"operator value {v} is not an integer")
-    return v.numerator
+_P, _Q = Gf.monomial(p=1), Gf.monomial(q=1)
 
 
-def _step(p: MPoly, i: int, x: int, value, weighted: bool = False) -> MPoly:
-    """The one operator step of x_i at the signed position x, read at
-    x_i = value: (1 - E^e)^a, times E^e + w (1 - E^e) when weighted, with
-    (a, e, w) = (-x-1, 1, P) for x < 0 and (x-1, -1, Q) for x > 0."""
-    a, e, w = (-x - 1, 1, "P") if x < 0 else (x - 1, -1, "Q")
-    at = [p.substitute(xvar(i), value + e * k)
-          for k in range(a + 1 + weighted)]
+def _step(coords: dict, x: int, value, weighted: bool = False) -> dict:
+    """The one operator step of the first variable at the signed position
+    x, read at x_1 = value: (1 - E^e)^a, times E^e + w (1 - E^e) when
+    weighted, with (a, e, w) = (-x-1, 1, P) for x < 0 and (x-1, -1, Q) for
+    x > 0.  Applied to C(x_1, a_1), that is a number (a Gf when weighted),
+    so the step contracts the first index of the coordinates."""
+    a, e, w = (-x - 1, 1, _P) if x < 0 else (x - 1, -1, _Q)
 
-    def diffs(b, s):  # (1 - E^e)^b E^{es}, read at value
-        return sum((-1) ** k * math.comb(b, k) * at[s + k]
-                   for k in range(b + 1))
+    def diffs(b, s, t):  # (1 - E^e)^b E^{es} C(., t), read at value
+        return sum((-1) ** k * math.comb(b, k)
+                   * binomial(value + e * (s + k), t) for k in range(b + 1))
 
-    return (diffs(a, 1) + MPoly.variable(w) * diffs(a + 1, 0) if weighted
-            else diffs(a, 0))
+    factors, out = {}, {}
+    for key, c in coords.items():
+        t = key[0]
+        if t not in factors:
+            factors[t] = (diffs(a, 1, t) + w * diffs(a + 1, 0, t)
+                          if weighted else diffs(a, 0, t))
+        if factors[t]:
+            _add(out, key[1:], c * factors[t])
+    return {rest: c for rest, c in out.items() if c}
 
 
-def _fold(n: int, xs, values, weighted: bool = False) -> MPoly:
-    """M_n after the step of every variable x_i at (xs[i-1], values[i-1])."""
-    p = compute_Mn(n)
-    for i, (x, value) in enumerate(zip(xs, values), start=1):
-        p = _step(p, i, x, value, weighted)
-    return p * Fraction(1, _denominator(n))
+def _fold(n: int, xs, values, weighted: bool = False):
+    """M_n after the step of every variable x_i at (xs[i-1], values[i-1]):
+    an int, or a Gf when weighted."""
+    coords = compute_Mn(n)
+    for x, value in zip(xs, values):
+        coords = _step(coords, x, value, weighted)
+    return coords.get((), Gf.zero() if weighted else 0)
 
 
-def _at(x: int, l):
-    """The value of x_i at the signed position x: x itself for x < 0,
-    x + l - 3 for x > 0; l may be a number or the symbolic polynomial l."""
+def _at(x: int, l: int) -> int:
+    """x_i's value at the signed position x: x, or x + l - 3 for x > 0."""
     return x if x < 0 else x + l - 3
 
 
@@ -118,7 +123,7 @@ def eval_Mn(n: int, values) -> int:
     values = tuple(values)
     if len(values) != n:
         raise ShapeMismatchError(f"need {n} values, got {len(values)}")
-    return _integer(_fold(n, [-1] * n, values).evaluate({}))
+    return _fold(n, [-1] * n, values)
 
 
 def count_sttrees_formula(n: int, s, t, b) -> int:
@@ -141,7 +146,7 @@ def count_sttrees_formula(n: int, s, t, b) -> int:
                                 f"n={n}, s={s}, t={t}, b={b}")
     xs = ([-k - 1 for k in s] + [-1] * (n - len(s) - len(t))
           + [k + 1 for k in t])
-    return _integer(_fold(n, xs, b).evaluate({}))
+    return _fold(n, xs, b)
 
 
 def _positions(n: int, j):
@@ -164,7 +169,7 @@ def count_ast_prescribed(n: int, l: int, j) -> int:
     j = _positions(n, j)
     if j is None:
         return 0
-    return _integer(_fold(n, j, [_at(x, l) for x in j]).evaluate({}))
+    return _fold(n, j, [_at(x, l) for x in j])
 
 
 def gf_ast_prescribed(n: int, l: int, j) -> Gf:
@@ -177,7 +182,7 @@ def gf_ast_prescribed(n: int, l: int, j) -> Gf:
     j = _positions(n, j)
     if j is None:
         return Gf.zero()
-    return gf_from_mpoly(_fold(n, j, [_at(x, l) for x in j], weighted=True))
+    return _fold(n, j, [_at(x, l) for x in j], weighted=True)
 
 
 def all_positions(n: int):
@@ -191,61 +196,70 @@ def all_positions(n: int):
                 yield m, neg + pos
 
 
-def _position_sum(n: int, l, weighted: bool) -> MPoly:
+def _position_sum(n: int, l: int, weighted: bool):
     """The operator values of all_positions(n) summed, each times R^m when
-    weighted.  A depth-first walk over increasing labels: x_i takes each
-    label that leaves enough larger ones for x_{i+1}..x_n, so the position
-    vectors that share a prefix share its steps."""
+    weighted: an int, or a Gf when weighted.  A depth-first walk over
+    increasing labels: x_i takes each label that leaves enough larger ones
+    for x_{i+1}..x_n, so the position vectors that share a prefix share
+    its steps."""
     if n < 1:
         raise ValueError("n must be positive")
     if weighted and l < 2:
         raise ValueError("the weighted operator formula needs l >= 2")
     labels = [*range(-n, 0), *range(1, n + 1)]
-    r = MPoly.variable("R") if weighted else 1
+    r, zero = (Gf.monomial(r=1), Gf.zero()) if weighted else (1, 0)
 
-    def walk(p, i, first):
+    def walk(coords, i, first):
         if i > n:
-            return p
-        total = MPoly.constant(0)
+            return coords.get((), zero)
+        total = zero
         for k in range(first, n + i):
             x = labels[k]
-            below = walk(_step(p, i, x, _at(x, l), weighted), i + 1, k + 1)
+            below = walk(_step(coords, x, _at(x, l), weighted), i + 1, k + 1)
             total += r * below if x < 0 else below
         return total
 
-    return walk(compute_Mn(n), 1, 0) * Fraction(1, _denominator(n))
+    return walk(compute_Mn(n), 1, 0)
 
 
 def gf_ast_via_operator(n: int, l: int) -> Gf:
     """Full generating function by the operator route: sum R^m times the
     prescribed-position P,Q-polynomials over all position vectors."""
-    return gf_from_mpoly(_position_sum(n, l, True))
-
-
-def count_ast_via_operator(n: int, l: int) -> int:
-    return _integer(_position_sum(n, l, False).evaluate({}))
-
-
-@lru_cache(maxsize=None)
-def t_polynomial(n: int) -> MPoly:
-    """The number of (n,l)-trapezoids as a polynomial in the symbolic base
-    length l: the prescribed-position operator values summed over all
-    positions, with x_i = j_i + l - 3 substituted symbolically for the
-    positive positions.  Valid counts for l >= 2; t_n(1) counts the quasi
-    variant."""
-    return _position_sum(n, MPoly.variable("l"), False)
+    return _position_sum(n, l, True)
 
 
 def t_value(n: int, l: int) -> int:
-    return _integer(t_polynomial(n).evaluate({"l": l}))
+    """t_n(l), the number of (n,l)-trapezoids for l >= 2 (of the quasi
+    ones for l = 1): one walk."""
+    return _position_sum(n, l, False)
+
+
+count_ast_via_operator = t_value
+
+
+def t_polynomial(n: int) -> MPoly:
+    """The number of (n,l)-trapezoids as a polynomial in the base length l:
+    t_value at l = 0..n(n-1)/2, interpolated, since t_n has degree at most
+    that of M_n.  Valid counts for l >= 2; t_n(1) counts the quasi
+    variant."""
+    coeffs = monomials(_newton([t_value(n, l)
+                                for l in range(n * (n - 1) // 2 + 1)]))
+    return MPoly(("l",), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def _newton(values) -> list:
+    """D^k f(0) / k!, lowest first, for f(x) = values[x]: the coordinates
+    of f in the falling-factorial basis."""
+    from fractions import Fraction
+    return [Fraction(d, math.factorial(k))
+            for k, d in enumerate(forward_differences(values))]
 
 
 def falling_factorial_coeffs(p: MPoly, name: str = "l"):
     """Coefficients c_k with p = sum_k c_k * name*(name-1)*...*(name-k+1),
     via Newton's forward differences at 0."""
-    diffs = forward_differences(p.evaluate({name: i})
-                                for i in range(max(p.degree(), 0) + 1))
-    coeffs = [Fraction(d, math.factorial(k)) for k, d in enumerate(diffs)]
+    coeffs = _newton(p.evaluate({name: i})
+                     for i in range(max(p.degree(), 0) + 1))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -294,12 +308,7 @@ def verify_asymM(n: int, x) -> bool:
 
 
 def _sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
 
 
 def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool:
@@ -312,6 +321,7 @@ def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool
     at sample_count rational points avoiding all poles (every nonempty
     subset product must differ from 1).  Exact rational arithmetic, so any
     agreement failure is decisive."""
+    from fractions import Fraction
     if sample_count < 1:
         raise ValueError(f"need at least one sample, got {sample_count}")
     rng = random.Random(seed)
@@ -321,37 +331,25 @@ def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool
         for sigma in itertools.permutations(range(n)):
             y = [x[sigma[i]] for i in range(n)]
             term = Fraction(_sign(sigma))
+            for i, j in itertools.combinations(range(n), 2):
+                term *= 1 + y[j] + y[i] * y[j]
             for i in range(n):
-                for j in range(i + 1, n):
-                    term *= 1 + y[j] + y[i] * y[j]
-            for i in range(n):
-                prod_tail = Fraction(1)
-                for j in range(i, n):
-                    prod_tail *= y[j]
-                term *= y[i] ** i / (1 - prod_tail)
+                term *= y[i] ** i / (1 - math.prod(y[i:]))
             lhs += term
-        rhs = Fraction(1)
-        for i in range(n):
-            rhs /= 1 - x[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rhs *= (1 + x[i] + x[j]) * (x[j] - x[i]) / (1 - x[i] * x[j])
+        rhs = Fraction(1) / math.prod(1 - v for v in x)
+        for i, j in itertools.combinations(range(n), 2):
+            rhs *= (1 + x[i] + x[j]) * (x[j] - x[i]) / (1 - x[i] * x[j])
         if lhs != rhs:
             return False
     return True
 
 
 def _sample_point(rng, n):
+    from fractions import Fraction
     while True:
         x = [Fraction(rng.randint(-19, 19), rng.randint(2, 13))
              for _ in range(n)]
-        ok = True
-        for size in range(1, n + 1):
-            for subset in itertools.combinations(x, size):
-                prod = Fraction(1)
-                for v in subset:
-                    prod *= v
-                if prod == 1:
-                    ok = False
-        if ok and len(set(x)) == n:
+        if len(set(x)) == n and all(
+                math.prod(subset) != 1 for size in range(1, n + 1)
+                for subset in itertools.combinations(x, size)):
             return x

@@ -422,9 +422,9 @@ def _fresh_process(code, *argv):
 # Modules that a command does not run: every op is a fresh process, so
 # loading one is start-up time spent for nothing.  No command loads
 # dataclasses (with inspect, ast and dis behind it): the object classes of
-# the enumeration routes are named tuples.  Only the operator route makes
-# a Fraction, so no other route loads fractions (with decimal behind it),
-# and gf paths, which never sums over CSSPPs, does not load cssp.
+# the enumeration routes are named tuples.  No gf route makes a Fraction
+# (tpoly does), so none loads fractions (with decimal behind it), and gf
+# paths, which never sums over CSSPPs, does not load cssp.
 NO_FRACTIONS = ("dataclasses", "fractions", "decimal")
 UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "xml.etree.ElementTree", "json",
@@ -438,11 +438,12 @@ COMMANDS = [
     (("gf", "cssp", "--k", "2", "--n", "4", "--d", "1"), NO_FRACTIONS),
     (("gf", "paths", "--n", "3", "--l", "3", "--d", "1"),
      NO_FRACTIONS + ("altsign.cssp",)),
+    (("gf", "operator", "--n", "2", "--l", "3"), NO_FRACTIONS),
     # these load what the others leave out, and still run
-    (("gf", "operator", "--n", "2", "--l", "3"), ("dataclasses",)),
     (("enumerate", "cssp", "--k", "1", "--n", "2"), ("dataclasses",)),
     (("verify", "bijections", "--n-max", "2", "--l-max", "3"),
      ("dataclasses",)),
+    (("tpoly", "--n", "2"), ("dataclasses",)),
 ]
 
 

@@ -1,15 +1,27 @@
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import altsign
 from altsign.errors import NonDivisibleError
-from altsign.exactalg import (Gf, MPoly, _monomials, _newton_coordinates,
-                              binomial, det_agrees, det_fraction_free,
-                              det_gf, gf_from_mpoly)
-from test_operatorform import _run_optimized
+from altsign.exactalg import (Gf, MPoly, _newton_coordinates, binomial,
+                              det_agrees, det_fraction_free, det_gf,
+                              monomials)
+
+
+def _run_optimized(code):
+    """Run code under python -O: (whether it exited 0, its stderr)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(altsign.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode == 0, done.stderr
 
 
 def var(name):
@@ -226,10 +238,6 @@ class TestGf:
         with pytest.raises(NonDivisibleError):
             (a * b + Gf.one()).exact_divide(a)
 
-    def test_gf_from_mpoly(self):
-        p = var("P") * var("R") + 2
-        assert gf_from_mpoly(p) == Gf.monomial(p=1, r=1) + 2 * Gf.one()
-
     def test_coefficients_stay_int(self):
         g = Gf.monomial(p=1, coeff=3) * Gf.p_plus_q_minus_1() - 2
         assert type(g) is Gf
@@ -373,7 +381,7 @@ class TestDeterminant:
     def test_newton_gives_monomial_coefficients(self):
         # x^2 - 3x + 5 at x = 0, 1, 2; x^3 at 0..4, one node more than needed
         def newton(values):
-            return _monomials(_newton_coordinates(values))
+            return monomials(_newton_coordinates(values))
         assert newton([5, 3, 3]) == [5, -3, 1]
         assert newton([0, 1, 8, 27, 64]) == [0, 0, 0, 1, 0]
         assert newton([7]) == [7]
@@ -382,9 +390,9 @@ class TestDeterminant:
         # C(x, 2) is integer-valued at 0, 1, 2 but has monomial coefficients
         # -1/2 and 1/2: the k! divisibility check must survive python -O
         ok, err = _run_optimized(
-            "from altsign.exactalg import _monomials, _newton_coordinates\n"
+            "from altsign.exactalg import monomials, _newton_coordinates\n"
             "try:\n"
-            "    _monomials(_newton_coordinates([0, 0, 1]))\n"
+            "    monomials(_newton_coordinates([0, 0, 1]))\n"
             "except ArithmeticError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")

@@ -9,9 +9,24 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from altsign.exactalg import (Gf, MPoly, det_agrees,  # noqa: E402
-                              det_gf, gf_from_mpoly)
+from altsign.exactalg import (_PQR, Gf, MPoly, _remap,  # noqa: E402
+                              det_agrees, det_gf)
 from test_exactalg import det_cofactor  # noqa: E402
+
+
+def gf_from_mpoly(p: MPoly) -> Gf:
+    """The Gf value of a polynomial whose variables are among P, Q, R, with
+    integer coefficients: the oracle that reads a plain MPoly result as a
+    Gf."""
+    for i, v in enumerate(p.vars):
+        if v not in _PQR and any(exp[i] for exp in p.terms):
+            raise ValueError(f"unexpected variable {v!r} in {p}")
+    terms = _remap(p, _PQR)
+    for c in terms.values():
+        if c.denominator != 1:
+            raise ValueError(f"non-integer coefficient {c} in {p}")
+    return Gf._make(_PQR, {e: int(c) for e, c in terms.items()})
+
 
 props = settings(max_examples=40, deadline=None)
 

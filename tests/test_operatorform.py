@@ -1,19 +1,17 @@
 import ast
-import os
+import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import altsign
-from altsign import detform, operatorform, trapezoid
+from altsign import detform, trapezoid
 from altsign.errors import InvalidShapeError, ShapeMismatchError
 from altsign.exactalg import Gf, MPoly
-from altsign.operatorform import (_denominator, all_positions,
-                                  asymM_constant_term,
+from altsign.operatorform import (all_positions, asymM_constant_term,
                                   bwd_diff, compute_Mn,
                                   count_ast_prescribed,
                                   count_ast_via_operator,
@@ -49,21 +47,21 @@ class TestOperators:
             b = bwd_diff(fwd_diff(p, "x1"), "x2")
             assert a == b
 
-
     def test_step_equals_the_difference_chain(self):
-        # the step read at shifted points against the chain of whole-
-        # polynomial differences and shifts that it replaced
-        rng = random.Random(22)
-        for _ in range(12):
-            p = _random_poly(rng, ("x1", "x2", "x3"))
-            for i in (1, 2, 3):
-                for x in (-4, -3, -2, -1, 1, 2, 3, 4):
-                    for value in (rng.randint(-5, 5),
-                                  var("l") + rng.randint(-3, 3)):
-                        for weighted in (False, True):
-                            args = (p, i, x, value, weighted)
-                            assert operatorform._step(*args) == \
-                                _chain_step(*args), args
+        # the steps on binomial coordinates against the chain of whole-
+        # polynomial differences and shifts applied to M_n in monomials,
+        # for every position vector
+        for n in (1, 2, 3, 4):
+            mn = _mn_by_fractions(n)
+            for l in (2, 3, 4, 5):
+                for _, j in all_positions(n):
+                    values = [x if x < 0 else x + l - 3 for x in j]
+                    for weighted, route in ((False, count_ast_prescribed),
+                                            (True, gf_ast_prescribed)):
+                        p = mn
+                        for i, (x, value) in enumerate(zip(j, values), 1):
+                            p = _chain_step(p, i, x, value, weighted)
+                        assert route(n, l, j) == p, (n, l, j, weighted)
 
 
 def _random_poly(rng, names=("x1", "x2")):
@@ -91,12 +89,25 @@ def _chain_step(p, i, x, value, weighted=False):
     return p.substitute(name, value)
 
 
+def _expand(coords):
+    """sum_a m_a prod_i C(x_i, a_i) as a polynomial in monomials."""
+    total = MPoly.constant(0)
+    for a, c in coords.items():
+        term = MPoly.constant(Fraction(c))
+        for i, k in enumerate(a, start=1):
+            for m in range(k):
+                term *= var(f"x{i}") - m
+            term *= Fraction(1, math.factorial(k))
+        total += term
+    return total
+
+
 class TestMn:
     def test_m1(self):
-        assert compute_Mn(1) == MPoly.constant(1)
+        assert _expand(compute_Mn(1)) == MPoly.constant(1)
 
     def test_m2(self):
-        assert compute_Mn(2) == var("x2") - var("x1") + 1
+        assert _expand(compute_Mn(2)) == var("x2") - var("x1") + 1
 
     def test_m3_at_123(self):
         assert eval_Mn(3, (1, 2, 3)) == 7
@@ -107,11 +118,11 @@ class TestMn:
 
     def test_degree(self):
         for n in range(1, 5):
-            assert compute_Mn(n).degree() == n * (n - 1) // 2
+            assert _expand(compute_Mn(n)).degree() == n * (n - 1) // 2
 
     def test_value_at_points_that_are_not_monotone(self):
         for b in [(3, 1, 2), (2, 2, -1), (0, 5, -4)]:
-            assert eval_Mn(3, b) * _denominator(3) == compute_Mn(3).evaluate(
+            assert eval_Mn(3, b) == _mn_by_fractions(3).evaluate(
                 {f"x{i}": v for i, v in enumerate(b, start=1)})
         with pytest.raises(ShapeMismatchError):
             eval_Mn(3, (1, 2))
@@ -188,7 +199,6 @@ class TestPrescribedCounts:
 
     def test_out_of_range_vanishes(self):
         # the formula itself vanishes just outside the labeled range
-        p = compute_Mn(2)
         for j in [(-3, 1), (-3, -1), (1, 3), (-1, 3)]:
             assert count_ast_prescribed(2, 4, j) == 0
 
@@ -305,13 +315,21 @@ class TestTPolynomial:
             assert t_value(5, l) == detform.count(5, l), l
         assert t_value(5, 1) == len(trapezoid.enumerate_trapezoids(5, 1))
 
-    def test_t_value_builds_t_n_once(self):
-        t_polynomial.cache_clear()
+    def test_n6_counts(self):
+        # the walk and the interpolated polynomial against the determinant
+        t6 = t_polynomial(6)
+        for l in range(2, 7):
+            count = detform.count(6, l)
+            assert t_value(6, l) == count, l
+            assert t6.evaluate({"l": l}) == count, l
+
+    def test_t_value_builds_m_n_once(self):
+        compute_Mn.cache_clear()
         for l in range(1, 7):
             value = t_value(4, l)
             if l >= 2:
                 assert value == detform.count(4, l), l
-        assert t_polynomial.cache_info().misses == 1
+        assert compute_Mn.cache_info().misses == 1
 
     def test_quasi_counts(self):
         # l = 1 gives the quasi trapezoid counts (2, 5, 20 for n <= 3)
@@ -429,9 +447,10 @@ class TestAsymLemma:
                 verify_asym_lemma(2, count)
 
 
+@lru_cache(maxsize=None)
 def _mn_by_fractions(n):
-    """M_n built in Fraction arithmetic, each Vandermonde factor divided
-    by j - i as it is taken: the oracle for compute_Mn = D_n M_n."""
+    """M_n built in monomials and Fraction arithmetic, each Vandermonde
+    factor divided by j - i as it is taken: the oracle for compute_Mn."""
     poly = MPoly.constant(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -443,48 +462,13 @@ def _mn_by_fractions(n):
     return poly
 
 
-def _run_optimized(code):
-    """Run code under python -O: (whether it exited 0, its stderr)."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(altsign.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    return done.returncode == 0, done.stderr
-
-
 class TestIntegerCore:
-    def test_denominator(self):
-        assert [_denominator(n) for n in range(1, 7)] == \
-            [1, 1, 2, 12, 288, 34560]
-
-    def test_mn_is_d_n_times_the_fraction_construction(self):
-        for n in range(1, 5):
-            assert compute_Mn(n) == _denominator(n) * _mn_by_fractions(n), n
+    def test_mn_expands_to_the_fraction_construction(self):
+        for n in range(1, 6):
+            assert _expand(compute_Mn(n)) == _mn_by_fractions(n), n
 
     def test_mn_has_int_coefficients(self):
-        assert {type(c) for c in compute_Mn(5).terms.values()} == {int}
-
-    def test_a_wrong_denominator_is_caught(self, monkeypatch):
-        # the count at (2, 3) is 7 and the (2, 4) generating function has
-        # odd coefficients, so halving either leaves a fraction behind
-        d = operatorform._denominator
-        monkeypatch.setattr(operatorform, "_denominator", lambda n: 2 * d(n))
-        with pytest.raises(ArithmeticError):
-            count_ast_via_operator(2, 3)
-        with pytest.raises(ValueError, match="non-integer coefficient"):
-            gf_ast_via_operator(2, 4)
-
-    def test_a_wrong_denominator_is_caught_under_optimize(self):
-        ok, err = _run_optimized("from altsign import operatorform\n"
-                                 "d = operatorform._denominator\n"
-                                 "operatorform._denominator = "
-                                 "lambda n: 2 * d(n)\n"
-                                 "try:\n"
-                                 "    operatorform.count_ast_via_operator(2, 3)\n"
-                                 "except ArithmeticError:\n"
-                                 "    raise SystemExit(0)\n"
-                                 "raise SystemExit(1)\n")
-        assert ok, err
+        assert {type(c) for c in compute_Mn(5).values()} == {int}
 
     def test_operator_route_equals_det(self):
         for l in range(2, 6):
@@ -501,13 +485,3 @@ class TestIntegrality:
             found = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, ast.Assert)]
             assert not found, (path.name, found)
-
-    def test_non_integer_raises_under_optimize(self):
-        ok, err = _run_optimized("from fractions import Fraction\n"
-                                 "from altsign.operatorform import _integer\n"
-                                 "try:\n"
-                                 "    _integer(Fraction(1, 2))\n"
-                                 "except ArithmeticError:\n"
-                                 "    raise SystemExit(0)\n"
-                                 "raise SystemExit(1)\n")
-        assert ok, err
