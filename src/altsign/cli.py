@@ -186,6 +186,12 @@ def _random_tree_instances(args):
     return sttree.random_tree_instances(args.samples, args.seed)
 
 
+def _operator_ns(args):  # 1..--n-max, refused up front past the reach
+    from . import operatorform
+    operatorform.check_reach(args.n_max)
+    return range(1, args.n_max + 1)
+
+
 def _n_l(args, l_min):
     return [(n, l) for n in range(1, args.n_max + 1)
             for l in range(l_min, args.l_max + 1)]
@@ -200,10 +206,10 @@ IDENTITIES = {
     "truncated": (_random_tree_instances, _check_truncated,
                   "truncated (n={}, s={}, t={}, b={})",
                   ("--samples", "--seed")),
-    "qast": (lambda a: [(n, part) for n in range(1, a.n_max + 1)
+    "qast": (lambda a: [(n, part) for n in _operator_ns(a)
                         for part in ("count", "vanishing")],
              _check_qast, "qast {1} (n={0})", ("--n-max",)),
-    "asymm": (lambda a: [(n, x) for n in range(1, a.n_max + 1)
+    "asymm": (lambda a: [(n, x) for n in _operator_ns(a)
                          for x in itertools.product(range(4), repeat=n)],
               _check_asymm, "asymM (n={}, x={})", ("--n-max",)),
     "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],

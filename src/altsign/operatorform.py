@@ -18,9 +18,9 @@ route divides.  Every operator is a polynomial in the shifts E_x:
 Operators in distinct variables commute, as do all operators in the same
 variable.  A position x fixes both the operator on one variable and that
 variable's value v: (-fwd)^a = (1 - E)^a (x < 0) or bwd^a = (1 - E^{-1})^a
-(x > 0), times the weight factor.  Read at v, a polynomial in E^e
-(e = +-1) is a signed binomial combination of the values at v + e k, so
-each step (_step) reads C(., a_1) at shifted points and contracts the
+(x > 0), times the weight factor.  As fwd C(y, t) = C(y, t - 1) and
+bwd C(y, t) = C(y - 1, t - 1) for every integer y, each such factor maps
+C(., t) read at v to one binomial, so each step (_step) contracts the
 first index; every formula folds one step per variable into an int (a Gf
 when weighted), and t_n interpolates these numbers in l.
 """
@@ -49,6 +49,13 @@ def bwd_diff(p: MPoly, name: str) -> MPoly:
     return p - p.shift_var(name, -1)
 
 
+def check_reach(n: int) -> None:
+    """ValueError, before any work, past n = 7: M_7 has 222,642
+    coordinates, and M_8 is not built in memory."""
+    if n > 7:
+        raise ValueError(f"n = {n} is past the operator route's reach, n <= 7")
+
+
 def _add(coords: dict, a: tuple, c) -> None:
     coords[a] = coords[a] + c if a in coords else c
 
@@ -58,10 +65,10 @@ def compute_Mn(n: int) -> MappingProxyType:
     """M_n as {a: m_a} over prod_i C(x_i, a_i): prod_{p<q} (1 + fwd_q +
     fwd_p fwd_q) applied to the scaled Vandermonde product {sigma: sgn
     sigma}, each fwd lowering one index by one.  M_n has total degree
-    n(n-1)/2 and M_1 = 1.  Cached per n, so read-only; practical up to
-    n = 7 or so."""
+    n(n-1)/2 and M_1 = 1.  Cached per n, so read-only; refused past n = 7."""
     if n < 1:
         raise ValueError("n must be positive")
+    check_reach(n)
     coords = {sigma: _sign(sigma)
               for sigma in itertools.permutations(range(n))}
     for p_ in range(n):
@@ -90,8 +97,9 @@ def _step(coords: dict, x: int, value, weighted: bool = False) -> dict:
     a, e, w = (-x - 1, 1, _P) if x < 0 else (x - 1, -1, _Q)
 
     def diffs(b, s, t):  # (1 - E^e)^b E^{es} C(., t), read at value
-        return sum((-1) ** k * math.comb(b, k)
-                   * binomial(value + e * (s + k), t) for k in range(b + 1))
+        if e == 1:  # (-fwd)^b at value + s
+            return (-1) ** b * binomial(value + s, t - b)
+        return binomial(value - s - b, t - b)  # fwd^b at value - s - b
 
     factors, out = {}, {}
     for key, c in coords.items():

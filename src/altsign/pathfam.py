@@ -6,7 +6,8 @@ A path with index u runs from (u, 0) to (0, u + l - 1) using north steps
 family picks a subset of indices from {0..n-1}, one path each, pairwise
 vertex-disjoint.  Under the correspondence a row of length m maps to the
 path with index u = m - 1: the parts after the first are the west-step
-heights plus one, and the first part is the end height plus one.
+heights plus one, and the first part is the end height plus one.  A path
+is stored as those heights; its N/W word is derived only for JSON.
 
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
@@ -60,38 +61,32 @@ if TYPE_CHECKING:
 class LatticePath(NamedTuple):
     u: int
     l: int
-    steps: str  # 'N'/'W' sequence from (u, 0) to (0, u + l - 1)
+    heights: tuple[int, ...]  # of the u west steps, weakly increasing
+
+    @property
+    def steps(self) -> str:
+        """The 'N'/'W' word from (u, 0) to (0, u + l - 1)."""
+        ys = (0, *self.heights)
+        return "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:])) \
+            + "N" * (self.u + self.l - 1 - ys[-1])
 
     def points(self) -> tuple[tuple[int, int], ...]:
-        x, y = self.u, 0
-        pts = [(x, y)]
-        for s in self.steps:
-            if s == "N":
-                y += 1
-            else:
-                x -= 1
-            pts.append((x, y))
+        """Up column x to the next west step's height, for x = u..0."""
+        pts, x, y = [], self.u, 0
+        for h in self.heights:
+            pts += [(x, t) for t in range(y, h + 1)]
+            x, y = x - 1, h
+        pts += [(x, t) for t in range(y, self.u + self.l)]
         return tuple(pts)
-
-    def west_heights(self) -> list[int]:
-        """Heights of the west steps in path order (weakly increasing)."""
-        out = []
-        y = 0
-        for s in self.steps:
-            if s == "N":
-                y += 1
-            else:
-                out.append(y)
-        return out
 
 
 def validate_path(p: LatticePath):
-    if p.steps.count("W") != p.u or p.steps.count("N") != p.u + p.l - 1:
-        return (f"path u={p.u} needs {p.u} west and {p.u + p.l - 1} north "
-                f"steps, got {p.steps!r}")
-    if set(p.steps) - {"N", "W"}:
-        return f"unknown step in {p.steps!r}"
-    return None
+    h, top = p.heights, p.u + p.l - 1
+    if len(h) != p.u:
+        return f"path u={p.u} needs {p.u} west steps, got {len(h)}"
+    if list(h) != sorted(h) or not all(0 <= y <= top for y in h):
+        return (f"west-step heights {h} of path u={p.u} must weakly "
+                f"increase within 0..{top}")
 
 
 class PathFamily(NamedTuple):
@@ -104,39 +99,26 @@ class PathFamily(NamedTuple):
 
 
 def is_nonintersecting(f: PathFamily) -> bool:
-    seen = set()
-    for p in f.paths:
-        pts = set(p.points())
-        if seen & pts:
-            return False
-        seen |= pts
-    return True
+    """No lattice point lies on two paths: the point sets' sizes add up."""
+    sets = [set(p.points()) for p in f.paths]
+    return len(set().union(*sets)) == sum(map(len, sets))
 
 
 @lru_cache(maxsize=None)
 def paths_for_index(u: int, l: int) -> tuple[LatticePath, ...]:
-    """All C(2u+l-1, u) paths for one index."""
-    total = 2 * u + l - 1
-    out = []
-    for west_at in itertools.combinations(range(total), u):
-        steps = ["N"] * total
-        for i in west_at:
-            steps[i] = "W"
-        out.append(LatticePath(u, l, "".join(steps)))
-    return tuple(out)
+    """All C(2u+l-1, u) paths for one index, in the lexicographic order of
+    their west-step positions (the k-th at position height + k)."""
+    return tuple(LatticePath(u, l, h) for h in
+                 itertools.combinations_with_replacement(range(u + l), u))
 
 
 def cssp_to_paths(c: Cssp) -> PathFamily:
     """Row of length m -> path with index m - 1; west-step heights are the
     parts after the first minus one, traversed in reverse row order."""
     l = c.k + 1
-    paths = []
-    for row in c.rows:
-        u = len(row) - 1
-        ys = [0] + [part - 1 for part in reversed(row[1:])]  # weakly increasing
-        steps = "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:]))
-        paths.append(LatticePath(u, l, steps + "N" * (u + l - 1 - ys[-1])))
-    return PathFamily(l, tuple(paths))
+    return PathFamily(l, tuple(
+        LatticePath(len(row) - 1, l, tuple(part - 1 for part in row[:0:-1]))
+        for row in c.rows))
 
 
 def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
@@ -144,15 +126,11 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     assemble into a class-(l-1) object (cannot happen for vertex-disjoint
     families)."""
     from .cssp import Cssp, validate  # only here: gf paths never loads it
-    rows = []
-    for p in f.paths:
-        problem = validate_path(p)
+    for problem in map(validate_path, f.paths):
         if problem:
             raise NotInImageError(problem)
-        first = p.u + l
-        parts = [first] + [h + 1 for h in reversed(p.west_heights())]
-        rows.append(tuple(parts))
-    c = Cssp(l - 1, tuple(rows))
+    c = Cssp(l - 1, tuple((p.u + l, *(h + 1 for h in p.heights[::-1]))
+                          for p in f.paths))
     problem = validate(c)
     if problem:
         raise NotInImageError(problem)
@@ -179,7 +157,7 @@ def _weight(paths, d, r: int) -> Gf:
     """R^r times the product of _step_weight over the west steps of the
     paths, built once from the exponent sums."""
     steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
-             for path in paths for k, y in enumerate(path.west_heights())]
+             for path in paths for k, y in enumerate(path.heights)]
     p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
     return Gf.weight(p, q, r, o)
 
@@ -203,6 +181,8 @@ def all_families(n: int, l: int):
     oracle of gf_via_paths."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
+    cells = [[(p, frozenset(p.points())) for p in paths_for_index(u, l)]
+             for u in range(n)]  # each path's point set, taken once
     for r in range(n + 1):
         for indices in itertools.combinations(range(n), r):
             chosen: list[LatticePath] = []
@@ -211,8 +191,7 @@ def all_families(n: int, l: int):
                 if pos == len(indices):
                     yield PathFamily(l, tuple(reversed(chosen)))
                     return
-                for p in paths_for_index(indices[pos], l):
-                    pts = set(p.points())
+                for p, pts in cells[indices[pos]]:
                     if used & pts:
                         continue
                     chosen.append(p)
@@ -265,14 +244,20 @@ def to_json(f: PathFamily) -> dict:
 
 
 def from_json(d: dict) -> PathFamily:
-    paths = tuple(LatticePath(int(p["u"]), int(d["l"]), str(p["steps"]))
-                  for p in d["paths"])
-    f = PathFamily(int(d["l"]), paths)
-    for p in f.paths:
-        problem = validate_path(p)
-        if problem:
-            raise ValueError(problem)
-    return f
+    """The only reader of N/W words: the k-th W at position i of a word
+    is a west step at height i - k."""
+    l = int(d["l"])
+    words = [(int(p["u"]), str(p["steps"])) for p in d["paths"]]
+    for u, steps in words:
+        if steps.count("W") != u or steps.count("N") != u + l - 1:
+            raise ValueError(f"path u={u} needs {u} west and {u + l - 1} "
+                             f"north steps, got {steps!r}")
+        if set(steps) - {"N", "W"}:
+            raise ValueError(f"unknown step in {steps!r}")
+    return PathFamily(l, tuple(
+        LatticePath(u, l, tuple(i - k for k, i in enumerate(
+            j for j, s in enumerate(steps) if s == "W")))
+        for u, steps in words))
 
 
 # --- SVG rendering ---------------------------------------------------------
@@ -314,7 +299,7 @@ def _family_group(f: PathFamily, d, n: int, cell: int, origin):
         pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.points())
         ET.SubElement(g, "polyline", points=pts, fill="none",
                       stroke=color, **{"stroke-width": "2"})
-        (x0, y0), (x1, y1) = p.points()[0], p.points()[-1]
+        (x0, y0), (x1, y1) = (p.u, 0), (0, p.u + p.l - 1)  # start, end
         ET.SubElement(g, "circle", cx=str(sx(x0)), cy=str(sy(y0)),
                       r="3", fill=color)
         ET.SubElement(g, "rect", x=str(sx(x1) - 3), y=str(sy(y1) - 3),

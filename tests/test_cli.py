@@ -71,6 +71,10 @@ class TestCountCommand:
                      ("gf", "ast", "--n", "0", "--l", "3"),
                      ("tpoly", "--n", "-1"),
                      ("gf", "operator", "--n", "-2", "--l", "3"),
+                     ("gf", "operator", "--n", "8", "--l", "3"),
+                     ("tpoly", "--n", "8"),
+                     ("verify", "qast", "--n-max", "8"),
+                     ("verify", "asymm", "--n-max", "8"),
                      ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
                      ("svg", "paths", "--n", "-1", "--l", "3",
                       "--out", str(sheet)),

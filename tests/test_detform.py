@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -229,3 +229,59 @@ class TestDetMatrix:
                 calls.clear()
                 route(n)
                 assert len(calls) == comb(n + 3, 3), (name, n, len(calls))
+
+
+def asm_number(m):
+    """A(m) = prod_{j=0}^{m-1} (3j+1)! / (m+j)!, the number of m x m
+    alternating sign matrices (D. Zeilberger, "Proof of the alternating
+    sign matrix conjecture", 1996; G. Kuperberg, "Another proof of the
+    alternating sign matrix conjecture", 1996)."""
+    return (prod(factorial(3 * j + 1) for j in range(m))
+            // prod(factorial(m + j) for j in range(m)))
+
+
+def mirrored(g, n):
+    """The terms of R^n G(Q, P, 1/R): P^p Q^q R^r -> P^q Q^p R^(n-r)."""
+    return {(q, p, n - r): c for (p, q, r), c in g.terms.items()}
+
+
+class TestAnchors:
+    # closed forms from outside the routes, so no route checks itself
+
+    def test_asm_numbers_count_l3(self):
+        # (n,3)-trapezoids are the alternating sign triangles of order
+        # n + 1, counted by the ASM numbers
+        assert [asm_number(m) for m in range(1, 8)] \
+            == [1, 2, 7, 42, 429, 7436, 218348]
+        for n in range(0, 41):
+            assert count(n, 3) == asm_number(n + 1), n
+
+    def test_asm_numbers_by_enumeration(self):
+        for n in range(0, 7):
+            if n:
+                assert trapezoid.gf(n, 3).evaluate() == asm_number(n + 1), n
+            for d in range(0, 3):
+                assert cssp.gf(2, n, d).evaluate() == asm_number(n + 1), \
+                    (n, d)
+
+    def test_mirror(self):
+        # reversing every row of a trapezoid swaps its left and right
+        # columns: G_n(P, Q, R) = R^n G_n(Q, P, 1/R), term by term; on
+        # CSSPPs and path families the symmetry is not visible
+        def check(g, n, *key):
+            assert mirrored(g, n) == g.terms, (n, *key)
+
+        for n in range(0, 9):
+            for l in range(1, 7):
+                check(gf_det(n, l), n, "det", l)
+        for n in range(0, 7):
+            for l in range(1, 6):
+                for d in range(0, l):
+                    check(pathfam.gf_via_paths(n, l, d), n, "paths", l, d)
+                    if n <= 5:
+                        check(cssp.gf(l - 1, n, d), n, "cssp", l, d)
+                if n:
+                    check(trapezoid.gf(n, l), n, "ast", l)
+        for n in range(1, 5):
+            for l in range(2, 6):
+                check(operatorform.gf_ast_via_operator(n, l), n, "operator", l)

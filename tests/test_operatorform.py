@@ -127,6 +127,16 @@ class TestMn:
         with pytest.raises(ShapeMismatchError):
             eval_Mn(3, (1, 2))
 
+    def test_sizes_past_n7_refused_up_front(self):
+        # M_8 is not built in memory: every operator entry point refuses
+        # n = 8 before building anything
+        for call in (lambda: compute_Mn(8), lambda: t_value(8, 3),
+                     lambda: gf_ast_via_operator(9, 3),
+                     lambda: t_polynomial(8),
+                     lambda: eval_Mn(8, range(8))):
+            with pytest.raises(ValueError, match="reach"):
+                call()
+
     def test_translation_invariance(self):
         for b in [(1, 2, 3), (-1, 0, 4)]:
             base = eval_Mn(3, b)

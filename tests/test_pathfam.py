@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import xml.etree.ElementTree as ET
 from math import comb
 
@@ -12,8 +15,8 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              from_json,
                              gf_via_paths, is_nonintersecting, lgv_weight,
                              path_matrix, path_weight, paths_for_index,
-                             paths_to_cssp,
-                             to_json, write_families_svg)
+                             paths_to_cssp, to_json, validate_path,
+                             write_families_svg)
 from test_exactalg import det_bareiss
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -28,8 +31,8 @@ class TestCorrespondence:
         fam = cssp_to_paths(FIGURE)
         assert fam.indices == (4, 3, 1, 0)
         # west-step heights per row, in row order (reverse of path order)
-        heights = [list(reversed(p.west_heights())) for p in fam.paths]
-        assert heights == [[6, 5, 5, 2], [4, 4, 1], [3], []]
+        heights = [p.heights[::-1] for p in fam.paths]
+        assert heights == [(6, 5, 5, 2), (4, 4, 1), (3,), ()]
         assert is_nonintersecting(fam)
 
     def test_empty(self):
@@ -53,7 +56,8 @@ class TestCorrespondence:
 
     def test_not_in_image(self):
         # two identical paths cannot come from a shifted shape
-        p = LatticePath(1, 2, "WNN")
+        p = LatticePath(1, 2, (0,))
+        assert not is_nonintersecting(PathFamily(2, (p, p)))
         with pytest.raises(NotInImageError):
             paths_to_cssp(PathFamily(2, (p, p)), 2)
 
@@ -69,7 +73,7 @@ class TestWeights:
 
     def test_single_west_then_north(self):
         # row "3 1" of class 1: path W at height 0 then NN
-        p = LatticePath(1, 2, "WNN")
+        p = LatticePath(1, 2, (0,))
         fam = PathFamily(2, (p,))
         assert lgv_weight(fam, None, 2) == Gf.monomial(q=1, r=1)
         assert paths_to_cssp(fam, 2).rows == ((3, 1),)
@@ -125,9 +129,9 @@ def _product_lgv_weight(f, d):
     return w
 
 
-def _appended_paths(c):
+def _appended_words(c):
     l = c.k + 1
-    paths = []
+    words = []
     for row in c.rows:
         u = len(row) - 1
         steps = []
@@ -137,8 +141,8 @@ def _appended_paths(c):
             steps.append("W")
             y = h
         steps.append("N" * (u + l - 1 - y))
-        paths.append(LatticePath(u, l, "".join(steps)))
-    return PathFamily(l, tuple(paths))
+        words.append("".join(steps))
+    return words
 
 
 class TestExponentOracles:
@@ -147,7 +151,11 @@ class TestExponentOracles:
             for n in range(0, 5):
                 for c in enumerate_cssps(k, n):
                     fam = cssp_to_paths(c)
-                    assert fam == _appended_paths(c), c
+                    assert fam.l == k + 1, c
+                    assert [p.steps for p in fam.paths] \
+                        == _appended_words(c), c
+                    assert fam.indices == tuple(len(row) - 1
+                                                for row in c.rows), c
                     for d in (None, *range(k + 1)):
                         w = lgv_weight(fam, d, k + 1)
                         expected = _product_lgv_weight(fam, d)
@@ -156,6 +164,33 @@ class TestExponentOracles:
                         for p in fam.paths:
                             assert path_weight(p, d) \
                                 == _product_path_weight(p, d), (p, d)
+
+    def test_paths_for_index_against_words(self):
+        # every placement of u west steps among 2u + l - 1 steps, in the
+        # lexicographic order of the positions, and the points walked
+        # step by step along each word
+        for u in range(0, 5):
+            for l in range(1, 5):
+                words = []
+                for west_at in itertools.combinations(range(2 * u + l - 1),
+                                                      u):
+                    words.append("".join("W" if i in west_at else "N"
+                                         for i in range(2 * u + l - 1)))
+                paths = paths_for_index(u, l)
+                assert [p.steps for p in paths] == words, (u, l)
+                for p in paths:
+                    pts = [(u, 0)]
+                    for step in p.steps:
+                        x, y = pts[-1]
+                        pts.append((x - 1, y) if step == "W" else (x, y + 1))
+                    assert p.points() == tuple(pts), p
+                    assert from_json(to_json(PathFamily(l, (p,)))).paths \
+                        == (p,)
+
+    def test_validate_path(self):
+        assert validate_path(LatticePath(2, 2, (0, 3))) is None
+        for heights in ((0,), (0, 1, 1), (1, 0), (-1, 0), (0, 4)):
+            assert validate_path(LatticePath(2, 2, heights)), heights
 
     def test_intersecting_pairs(self):
         # two paths may share the d = 0 origin step: (P+Q-1)^2
@@ -167,7 +202,7 @@ class TestExponentOracles:
                     for d in (None, *range(l)):
                         assert lgv_weight(fam, d, l) \
                             == _product_lgv_weight(fam, d), (fam, d)
-        twice = PathFamily(2, (LatticePath(1, 2, "WNN"),) * 2)
+        twice = PathFamily(2, (LatticePath(1, 2, (0,)),) * 2)
         assert lgv_weight(twice, 0, 2) \
             == Gf.monomial(r=2) * Gf.p_plus_q_minus_1() ** 2
 
@@ -281,8 +316,10 @@ class TestJson:
                     assert from_json(to_json(fam)) == fam, (k, n, c)
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs 1 west and 2 north"):
             from_json({"l": 2, "paths": [{"u": 1, "steps": "NN"}]})
+        with pytest.raises(ValueError, match="unknown step in 'WNXN'"):
+            from_json({"l": 2, "paths": [{"u": 1, "steps": "WNXN"}]})
 
 
 class TestSvg:
@@ -311,3 +348,37 @@ class TestSvg:
     def test_p1_mode_sheet_without_line(self):
         text = families_svg(all_families(1, 2), None, 1, 2)
         assert "polyline" in text and "stroke-dasharray" not in text
+
+
+class TestPinnedBytes:
+    # sha256 digests of the SVG sheets and of the JSON of every family
+    # from a CSSPP with k <= 3 and n <= 4: how a path is stored inside
+    # the package must not move a byte of what it writes
+    SHEETS = {
+        (2, 3, 1): "86d6398265de3d4318c654c7906231f6"
+                   "2776f11cc0bdf30b2ea0c0ab8b16c911",
+        (3, 3, 0): "9a4d7dba41ba025c6d9674135936a4b3"
+                   "89bb7ce9b7fdb4e29a2f800f516fbedb",
+        (3, 4, 2): "ea380982e7ccc0474328ce1bc501c11d"
+                   "2459518cb10b097dd1cda6978c0f99cb",
+        (4, 2, 1): "3ac305cac287d3baf1cd92df8c82489e"
+                   "aaa05767b42750b7807c859c123148bf",
+    }
+    FAMILIES_JSON = ("9ca36e086592991b9f2bb7973139e03a"
+                     "833182d79d48a7ea02536857f32a1849")
+
+    def test_svg_sheets(self):
+        for (n, l, d), digest in self.SHEETS.items():
+            sheet = families_svg(all_families(n, l), d, n, l)
+            assert hashlib.sha256(sheet.encode()).hexdigest() == digest, \
+                (n, l, d)
+
+    def test_family_json(self):
+        h, count = hashlib.sha256(), 0
+        for k in range(0, 4):
+            for n in range(0, 5):
+                for c in enumerate_cssps(k, n):
+                    text = json.dumps(to_json(cssp_to_paths(c)))
+                    h.update(text.encode() + b"\n")
+                    count += 1
+        assert (count, h.hexdigest()) == (1683, self.FAMILIES_JSON)
