@@ -161,46 +161,26 @@ def gf(k: int, n: int, d: int) -> Gf:
     """Generating function of class-k objects with first row at most n,
     summed over bounds rather than over rows; no object or row is built.
 
-    C(tau) sums over the chains of rows below a row whose parts after the
-    first are tau, the empty chain included.  A row of length L under it
-    has first part f = L + k < tau_1, and its parts after the first form
-    a weakly decreasing sigma with 1 <= sigma_j <= b_j, where b_j is the
-    least of f and tau_2 - 1, ..., tau_(j+1) - 1.  Each part's factor
-    reads only its value and position (_pq), so C(tau) is the end
-    factor plus R x^w(f) S(b) over L, where S(b) sums x^w(sigma) C(sigma)
-    over those sigma.  G(j, v) is that sum with all but the last j
-    coordinates of sigma fixed to v: a prefix sum over the value of the
-    first free coordinate of G(j - 1, .), each prefix memoized, and
-    S(b) = G(len(b), b).  The top row lies under the tail
-    (n + k + 1,) * n, which no row can have.
+    G(0, v) is the factor of v, a row's parts after the first, times the
+    sum over the chains of rows below that row, the empty chain included.
+    A row of length L under it has first part f = L + k < v_1, and its
+    parts after the first form a weakly decreasing sigma with
+    1 <= sigma_j <= b_j, where b_j is the least of f and v_2 - 1, ...,
+    v_(j+1) - 1.  Each part's factor reads only its value and position
+    (_pq), so G(0, v) is x^w(v) times the end factor plus R x^w(f) S(b)
+    over L, where S(b) sums G(0, sigma) over those sigma.  G(j, v) is that
+    sum with all but the last j coordinates of sigma fixed to v: a prefix
+    sum over the value of the first free coordinate of G(j - 1, .), each
+    prefix memoized, and S(b) = G(len(b), b).  The top row lies under the
+    tail (n + k + 1,) * n, which no row can have and whose factor is 1: no
+    part n + k + 1 is 1 or t - 1 + d at a position t <= n + 1.
     """
     _check_class(k, n)
     _check_d(k, d)
-    below = {}  # C: tail -> {(p, q, r): coeff}
     sums = {}  # G: (j, v) -> {(p, q, r): coeff}
     # the factor of a row's first part, L + k at position 1, by length L
     heads = [_pq(((length + k,),), d) for length in range(n + 1)]
     ends = [Gf.weight(o=o).terms for o in (0, 1)]  # by _has_factor
-
-    def chains(tail):
-        if tail in below:
-            return below[tail]
-        # the empty chain ends the object here (d = 0: the (P+Q-1) factor
-        # when the row's second part is 1)
-        out = dict(ends[_has_factor(tail, d)])
-        # part t + 1 of a row sits under part t + 2 of the row above
-        caps = list(itertools.accumulate((v - 1 for v in tail[1:]), min))
-        for length in range(1, len(tail) + 1):
-            first = length + k
-            if first >= tail[0] or (length > 1 and caps[length - 2] < 1):
-                break
-            bound = tuple(min(first, c) for c in caps[:length - 1])
-            p, q = heads[length]
-            for (ep, eq, er), c in fill(length - 1, bound).items():
-                e = (ep + p, eq + q, er + 1)  # each row adds one R
-                out[e] = out.get(e, 0) + c
-        below[tail] = out
-        return out
 
     def fill(j, v):
         key = (j, v)
@@ -208,8 +188,23 @@ def gf(k: int, n: int, d: int) -> Gf:
             return sums[key]
         if not j:
             p, q = _pq((v,), d, start=2)  # v: a row's parts after the first
-            out = sums[key] = {(ep + p, eq + q, er): c
-                               for (ep, eq, er), c in chains(v).items()}
+            # the empty chain ends the object here (d = 0: the (P+Q-1)
+            # factor when the row's second part is 1)
+            out = {(ep + p, eq + q, er): c
+                   for (ep, eq, er), c in ends[_has_factor(v, d)].items()}
+            # part t + 1 of a row sits under part t + 2 of the row above
+            caps = list(itertools.accumulate((x - 1 for x in v[1:]), min))
+            for length in range(1, len(v) + 1):
+                first = length + k
+                if first >= v[0] or (length > 1 and caps[length - 2] < 1):
+                    break
+                bound = tuple(min(first, c) for c in caps[:length - 1])
+                # v's factor and the new row's first part's
+                sp, sq = p + heads[length][0], q + heads[length][1]
+                for (ep, eq, er), c in fill(length - 1, bound).items():
+                    e = (ep + sp, eq + sq, er + 1)  # each row adds one R
+                    out[e] = out.get(e, 0) + c
+            sums[key] = out
             return out
         i = len(v) - j
         head, rest = v[:i], v[i + 1:]
@@ -228,7 +223,7 @@ def gf(k: int, n: int, d: int) -> Gf:
             sums[j, u] = out
         return out
 
-    return Gf(chains((n + k + 1,) * n))
+    return Gf(fill(0, (n + k + 1,) * n))
 
 
 def pretty(c: Cssp) -> str:

@@ -24,8 +24,8 @@ polynomial is ever divided.  The paths route takes its determinant on the
 same form (k_form): with M = pathfam.path_matrix(n, l, 1),
 det_matrix(n, l) = K(n) (I + R M) (at d = 0 when l = 1), so `gf det` and
 `gf paths --d 1` reach one matrix.
-`verify coeff` checks the coefficient matrix, of the same form, against
-gf_det at the same points (exactalg.det_agrees), with no interpolation.
+`verify coeff` takes det_gf of the coefficient matrix, of the same form,
+and compares it with gf_det.
 
 The constant-term form det(F(X_i,Y_j)) / prod (X_j-X_i)(Y_j-Y_i) is not
 evaluated directly (it would need multivariate series division); it is
@@ -35,7 +35,7 @@ route.
 
 from __future__ import annotations
 
-from .exactalg import Gf, binomial, det_agrees, det_fraction_free, det_gf
+from .exactalg import Gf, binomial, det_fraction_free, det_gf
 
 
 def k_matrix(n: int) -> list[list[Gf]]:
@@ -131,9 +131,9 @@ def series_coeffs(l: int, max_i: int, max_j: int) -> dict:
 def verify_coeff_route(n: int, l: int) -> bool:
     """Two independent checks of the coefficient-matrix step: the closed
     coefficient formula against the direct series expansion up to X^6 Y^6,
-    and det(coefficient matrix) = gf_det(n, l), point by point."""
+    and det(coefficient matrix) = gf_det(n, l)."""
     series = series_coeffs(l, 6, 6)
     if any(series.get((i, j), Gf.zero()) != behrend_coeff(i, j, l)
            for i in range(7) for j in range(7)):
         return False
-    return det_agrees(coeff_matrix(n, l), gf_det(n, l))
+    return det_gf(coeff_matrix(n, l)) == gf_det(n, l)

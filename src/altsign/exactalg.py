@@ -3,8 +3,8 @@ multivariate polynomial type with exact coefficients (``MPoly``) with its
 specialization to generating functions in P, Q, R over the integers
 (``Gf``), Bareiss elimination over ints, and the determinant of a ``Gf``
 matrix affine in P R, R and Q, the form of both determinant routes, as
-integer determinants at the lattice points of a simplex: ``det_gf``
-interpolates them, ``det_agrees`` compares a polynomial with them.
+integer determinants at the lattice points of a simplex that ``det_gf``
+interpolates.
 
 Python's unbounded ``int`` and ``fractions.Fraction`` serve as the scalar
 types; nothing in this package ever touches floating point.  The type
@@ -530,14 +530,3 @@ def det_gf(matrix) -> Gf:
     _simplex_lines(values, len(matrix), monomials)
     return Gf({(a, b, a + c): v for (a, c, b), v in values.items()})
 
-
-def det_agrees(matrix, g: Gf) -> bool:
-    """Whether g is det(matrix), for a matrix det_gf takes: g has total
-    degree <= n in x = P R, y = R and z = Q (no term P^p Q^q R^r with p > r
-    or q + r > n) and equals the integer determinant at each point
-    x + y + z <= n, which determine a polynomial of that degree."""
-    if any(p > r or q + r > len(matrix) for p, q, r in g.terms):
-        return False
-    return all(v == sum(c * x ** p * y ** (r - p) * z ** q
-                        for (p, q, r), c in g.terms.items())
-               for (x, y, z), v in _simplex_dets(matrix).items())

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -42,6 +43,51 @@ GF35 = (
     " + 111*Q^3*R^2 + 44*P^2*Q^2*R^2 + 44*P*Q^3*R^2 + 175*R + 111*P*R"
     " + 76*Q*R + 35*P*Q*R + 27*Q^2*R + 8*P*Q^2*R + 7*Q^3*R + P*Q^3*R"
     " + Q^4*R + 1")
+
+# sha256 of the printed str(gf(k, n, d)), the same for every d: k <= 5
+# with n <= 5 and k <= 3 with n = 6
+GF_DIGESTS = {
+    (0, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (0, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (0, 2): "74fee08419f3f5fb715fe7c3eb6a445344911fdbfd2251ce24ca9c5b87094af0",
+    (0, 3): "58730ac445a78a1205bc23e83fe5899db3ae2f04614f5b835df9b9a7642d6e73",
+    (0, 4): "e2c1690dfcc85c5cc0b5f9d0ab10c4a9e1253df7d8e946f8530e2a75ad1a5057",
+    (0, 5): "b59d78ccf07f151611e9168b0bcf5472137b10b2e0daf0cfa6dc6761103297d9",
+    (1, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (1, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 2): "a0930b2d0486cdddb98f092eb607012839d4b515fed148e2747ee8d8bf2a0663",
+    (1, 3): "6085c0e521e64bcb780e0c4ee22573e18750b0a0b532e516d6fe31c087a3d518",
+    (1, 4): "b27bcb5a06647eca8c5b29687810aa437dbf80e31864d58990fc063697a1a43d",
+    (1, 5): "f3d1ccd81ab6f5867eb421e1134d51698e1a9bbeaa4b2794cc8e960d58572572",
+    (2, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (2, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (2, 2): "e6540566438c3faca49836030e724574d3f56527f6a37b4bbb1a431be70c4422",
+    (2, 3): "1182d4fb0d6d405e246db93bb51a61fbb7313cbc78fe8ee5a7bb5800b551147e",
+    (2, 4): "7bdf62481a5d4e9cb8797fc30c2cf1c62889fe62f7d894981c4cb9593d289957",
+    (2, 5): "d1d04d02c6d170d8c0e8be79425706e9848b4f141065a57c682ffa4b6c9820b6",
+    (3, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (3, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (3, 2): "1d65bb4bee3be24de6fb6856518214bd04085ae6cb6094122c93be011be21945",
+    (3, 3): "f18051863908a939fef0bfd78577545b361433d83c527c4fa202c023db84faa8",
+    (3, 4): "13bdb93599fe19d3c39e4a2b344e0199b10bc71f28880312f4777550d44babcd",
+    (3, 5): "f865648cc61f19448fa453bc198ca6a7799af278c5f386bffd7239143746a173",
+    (4, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (4, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (4, 2): "b2d00b6b2d7b1365c0874660283ff08e7d36adcccaefed8edc95b9dfae177733",
+    (4, 3): "ee704bcce058b5bf9ee493f6c119b631d40a9d7673100ed69044762d71560398",
+    (4, 4): "aba60c1fdbfd405a3f41ccfdf790ed9794255a51a6e94115639bcc514fba0fdd",
+    (4, 5): "ecda9a066557e344644bb36d510ff49542325357fdde14ca7d9ba34b5d948b49",
+    (5, 0): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (5, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (5, 2): "3236b265f10a032e6c866bd0578cb0bf6b6527939af39dc5ba823c2f4ef14858",
+    (5, 3): "fe6686802b85275109e116cc283e2471d7ed813b03b021aac19f1abddcd438bd",
+    (5, 4): "df7a9f681b69d2f6deeb2c93434a2445ef4d5a2e1844063886a498ad4e23990f",
+    (5, 5): "2363e0aa140e66cf5191e643b31946b0f32d75f2fe9214ea2ea06a149bdcef1d",
+    (0, 6): "94c180d646945bf8301317b0f3a78db294bca65a54d477624212e34f775204ec",
+    (1, 6): "9831968e5af2dd6f1bca88f2ebea8b05cb8dea33875e2f77f0ab838f02cd459d",
+    (2, 6): "18b97591b1a6b21514f5de888bb9f3120693909f47588492c45d76449a0f2fff",
+    (3, 6): "e5d04d07343114084659058fb0f843a37d1dc723f63920cca44d4b4767f9144c",
+}
 
 
 class TestValidate:
@@ -184,6 +230,12 @@ class TestGf:
                 count = len(enumerate_cssps(k, n))
                 for d in range(0, k + 1):
                     assert gf(k, n, d).evaluate() == count
+
+    def test_printed_bytes_pinned(self):
+        for (k, n), digest in GF_DIGESTS.items():
+            for d in range(0, k + 1):
+                text = str(gf(k, n, d)).encode()
+                assert hashlib.sha256(text).hexdigest() == digest, (k, n, d)
 
 
 class TestTheoremMainSmall:

@@ -175,6 +175,25 @@ class TestCoeffRoute:
             assert not verify_coeff_route(n, l), (n, l)
             monkeypatch.undo()
 
+    def test_refuses_a_term_of_too_high_degree(self, monkeypatch):
+        # v (v - 1) ... (v - n) for v = x = P R, y = R or z = Q vanishes at
+        # every simplex point x + y + z <= n, where the determinant is
+        # taken, so gf_det plus it must still be refused
+        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
+        for n, l in ((2, 3), (3, 4)):
+            d = detform.gf_det(n, l)
+            for v, at in ((P * R, lambda c: (c, 1, 1)),
+                          (R, lambda c: (1, 1, c)), (Q, lambda c: (1, c, 1))):
+                vanishing = Gf.one()
+                for c in range(n + 1):
+                    vanishing *= v - c
+                assert all(vanishing.evaluate(*at(c)) == 0
+                           for c in range(n + 1))
+                monkeypatch.setattr(detform, "gf_det",
+                                    lambda *_: d + vanishing)
+                assert not verify_coeff_route(n, l), (n, l, v)
+                monkeypatch.undo()
+
 
 class TestKMatrix:
     def test_determinant_is_one(self):
