@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import pytest
@@ -31,6 +33,82 @@ LIST24 = [
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
+
+# sha256 of the printed str(gf(n, l)) for n <= 7, l <= 6
+GF_DIGESTS = {
+    (1, 1): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 2): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 3): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 4): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 5): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (1, 6): "6230ba6049acd4ba2d5b747c90f43bbb7a56bfa06a238df201eff2dfafc8f2f9",
+    (2, 1): "74fee08419f3f5fb715fe7c3eb6a445344911fdbfd2251ce24ca9c5b87094af0",
+    (2, 2): "a0930b2d0486cdddb98f092eb607012839d4b515fed148e2747ee8d8bf2a0663",
+    (2, 3): "e6540566438c3faca49836030e724574d3f56527f6a37b4bbb1a431be70c4422",
+    (2, 4): "1d65bb4bee3be24de6fb6856518214bd04085ae6cb6094122c93be011be21945",
+    (2, 5): "b2d00b6b2d7b1365c0874660283ff08e7d36adcccaefed8edc95b9dfae177733",
+    (2, 6): "3236b265f10a032e6c866bd0578cb0bf6b6527939af39dc5ba823c2f4ef14858",
+    (3, 1): "58730ac445a78a1205bc23e83fe5899db3ae2f04614f5b835df9b9a7642d6e73",
+    (3, 2): "6085c0e521e64bcb780e0c4ee22573e18750b0a0b532e516d6fe31c087a3d518",
+    (3, 3): "1182d4fb0d6d405e246db93bb51a61fbb7313cbc78fe8ee5a7bb5800b551147e",
+    (3, 4): "f18051863908a939fef0bfd78577545b361433d83c527c4fa202c023db84faa8",
+    (3, 5): "ee704bcce058b5bf9ee493f6c119b631d40a9d7673100ed69044762d71560398",
+    (3, 6): "fe6686802b85275109e116cc283e2471d7ed813b03b021aac19f1abddcd438bd",
+    (4, 1): "e2c1690dfcc85c5cc0b5f9d0ab10c4a9e1253df7d8e946f8530e2a75ad1a5057",
+    (4, 2): "b27bcb5a06647eca8c5b29687810aa437dbf80e31864d58990fc063697a1a43d",
+    (4, 3): "7bdf62481a5d4e9cb8797fc30c2cf1c62889fe62f7d894981c4cb9593d289957",
+    (4, 4): "13bdb93599fe19d3c39e4a2b344e0199b10bc71f28880312f4777550d44babcd",
+    (4, 5): "aba60c1fdbfd405a3f41ccfdf790ed9794255a51a6e94115639bcc514fba0fdd",
+    (4, 6): "df7a9f681b69d2f6deeb2c93434a2445ef4d5a2e1844063886a498ad4e23990f",
+    (5, 1): "b59d78ccf07f151611e9168b0bcf5472137b10b2e0daf0cfa6dc6761103297d9",
+    (5, 2): "f3d1ccd81ab6f5867eb421e1134d51698e1a9bbeaa4b2794cc8e960d58572572",
+    (5, 3): "d1d04d02c6d170d8c0e8be79425706e9848b4f141065a57c682ffa4b6c9820b6",
+    (5, 4): "f865648cc61f19448fa453bc198ca6a7799af278c5f386bffd7239143746a173",
+    (5, 5): "ecda9a066557e344644bb36d510ff49542325357fdde14ca7d9ba34b5d948b49",
+    (5, 6): "2363e0aa140e66cf5191e643b31946b0f32d75f2fe9214ea2ea06a149bdcef1d",
+    (6, 1): "94c180d646945bf8301317b0f3a78db294bca65a54d477624212e34f775204ec",
+    (6, 2): "9831968e5af2dd6f1bca88f2ebea8b05cb8dea33875e2f77f0ab838f02cd459d",
+    (6, 3): "18b97591b1a6b21514f5de888bb9f3120693909f47588492c45d76449a0f2fff",
+    (6, 4): "e5d04d07343114084659058fb0f843a37d1dc723f63920cca44d4b4767f9144c",
+    (6, 5): "6035c9a656a100202a7eeb7c80b7be59fd41b9bc2a0436c6416df4869ff92207",
+    (6, 6): "6f555cf15a23501fd177f0d23f2a6858a4484fc2b769411955d707a1288b7944",
+    (7, 1): "d23e47356a8089ec285f883a73dc892c6f97544030268f09114e6f35dfd6e55b",
+    (7, 2): "11858c4896e043bbd042b2d44df6ddaa6e016f97cdcfa6e8b7ad09012f98c451",
+    (7, 3): "e05d7d56b0f43ee2d4cbf6c8e4964d4589fff2947d5471c9c6e70f417dfc8952",
+    (7, 4): "c60730a8e83f853b499725deb96a5ab0d3d14dbe72ea4d3dbda7e869ba5e6457",
+    (7, 5): "ae18751df444ca469b6016fdead0602f26bfeadc416a10288514490826bd4ee4",
+    (7, 6): "0262d2eac070587d62ebf226cad9aa2d928f5fbfa6ea0ec560bfb7f3ca75cc49",
+}
+
+# sha256 of json.dumps([to_json(t) for t in enumerate_trapezoids(n, l)])
+# for n, l <= 5: the objects and their order
+ENUMERATION_DIGESTS = {
+    (1, 1): "e2c0d0959f3aec134e49825a6701e58e51ae00a148b93c6e6b00e09e3eede7f6",
+    (1, 2): "9e74b6ab7829b1a66e3f9fb80840801043046fe84c66968773384da7ae709b9e",
+    (1, 3): "1397d6af0502717a642ce5866238433152ea66a2084c6fb6f93b944ff8a09e57",
+    (1, 4): "b0e60836a42d86a649a3dfc2bb887991b52bb85df204bb3395b82d7b356a6b9f",
+    (1, 5): "09dbe6eb51f70a4b9e770da512e463080ef660f56de90f8cb0fa0a4ac478a3cd",
+    (2, 1): "824d6a8cf48b38c924f4b55933848d20060d1d3f69aa10ee83a15197036e6aa5",
+    (2, 2): "68992fdc375961264bf28d72aeac8b0bed3d297b40eb4af5ca51c142906909f9",
+    (2, 3): "305486ebe807ffc17633d87cd493f20aba267d7ce3c75f3715268b791e203eb3",
+    (2, 4): "b6aa37555ca088405ee19f6f421f40bd9e817131ba0076dc7efef3e12db3112e",
+    (2, 5): "5084d1970a40786984e54619b9d94c0e59b1619a36b1d308f2c8104690038dff",
+    (3, 1): "30641993f0ee86a2a65ba3341a8cf6d797412a39c7eb0a1493f6aa7ec4571426",
+    (3, 2): "7807a2ca8617c70991b33fecd7cce2a25b867481e3f27598f6f011af227a8b22",
+    (3, 3): "12ed53d20f0726917010a0c2e3e969d012305010796de7aeaa316b8af7596299",
+    (3, 4): "3855da7722b716eb8cd72dd84966e790f17e22ec686fdfb5216b2ffdb73b0617",
+    (3, 5): "22eb2e73d3093e43588a27ce5e95edffbba75e3978af412ac75bb36c6a2ec40c",
+    (4, 1): "ca0b2ed848306e436d158791e6c0a07ded29c9c9c019b4c8108cebc3e434e293",
+    (4, 2): "fca5f05e72899ab45aadbd94320ade8838e899fce0b4015e8df9076e5f6957e9",
+    (4, 3): "66e2051e24b3b5147fba0f074668a97b77d4d68384763d85a479aa89736298bf",
+    (4, 4): "601a535f6263970ac2f118db1a22e9f0e206844dbb37a0f070deb37b5b6ff44a",
+    (4, 5): "201908ffec510a2908031d4a6be1fe6779ee5d86a8f1f38cc5e4cd9becc45297",
+    (5, 1): "0b4ff954625f7d8380de8f6d0df32818612cd213208dec325bc5be0911f3bf44",
+    (5, 2): "00f9395d4bf21aa7a86ba0c57828cba2e36533a836d2729390d98c627164167c",
+    (5, 3): "713c2a1837ed84dad36fa840007c25652737caa267b5ab31167ed14f1fa7f94e",
+    (5, 4): "4e2ebedbdaaee2e9cd70f2cfed906a12a479e9e88de39c16523aee130b4225b8",
+    (5, 5): "7088360e2540ebe1936e4c13a24a2535b6c9b146f2504ccc6992882ca40bfe39",
+}
 
 
 class TestValidate:
@@ -209,6 +287,18 @@ class TestGf:
         expected = (Gf.monomial(r=2) + 2 * Gf.monomial(r=1)
                     + Gf.p_plus_q_minus_1() * Gf.monomial(r=1) + Gf.one())
         assert gf(2, 1) == expected
+
+
+class TestPinnedDigests:
+    def test_gf_bytes(self):
+        for (n, l), digest in GF_DIGESTS.items():
+            text = str(gf(n, l)).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, (n, l)
+
+    def test_enumeration_bytes_and_order(self):
+        for (n, l), digest in ENUMERATION_DIGESTS.items():
+            text = json.dumps([to_json(t) for t in enumerate_trapezoids(n, l)])
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, l)
 
 
 def _backtracked_rows(n, l):
