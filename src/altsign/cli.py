@@ -186,9 +186,10 @@ def _random_tree_instances(args):
     return sttree.random_tree_instances(args.samples, args.seed)
 
 
-def _operator_ns(args):  # 1..--n-max, refused up front past the reach
+def _operator_ns(args, name="the operator route"):
+    """1..--n-max, refused up front past the reach of name."""
     from . import operatorform
-    operatorform.check_reach(args.n_max)
+    operatorform.check_reach(args.n_max, name)
     return range(1, args.n_max + 1)
 
 
@@ -209,7 +210,7 @@ IDENTITIES = {
     "qast": (lambda a: [(n, part) for n in _operator_ns(a)
                         for part in ("count", "vanishing")],
              _check_qast, "qast {1} (n={0})", ("--n-max",)),
-    "asymm": (lambda a: [(n, x) for n in _operator_ns(a)
+    "asymm": (lambda a: [(n, x) for n in _operator_ns(a, "verify asymm")
                          for x in itertools.product(range(4), repeat=n)],
               _check_asymm, "asymM (n={}, x={})", ("--n-max",)),
     "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],

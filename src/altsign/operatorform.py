@@ -49,11 +49,17 @@ def bwd_diff(p: MPoly, name: str) -> MPoly:
     return p - p.shift_var(name, -1)
 
 
-def check_reach(n: int) -> None:
-    """ValueError, before any work, past n = 7: M_7 has 222,642
-    coordinates, and M_8 is not built in memory."""
-    if n > 7:
-        raise ValueError(f"n = {n} is past the operator route's reach, n <= 7")
+# the largest n of each entry point: M_7 has 222,642 coordinates, and M_8
+# is not built in memory; verify asymm builds one constant term over the
+# n^n exponent grid per point, 4^n points at about 62 ms each at n = 5, so
+# n = 6 would take hours
+REACH = {"the operator route": 7, "verify asymm": 5}
+
+
+def check_reach(n: int, name: str = "the operator route") -> None:
+    """ValueError, before any work, past n = REACH[name]."""
+    if n > REACH[name]:
+        raise ValueError(f"n = {n} is past {name}'s reach, n <= {REACH[name]}")
 
 
 def _add(coords: dict, a: tuple, c) -> None:

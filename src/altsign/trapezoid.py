@@ -126,42 +126,22 @@ def validate(t: Trapezoid):
     return None
 
 
-def _next_rows(s: tuple[int, ...], quasi: bool):
-    """Every valid row over the column partial sums s (each 0 or 1), in
-    lexicographic order with -1 < 0 < 1.
-
-    Nonzero entries alternate along the row; +1 goes only on a 0-column
-    and -1 only on a 1-column (column alternation plus the topmost-1
-    rule); the row sums to 1, or to 0 or 1 when quasi (the bottom row for
-    l = 1).  Prefixes that no alternating tail can bring to that sum are
-    dropped as soon as they appear.
-    """
-    target_lo = 0 if quasi else 1
-    prefixes = [((), 0, 0)]  # (entries, last nonzero, sum)
-    for j, column in enumerate(s):
-        more = j < len(s) - 1
-        extended = []
-        for row, last, total in prefixes:
-            for e in (-1, 0) if column else (0, 1):
-                if e and e == last:
-                    continue
-                new_last = e or last
-                new_sum = total + e
-                # an alternating tail changes the sum by at most +1 (if the
-                # next nonzero may be +1) and at least -1 (if it may be -1)
-                hi_gain = 1 if new_last != 1 and more else 0
-                lo_gain = -1 if new_last != -1 and more else 0
-                if new_sum + hi_gain < target_lo or new_sum + lo_gain > 1:
-                    continue
-                extended.append((row + (e,), new_last, new_sum))
-        prefixes = extended
-    for row, _, _ in prefixes:
-        yield row
+def _interlacing(a: tuple[int, ...], lo: int, hi: int, quasi: bool):
+    """Every strictly increasing b within lo..hi with
+    b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}: the next monotone-triangle
+    rows of a.  When quasi (the bottom row for l = 1, a single cell), also
+    b = a, the one row there that sums to 0."""
+    found = [()]
+    for low, high in zip((lo,) + a, a + (hi,)):
+        found = [b + (c,) for b in found for c in
+                 range(max(low, b[-1] + 1) if b else low, high + 1)]
+    return found + [a] if quasi else found
 
 
-def _steps(n: int, l: int, i: int, s: tuple[int, ...]):
-    """(row, state for row i + 1, closed 1-columns) for every valid row i
-    over the column partial sums s of the columns row i covers.
+def _steps(n: int, l: int, i: int, a: tuple[int, ...]):
+    """(row, state for row i + 1, closed 1-columns) for every valid row i,
+    sorted by row; the state a of row i is the sorted tuple of the columns
+    it covers with partial sum 1, and the 1-columns after it interlace a.
 
     After row i its outermost two columns leave coverage (every column
     after row n).  A column that leaves with sum 1 is a 1-column, listed
@@ -169,21 +149,24 @@ def _steps(n: int, l: int, i: int, s: tuple[int, ...]):
     must leave with sum 0.
     """
     lo, hi = i, 2 * n + l - 1 - i
-    closing = range(lo, hi + 1) if i == n else (lo, hi)
-    for row in _next_rows(s, l == 1 and i == n):
-        sums = tuple(a + e for a, e in zip(s, row))
-        ones = tuple((column_label(n, l, c), row[c - lo] == 0)
-                     for c in closing if sums[c - lo])
+    minus_a = [-(c in a) for c in range(lo, hi + 1)]
+    steps = []
+    for b in _interlacing(a, lo, hi, l == 1 and i == n):
+        ones = tuple((column_label(n, l, c), c in a)
+                     for c in b if i == n or c in (lo, hi))
         if any(label is None for label, _ in ones):
             continue
-        yield row, sums[1:-1], ones
+        row = minus_a.copy()  # b - a
+        for c in b:
+            row[c - lo] += 1
+        steps.append((tuple(row), tuple(c for c in b if lo < c < hi), ones))
+    return sorted(steps)
 
 
 def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
     """All (n,l)-alternating sign trapezoids, in row-major lexicographic
     order of the concatenated rows with -1 < 0 < 1: a depth-first search
-    over the rows that _steps allows below each state of column partial
-    sums.
+    over the rows that _steps allows below each state of 1-columns.
     """
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 and l >= 1")
@@ -193,7 +176,7 @@ def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
 
     def fill_row(i, s):
         if (i, s) not in below:
-            below[i, s] = list(_steps(n, l, i, s))
+            below[i, s] = _steps(n, l, i, s)
         for row, state, _ in below[i, s]:
             rows.append(row)
             if i == n:
@@ -202,7 +185,7 @@ def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
                 fill_row(i + 1, state)
             rows.pop()
 
-    fill_row(1, (0,) * (2 * n + l - 2))
+    fill_row(1, ())
     return out
 
 
@@ -260,12 +243,12 @@ def weight(t: Trapezoid) -> Gf:
 
 def gf(n: int, l: int) -> Gf:
     """Generating function of all (n,l)-alternating sign trapezoids, by a
-    transfer matrix over the rows of column partial sums (monotone-triangle
-    rows): a dict from the state before row i to the summed weight of the
-    columns closed so far, without building a trapezoid."""
+    transfer matrix over the sets of 1-columns (monotone-triangle rows): a
+    dict from the state before row i to the summed weight of the columns
+    closed so far, without building a trapezoid."""
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 and l >= 1")
-    states = {(0,) * (2 * n + l - 2): Gf.one()}
+    states = {(): Gf.one()}
     for i in range(1, n + 1):
         after: dict = {}
         for s, g in states.items():

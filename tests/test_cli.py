@@ -213,6 +213,19 @@ class TestVerify:
                         "--seed", "3")
         assert first == second
 
+    def test_asymm_past_its_reach_is_refused_up_front(
+            self, capsys, monkeypatch):
+        # 4^n constant terms over the n^n grid: hours at n = 6
+        from altsign import cli
+        monkeypatch.setattr(cli, "_run_tasks",
+                            lambda *a: pytest.fail("tasks were run"))
+        for n in (6, 7):
+            code = main(["verify", "asymm", "--n-max", str(n)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), n
+            assert captured.err == (f"error: n = {n} is past verify asymm's"
+                                    " reach, n <= 5\n")
+
     def test_jobs_flag_keeps_order(self, capsys):
         from altsign.cli import IDENTITIES
         small = {"main": ("--n-max", "2", "--l-max", "2"),

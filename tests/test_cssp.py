@@ -111,6 +111,11 @@ class TestValidate:
         assert "row increases" in structure_violation(((2, 3),))
         assert "strictly decreasing" in structure_violation(((2, 1), (3, 1)))
 
+    def test_shape_violation_is_named_exactly(self):
+        # the column rule alone would index past the shorter top row
+        assert structure_violation(((3, 2), (1, 1))) \
+            == "shape not strictly decreasing at row 2"
+
 
 class TestEnumerate:
     def test_k3_n2_table(self):

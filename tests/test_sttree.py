@@ -185,6 +185,13 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json(bad)
 
+    def test_rejects_equal_neighbours(self):
+        # sandwiched between 1..2 and 2..3, but row 2 is not strictly
+        # increasing
+        tree = SttTree(3, (), (), ((2,), (2, 2), (1, 2, 3)))
+        assert validate(tree) == "cells (2,1) and (2,2) are equal"
+        assert not is_monotone_triangle(tree.rows)
+
 
 def _searched_sttrees(n, s, t, b):
     """Copy of the cell-by-cell search that the row walk replaced."""
