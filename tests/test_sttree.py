@@ -191,6 +191,8 @@ class TestJson:
         tree = SttTree(3, (), (), ((2,), (2, 2), (1, 2, 3)))
         assert validate(tree) == "cells (2,1) and (2,2) are equal"
         assert not is_monotone_triangle(tree.rows)
+        with pytest.raises(ValueError, match="are equal"):
+            from_json(to_json(tree))
 
 
 def _searched_sttrees(n, s, t, b):
