@@ -34,9 +34,13 @@ class SttTree(NamedTuple):
         return self.rows[i - 1][j - 1]
 
 
-def deleted_cells(n: int, s, t) -> set:
-    """Cells removed by the truncation vectors; InvalidShapeError when the
-    vectors are inadmissible or the two deletion regions interfere."""
+def _runs(n: int, s, t) -> list[tuple[int, int]]:
+    """The first and last column that row i keeps, for i = 1..n (first =
+    last + 1 when the row is empty), or InvalidShapeError.  NE-diagonal j
+    loses (n - d, j) for d < s_j and SE-diagonal k loses (n - d, k - d) for
+    d < t_k: as s decreases and t increases, row n - d loses a prefix to
+    the NE-diagonals with s_j > d and a suffix to the SE-diagonals with
+    t_k > d."""
     s, t = tuple(s), tuple(t)
     if n < 0:
         raise InvalidShapeError(f"order n must be non-negative, got {n}")
@@ -48,108 +52,92 @@ def deleted_cells(n: int, s, t) -> set:
         raise InvalidShapeError("s must be weakly decreasing")
     if any(t[i] > t[i + 1] for i in range(len(t) - 1)):
         raise InvalidShapeError("t must be weakly increasing")
-    gone = set()
+    first, last = [1] * n, list(range(1, n + 1))
     for j, sj in enumerate(s, start=1):
         if sj > n - j + 1:
             raise InvalidShapeError(f"s_{j} = {sj} exceeds NE-diagonal {j}")
         for d in range(sj):
-            gone.add((n - d, j))
+            first[n - d - 1] = j + 1
     offset = n - len(t)
     for idx, tk in enumerate(t):
         k = offset + idx + 1
         if tk > k:
             raise InvalidShapeError(f"t_{k} = {tk} exceeds SE-diagonal {k}")
         for d in range(tk):
-            cell = (n - d, k - d)
-            if cell in gone:
-                raise InvalidShapeError(
-                    f"NE- and SE-truncations interfere at cell {cell}")
-            gone.add(cell)
-    return gone
+            if k - d < first[n - d - 1]:
+                raise InvalidShapeError("NE- and SE-truncations interfere "
+                                        f"at cell {(n - d, k - d)}")
+            last[n - d - 1] = min(last[n - d - 1], k - d - 1)
+    return list(zip(first, last))
 
 
-def _shape_cells(n, s, t):
-    gone = deleted_cells(n, s, t)
-    return {(i, j) for i in range(1, n + 1) for j in range(1, i + 1)
-            if (i, j) not in gone}
+def deleted_cells(n: int, s, t) -> set:
+    """Cells removed by the truncation vectors; InvalidShapeError when the
+    vectors are inadmissible or the two deletion regions interfere."""
+    return {(i, j) for i, (first, last) in enumerate(_runs(n, s, t), start=1)
+            for j in range(1, i + 1) if not first <= j <= last}
 
 
-def _regular(cells, i, j):
-    """Both the SW neighbour (i+1, j) and the SE neighbour (i+1, j+1) are
-    cells of the shape."""
-    return (i + 1, j) in cells and (i + 1, j + 1) in cells
-
-
-def _bottom_cells(n, r, cells):
+def _ends(runs, r):
     """The bottom cell of each diagonal that b prescribes (NE-diagonals
-    1..n-r, then SE-diagonals n-r+1..n), or None for an empty one."""
-    bottoms = []
-    for j in range(1, n - r + 1):
-        column = [i for i in range(j, n + 1) if (i, j) in cells]
-        bottoms.append((column[-1], j) if column else None)
-    for k in range(n - r + 1, n + 1):
-        diag = [i for i in range(n - k + 1, n + 1) if (i, i - n + k) in cells]
-        bottoms.append((diag[-1], diag[-1] - n + k) if diag else None)
-    return bottoms
-
-
-def _prescribed(n, s, t, b, cells):
-    """Map cell -> required value for the diagonal bottom entries; None when
-    two prescriptions collide with different values (no tree then).  Empty
-    (fully deleted) diagonals impose nothing."""
-    assignment = {}
-    for cell, value in zip(_bottom_cells(n, len(t), cells), b):
-        if cell is not None and assignment.setdefault(cell, value) != value:
-            return None
-    return assignment
+    1..n-r, then SE-diagonals n-r+1..n): the lowest of its cells that the
+    runs keep, or None for an empty one."""
+    n, ends = len(runs), []
+    for k in range(1, n + 1):
+        ends.append(None)
+        for i, (first, last) in zip(range(n, 0, -1), reversed(runs)):
+            # a cell outside the triangle lies in no run
+            j = k if k <= n - r else i - n + k
+            if first <= j <= last:
+                ends[-1] = (i, j)
+                break
+    return ends
 
 
 def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     """All (s,t)-trees of order n whose NE-diagonal bottoms are b_1..b_{n-r}
     and SE-diagonal bottoms are b_{n-r+1}..b_n (r = len(t)).
 
-    Filled row by row from the bottom up.  Every free cell is regular (a
-    cell missing a neighbour is the bottom of some prescribed diagonal), so
-    the free cells of a row take each tuple of values sandwiched between
-    their SW and SE neighbours in the row below.  A prescribed cell ends
-    its diagonal and so is never regular, and the cells of a row form one
-    run (truncations cut a prefix and a suffix), hence so do its regular
-    cells: adjacent regular entries are neighbours in the tuple, and a
-    tuple with two equal neighbours is skipped.
+    Filled row by row from the bottom up.  The regular cells of row i are
+    row i + 1's run less its last cell; every other cell of the shape is
+    the bottom of some prescribed diagonal (a prescribed cell ends its
+    diagonal and so is never regular).  So the free cells of a row are one
+    run, and take each tuple of values sandwiched between their SW and SE
+    neighbours in the row below with no two neighbours equal.
     """
-    s, t = tuple(s), tuple(t)
-    b = tuple(b)
+    s, t, b = tuple(s), tuple(t), tuple(b)
     if n < 0:
         raise InvalidShapeError(f"order n must be non-negative, got {n}")
     if len(b) != n:
         raise InvalidShapeError(f"need {n} bottom entries, got {len(b)}")
     if any(b[i] > b[i + 1] for i in range(n - 1)):
         raise InvalidShapeError("b must be weakly increasing")
-    cells = _shape_cells(n, s, t)
-    prescribed = _prescribed(n, s, t, b, cells)
-    if prescribed is None:
-        return []
-    values = dict(prescribed)
+    runs = _runs(n, s, t)
+    prescribed = {}
+    for cell, value in zip(_ends(runs, len(t)), b):
+        if cell is not None and prescribed.setdefault(cell, value) != value:
+            return []
+    below = runs[1:] + [(1, 0)]  # row i + 1's run; none below row n
+    for i, ((first, last), (low, high)) in enumerate(zip(runs, below), 1):
+        for j in range(first, last + 1):
+            if not low <= j < high and (i, j) not in prescribed:
+                raise InvalidShapeError(
+                    f"free cell ({i},{j}) lacks a neighbour")
+    rows = [[prescribed.get((i, j)) for j in range(1, i + 1)]
+            for i in range(1, n + 1)]
     out = []
 
     def fill_row(i):
         if i == 0:
-            out.append(SttTree(n, s, t, _to_rows(n, cells, values)))
+            out.append(SttTree(n, s, t, tuple(map(tuple, rows))))
             return
-        free = [j for j in range(1, i + 1)
-                if (i, j) in cells and (i, j) not in prescribed]
-        # sanity: free cells must be regular, otherwise the search space
-        # would be unbounded (cannot happen for admissible shapes)
-        for j in free:
-            if not _regular(cells, i, j):
-                raise InvalidShapeError(
-                    f"free cell ({i},{j}) lacks a neighbour")
-        ranges = [range(values[i + 1, j], values[i + 1, j + 1] + 1)
-                  for j in free]
-        for row in itertools.product(*ranges):
-            if any(a == c for a, c in zip(row, row[1:])):
+        low, high = below[i - 1]
+        ranges = [range(rows[i][j - 1], rows[i][j] + 1)
+                  for j in range(low, high)]
+        for values in itertools.product(*ranges):
+            if any(a == c for a, c in zip(values, values[1:])):
                 continue
-            values.update(((i, j), v) for j, v in zip(free, row))
+            rows[i - 1][low - 1:low - 1 + len(values)] = values
             fill_row(i - 1)
 
     fill_row(n)
@@ -181,45 +169,37 @@ def formula_domain(n: int, s, t, b) -> bool:
     prescribed diagonals whose bottom cells are distinct."""
     t, b = tuple(t), tuple(b)
     try:
-        cells = _shape_cells(n, s, t)
+        runs = _runs(n, s, t)
     except InvalidShapeError:
         return False
     if len(b) != n or any(b[i] > b[i + 1] for i in range(n - 1)):
         return False
-    bottoms = _bottom_cells(n, len(t), cells)
+    bottoms = _ends(runs, len(t))
     return n > 0 and None not in bottoms and len(set(bottoms)) == n
 
 
-def _to_rows(n, cells, values):
-    return tuple(
-        tuple(values.get((i, j)) if (i, j) in cells else None
-              for j in range(1, i + 1))
-        for i in range(1, n + 1))
-
-
 def validate(tree: SttTree):
-    """None when the filling satisfies the shape and monotonicity rules."""
+    """None when the filling satisfies the shape and monotonicity rules,
+    else the first violation: rows from the top, cells from the left."""
     try:
-        cells = _shape_cells(tree.n, tree.s, tree.t)
+        runs = _runs(tree.n, tree.s, tree.t)
     except InvalidShapeError as e:
         return str(e)
     if len(tree.rows) != tree.n:
         return f"expected {tree.n} rows, got {len(tree.rows)}"
-    for i in range(1, tree.n + 1):
+    for i, (first, last) in enumerate(runs, start=1):
         if len(tree.rows[i - 1]) != i:
             return f"row {i}: expected {i} slots"
         for j in range(1, i + 1):
-            v = tree.value(i, j)
-            if ((i, j) in cells) != (v is not None):
+            if (first <= j <= last) != (tree.value(i, j) is not None):
                 return f"cell ({i},{j}) presence does not match the shape"
-
-    for (i, j) in cells:
-        if _regular(cells, i, j):
+    # the regular cells of row i: row i + 1's run less its last cell
+    for i, (first, last) in enumerate(runs[1:], start=1):
+        for j in range(first, last):
             v = tree.value(i, j)
             if not tree.value(i + 1, j) <= v <= tree.value(i + 1, j + 1):
                 return f"cell ({i},{j}) violates the sandwich inequality"
-            if (i, j + 1) in cells and _regular(cells, i, j + 1) \
-                    and tree.value(i, j + 1) == v:
+            if j + 1 < last and tree.value(i, j + 1) == v:
                 return f"cells ({i},{j}) and ({i},{j + 1}) are equal"
     return None
 
@@ -244,9 +224,9 @@ def is_monotone_triangle(rows) -> bool:
 def diagonal_bottoms(tree: SttTree) -> tuple[int, ...]:
     """The vector b recovered from a tree (bottom entries of the n-r
     NE-diagonals followed by those of the r last SE-diagonals)."""
-    cells = _shape_cells(tree.n, tree.s, tree.t)
+    runs = _runs(tree.n, tree.s, tree.t)
     return tuple(None if cell is None else tree.value(*cell)
-                 for cell in _bottom_cells(tree.n, len(tree.t), cells))
+                 for cell in _ends(runs, len(tree.t)))
 
 
 def ast_to_sttree(trap: Trapezoid) -> SttTree:
@@ -260,18 +240,16 @@ def ast_to_sttree(trap: Trapezoid) -> SttTree:
     m = sum(1 for x in j if x < 0)
     s = tuple(-x - 1 for x in j[:m])
     t = tuple(x - 1 for x in j[m:])
-    gone = deleted_cells(n, s, t)
+    runs = _runs(n, s, t)
     rows = []
     for i, sums in enumerate(column_partial_sums(trap), start=1):
-        labels = [c - n - 1 for c, e in enumerate(sums, start=i) if e == 1]
-        slots = [j for j in range(i) if (i, j + 1) not in gone]
-        if len(slots) != len(labels):
-            raise ValueError(
-                f"row {i}: {len(labels)} ones but {len(slots)} tree cells")
-        row = [None] * i
-        for j, label in zip(slots, labels):
-            row[j] = label
-        rows.append(tuple(row))
+        labels = tuple(c - n - 1
+                       for c, e in enumerate(sums, start=i) if e == 1)
+        first, last = runs[i - 1]
+        if len(labels) != last - first + 1:
+            raise ValueError(f"row {i}: {len(labels)} ones but "
+                             f"{last - first + 1} tree cells")
+        rows.append((None,) * (first - 1) + labels + (None,) * (i - last))
     return SttTree(n, s, t, tuple(rows))
 
 

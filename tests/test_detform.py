@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
@@ -259,6 +260,25 @@ def asm_number(m):
             // prod(factorial(m + j) for j in range(m)))
 
 
+def count_factor(i, mu):
+    """Delta_i(mu) in count(n, l) = 2 prod_{i=1}^{n-1} Delta_i(l - 1), the
+    evaluation of det(delta_ij + C(mu+i+j, j)) due to G. E. Andrews
+    ("Plane partitions (III): The weak Macdonald conjecture", 1979) and
+    Mills, Robbins and Rumsey, as collected in C. Krattenthaler, "Advanced
+    determinant calculus", 1999; (a)_k is the rising factorial."""
+    def rising(a, k):
+        return prod((a + m for m in range(k)), start=Fraction(1))
+
+    half, j = Fraction(mu, 2), (i + 1) // 2
+    if i % 2 == 0:
+        return (rising(mu + 2 * j + 2, j)
+                * rising(half + 2 * j + Fraction(3, 2), j - 1)
+                / (rising(j, j) * rising(half + j + Fraction(3, 2), j - 1)))
+    return (rising(mu + 2 * j, j - 1)
+            * rising(half + 2 * j + Fraction(1, 2), j)
+            / (rising(j, j) * rising(half + j + Fraction(1, 2), j - 1)))
+
+
 def mirrored(g, n):
     """The terms of R^n G(Q, P, 1/R): P^p Q^q R^r -> P^q Q^p R^(n-r)."""
     return {(q, p, n - r): c for (p, q, r), c in g.terms.items()}
@@ -274,6 +294,14 @@ class TestAnchors:
             == [1, 2, 7, 42, 429, 7436, 218348]
         for n in range(0, 41):
             assert count(n, 3) == asm_number(n + 1), n
+
+    def test_count_is_a_closed_product_in_l(self):
+        # n <= 32 at every l = 1..12, the quasi count l = 1 included
+        for l in range(1, 13):
+            product = Fraction(2)
+            for n in range(1, 33):
+                assert count(n, l) == product, (n, l)
+                product *= count_factor(n, l - 1)
 
     def test_asm_numbers_by_enumeration(self):
         for n in range(0, 7):

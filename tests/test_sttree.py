@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from itertools import combinations_with_replacement as multisets
@@ -5,11 +7,10 @@ from itertools import combinations_with_replacement as multisets
 import pytest
 
 from altsign.errors import InvalidShapeError, NotInImageError
-from altsign.sttree import (SttTree, _prescribed, _regular, _shape_cells,
-                            _to_rows, ast_to_sttree, diagonal_bottoms,
-                            deleted_cells, enumerate_sttrees, from_json,
-                            is_monotone_triangle, sttree_to_ast, to_json,
-                            validate)
+from altsign.sttree import (SttTree, ast_to_sttree, deleted_cells,
+                            diagonal_bottoms, enumerate_sttrees,
+                            formula_domain, from_json, is_monotone_triangle,
+                            sttree_to_ast, to_json, validate)
 from altsign.trapezoid import (Trapezoid, enumerate_trapezoids,
                                one_column_positions)
 from altsign.trapezoid import validate as validate_trapezoid
@@ -24,6 +25,98 @@ TREE54 = SttTree(
      (-2, 2, 4),
      (-2, 1, 3, None),
      (None, -1, 2, None, None)))
+
+
+# Cell-set shape readers: a set of deleted cells, probed cell by cell and
+# independent of sttree._runs; the reference of the oracles below.
+
+def _deleted_cell_set(n: int, s, t) -> set:
+    """Cells removed by the truncation vectors; InvalidShapeError when the
+    vectors are inadmissible or the two deletion regions interfere."""
+    s, t = tuple(s), tuple(t)
+    if n < 0:
+        raise InvalidShapeError(f"order n must be non-negative, got {n}")
+    if len(s) + len(t) > n:
+        raise InvalidShapeError("len(s) + len(t) exceeds n")
+    if any(x < 0 for x in s) or any(x < 0 for x in t):
+        raise InvalidShapeError("truncation lengths must be non-negative")
+    if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
+        raise InvalidShapeError("s must be weakly decreasing")
+    if any(t[i] > t[i + 1] for i in range(len(t) - 1)):
+        raise InvalidShapeError("t must be weakly increasing")
+    gone = set()
+    for j, sj in enumerate(s, start=1):
+        if sj > n - j + 1:
+            raise InvalidShapeError(f"s_{j} = {sj} exceeds NE-diagonal {j}")
+        for d in range(sj):
+            gone.add((n - d, j))
+    offset = n - len(t)
+    for idx, tk in enumerate(t):
+        k = offset + idx + 1
+        if tk > k:
+            raise InvalidShapeError(f"t_{k} = {tk} exceeds SE-diagonal {k}")
+        for d in range(tk):
+            cell = (n - d, k - d)
+            if cell in gone:
+                raise InvalidShapeError(
+                    f"NE- and SE-truncations interfere at cell {cell}")
+            gone.add(cell)
+    return gone
+
+
+def _shape_cells(n, s, t):
+    gone = _deleted_cell_set(n, s, t)
+    return {(i, j) for i in range(1, n + 1) for j in range(1, i + 1)
+            if (i, j) not in gone}
+
+
+def _regular(cells, i, j):
+    """Both the SW neighbour (i+1, j) and the SE neighbour (i+1, j+1) are
+    cells of the shape."""
+    return (i + 1, j) in cells and (i + 1, j + 1) in cells
+
+
+def _bottom_cells(n, r, cells):
+    """The bottom cell of each diagonal that b prescribes (NE-diagonals
+    1..n-r, then SE-diagonals n-r+1..n), or None for an empty one."""
+    bottoms = []
+    for j in range(1, n - r + 1):
+        column = [i for i in range(j, n + 1) if (i, j) in cells]
+        bottoms.append((column[-1], j) if column else None)
+    for k in range(n - r + 1, n + 1):
+        diag = [i for i in range(n - k + 1, n + 1) if (i, i - n + k) in cells]
+        bottoms.append((diag[-1], diag[-1] - n + k) if diag else None)
+    return bottoms
+
+
+def _prescribed(n, s, t, b, cells):
+    """Map cell -> required value for the diagonal bottom entries; None when
+    two prescriptions collide with different values (no tree then).  Empty
+    (fully deleted) diagonals impose nothing."""
+    assignment = {}
+    for cell, value in zip(_bottom_cells(n, len(t), cells), b):
+        if cell is not None and assignment.setdefault(cell, value) != value:
+            return None
+    return assignment
+
+
+def _to_rows(n, cells, values):
+    return tuple(
+        tuple(values.get((i, j)) if (i, j) in cells else None
+              for j in range(1, i + 1))
+        for i in range(1, n + 1))
+
+
+def _shapes(n_max):
+    """Every (n, s, t) with 1 <= n <= n_max, entries of s in 0..n and of t
+    in 0..n, s weakly decreasing and t weakly increasing: admissible or
+    not."""
+    for n in range(1, n_max + 1):
+        for m in range(n + 1):
+            for s in multisets(range(n, -1, -1), m):
+                for r in range(n - m + 1):
+                    for t in multisets(range(n + 1), r):
+                        yield n, s, t
 
 
 class TestShape:
@@ -56,21 +149,32 @@ class TestShape:
         # s cuts a prefix and t a suffix of each row, so the cells of a row
         # (and its free cells, in enumerate_sttrees) are one run
         shapes = 0
-        for n in range(1, 6):
-            for m in range(n + 1):
-                for s, t in ((s, t) for s in multisets(range(n, -1, -1), m)
-                             for r in range(n - m + 1)
-                             for t in multisets(range(n + 1), r)):
-                    try:
-                        cells = _shape_cells(n, s, t)
-                    except InvalidShapeError:
-                        continue
-                    shapes += 1
-                    for i in range(1, n + 1):
-                        row = [j for j in range(1, i + 1) if (i, j) in cells]
-                        assert not row or row == list(
-                            range(row[0], row[-1] + 1)), (n, s, t, i)
+        for n, s, t in _shapes(5):
+            try:
+                cells = _shape_cells(n, s, t)
+            except InvalidShapeError:
+                continue
+            shapes += 1
+            for i in range(1, n + 1):
+                row = [j for j in range(1, i + 1) if (i, j) in cells]
+                assert not row or row == list(
+                    range(row[0], row[-1] + 1)), (n, s, t, i)
         assert shapes > 1000
+
+    def test_deleted_cells_match_the_cell_set(self):
+        # the runs' deleted cells, or the same refusal, on every shape of
+        # the sweep through n = 6
+        refusals = set()
+        for n, s, t in _shapes(6):
+            expected = _outcome(_deleted_cell_set, n, s, t)
+            assert _outcome(deleted_cells, n, s, t) == expected, (n, s, t)
+            if type(expected) is tuple:
+                refusals.add(re.sub(r"\d+", "#", expected[1]))
+        assert refusals == {
+            "NE- and SE-truncations interfere at cell (#, #)",
+            "s_# = # exceeds NE-diagonal #",
+            "t_# = # exceeds SE-diagonal #",
+        }
 
 
 class TestEnumerate:
@@ -194,6 +298,15 @@ class TestJson:
         with pytest.raises(ValueError, match="are equal"):
             from_json(to_json(tree))
 
+    def test_first_violation_row_by_row(self):
+        # two violations: the sandwich at (1,1) and equal neighbours in
+        # row 2; the rows are scanned from the top, so row 1's is named
+        tree = SttTree(3, (), (), ((5,), (2, 2), (1, 2, 3)))
+        problem = "cell (1,1) violates the sandwich inequality"
+        assert validate(tree) == problem
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            from_json(to_json(tree))
+
 
 def _searched_sttrees(n, s, t, b):
     """Copy of the cell-by-cell search that the row walk replaced."""
@@ -254,30 +367,96 @@ def _outcome(search, *args):
         return type(e), str(e)
 
 
+def _instances(count, seed):
+    """Seeded (n, s, t, b) of order <= 4, inadmissible shapes and bottoms
+    included."""
+    rng = random.Random(seed)
+    lengths = (-1,) + (0, 1, 2, 3) * 4
+    for _ in range(count):
+        n = rng.randint(0, 4)
+        lc = rng.randint(0, n)
+        s = [rng.choice(lengths) for _ in range(lc)]
+        rc = rng.randint(0, n - lc) + (rng.random() < 0.1)
+        t = [rng.choice(lengths) for _ in range(rc)]
+        if rng.random() < 0.9:
+            s.sort(reverse=True)
+            t.sort()
+        b = [rng.randint(-3, 3) for _ in range(n + (rng.random() < 0.05))]
+        if rng.random() < 0.95:
+            b.sort()
+        yield n, s, t, b
+
+
 class TestOracles:
     def test_row_walk_matches_cell_search(self):
         # random instances, inadmissible shapes and bottoms included
-        rng = random.Random(11)
-        lengths = (-1,) + (0, 1, 2, 3) * 4
         outcomes = set()
-        for _ in range(1200):
-            n = rng.randint(0, 4)
-            lc = rng.randint(0, n)
-            s = [rng.choice(lengths) for _ in range(lc)]
-            rc = rng.randint(0, n - lc) + (rng.random() < 0.1)
-            t = [rng.choice(lengths) for _ in range(rc)]
-            if rng.random() < 0.9:
-                s.sort(reverse=True)
-                t.sort()
-            b = [rng.randint(-3, 3) for _ in range(n + (rng.random() < 0.05))]
-            if rng.random() < 0.95:
-                b.sort()
+        for n, s, t, b in _instances(1200, 11):
             expected = _outcome(_searched_sttrees, n, s, t, b)
             assert _outcome(enumerate_sttrees, n, s, t, b) == expected, \
                 (n, s, t, b)
             outcomes.add(min(len(expected), 2) if type(expected) is list
                          else "raised")
         assert outcomes == {0, 1, 2, "raised"}
+
+
+# sha256 of the JSON records below, taken before the shape readers moved
+# from cell sets to runs.  STREAM_DIGEST: for each of 800 seeded
+# instances, enumerate_sttrees (the trees, or the refusal), formula_domain
+# and deleted_cells (sorted, or the refusal).  BIJECTION_DIGESTS: the tree
+# and diagonal bottoms of every (n,l)-trapezoid for n <= 4, l = 2..5 and
+# for (5, 2); (5, 3), (5, 4) and (5, 5), the costliest cells, are left out.
+STREAM_DIGEST = \
+    "cdf0a656b0de5bbde995ef242d0899145e824ccc8abaa480caa610d4b9f76675"
+BIJECTION_DIGESTS = {
+    (1, 2): "063612280728fdc82a1829c820d8e6f1e9e66824232d55c3bd00a1d90542f830",
+    (1, 3): "187d40d75b45242406b5480ec4775152742cbf2ac43f68daa58f41315ac4d454",
+    (1, 4): "95667bd37402caf74ca55ad122bd126bc916fcfe3f86b114c3017ca41ab6163f",
+    (1, 5): "535382c8c1b2f90f1f0f7ec4310c46852c429c7deb6314fd85287dffb3505758",
+    (2, 2): "c2ac4f6c6433d7493206c6540b69d5b681bc01776b3e2439939e54db957d61b7",
+    (2, 3): "7f4f624ed4be6dafff7e11541cddb9354f70c66f9ad0ff237e6f1b56067c9531",
+    (2, 4): "3fdbd18040f90d2a94c29fc6d3229ed73605702fcce665a61ca7efcf5ae03ef1",
+    (2, 5): "3d5fd869123b6406d2f5644e4667e53ef39d9e66e67399331dc6dd4e282e2c5c",
+    (3, 2): "75751874bc19d64fb0cb4eecc4dc25624b88613509d8ec2b90b3e6696c718c5d",
+    (3, 3): "924089496a1f003f0a68a265937714c62813bf7a9c90543749f94057c25029cf",
+    (3, 4): "9ab49d398446606f86defc6931ca48ad1b4c8518be386f5c9ff6dcb331e8159b",
+    (3, 5): "bd3f9ed0d957e7131501d8a13c1e97de9f1d20aea13c4cf5b8add7aaa4422576",
+    (4, 2): "0f4d88780d9081ac614e41eb896cf746405394b48e2a465d4a69fdfb6b625377",
+    (4, 3): "ed0edfc3a1fd06cb29cb52b962a90e61d972e36902153c636d476bc7d53cc3df",
+    (4, 4): "6a90bf39594d34d41ace27c293ea89c9504632661e94cec63c416e8c089a791c",
+    (4, 5): "001e8d33b9607ea7ba50469685c806659fc15c0c1eca5ba1614df0b5b1802bdd",
+    (5, 2): "c63eff4189e7176921c215b9ebf34636be15fc846a4fbc6cf6b1e656a48b7ebd",
+}
+
+
+def _recorded(call, *args):
+    try:
+        return call(*args)
+    except InvalidShapeError as e:
+        return [type(e).__name__, str(e)]
+
+
+class TestPinnedDigests:
+    def test_stream_bytes(self):
+        records = []
+        for n, s, t, b in _instances(800, 28):
+            trees = _recorded(enumerate_sttrees, n, s, t, b)
+            if trees and type(trees[0]) is SttTree:
+                trees = [to_json(tree) for tree in trees]
+            gone = _recorded(deleted_cells, n, s, t)
+            if type(gone) is set:
+                gone = sorted(gone)
+            records.append(
+                [n, s, t, b, trees, formula_domain(n, s, t, b), gone])
+        text = json.dumps(records).encode()
+        assert hashlib.sha256(text).hexdigest() == STREAM_DIGEST
+
+    def test_bijection_bytes(self):
+        for (n, l), digest in BIJECTION_DIGESTS.items():
+            trees = map(ast_to_sttree, enumerate_trapezoids(n, l))
+            text = json.dumps([[to_json(tree), diagonal_bottoms(tree)]
+                               for tree in trees]).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, (n, l)
 
 
 # Cell-set readers: independent oracles for the row-by-row ast_to_sttree
