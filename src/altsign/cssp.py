@@ -49,18 +49,6 @@ def structure_violation(rows):
     return None
 
 
-def cssp_class(rows):
-    """The unique k such that every first part exceeds its row length by k,
-    or None when no such k exists (always 0 for the empty filling)."""
-    if not rows:
-        return 0
-    ks = {row[0] - len(row) for row in rows}
-    if len(ks) == 1:
-        k = ks.pop()
-        return k if k >= 0 else None
-    return None
-
-
 def validate(c: Cssp):
     """None if c is a valid class-k object; distinguishes structural
     violations from class violations."""

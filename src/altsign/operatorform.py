@@ -269,10 +269,10 @@ def _newton(values) -> list:
             for k, d in enumerate(forward_differences(values))]
 
 
-def falling_factorial_coeffs(p: MPoly, name: str = "l"):
-    """Coefficients c_k with p = sum_k c_k * name*(name-1)*...*(name-k+1),
-    via Newton's forward differences at 0."""
-    coeffs = _newton(p.evaluate({name: i})
+def falling_factorial_coeffs(p: MPoly):
+    """Coefficients c_k with p = sum_k c_k * l*(l-1)*...*(l-k+1), via
+    Newton's forward differences at 0."""
+    coeffs = _newton(p.evaluate({"l": i})
                      for i in range(max(p.degree(), 0) + 1))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

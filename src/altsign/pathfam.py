@@ -47,7 +47,6 @@ exactalg.det_gf takes, at the same C(n+3, 3) lattice points.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .detform import k_form
@@ -93,10 +92,6 @@ class PathFamily(NamedTuple):
     l: int
     paths: tuple[LatticePath, ...]  # sorted by index u descending
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(p.u for p in self.paths)
-
 
 def is_nonintersecting(f: PathFamily) -> bool:
     """No lattice point lies on two paths: the point sets' sizes add up."""
@@ -104,7 +99,6 @@ def is_nonintersecting(f: PathFamily) -> bool:
     return len(set().union(*sets)) == sum(map(len, sets))
 
 
-@lru_cache(maxsize=None)
 def paths_for_index(u: int, l: int) -> tuple[LatticePath, ...]:
     """All C(2u+l-1, u) paths for one index, in the lexicographic order of
     their west-step positions (the k-th at position height + k)."""
@@ -137,11 +131,10 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     return c
 
 
-def _step_weight(x: int, y: int, d) -> tuple[int, int, int, int]:
+def _step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
     """Exponents (p, q, r, o) of the Gf.weight of the west step from (x, y)
     to (x - 1, y), with r = 0; north steps weigh 1.
 
-    d = None ("P = 1 mode"): Q at height 0.
     d >= 1: Q at height 0, and P when the step lands on y = x + d (every
     step raises y - x by one, so this is the path's only arrival there).
     d = 0: the same with the main diagonal, except that the step landing
@@ -150,29 +143,18 @@ def _step_weight(x: int, y: int, d) -> tuple[int, int, int, int]:
     """
     if d == 0 and (x, y) == (1, 0):
         return 0, 0, 0, 1
-    return int(d is not None and y - x == d - 1), int(y == 0), 0, 0
+    return int(y - x == d - 1), int(y == 0), 0, 0
 
 
-def _weight(paths, d, r: int) -> Gf:
-    """R^r times the product of _step_weight over the west steps of the
-    paths, built once from the exponent sums."""
-    steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
-             for path in paths for k, y in enumerate(path.heights)]
-    p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
-    return Gf.weight(p, q, r, o)
-
-
-def path_weight(path: LatticePath, d) -> Gf:
-    """P,Q-weight of a single path."""
-    return _weight((path,), d, 0)
-
-
-def lgv_weight(f: PathFamily, d, l: int) -> Gf:
-    """Family weight: R per path times the per-path P,Q-factors.  d = None
-    selects the P = 1 mode; otherwise 0 <= d <= l - 1."""
-    if d is not None and not 0 <= d <= l - 1:
+def lgv_weight(f: PathFamily, d: int, l: int) -> Gf:
+    """Family weight for 0 <= d <= l - 1: R per path times the product of
+    _step_weight over the west steps, built once from the exponent sums."""
+    if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
-    return _weight(f.paths, d, len(f.paths))
+    steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
+             for path in f.paths for k, y in enumerate(path.heights)]
+    p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
+    return Gf.weight(p, q, len(f.paths), o)
 
 
 def all_families(n: int, l: int):
@@ -201,7 +183,7 @@ def all_families(n: int, l: int):
             yield from rec(0, frozenset())
 
 
-def path_matrix(n: int, l: int, d) -> list[list[Gf]]:
+def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
@@ -263,9 +245,10 @@ def from_json(d: dict) -> PathFamily:
 # --- SVG rendering ---------------------------------------------------------
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_CELL = 18  # grid spacing in pixels
 
 
-def _family_group(f: PathFamily, d, n: int, cell: int, origin):
+def _family_group(f: PathFamily, d: int, n: int, origin):
     """SVG group for one family: grid, the dashed line y = x + d, the paths
     and their start/end markers."""
     max_x = max(n - 1, 1)
@@ -273,10 +256,10 @@ def _family_group(f: PathFamily, d, n: int, cell: int, origin):
     ox, oy = origin
 
     def sx(x):
-        return ox + x * cell
+        return ox + x * _CELL
 
     def sy(y):
-        return oy + (max_y - y) * cell  # flip: SVG y grows downwards
+        return oy + (max_y - y) * _CELL  # flip: SVG y grows downwards
 
     import xml.etree.ElementTree as ET  # loaded only when drawing
     g = ET.Element("g")
@@ -288,12 +271,11 @@ def _family_group(f: PathFamily, d, n: int, cell: int, origin):
         ET.SubElement(g, "line", x1=str(sx(0)), y1=str(sy(y)),
                       x2=str(sx(max_x)), y2=str(sy(y)),
                       stroke="#dddddd", **{"stroke-width": "1"})
-    if d is not None:
-        top = min(max_x, max_y - d)
-        ET.SubElement(g, "line", x1=str(sx(0)), y1=str(sy(d)),
-                      x2=str(sx(top)), y2=str(sy(top + d)),
-                      stroke="#888888", **{"stroke-width": "1",
-                                           "stroke-dasharray": "4 3"})
+    top = min(max_x, max_y - d)
+    ET.SubElement(g, "line", x1=str(sx(0)), y1=str(sy(d)),
+                  x2=str(sx(top)), y2=str(sy(top + d)),
+                  stroke="#888888", **{"stroke-width": "1",
+                                       "stroke-dasharray": "4 3"})
     for i, p in enumerate(f.paths):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.points())
@@ -307,12 +289,12 @@ def _family_group(f: PathFamily, d, n: int, cell: int, origin):
     return g
 
 
-def families_svg(families, d, n: int, l: int, cell: int = 18) -> str:
+def families_svg(families, d: int, n: int, l: int) -> str:
     """A composite sheet with one panel per family."""
     families = list(families)
     max_y = n - 1 + l - 1 + 1
-    panel_w = (max(n - 1, 1) + 2) * cell
-    panel_h = (max_y + 2) * cell
+    panel_w = (max(n - 1, 1) + 2) * _CELL
+    panel_h = (max_y + 2) * _CELL
     per_row = max(1, min(6, len(families)))
     rows = (len(families) + per_row - 1) // per_row if families else 1
     import xml.etree.ElementTree as ET  # loaded only when drawing
@@ -320,17 +302,17 @@ def families_svg(families, d, n: int, l: int, cell: int = 18) -> str:
                       width=str(per_row * panel_w),
                       height=str(rows * panel_h))
     for idx, f in enumerate(families):
-        ox = (idx % per_row) * panel_w + cell
-        oy = (idx // per_row) * panel_h + cell
-        root.append(_family_group(f, d, n, cell, (ox, oy)))
+        ox = (idx % per_row) * panel_w + _CELL
+        oy = (idx // per_row) * panel_h + _CELL
+        root.append(_family_group(f, d, n, (ox, oy)))
     return ET.tostring(root, encoding="unicode")
 
 
-def write_families_svg(path: str, n: int, l: int, d) -> int:
+def write_families_svg(path: str, n: int, l: int, d: int) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
     returns the number of families drawn.  The sheet is rendered before
     the file is opened, so a failed render leaves no file behind."""
-    if d is not None and not 0 <= d <= l - 1:
+    if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
     families = list(all_families(n, l))
     sheet = families_svg(families, d, n, l)

@@ -20,7 +20,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidShapeError, NotInImageError
-from .trapezoid import Trapezoid, column_partial_sums, one_column_positions
+from .trapezoid import Trapezoid, column_label, column_partial_sums
 from .trapezoid import validate as validate_trapezoid
 
 
@@ -235,14 +235,22 @@ def ast_to_sttree(trap: Trapezoid) -> SttTree:
     s_i = -j_i - 1 and t_i = j_i - 1 for the 1-column positions j."""
     if trap.l < 2:
         raise ValueError("the correspondence is defined for l >= 2")
-    n = trap.n
-    j = one_column_positions(trap)
+    n, l = trap.n, trap.l
+    psums = column_partial_sums(trap)
+    # a column's sum is its last partial sum: at a row's end, or in row n
+    ones = [c for i, sums in enumerate(psums, start=1)
+            for c, e in enumerate(sums, start=i)
+            if e == 1 and (i == n or c in (i, 2 * n + l - 1 - i))]
+    j = [column_label(n, l, c) for c in ones]
+    if None in j:
+        raise ValueError(f"middle column {ones[j.index(None)]} has sum 1")
+    j.sort()
     m = sum(1 for x in j if x < 0)
     s = tuple(-x - 1 for x in j[:m])
     t = tuple(x - 1 for x in j[m:])
     runs = _runs(n, s, t)
     rows = []
-    for i, sums in enumerate(column_partial_sums(trap), start=1):
+    for i, sums in enumerate(psums, start=1):
         labels = tuple(c - n - 1
                        for c, e in enumerate(sums, start=i) if e == 1)
         first, last = runs[i - 1]

@@ -49,9 +49,6 @@ class Trapezoid(NamedTuple):
     def column_sum(self, c: int) -> int:
         return sum(self.entry(i, c) for i in range(1, self.last_row_covering(c) + 1))
 
-    def column_label(self, c: int):
-        return column_label(self.n, self.l, c)
-
 
 def column_label(n: int, l: int, c: int):
     """Signed label of column c; None for the middle columns (l >= 3).
@@ -194,7 +191,7 @@ def _one_columns(t: Trapezoid):
     is_10 when its bottom entry is 0.  A middle column with sum 1 raises."""
     for c, column in enumerate(_columns(t), start=1):
         if sum(column) == 1:
-            label = t.column_label(c)
+            label = column_label(t.n, t.l, c)
             if label is None:
                 raise ValueError(f"middle column {c} has sum 1")
             yield label, column[-1] == 0

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from altsign import cssp, detform, trapezoid
-from altsign.cssp import (Cssp, CsspStats, cssp_class, enumerate_cssps,
+from altsign.cssp import (Cssp, CsspStats, enumerate_cssps,
                           from_json, gf, pretty, stats, structure_violation,
                           to_json, validate, weight)
 from altsign.errors import OutOfRangeError
@@ -93,14 +93,12 @@ GF_DIGESTS = {
 class TestValidate:
     def test_structurally_valid_but_classless(self):
         assert structure_violation(NO_CLASS) is None
-        assert cssp_class(NO_CLASS) is None
         for k in range(0, 6):
             message = validate(Cssp(k, NO_CLASS))
             assert message is not None and message.startswith("class violation")
 
     def test_class2_example(self):
         assert validate(CLASS2) is None
-        assert cssp_class(CLASS2.rows) == 2
 
     def test_empty_ok_for_every_class(self):
         for k in range(0, 5):

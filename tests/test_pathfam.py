@@ -14,7 +14,7 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, det_matrix, families_svg,
                              from_json,
                              gf_via_paths, is_nonintersecting, lgv_weight,
-                             path_matrix, path_weight, paths_for_index,
+                             path_matrix, paths_for_index,
                              paths_to_cssp, to_json, validate_path,
                              write_families_svg)
 from test_exactalg import det_bareiss
@@ -29,7 +29,7 @@ FIGURE = Cssp(2, ((7, 7, 6, 6, 3), (6, 5, 5, 2), (4, 4), (3,)))
 class TestCorrespondence:
     def test_figure_family(self):
         fam = cssp_to_paths(FIGURE)
-        assert fam.indices == (4, 3, 1, 0)
+        assert tuple(p.u for p in fam.paths) == (4, 3, 1, 0)
         # west-step heights per row, in row order (reverse of path order)
         heights = [p.heights[::-1] for p in fam.paths]
         assert heights == [(6, 5, 5, 2), (4, 4, 1), (3,), ()]
@@ -43,7 +43,7 @@ class TestCorrespondence:
     def test_single_row_all_north(self):
         # class 3 row "4": one path from (0,0) to (0,3), no west steps
         fam = cssp_to_paths(Cssp(3, ((4,),)))
-        assert fam.indices == (0,)
+        assert tuple(p.u for p in fam.paths) == (0,)
         assert fam.paths[0].steps == "NNN"
 
     def test_roundtrip(self):
@@ -63,29 +63,27 @@ class TestCorrespondence:
 
 
 class TestWeights:
-    def test_figure_p1_mode(self):
-        fam = cssp_to_paths(FIGURE)
-        assert lgv_weight(fam, None, 3) == Gf.monomial(r=4)
-
     def test_empty_family(self):
-        assert lgv_weight(PathFamily(4, ()), None, 4) == Gf.one()
         assert lgv_weight(PathFamily(4, ()), 2, 4) == Gf.one()
 
     def test_single_west_then_north(self):
         # row "3 1" of class 1: path W at height 0 then NN
         p = LatticePath(1, 2, (0,))
         fam = PathFamily(2, (p,))
-        assert lgv_weight(fam, None, 2) == Gf.monomial(q=1, r=1)
+        assert lgv_weight(fam, 1, 2) == Gf.monomial(q=1, r=1)
         assert paths_to_cssp(fam, 2).rows == ((3, 1),)
 
     def test_q_counts_ones_for_p1_mode(self):
-        # for l >= 2 the west steps at height 0 are exactly the parts 1
+        # for l >= 2 the west steps at height 0 are exactly the parts 1:
+        # every d >= 1 weight is a monomial whose value at P = 1 is
+        # Q^(#parts 1) R^(#rows)
         for l in (2, 3, 4):
             for c in enumerate_cssps(l - 1, 3):
                 fam = cssp_to_paths(c)
-                w = lgv_weight(fam, None, l)
                 ones = sum(1 for row in c.rows for part in row if part == 1)
-                assert w == Gf.monomial(q=ones, r=len(c.rows))
+                for d in range(1, l):
+                    [((_, q, r), coeff)] = lgv_weight(fam, d, l).terms.items()
+                    assert (q, r, coeff) == (ones, len(c.rows), 1), (c, d)
 
     def test_weight_transport(self):
         # lgv_weight equals W_d object by object, for every admissible d
@@ -104,14 +102,12 @@ class TestWeights:
 
 
 # Weights as one Gf product per west step, and step strings appended one
-# run at a time: independent oracles for lgv_weight, path_weight and
-# cssp_to_paths.
+# run at a time: independent oracles for lgv_weight and cssp_to_paths.
 
 def _step_factor(x, y, d):
     if d == 0 and (x, y) == (1, 0):
         return Gf.p_plus_q_minus_1()
-    p = d is not None and y - x == d - 1
-    return Gf.monomial(p=int(p), q=int(y == 0))
+    return Gf.monomial(p=int(y - x == d - 1), q=int(y == 0))
 
 
 def _product_path_weight(path, d):
@@ -154,16 +150,18 @@ class TestExponentOracles:
                     assert fam.l == k + 1, c
                     assert [p.steps for p in fam.paths] \
                         == _appended_words(c), c
-                    assert fam.indices == tuple(len(row) - 1
-                                                for row in c.rows), c
-                    for d in (None, *range(k + 1)):
+                    assert tuple(p.u for p in fam.paths) \
+                        == tuple(len(row) - 1 for row in c.rows), c
+                    for d in range(k + 1):
                         w = lgv_weight(fam, d, k + 1)
                         expected = _product_lgv_weight(fam, d)
                         assert (w, str(w)) == (expected, str(expected)), \
                             (c, d)
                         for p in fam.paths:
-                            assert path_weight(p, d) \
-                                == _product_path_weight(p, d), (p, d)
+                            one = PathFamily(k + 1, (p,))
+                            assert lgv_weight(one, d, k + 1) \
+                                == Gf.monomial(r=1) \
+                                * _product_path_weight(p, d), (p, d)
 
     def test_paths_for_index_against_words(self):
         # every placement of u west steps among 2u + l - 1 steps, in the
@@ -199,7 +197,7 @@ class TestExponentOracles:
             for a in paths:
                 for b in paths:
                     fam = PathFamily(l, (a, b))
-                    for d in (None, *range(l)):
+                    for d in range(l):
                         assert lgv_weight(fam, d, l) \
                             == _product_lgv_weight(fam, d), (fam, d)
         twice = PathFamily(2, (LatticePath(1, 2, (0,)),) * 2)
@@ -345,9 +343,13 @@ class TestSvg:
                 write_families_svg(str(out), 2, 3, d)
         assert not out.exists()
 
-    def test_p1_mode_sheet_without_line(self):
-        text = families_svg(all_families(1, 2), None, 1, 2)
-        assert "polyline" in text and "stroke-dasharray" not in text
+    def test_refuses_d_none(self, tmp_path):
+        # every sheet draws the guide line y = x + d: there is no sheet
+        # without one
+        out = tmp_path / "families.svg"
+        with pytest.raises(TypeError):
+            write_families_svg(str(out), 2, 3, None)
+        assert not out.exists()
 
 
 class TestPinnedBytes:

@@ -5,8 +5,10 @@ import re
 import pytest
 
 from altsign.exactalg import Gf
+from altsign.sttree import ast_to_sttree
 from altsign.trapezoid import (AstStats, Trapezoid, _one_columns,
-                               column_partial_sums, enumerate_trapezoids,
+                               column_label, column_partial_sums,
+                               enumerate_trapezoids,
                                from_json, gf, one_column_positions, stats,
                                to_json, validate, weight)
 
@@ -197,7 +199,8 @@ class TestStats:
                     ones = [c for c in range(1, t.width + 1)
                             if t.column_sum(c) == 1]
                     assert len(ones) == n
-                    assert all(t.column_label(c) is not None for c in ones)
+                    assert all(column_label(n, l, c) is not None
+                               for c in ones)
 
     def test_rows_start_and_end_positive(self):
         for n in range(1, 5):
@@ -242,7 +245,7 @@ def _column_product_weight(t):
     for c in range(1, t.width + 1):
         if t.column_sum(c) != 1:
             continue
-        label = t.column_label(c)
+        label = column_label(t.n, t.l, c)
         is_10 = t.entry(t.last_row_covering(c), c) == 0
         if label < 0:
             w = w * Gf.monomial(r=1) * (Gf.monomial(p=1) if is_10 else 1)
@@ -373,7 +376,7 @@ class TestOracles:
         # (2,3): a middle column with sum 1 is not a trapezoid
         t = Trapezoid(2, 3, ((0, 0, 1, 0, 0), (0, 0, 0)))
         assert validate(t) is not None
-        for route in (weight, stats, one_column_positions):
+        for route in (weight, stats, one_column_positions, ast_to_sttree):
             with pytest.raises(ValueError, match="middle column 3 has sum 1"):
                 route(t)
 
@@ -432,7 +435,7 @@ def _per_entry_one_columns(t):
     out = []
     for c in range(1, t.width + 1):
         if t.column_sum(c) == 1:
-            label = t.column_label(c)
+            label = column_label(t.n, t.l, c)
             if label is None:
                 raise ValueError(f"middle column {c} has sum 1")
             out.append((label, t.entry(t.last_row_covering(c), c) == 0))
