@@ -5,15 +5,19 @@ indented i-1 cells) with positive integers, weakly decreasing along rows
 and strictly decreasing down columns.  It is of class k when the first
 part of every row exceeds the row length by exactly k.  The cell in row i
 at position t (1-based) sits in column j = i + t - 1.
+
+gf sums in path coordinates, over the families of pathfam.cssp_to_paths
+with pathfam.step_weight on each west step.  `verify bijections` ties that
+rule to weight for n <= 5, l <= 4; the row DP of the tests ties it to _pq.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .errors import OutOfRangeError
 from .exactalg import Gf
+from .pathfam import step_weight
 
 
 class CsspStats(NamedTuple):
@@ -106,15 +110,14 @@ def _next_rows(k, n, above):
         yield from rows
 
 
-def _pq(rows, d, start=1):
+def _pq(rows, d):
     """(p, q) of the weight W_d, one factor per part read from the part's
     value and position t alone: p counts parts equal to j - i + d (j the
     column), q counts parts equal to 1.  For d = 0, p skips parts equal to
-    1 and q skips positions 1 and 2.  Each row's first part is at position
-    start, so gf can weigh a row's parts after the first on their own."""
+    1 and q skips positions 1 and 2."""
     p = q = 0
     for row in rows:
-        for t, part in enumerate(row, start):
+        for t, part in enumerate(row, start=1):
             if part == t - 1 + d and (d or part != 1):  # j = i + t - 1
                 p += 1
             if part == 1 and (d or t >= 3):
@@ -146,72 +149,50 @@ def _has_factor(tail, d):
 
 
 def gf(k: int, n: int, d: int) -> Gf:
-    """Generating function of class-k objects with first row at most n,
-    summed over bounds rather than over rows; no object or row is built.
-
-    G(0, v) is the factor of v, a row's parts after the first, times the
-    sum over the chains of rows below that row, the empty chain included.
-    A row of length L under it has first part f = L + k < v_1, and its
-    parts after the first form a weakly decreasing sigma with
-    1 <= sigma_j <= b_j, where b_j is the least of f and v_2 - 1, ...,
-    v_(j+1) - 1.  Each part's factor reads only its value and position
-    (_pq), so G(0, v) is x^w(v) times the end factor plus R x^w(f) S(b)
-    over L, where S(b) sums G(0, sigma) over those sigma.  G(j, v) is that
-    sum with all but the last j coordinates of sigma fixed to v: a prefix
-    sum over the value of the first free coordinate of G(j - 1, .), each
-    prefix memoized, and S(b) = G(len(b), b).  The top row lies under the
-    tail (n + k + 1,) * n, which no row can have and whose factor is 1: no
-    part n + k + 1 is 1 or t - 1 + d at a position t <= n + 1.
-    """
+    """Generating function of class-k objects with first row at most n, as
+    a sweep over s = y - x of their path families (l = k + 1): path u
+    starts at (u, 0) at s = -u, weighing R, and ends at (0, u + l - 1) at
+    s = u + l - 1.  A state is the sorted (x, u) of the paths present at s
+    (Fisher's vicious walkers); each tick moves them one at a time in order
+    of x (a broken profile), north or west onto a free site."""
     _check_class(k, n)
     _check_d(k, d)
-    sums = {}  # G: (j, v) -> {(p, q, r): coeff}
-    # the factor of a row's first part, L + k at position 1, by length L
-    heads = [_pq(((length + k,),), d) for length in range(n + 1)]
-    ends = [Gf.weight(o=o).terms for o in (0, 1)]  # by _has_factor
+    l = k + 1
+    states = {(): Gf.one()}
+    for s in range(1 - n, n + l - 1):
+        if 0 <= -s < n:  # path -s starts at (-s, 0), left of every other
+            for key, g in list(states.items()):
+                if not key or key[0][0] != -s:
+                    states[((-s, -s),) + key] = g * Gf.weight(r=1)
+        u = s - l + 1
+        if 0 <= u < n:  # path u, the first of the tuple if present, ends
+            ended = {key: g for key, g in states.items()
+                     if not key or key[0][1] != u}
+            for key, g in states.items():
+                if key[:1] == ((0, u),):
+                    _put(ended, key[1:], g)
+            states = ended
+        for i in range(max(map(len, states))):
+            moved = {}
+            for key, g in states.items():
+                if len(key) <= i:  # no path i; no other key has its length
+                    moved[key] = g
+                    continue
+                x, v = key[i]
+                y = s + x
+                if y < v + l - 1:  # a north step past it cannot end
+                    _put(moved, key, g)
+                if x and (not i or key[i - 1][0] != x - 1):
+                    e = step_weight(x, y, d)
+                    _put(moved, key[:i] + ((x - 1, v),) + key[i + 1:],
+                         g * Gf.weight(*e) if any(e) else g)
+            states = moved
+    return states[()]
 
-    def fill(j, v):
-        key = (j, v)
-        if key in sums:
-            return sums[key]
-        if not j:
-            p, q = _pq((v,), d, start=2)  # v: a row's parts after the first
-            # the empty chain ends the object here (d = 0: the (P+Q-1)
-            # factor when the row's second part is 1)
-            out = {(ep + p, eq + q, er): c
-                   for (ep, eq, er), c in ends[_has_factor(v, d)].items()}
-            # part t + 1 of a row sits under part t + 2 of the row above
-            caps = list(itertools.accumulate((x - 1 for x in v[1:]), min))
-            for length in range(1, len(v) + 1):
-                first = length + k
-                if first >= v[0] or (length > 1 and caps[length - 2] < 1):
-                    break
-                bound = tuple(min(first, c) for c in caps[:length - 1])
-                # v's factor and the new row's first part's
-                sp, sq = p + heads[length][0], q + heads[length][1]
-                for (ep, eq, er), c in fill(length - 1, bound).items():
-                    e = (ep + sp, eq + sq, er + 1)  # each row adds one R
-                    out[e] = out.get(e, 0) + c
-            sums[key] = out
-            return out
-        i = len(v) - j
-        head, rest = v[:i], v[i + 1:]
-        # coordinate i set to c = 1..v_i and the later ones clamped to it:
-        # G(j, .) of these are the prefix sums of G(j - 1, .), and a
-        # memoized one was memoized with every prefix below it
-        out = {}
-        for c in range(1, v[i] + 1):
-            u = head + (c,) + tuple(min(x, c) for x in rest)
-            if (j, u) in sums:
-                out = sums[j, u]
-                continue
-            out = dict(out)
-            for e, x in fill(j - 1, u).items():
-                out[e] = out.get(e, 0) + x
-            sums[j, u] = out
-        return out
 
-    return Gf(fill(0, (n + k + 1,) * n))
+def _put(states, key, g):
+    """Add g to the value of key in states."""
+    states[key] = states[key] + g if key in states else g
 
 
 def pretty(c: Cssp) -> str:

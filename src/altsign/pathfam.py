@@ -14,7 +14,7 @@ below the line y = x + d crosses it exactly once; the crossing step being
 a west step is what the P-statistics record.
 
 The weight of a path is a product of per-step factors that depend only on
-where the step is (_step_weight), so the generating function of all
+where the step is (step_weight), so the generating function of all
 families is one determinant (Gessel-Viennot, Adv. Math. 58 (1985), summed
 over index subsets as in Stembridge, Adv. Math. 83 (1990)):
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
-from .detform import k_form
 from .errors import NotInImageError, OutOfRangeError
 from .exactalg import Gf, det_gf
 
@@ -93,12 +92,6 @@ class PathFamily(NamedTuple):
     paths: tuple[LatticePath, ...]  # sorted by index u descending
 
 
-def is_nonintersecting(f: PathFamily) -> bool:
-    """No lattice point lies on two paths: the point sets' sizes add up."""
-    sets = [set(p.points()) for p in f.paths]
-    return len(set().union(*sets)) == sum(map(len, sets))
-
-
 def paths_for_index(u: int, l: int) -> tuple[LatticePath, ...]:
     """All C(2u+l-1, u) paths for one index, in the lexicographic order of
     their west-step positions (the k-th at position height + k)."""
@@ -131,7 +124,7 @@ def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
     return c
 
 
-def _step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
+def step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
     """Exponents (p, q, r, o) of the Gf.weight of the west step from (x, y)
     to (x - 1, y), with r = 0; north steps weigh 1.
 
@@ -148,10 +141,10 @@ def _step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
 
 def lgv_weight(f: PathFamily, d: int, l: int) -> Gf:
     """Family weight for 0 <= d <= l - 1: R per path times the product of
-    _step_weight over the west steps, built once from the exponent sums."""
+    step_weight over the west steps, built once from the exponent sums."""
     if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
-    steps = [_step_weight(path.u - k, y, d)  # the k-th from x = u - k
+    steps = [step_weight(path.u - k, y, d)  # the k-th from x = u - k
              for path in f.paths for k, y in enumerate(path.heights)]
     p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
     return Gf.weight(p, q, len(f.paths), o)
@@ -187,7 +180,7 @@ def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
-    steps = {(x, y): Gf.weight(*_step_weight(x, y, d))
+    steps = {(x, y): Gf.weight(*step_weight(x, y, d))
              for x in range(1, n) for y in range(top + 1)}
     out = []
     for u in range(n):
@@ -205,6 +198,7 @@ def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
 def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     """K(n) + R K(n) M, with M = path_matrix(n, l, d): the matrix whose
     determinant the route takes.  Row u of K(n) M is M[u] - Q M[u-1]."""
+    from .detform import k_form  # only here: gf cssp never loads detform
     m = path_matrix(n, l, d)
     q = Gf.monomial(q=1)
     return k_form([[a - q * b for a, b in zip(row, above)]

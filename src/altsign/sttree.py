@@ -71,13 +71,6 @@ def _runs(n: int, s, t) -> list[tuple[int, int]]:
     return list(zip(first, last))
 
 
-def deleted_cells(n: int, s, t) -> set:
-    """Cells removed by the truncation vectors; InvalidShapeError when the
-    vectors are inadmissible or the two deletion regions interfere."""
-    return {(i, j) for i, (first, last) in enumerate(_runs(n, s, t), start=1)
-            for j in range(1, i + 1) if not first <= j <= last}
-
-
 def _ends(runs, r):
     """The bottom cell of each diagonal that b prescribes (NE-diagonals
     1..n-r, then SE-diagonals n-r+1..n): the lowest of its cells that the
@@ -202,31 +195,6 @@ def validate(tree: SttTree):
             if j + 1 < last and tree.value(i, j + 1) == v:
                 return f"cells ({i},{j}) and ({i},{j + 1}) are equal"
     return None
-
-
-def is_monotone_triangle(rows) -> bool:
-    """Full-triangle check: weak increase to the SE and NE, rows strictly
-    increasing except possibly the bottom row."""
-    n = len(rows)
-    for i in range(n):
-        if len(rows[i]) != i + 1:
-            return False
-    for i in range(n - 1):
-        for j in range(i + 1):
-            if not rows[i + 1][j] <= rows[i][j] <= rows[i + 1][j + 1]:
-                return False
-        for j in range(i):
-            if rows[i][j] >= rows[i][j + 1]:
-                return False
-    return True
-
-
-def diagonal_bottoms(tree: SttTree) -> tuple[int, ...]:
-    """The vector b recovered from a tree (bottom entries of the n-r
-    NE-diagonals followed by those of the r last SE-diagonals)."""
-    runs = _runs(tree.n, tree.s, tree.t)
-    return tuple(None if cell is None else tree.value(*cell)
-                 for cell in _ends(runs, len(tree.t)))
 
 
 def ast_to_sttree(trap: Trapezoid) -> SttTree:

@@ -33,22 +33,6 @@ class Trapezoid(NamedTuple):
     def width(self) -> int:
         return 2 * self.n + self.l - 2
 
-    def row_span(self, i: int) -> tuple[int, int]:
-        """Absolute column range (inclusive) covered by row i (1-based)."""
-        return i, 2 * self.n + self.l - 1 - i
-
-    def entry(self, i: int, c: int) -> int:
-        lo, hi = self.row_span(i)
-        if not lo <= c <= hi:
-            raise IndexError(f"row {i} does not cover column {c}")
-        return self.rows[i - 1][c - lo]
-
-    def last_row_covering(self, c: int) -> int:
-        return min(c, 2 * self.n + self.l - 1 - c, self.n)
-
-    def column_sum(self, c: int) -> int:
-        return sum(self.entry(i, c) for i in range(1, self.last_row_covering(c) + 1))
-
 
 def column_label(n: int, l: int, c: int):
     """Signed label of column c; None for the middle columns (l >= 3).
@@ -195,13 +179,6 @@ def _one_columns(t: Trapezoid):
             if label is None:
                 raise ValueError(f"middle column {c} has sum 1")
             yield label, column[-1] == 0
-
-
-def one_column_positions(t: Trapezoid) -> tuple[int, ...]:
-    """Sorted signed labels of the columns with sum 1 (requires l >= 2)."""
-    if t.l < 2:
-        raise ValueError("1-column positions are defined for l >= 2")
-    return tuple(sorted(label for label, _ in _one_columns(t)))
 
 
 def _exponents(ones) -> tuple[int, int, int, int]:

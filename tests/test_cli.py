@@ -440,8 +440,10 @@ def _fresh_process(code, *argv):
 # loading one is start-up time spent for nothing.  No command loads
 # dataclasses (with inspect, ast and dis behind it): the object classes of
 # the enumeration routes are named tuples.  No gf route makes a Fraction
-# (tpoly does), so none loads fractions (with decimal behind it), and gf
-# paths, which never sums over CSSPPs, does not load cssp.
+# (tpoly does), so none loads fractions (with decimal behind it).  gf
+# paths, which never sums over CSSPPs, does not load cssp, and gf cssp,
+# which sums over path families one time slice at a time, loads pathfam
+# but no determinant and no other route.
 NO_FRACTIONS = ("dataclasses", "fractions", "decimal")
 UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "xml.etree.ElementTree", "json",
@@ -452,7 +454,9 @@ COMMANDS = [
     (("count", "--n", "3", "--l", "2"), UNUSED_BY_DET),
     (("gf", "det", "--n", "3", "--l", "3"), UNUSED_BY_DET),
     (("gf", "ast", "--n", "3", "--l", "2"), NO_FRACTIONS),
-    (("gf", "cssp", "--k", "2", "--n", "4", "--d", "1"), NO_FRACTIONS),
+    (("gf", "cssp", "--k", "2", "--n", "4", "--d", "1"),
+     NO_FRACTIONS + ("altsign.detform", "altsign.trapezoid",
+                     "altsign.sttree", "altsign.operatorform")),
     (("gf", "paths", "--n", "3", "--l", "3", "--d", "1"),
      NO_FRACTIONS + ("altsign.cssp",)),
     (("gf", "operator", "--n", "2", "--l", "3"), NO_FRACTIONS),

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from altsign import cssp, detform, trapezoid
+from altsign import cssp, detform, pathfam, trapezoid
 from altsign.cssp import (Cssp, CsspStats, enumerate_cssps,
                           from_json, gf, pretty, stats, structure_violation,
                           to_json, validate, weight)
@@ -224,6 +224,9 @@ class TestGf:
 
         monkeypatch.setattr(cssp, "enumerate_cssps", never)
         monkeypatch.setattr(cssp, "weight", never)
+        # the sweep runs over path families but builds none
+        for name in ("all_families", "lgv_weight", "paths_for_index"):
+            monkeypatch.setattr(pathfam, name, never)
         for d in range(0, 4):
             assert str(gf(3, 5, d)) == GF35, d
 
@@ -267,7 +270,7 @@ class TestInterfaces:
 
 # --- oracles: copies of the top-row loop, the cell-by-cell row filler,
 # the two part scans that the row generator and the one p/q rule replaced,
-# and the row DP that the sum over bounds replaced
+# and the row DP over _pq, the check of gf's path sweep
 
 def _row_dp(k, n, d):
     """gf(k, n, d) as a depth-first sum over rows, memoized on a row's

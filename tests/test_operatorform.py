@@ -214,7 +214,8 @@ class TestPrescribedCounts:
 
     def test_matches_enumeration(self):
         from collections import Counter
-        from altsign.trapezoid import enumerate_trapezoids, one_column_positions
+        from altsign.trapezoid import enumerate_trapezoids
+        from test_trapezoid import one_column_positions
         for n in (1, 2, 3):
             for l in (2, 3, 4):
                 counts = Counter(one_column_positions(t)

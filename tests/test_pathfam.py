@@ -13,7 +13,7 @@ from altsign.exactalg import Gf
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, det_matrix, families_svg,
                              from_json,
-                             gf_via_paths, is_nonintersecting, lgv_weight,
+                             gf_via_paths, lgv_weight,
                              path_matrix, paths_for_index,
                              paths_to_cssp, to_json, validate_path,
                              write_families_svg)
@@ -21,6 +21,13 @@ from test_exactalg import det_bareiss
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
+
+
+def is_nonintersecting(f: PathFamily) -> bool:
+    """No lattice point lies on two paths: the point sets' sizes add up."""
+    sets = [set(p.points()) for p in f.paths]
+    return len(set().union(*sets)) == sum(map(len, sets))
+
 
 # the figure's class-2 object
 FIGURE = Cssp(2, ((7, 7, 6, 6, 3), (6, 5, 5, 2), (4, 4), (3,)))

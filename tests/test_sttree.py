@@ -6,16 +6,16 @@ from itertools import combinations_with_replacement as multisets
 
 import pytest
 
+from altsign import sttree
 from altsign.errors import InvalidShapeError, NotInImageError
-from altsign.sttree import (SttTree, ast_to_sttree, deleted_cells,
-                            diagonal_bottoms, enumerate_sttrees,
-                            formula_domain, from_json, is_monotone_triangle,
-                            sttree_to_ast, to_json, validate)
-from altsign.trapezoid import (Trapezoid, enumerate_trapezoids,
-                               one_column_positions)
+from altsign.sttree import (SttTree, ast_to_sttree, enumerate_sttrees,
+                            formula_domain, from_json, sttree_to_ast,
+                            to_json, validate)
+from altsign.trapezoid import Trapezoid, enumerate_trapezoids
 from altsign.trapezoid import validate as validate_trapezoid
 
-from test_trapezoid import T54, _per_entry_partial_sums
+from test_trapezoid import (T54, _per_entry_partial_sums,
+                            one_column_positions, row_span)
 
 # the tree displayed for the (5,4) example
 TREE54 = SttTree(
@@ -25,6 +25,41 @@ TREE54 = SttTree(
      (-2, 2, 4),
      (-2, 1, 3, None),
      (None, -1, 2, None, None)))
+
+
+# Readers of a shape's runs and of a tree's diagonals.
+
+def deleted_cells(n: int, s, t) -> set:
+    """Cells removed by the truncation vectors; InvalidShapeError when the
+    vectors are inadmissible or the two deletion regions interfere."""
+    return {(i, j) for i, (first, last)
+            in enumerate(sttree._runs(n, s, t), start=1)
+            for j in range(1, i + 1) if not first <= j <= last}
+
+
+def is_monotone_triangle(rows) -> bool:
+    """Full-triangle check: weak increase to the SE and NE, rows strictly
+    increasing except possibly the bottom row."""
+    n = len(rows)
+    for i in range(n):
+        if len(rows[i]) != i + 1:
+            return False
+    for i in range(n - 1):
+        for j in range(i + 1):
+            if not rows[i + 1][j] <= rows[i][j] <= rows[i + 1][j + 1]:
+                return False
+        for j in range(i):
+            if rows[i][j] >= rows[i][j + 1]:
+                return False
+    return True
+
+
+def diagonal_bottoms(tree: SttTree) -> tuple[int, ...]:
+    """The vector b recovered from a tree (bottom entries of the n-r
+    NE-diagonals followed by those of the r last SE-diagonals)."""
+    runs = sttree._runs(tree.n, tree.s, tree.t)
+    return tuple(None if cell is None else tree.value(*cell)
+                 for cell in sttree._ends(runs, len(tree.t)))
 
 
 # Cell-set shape readers: a set of deleted cells, probed cell by cell and
@@ -474,7 +509,7 @@ def _cell_set_ast_to_sttree(trap):
     cells = _shape_cells(n, s, t)
     values = {}
     for i in range(1, n + 1):
-        lo, _ = trap.row_span(i)
+        lo, _ = row_span(trap, i)
         labels = [lo + offset - n - 1
                   for offset, e in enumerate(psums[i - 1]) if e == 1]
         slots = sorted(jj for (ii, jj) in cells if ii == i)

@@ -9,8 +9,38 @@ from altsign.sttree import ast_to_sttree
 from altsign.trapezoid import (AstStats, Trapezoid, _one_columns,
                                column_label, column_partial_sums,
                                enumerate_trapezoids,
-                               from_json, gf, one_column_positions, stats,
+                               from_json, gf, stats,
                                to_json, validate, weight)
+
+# Test-only readers: the per-entry accessors of the array, independent of
+# trapezoid's row passes, and the sorted labels of the 1-columns.
+
+def row_span(t, i):
+    """Absolute column range (inclusive) covered by row i (1-based)."""
+    return i, 2 * t.n + t.l - 1 - i
+
+
+def entry(t, i, c):
+    lo, hi = row_span(t, i)
+    if not lo <= c <= hi:
+        raise IndexError(f"row {i} does not cover column {c}")
+    return t.rows[i - 1][c - lo]
+
+
+def last_row_covering(t, c):
+    return min(c, 2 * t.n + t.l - 1 - c, t.n)
+
+
+def column_sum(t, c):
+    return sum(entry(t, i, c) for i in range(1, last_row_covering(t, c) + 1))
+
+
+def one_column_positions(t):
+    """Sorted signed labels of the columns with sum 1 (requires l >= 2)."""
+    if t.l < 2:
+        raise ValueError("1-column positions are defined for l >= 2")
+    return tuple(sorted(label for label, _ in _one_columns(t)))
+
 
 # the displayed (5,4) example
 T54 = Trapezoid(5, 4, (
@@ -197,7 +227,7 @@ class TestStats:
             for l in range(2, 6):
                 for t in enumerate_trapezoids(n, l):
                     ones = [c for c in range(1, t.width + 1)
-                            if t.column_sum(c) == 1]
+                            if column_sum(t, c) == 1]
                     assert len(ones) == n
                     assert all(column_label(n, l, c) is not None
                                for c in ones)
@@ -238,15 +268,15 @@ class TestWeight:
 
 def _column_product_weight(t):
     """W(T) as one Gf product per column with sum 1, read from the array
-    with Trapezoid's own accessors: R for a label < 0, times P when the
+    with the per-entry readers above: R for a label < 0, times P when the
     bottom entry is 0; Q for a 10-column with label > 0; for the central
     column of l = 1, R, times (P+Q-1) for a 10-column."""
     w = Gf.one()
     for c in range(1, t.width + 1):
-        if t.column_sum(c) != 1:
+        if column_sum(t, c) != 1:
             continue
         label = column_label(t.n, t.l, c)
-        is_10 = t.entry(t.last_row_covering(c), c) == 0
+        is_10 = entry(t, last_row_covering(t, c), c) == 0
         if label < 0:
             w = w * Gf.monomial(r=1) * (Gf.monomial(p=1) if is_10 else 1)
         elif label > 0:
@@ -381,7 +411,7 @@ class TestOracles:
                 route(t)
 
 
-# Per-entry readers through Trapezoid.entry: independent oracles for the
+# Per-entry readers through entry: independent oracles for the
 # row-pass validate, _one_columns and column_partial_sums.
 
 def _per_entry_validate(t):
@@ -391,7 +421,7 @@ def _per_entry_validate(t):
     if len(t.rows) != n:
         return f"expected {n} rows, got {len(t.rows)}"
     for i in range(1, n + 1):
-        lo, hi = t.row_span(i)
+        lo, hi = row_span(t, i)
         if len(t.rows[i - 1]) != hi - lo + 1:
             return (f"row {i}: expected length {hi - lo + 1}, "
                     f"got {len(t.rows[i - 1])}")
@@ -400,8 +430,8 @@ def _per_entry_validate(t):
                 return f"row {i}, column {c}: entry {e} not in {{-1,0,1}}"
     for c in range(1, t.width + 1):
         prev = 0
-        for i in range(1, t.last_row_covering(c) + 1):
-            e = t.entry(i, c)
+        for i in range(1, last_row_covering(t, c) + 1):
+            e = entry(t, i, c)
             if e == 0:
                 continue
             if prev == 0 and e == -1:
@@ -410,11 +440,11 @@ def _per_entry_validate(t):
                 return (f"column {c}: non-zero entries do not alternate "
                         f"at row {i}")
             prev = e
-        if l >= 2 and n + 1 <= c <= n + l - 2 and t.column_sum(c) != 0:
-            return f"middle column {c}: sum {t.column_sum(c)} != 0"
+        if l >= 2 and n + 1 <= c <= n + l - 2 and column_sum(t, c) != 0:
+            return f"middle column {c}: sum {column_sum(t, c)} != 0"
     for i in range(1, n + 1):
         prev = 0
-        lo, hi = t.row_span(i)
+        lo, hi = row_span(t, i)
         for c, e in zip(range(lo, hi + 1), t.rows[i - 1]):
             if e == 0:
                 continue
@@ -434,11 +464,11 @@ def _per_entry_validate(t):
 def _per_entry_one_columns(t):
     out = []
     for c in range(1, t.width + 1):
-        if t.column_sum(c) == 1:
+        if column_sum(t, c) == 1:
             label = column_label(t.n, t.l, c)
             if label is None:
                 raise ValueError(f"middle column {c} has sum 1")
-            out.append((label, t.entry(t.last_row_covering(c), c) == 0))
+            out.append((label, entry(t, last_row_covering(t, c), c) == 0))
     return out
 
 
@@ -446,10 +476,10 @@ def _per_entry_partial_sums(t):
     psums = []
     running = {}
     for i in range(1, t.n + 1):
-        lo, hi = t.row_span(i)
+        lo, hi = row_span(t, i)
         row = []
         for c in range(lo, hi + 1):
-            running[c] = running.get(c, 0) + t.entry(i, c)
+            running[c] = running.get(c, 0) + entry(t, i, c)
             row.append(running[c])
         psums.append(tuple(row))
     return tuple(psums)
@@ -547,8 +577,8 @@ class TestPartialSums:
                     ps = column_partial_sums(t)
                     for i in range(1, n + 1):
                         gone = sum(1 for c in range(1, t.width + 1)
-                                   if t.last_row_covering(c) < i
-                                   and t.column_sum(c) == 1)
+                                   if last_row_covering(t, c) < i
+                                   and column_sum(t, c) == 1)
                         assert sum(ps[i - 1]) == i - gone
 
 
