@@ -259,9 +259,9 @@ def _cmd_count(row, args, out):
 
 
 def _cmd_tpoly(row, args, out):
-    from . import operatorform
-    p = _call(row, args)
-    coeffs = operatorform.falling_factorial_coeffs(p)
+    from .exactalg import MPoly, monomials
+    coeffs = _call(row, args)  # over the falling factorials (l)_k
+    p = MPoly(("l",), {(k,): c for k, c in enumerate(monomials(coeffs))})
     ff = " + ".join(
         (f"{c}" if k == 0 else (f"{c}*(l)_{k}" if c != 1 else f"(l)_{k}"))
         for k, c in enumerate(coeffs) if c != 0) or "0"

@@ -21,8 +21,10 @@ variable's value v: (-fwd)^a = (1 - E)^a (x < 0) or bwd^a = (1 - E^{-1})^a
 (x > 0), times the weight factor.  As fwd C(y, t) = C(y, t - 1) and
 bwd C(y, t) = C(y - 1, t - 1) for every integer y, each such factor maps
 C(., t) read at v to one binomial, so each step (_step) contracts the
-first index; every formula folds one step per variable into an int (a Gf
-when weighted), and t_n interpolates these numbers in l.
+first index.  At P = Q = 1 the weight factors are the identity, so every
+formula folds the one step per variable at unit weights into an int (a
+count) or at the monomials P, Q, R into a Gf, and t_n interpolates the
+counts in l.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import Gf, MPoly, binomial, forward_differences, monomials
+from .exactalg import Gf, MPoly, binomial, forward_differences
 
 
 def shift(p: MPoly, name: str, k: int = 1) -> MPoly:
@@ -91,16 +93,19 @@ def compute_Mn(n: int) -> MappingProxyType:
     return MappingProxyType(coords)
 
 
-_P, _Q = Gf.monomial(p=1), Gf.monomial(q=1)
+# the weights (P, Q, R): units for a count, the monomials for a Gf
+_UNIT = (1, 1, 1)
+_PQR = (Gf.monomial(p=1), Gf.monomial(q=1), Gf.monomial(r=1))
 
 
-def _step(coords: dict, x: int, value, weighted: bool = False) -> dict:
+def _step(coords: dict, x: int, value, weights) -> dict:
     """The one operator step of the first variable at the signed position
-    x, read at x_1 = value: (1 - E^e)^a, times E^e + w (1 - E^e) when
-    weighted, with (a, e, w) = (-x-1, 1, P) for x < 0 and (x-1, -1, Q) for
-    x > 0.  Applied to C(x_1, a_1), that is a number (a Gf when weighted),
-    so the step contracts the first index of the coordinates."""
-    a, e, w = (-x - 1, 1, _P) if x < 0 else (x - 1, -1, _Q)
+    x, read at x_1 = value: (1 - E^e)^a (E^e + w (1 - E^e)), with (a, e, w)
+    = (-x-1, 1, P) for x < 0 and (x-1, -1, Q) for x > 0.  Applied to
+    C(x_1, a_1), that is a number (a Gf at _PQR), so the step contracts the
+    first index of the coordinates.  At w = 1 the weight factor is the
+    identity (Pascal's rule holds at every integer value)."""
+    a, e, w = (-x - 1, 1, weights[0]) if x < 0 else (x - 1, -1, weights[1])
 
     def diffs(b, s, t):  # (1 - E^e)^b E^{es} C(., t), read at value
         if e == 1:  # (-fwd)^b at value + s
@@ -111,20 +116,19 @@ def _step(coords: dict, x: int, value, weighted: bool = False) -> dict:
     for key, c in coords.items():
         t = key[0]
         if t not in factors:
-            factors[t] = (diffs(a, 1, t) + w * diffs(a + 1, 0, t)
-                          if weighted else diffs(a, 0, t))
+            factors[t] = diffs(a, 1, t) + w * diffs(a + 1, 0, t)
         if factors[t]:
             _add(out, key[1:], c * factors[t])
     return {rest: c for rest, c in out.items() if c}
 
 
-def _fold(n: int, xs, values, weighted: bool = False):
-    """M_n after the step of every variable x_i at (xs[i-1], values[i-1]):
-    an int, or a Gf when weighted."""
+def _fold(n: int, xs, values, weights):
+    """M_n after the step of every variable x_i at (xs[i-1], values[i-1])
+    at the weights: an int, or a Gf at _PQR."""
     coords = compute_Mn(n)
     for x, value in zip(xs, values):
-        coords = _step(coords, x, value, weighted)
-    return coords.get((), Gf.zero() if weighted else 0)
+        coords = _step(coords, x, value, weights)
+    return coords.get((), 0 * weights[2])  # 0 * R: the zero of its ring
 
 
 def _at(x: int, l: int) -> int:
@@ -137,7 +141,7 @@ def eval_Mn(n: int, values) -> int:
     values = tuple(values)
     if len(values) != n:
         raise ShapeMismatchError(f"need {n} values, got {len(values)}")
-    return _fold(n, [-1] * n, values)
+    return _fold(n, [-1] * n, values, _UNIT)
 
 
 def count_sttrees_formula(n: int, s, t, b) -> int:
@@ -160,7 +164,7 @@ def count_sttrees_formula(n: int, s, t, b) -> int:
                                 f"n={n}, s={s}, t={t}, b={b}")
     xs = ([-k - 1 for k in s] + [-1] * (n - len(s) - len(t))
           + [k + 1 for k in t])
-    return _fold(n, xs, b)
+    return _fold(n, xs, b, _UNIT)
 
 
 def _positions(n: int, j):
@@ -176,27 +180,32 @@ def _positions(n: int, j):
     return j
 
 
+def _gf_weights(l: int) -> tuple:
+    """_PQR; the P,Q-weights count trapezoids for l >= 2 only."""
+    if l < 2:
+        raise ValueError("the weighted operator formula needs l >= 2")
+    return _PQR
+
+
+def _prescribed(n: int, l: int, j, weights):
+    j = _positions(n, j)
+    return (0 * weights[2] if j is None
+            else _fold(n, j, [_at(x, l) for x in j], weights))
+
+
 def count_ast_prescribed(n: int, l: int, j) -> int:
     """Number of (n,l)-trapezoids whose 1-columns sit at the signed
     positions j_1 < ... < j_m < 0 < j_{m+1} < ... < j_n; zero when the
     positions leave the labeled range."""
-    j = _positions(n, j)
-    if j is None:
-        return 0
-    return _fold(n, j, [_at(x, l) for x in j])
+    return _prescribed(n, l, j, _UNIT)
 
 
 def gf_ast_prescribed(n: int, l: int, j) -> Gf:
     """P,Q-generating function of the (n,l)-trapezoids with 1-columns at
     positions j: the operator product E (1 - P bwd) (-fwd)^{-j_i-1} for the
     negative positions and E^{-1} (1 + Q fwd) bwd^{j_i-1} for the positive
-    ones, applied to M_n.  At P = Q = 1 this reduces to the plain count."""
-    if l < 2:
-        raise ValueError("the weighted operator formula needs l >= 2")
-    j = _positions(n, j)
-    if j is None:
-        return Gf.zero()
-    return _fold(n, j, [_at(x, l) for x in j], weighted=True)
+    ones, applied to M_n.  At P = Q = 1 this is the plain count."""
+    return _prescribed(n, l, j, _gf_weights(l))
 
 
 def all_positions(n: int):
@@ -210,18 +219,14 @@ def all_positions(n: int):
                 yield m, neg + pos
 
 
-def _position_sum(n: int, l: int, weighted: bool):
-    """The operator values of all_positions(n) summed, each times R^m when
-    weighted: an int, or a Gf when weighted.  A depth-first walk over
-    increasing labels: x_i takes each label that leaves enough larger ones
-    for x_{i+1}..x_n, so the position vectors that share a prefix share
-    its steps."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if weighted and l < 2:
-        raise ValueError("the weighted operator formula needs l >= 2")
+def _position_sum(n: int, l: int, weights):
+    """The operator values of all_positions(n) at the weights (P, Q, R)
+    summed, each times R^m: an int, or a Gf at _PQR.  A depth-first walk
+    over increasing labels: x_i takes each label that leaves enough larger
+    ones for x_{i+1}..x_n, so the position vectors that share a prefix
+    share its steps."""
     labels = [*range(-n, 0), *range(1, n + 1)]
-    r, zero = (Gf.monomial(r=1), Gf.zero()) if weighted else (1, 0)
+    r, zero = weights[2], 0 * weights[2]
 
     def walk(coords, i, first):
         if i > n:
@@ -229,7 +234,7 @@ def _position_sum(n: int, l: int, weighted: bool):
         total = zero
         for k in range(first, n + i):
             x = labels[k]
-            below = walk(_step(coords, x, _at(x, l), weighted), i + 1, k + 1)
+            below = walk(_step(coords, x, _at(x, l), weights), i + 1, k + 1)
             total += r * below if x < 0 else below
         return total
 
@@ -239,44 +244,33 @@ def _position_sum(n: int, l: int, weighted: bool):
 def gf_ast_via_operator(n: int, l: int) -> Gf:
     """Full generating function by the operator route: sum R^m times the
     prescribed-position P,Q-polynomials over all position vectors."""
-    return _position_sum(n, l, True)
+    if n < 1:  # before l
+        raise ValueError("n must be positive")
+    return _position_sum(n, l, _gf_weights(l))
 
 
 def t_value(n: int, l: int) -> int:
     """t_n(l), the number of (n,l)-trapezoids for l >= 2 (of the quasi
     ones for l = 1): one walk."""
-    return _position_sum(n, l, False)
+    return _position_sum(n, l, _UNIT)
 
 
 count_ast_via_operator = t_value
 
 
-def t_polynomial(n: int) -> MPoly:
-    """The number of (n,l)-trapezoids as a polynomial in the base length l:
-    t_value at l = 0..n(n-1)/2, interpolated, since t_n has degree at most
-    that of M_n.  Valid counts for l >= 2; t_n(1) counts the quasi
-    variant."""
-    coeffs = monomials(_newton([t_value(n, l)
-                                for l in range(n * (n - 1) // 2 + 1)]))
-    return MPoly(("l",), {(k,): c for k, c in enumerate(coeffs)})
-
-
-def _newton(values) -> list:
-    """D^k f(0) / k!, lowest first, for f(x) = values[x]: the coordinates
-    of f in the falling-factorial basis."""
+def t_polynomial(n: int) -> list:
+    """The number of (n,l)-trapezoids as a polynomial in the base length l,
+    by its coordinates c_k over the falling factorials l(l-1)...(l-k+1),
+    lowest first, trailing zeros dropped: c_k = D^k t_n(0) / k! (Newton)
+    from t_value at l = 0..n(n-1)/2, since t_n has degree at most that of
+    M_n.  Valid counts for l >= 2; t_n(1) counts the quasi variant."""
     from fractions import Fraction
-    return [Fraction(d, math.factorial(k))
-            for k, d in enumerate(forward_differences(values))]
-
-
-def falling_factorial_coeffs(p: MPoly):
-    """Coefficients c_k with p = sum_k c_k * l*(l-1)*...*(l-k+1), via
-    Newton's forward differences at 0."""
-    coeffs = _newton(p.evaluate({"l": i})
-                     for i in range(max(p.degree(), 0) + 1))
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    coords = [Fraction(d, math.factorial(k)) for k, d in enumerate(
+        forward_differences([t_value(n, l)
+                             for l in range(n * (n - 1) // 2 + 1)]))]
+    while len(coords) > 1 and coords[-1] == 0:
+        coords.pop()
+    return coords
 
 
 def asymM_constant_term(n: int, x) -> int:

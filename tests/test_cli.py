@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,16 @@ class TestCountCommand:
         assert not sheet.exists()
         assert not unwritable.parent.exists()
 
+    def test_paths_below_l_1_blame_l(self, capsys, tmp_path):
+        # not the range 0..l-1 of d, which is empty for l < 1
+        for argv in (("gf", "paths", "--n", "2", "--l", "0", "--d", "0"),
+                     ("svg", "paths", "--n", "2", "--l", "-1", "--d", "0",
+                      "--out", str(tmp_path / "sheet.svg"))):
+            assert main(list(argv)) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == \
+                ("", f"error: need l >= 1, got l = {argv[5]}\n"), argv
+
     def test_l1_allowed(self, capsys):
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
         assert code == 0
@@ -148,12 +159,33 @@ class TestEnumerateCommand:
             assert "_parse_int_list" not in captured.err
 
 
+# sha256 of the stdout of tpoly --n n --format f for n <= 5
+TPOLY_DIGESTS = {
+    (1, "text"): "63d05f96805f91995c372af4f6ebfa1b7fa396e06d2402dfe76713b7f2f82961",
+    (1, "json"): "239113adc6ab8ba2c959fa7dc2d48460ef942f0165ef108961be017653f6b701",
+    (2, "text"): "a2af82ed5f32c643659b456eddd6ee3e6af004e4f5be0aabe4d208230b7ca364",
+    (2, "json"): "9852124eeb9ed3c517816ba32aa18cd64e6c15bf6a60270e09110f7cbd5acac9",
+    (3, "text"): "f549ebcb298783fe19d70061103990b74b05cf39500116262d0ad191be8bade9",
+    (3, "json"): "9c90540b5de36442b44e3c2272b307581be44539b7d6ef803bc4a89d988b4a17",
+    (4, "text"): "3cf3f1e61930b222bce5f1fe4a6e6b531088fa0855fed7a9924d5948edd2cb77",
+    (4, "json"): "ae3c173da41452f7aea14c4ab08786d1f7889f41bf2aeba3a8c6227e65c182b2",
+    (5, "text"): "5b90356aa1c062617b902883575668930a814d243cc486fe515efce2bd04bdb5",
+    (5, "json"): "49410b757cd6fd2d0ec1cf08a01e615e93d68bc95ba28bb51791248003ddb8bb",
+}
+
+
 class TestTpoly:
     def test_t2(self, capsys):
         code, out = run(capsys, "tpoly", "--n", "2")
         assert code == 0
         assert "l + 4" in out
         assert "(l)_1" in out
+
+    def test_pinned_bytes(self, capsys):
+        for (n, fmt), digest in TPOLY_DIGESTS.items():
+            code, out = run(capsys, "tpoly", "--n", str(n), "--format", fmt)
+            assert code == 0, (n, fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, fmt)
 
 
 class TestVerify:

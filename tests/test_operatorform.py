@@ -10,13 +10,12 @@ import pytest
 import altsign
 from altsign import detform, trapezoid
 from altsign.errors import InvalidShapeError, ShapeMismatchError
-from altsign.exactalg import Gf, MPoly
-from altsign.operatorform import (all_positions, asymM_constant_term,
+from altsign.exactalg import Gf, MPoly, binomial
+from altsign.operatorform import (_step, all_positions, asymM_constant_term,
                                   bwd_diff, compute_Mn,
                                   count_ast_prescribed,
                                   count_ast_via_operator,
-                                  count_sttrees_formula, eval_Mn,
-                                  falling_factorial_coeffs, fwd_diff,
+                                  count_sttrees_formula, eval_Mn, fwd_diff,
                                   gf_ast_prescribed, gf_ast_via_operator,
                                   shift, t_polynomial, t_value, verify_asymM,
                                   verify_asym_lemma)
@@ -62,6 +61,30 @@ class TestOperators:
                         for i, (x, value) in enumerate(zip(j, values), 1):
                             p = _chain_step(p, i, x, value, weighted)
                         assert route(n, l, j) == p, (n, l, j, weighted)
+
+    def test_unit_weights_give_the_plain_factor(self):
+        # at w = 1 the weight factor E^e + w (1 - E^e) is the identity by
+        # Pascal's rule at every integer value, negative ones included: the
+        # step against the plain factor (-1)^a C(v, t - a) for x < 0 and
+        # C(v - a, t - a) for x > 0
+        rng = random.Random(17)
+        for _ in range(25):
+            coords = {tuple(rng.randint(0, 8) for _ in range(3)):
+                      rng.choice([-9, -2, -1, 1, 3, 8])
+                      for _ in range(rng.randint(1, 9))}
+            for x in [*range(-6, 0), *range(1, 7)]:
+                a = -x - 1 if x < 0 else x - 1
+                for v in range(-8, 9):
+                    plain = {}
+                    for key, c in coords.items():
+                        t = key[0]
+                        factor = ((-1) ** a * binomial(v, t - a) if x < 0
+                                  else binomial(v - a, t - a))
+                        plain[key[1:]] = plain.get(key[1:], 0) + c * factor
+                    got = _step(coords, x, v, (1, 1, 1))
+                    assert got == {k: c for k, c in plain.items() if c}, \
+                        (coords, x, v)
+                    assert all(type(c) is int for c in got.values())
 
 
 def _random_poly(rng, names=("x1", "x2")):
@@ -309,10 +332,10 @@ class TestOperatorRoute:
 
 class TestTPolynomial:
     def test_t1_constant_2(self):
-        assert t_polynomial(1) == MPoly.constant(2)
+        assert t_polynomial(1) == [2]
 
     def test_t2(self):
-        assert t_polynomial(2) == var("l") + 4
+        assert t_polynomial(2) == [4, 1]  # l + 4 = 4 + (l)_1
         assert t_value(2, 3) == 7
         assert t_value(2, 4) == 8
 
@@ -332,7 +355,8 @@ class TestTPolynomial:
         for l in range(2, 7):
             count = detform.count(6, l)
             assert t_value(6, l) == count, l
-            assert t6.evaluate({"l": l}) == count, l
+            assert sum(c * math.perm(l, k) for k, c in enumerate(t6)) \
+                == count, l
 
     def test_t_value_builds_m_n_once(self):
         compute_Mn.cache_clear()
@@ -357,17 +381,18 @@ class TestTPolynomial:
                     assert count_ast_prescribed(n, 1, j) == 0, (n, j)
 
     def test_falling_factorial_basis(self):
-        p = var("l") * var("l") + 1  # l^2 + 1 = 1 + (l)_1 + (l)_2
-        assert falling_factorial_coeffs(p) == [1, 1, 1]
-        assert falling_factorial_coeffs(t_polynomial(2)) == [4, 1]
+        # interpolated at n(n-1)/2 + 1 points, with the zero coordinates
+        # above the degree dropped (t_3 at 4 points, t_4 at 7)
+        assert t_polynomial(2) == [4, 1]
+        assert t_polynomial(3) == [12, 8, 1]
+        assert len(t_polynomial(4)) == 5
 
     def test_falling_factorial_coefficients_are_exact(self):
-        # an int polynomial evaluates to ints; dividing by k! must not
-        # turn them into floats
-        t4 = falling_factorial_coeffs(t_polynomial(4))
+        # the differences of ints are ints; dividing by k! must not turn
+        # them into floats
+        t4 = t_polynomial(4)
         assert t4 == [60, 72, 23, Fraction(5, 2), Fraction(1, 12)]
-        for coeffs in (t4, falling_factorial_coeffs(var("l") ** 2 + 1)):
-            assert not any(isinstance(c, float) for c in coeffs), coeffs
+        assert not any(isinstance(c, float) for c in t4), t4
 
 
 class TestAsymMIdentity:

@@ -107,6 +107,19 @@ class TestWeights:
         with pytest.raises(OutOfRangeError):
             lgv_weight(fam, 3, 3)
 
+    def test_l_below_1_named_before_d(self, tmp_path):
+        # there is no d in 0..l-1 for l < 1: each entry point blames l
+        out = tmp_path / "families.svg"
+        for call in (lambda l: lgv_weight(cssp_to_paths(FIGURE), 0, l),
+                     lambda l: gf_via_paths(2, l, 0),
+                     lambda l: write_families_svg(str(out), 2, l, 0)):
+            for l in (0, -1):
+                with pytest.raises(ValueError,
+                                   match=f"need l >= 1, got l = {l}$") as info:
+                    call(l)
+                assert not isinstance(info.value, OutOfRangeError)
+        assert not out.exists()
+
 
 # Weights as one Gf product per west step, and step strings appended one
 # run at a time: independent oracles for lgv_weight and cssp_to_paths.
