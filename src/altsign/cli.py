@@ -259,18 +259,19 @@ def _cmd_count(row, args, out):
 
 
 def _cmd_tpoly(row, args, out):
-    from .exactalg import MPoly, monomials
+    from .exactalg import join_terms, monomial_str, monomials
     coeffs = _call(row, args)  # over the falling factorials (l)_k
-    p = MPoly(("l",), {(k,): c for k, c in enumerate(monomials(coeffs))})
-    ff = " + ".join(
-        (f"{c}" if k == 0 else (f"{c}*(l)_{k}" if c != 1 else f"(l)_{k}"))
-        for k, c in enumerate(coeffs) if c != 0) or "0"
+    # both forms through Gf's term printer, the monomial one degree first
+    mono = join_terms([(c, monomial_str(("l",), (k,))) for k, c in sorted(
+        enumerate(monomials(coeffs)), reverse=True) if c])
+    ff = join_terms([(c, f"(l)_{k}" if k else "")
+                     for k, c in enumerate(coeffs) if c])
     if args.format == "json":
         import json
-        print(json.dumps({"n": args.n, "monomial": str(p),
+        print(json.dumps({"n": args.n, "monomial": mono,
                           "falling_factorial": ff}), file=out)
     else:
-        print(f"t_{args.n}(l) = {p}", file=out)
+        print(f"t_{args.n}(l) = {mono}", file=out)
         print(f"         = {ff}", file=out)
     return 0
 

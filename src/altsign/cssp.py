@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import OutOfRangeError
 from .exactalg import Gf
-from .pathfam import step_weight
+from .pathfam import check_d, step_weight
 
 
 class CsspStats(NamedTuple):
@@ -87,11 +87,6 @@ def _check_class(k, n):
         raise ValueError("need k >= 0 and n >= 0")
 
 
-def _check_d(k, d):
-    if d < 0 or (d > k and d != 0):
-        raise OutOfRangeError(f"d = {d} not admissible for class {k}")
-
-
 def _next_rows(k, n, above):
     """Every row that can follow `above` (None for the top row, which has
     at most n parts), by length and then lexicographically: shorter than
@@ -136,7 +131,7 @@ def stats(c: Cssp, d: int) -> CsspStats:
 def weight(c: Cssp, d: int) -> Gf:
     """W_d(C) for 1 <= d <= k, or the d = 0 weight (admissible for every
     class) with its expanded (P+Q-1) factor."""
-    _check_d(c.k, d)
+    check_d(d, c.k + 1)
     o = int(_has_factor(c.rows[-1][1:] if c.rows else (), d))
     return Gf.weight(*_pq(c.rows, d), len(c.rows), o)
 
@@ -156,8 +151,8 @@ def gf(k: int, n: int, d: int) -> Gf:
     (Fisher's vicious walkers); each tick moves them one at a time in order
     of x (a broken profile), north or west onto a free site."""
     _check_class(k, n)
-    _check_d(k, d)
     l = k + 1
+    check_d(d, l)
     states = {(): Gf.one()}
     for s in range(1 - n, n + l - 1):
         if 0 <= -s < n:  # path -s starts at (-s, 0), left of every other

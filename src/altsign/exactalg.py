@@ -286,10 +286,8 @@ class MPoly:
     def __str__(self):
         names = _sorted_vars(self.vars)
         terms = _remap(self, names)
-        if not terms:
-            return "0"
-        return _join_terms([(terms[e], _monomial_str(names, e))
-                            for e in sorted(terms, key=self._print_key)])
+        return join_terms([(terms[e], monomial_str(names, e))
+                           for e in sorted(terms, key=self._print_key)])
 
     __repr__ = __str__
 
@@ -308,7 +306,7 @@ def _remap(p: MPoly, target_vars):
     return {e: c for e, c in out.items() if c}
 
 
-def _monomial_str(names, exp):
+def monomial_str(names, exp):
     factors = []
     for v, e in zip(names, exp):
         if e == 1:
@@ -318,8 +316,9 @@ def _monomial_str(names, exp):
     return "*".join(factors)
 
 
-def _join_terms(parts):
-    """Render (coefficient, monomial-string) pairs as a sum."""
+def join_terms(parts):
+    """Render (coefficient, monomial-string) pairs as a sum, "0" for none:
+    the one term printer of Gf, MPoly and both forms of tpoly."""
     chunks = []
     for coeff, mono in parts:
         neg = coeff < 0
@@ -334,7 +333,7 @@ def _join_terms(parts):
             chunks.append(f"-{body}" if neg else body)
         else:
             chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) or "0"
 
 
 _PQR = ("P", "Q", "R")

@@ -34,9 +34,13 @@ import math
 import random
 from functools import lru_cache
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import Gf, MPoly, binomial, forward_differences
+from .exactalg import Gf, binomial, forward_differences
+
+if TYPE_CHECKING:
+    from .exactalg import MPoly
 
 
 def shift(p: MPoly, name: str, k: int = 1) -> MPoly:

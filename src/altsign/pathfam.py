@@ -139,7 +139,7 @@ def step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
     return int(y - x == d - 1), int(y == 0), 0, 0
 
 
-def _check_d(d: int, l: int) -> None:
+def check_d(d: int, l: int) -> None:
     """ValueError for l < 1, then OutOfRangeError for d outside 0..l-1."""
     if l < 1:
         raise ValueError(f"need l >= 1, got l = {l}")
@@ -150,7 +150,7 @@ def _check_d(d: int, l: int) -> None:
 def lgv_weight(f: PathFamily, d: int, l: int) -> Gf:
     """Family weight for 0 <= d <= l - 1: R per path times the product of
     step_weight over the west steps, built once from the exponent sums."""
-    _check_d(d, l)
+    check_d(d, l)
     steps = [step_weight(path.u - k, y, d)  # the k-th from x = u - k
              for path in f.paths for k, y in enumerate(path.heights)]
     p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
@@ -215,7 +215,7 @@ def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
 def gf_via_paths(n: int, l: int, d: int) -> Gf:
     """Generating function of all non-intersecting families, as
     det(I + R*M) = det(K(n) + R K(n) M) over the path matrix M."""
-    _check_d(d, l)
+    check_d(d, l)
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
     return det_gf(det_matrix(n, l, d))
@@ -312,7 +312,7 @@ def write_families_svg(path: str, n: int, l: int, d: int) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
     returns the number of families drawn.  The sheet is rendered before
     the file is opened, so a failed render leaves no file behind."""
-    _check_d(d, l)
+    check_d(d, l)
     families = list(all_families(n, l))
     sheet = families_svg(families, d, n, l)
     with open(path, "w", encoding="utf-8") as handle:

@@ -3,9 +3,11 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,20 @@ class TestCountCommand:
             assert (captured.out, captured.err) == \
                 ("", f"error: need l >= 1, got l = {argv[5]}\n"), argv
 
+    def test_cssp_and_paths_refuse_a_d_alike(self, capsys):
+        # one d check: class k sums over families of l = k + 1 paths
+        for k, d in ((3, 9), (3, -1), (3, 4), (0, 1), (0, -1), (2, 3)):
+            errs = []
+            for argv in (("gf", "cssp", "--k", str(k), "--n", "3",
+                          "--d", str(d)),
+                         ("gf", "paths", "--l", str(k + 1), "--n", "3",
+                          "--d", str(d))):
+                assert main(list(argv)) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                errs.append(captured.err)
+            assert errs == [f"error: d = {d} not in 0..{k}\n"] * 2, (k, d)
+
     def test_l1_allowed(self, capsys):
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
         assert code == 0
@@ -186,6 +202,41 @@ class TestTpoly:
             code, out = run(capsys, "tpoly", "--n", str(n), "--format", fmt)
             assert code == 0, (n, fmt)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, fmt)
+
+    def test_both_forms_through_the_term_printer(self, capsys, monkeypatch):
+        from altsign import operatorform
+        from altsign.exactalg import MPoly, monomials
+
+        def old_join(coeffs):  # tpoly's own join before the shared printer
+            return " + ".join(
+                (f"{c}" if k == 0 else (f"{c}*(l)_{k}" if c != 1
+                                        else f"(l)_{k}"))
+                for k, c in enumerate(coeffs) if c != 0) or "0"
+
+        rng = random.Random(33)
+        pool = (0, 0, 1, -1, 2, -3, 17, Fraction(1, 2), Fraction(-3, 4),
+                Fraction(7, 1))
+        for _ in range(200):
+            coeffs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            monkeypatch.setattr(operatorform, "t_polynomial",
+                                lambda n: coeffs)
+            code, out = run(capsys, "tpoly", "--n", "0", "--format", "json")
+            assert code == 0, coeffs
+            forms = json.loads(out)
+            # the monomial form is MPoly's rendering of the same coefficients
+            assert forms["monomial"] == str(MPoly(
+                ("l",), {(k,): c for k, c in enumerate(monomials(coeffs))}))
+            # the old join term by term on |c|, the sign in front of the
+            # term: "- c*(l)_k" where the old join printed "+ -c*(l)_k"
+            terms = [(c < 0, old_join([0] * k + [abs(c)]))
+                     for k, c in enumerate(coeffs) if c]
+            expected = "".join(
+                ("-" if neg else "") + body if i == 0
+                else f" {'-' if neg else '+'} {body}"
+                for i, (neg, body) in enumerate(terms)) or "0"
+            assert forms["falling_factorial"] == expected, coeffs
+            if all(c >= 0 for c in coeffs):
+                assert expected == old_join(coeffs), coeffs
 
 
 class TestVerify:
@@ -511,6 +562,64 @@ def test_a_command_loads_only_what_it_runs(argv):
     bare = set(_fresh_process(probe).split())
     loaded = _fresh_process(probe, *argv).splitlines()[-1].split()
     assert set(loaded) - bare == set()
+
+
+# one tiny run of each row of cli.COMMANDS; {out} is a file to write
+EVERY_ROW = [
+    ("enumerate", "ast", "--n", "2", "--l", "2"),
+    ("enumerate", "cssp", "--k", "1", "--n", "2"),
+    ("enumerate", "sttree", "--n", "2", "--b", "1,2"),
+    ("gf", "ast", "--n", "2", "--l", "3"),
+    ("gf", "cssp", "--k", "2", "--n", "2", "--d", "0"),
+    ("gf", "det", "--n", "2", "--l", "3"),
+    ("gf", "operator", "--n", "2", "--l", "3"),
+    ("gf", "paths", "--n", "2", "--l", "3", "--d", "1"),
+    ("count", "--n", "2", "--l", "3"),
+    ("tpoly", "--n", "3"),
+    ("verify", "main", "--n-max", "2", "--l-max", "2"),
+    ("verify", "truncated", "--samples", "3"),
+    ("verify", "qast", "--n-max", "2"),
+    ("verify", "asymm", "--n-max", "1"),
+    ("verify", "asym", "--n-max", "2", "--samples", "2"),
+    ("verify", "coeff", "--n-max", "2", "--l-max", "2"),
+    ("verify", "bijections", "--n-max", "2", "--l-max", "2"),
+    ("svg", "paths", "--n", "2", "--l", "3", "--out", "{out}"),
+]
+
+
+def test_every_row_is_run_by_the_mpoly_probe():
+    from altsign import cli  # COMMANDS here is the load table above
+    rows = {(name, choice) for name, (_, positional, table, _, _)
+            in cli.COMMANDS.items()
+            for choice in (table if positional else (None,))}
+    assert {(argv[0], argv[1] if argv[1][:2] != "--" else None)
+            for argv in EVERY_ROW} == rows
+
+
+# every MPoly is made through __init__ or _make; a Gf is of a subclass
+# and is not counted
+MPOLY_PROBE = (
+    "import sys\n"
+    "from altsign import exactalg\n"
+    "from altsign.cli import main\n"
+    "made = []\n"
+    "init, make = exactalg.MPoly.__init__, exactalg.MPoly._make.__func__\n"
+    "def counted_init(self, *args):\n"
+    "    made.append(type(self))\n"
+    "    init(self, *args)\n"
+    "exactalg.MPoly.__init__ = counted_init\n"
+    "exactalg.MPoly._make = classmethod(\n"
+    "    lambda cls, *args: made.append(cls) or make(cls, *args))\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(sum(t is exactalg.MPoly for t in made))\n")
+
+
+@pytest.mark.parametrize("argv", EVERY_ROW, ids=" ".join)
+def test_no_command_builds_an_mpoly(argv, tmp_path):
+    # MPoly is the tests' general polynomial; every command computes in Gf
+    # or in ints and prints through the term printer
+    argv = [a.format(out=tmp_path / "sheet.svg") for a in argv]
+    assert _fresh_process(MPOLY_PROBE, *argv).splitlines()[-1] == "0"
 
 
 def test_package_names_resolve_on_first_use():

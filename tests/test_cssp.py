@@ -209,10 +209,10 @@ class TestGf:
 
         monkeypatch.setattr(cssp, "enumerate_cssps", never)
         with pytest.raises(OutOfRangeError,
-                           match=r"^d = 9 not admissible for class 3$"):
+                           match=r"^d = 9 not in 0..3$"):
             gf(3, 6, 9)
         with pytest.raises(OutOfRangeError,
-                           match=r"^d = 1 not admissible for class 0$"):
+                           match=r"^d = 1 not in 0..0$"):
             gf(0, 7, 1)
         # a bad class still wins over a bad d
         with pytest.raises(ValueError, match=r"^need k >= 0 and n >= 0$"):
