@@ -182,7 +182,8 @@ def _check_bijections(args):
 
 
 def _random_tree_instances(args):
-    from . import sttree
+    from . import operatorform, sttree
+    operatorform.check_samples(args.samples)
     return sttree.random_tree_instances(args.samples, args.seed)
 
 

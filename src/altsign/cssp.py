@@ -210,12 +210,3 @@ def to_json(c: Cssp) -> dict:
         for w in [stats(c, dd)]
     ]
     return d
-
-
-def from_json(d: dict) -> Cssp:
-    c = Cssp(int(d["class"]),
-             tuple(tuple(int(x) for x in row) for row in d["rows"]))
-    problem = validate(c)
-    if problem:
-        raise ValueError(problem)
-    return c

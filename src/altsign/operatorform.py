@@ -68,6 +68,12 @@ def check_reach(n: int, name: str = "the operator route") -> None:
         raise ValueError(f"n = {n} is past {name}'s reach, n <= {REACH[name]}")
 
 
+def check_samples(count: int) -> None:
+    """ValueError below one sample: a sweep over none checks nothing."""
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {count}")
+
+
 def _add(coords: dict, a: tuple, c) -> None:
     coords[a] = coords[a] + c if a in coords else c
 
@@ -334,8 +340,7 @@ def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool
     subset product must differ from 1).  Exact rational arithmetic, so any
     agreement failure is decisive."""
     from fractions import Fraction
-    if sample_count < 1:
-        raise ValueError(f"need at least one sample, got {sample_count}")
+    check_samples(sample_count)
     rng = random.Random(seed)
     for _ in range(sample_count):
         x = _sample_point(rng, n)

@@ -7,7 +7,8 @@ family picks a subset of indices from {0..n-1}, one path each, pairwise
 vertex-disjoint.  Under the correspondence a row of length m maps to the
 path with index u = m - 1: the parts after the first are the west-step
 heights plus one, and the first part is the end height plus one.  A path
-is stored as those heights; its N/W word is derived only for JSON.
+is stored as those heights; its N/W word is derived only in ``steps``, for
+the tests.
 
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
@@ -219,27 +220,6 @@ def gf_via_paths(n: int, l: int, d: int) -> Gf:
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
     return det_gf(det_matrix(n, l, d))
-
-
-def to_json(f: PathFamily) -> dict:
-    return {"l": f.l, "paths": [{"u": p.u, "steps": p.steps} for p in f.paths]}
-
-
-def from_json(d: dict) -> PathFamily:
-    """The only reader of N/W words: the k-th W at position i of a word
-    is a west step at height i - k."""
-    l = int(d["l"])
-    words = [(int(p["u"]), str(p["steps"])) for p in d["paths"]]
-    for u, steps in words:
-        if steps.count("W") != u or steps.count("N") != u + l - 1:
-            raise ValueError(f"path u={u} needs {u} west and {u + l - 1} "
-                             f"north steps, got {steps!r}")
-        if set(steps) - {"N", "W"}:
-            raise ValueError(f"unknown step in {steps!r}")
-    return PathFamily(l, tuple(
-        LatticePath(u, l, tuple(i - k for k, i in enumerate(
-            j for j, s in enumerate(steps) if s == "W")))
-        for u, steps in words))
 
 
 # --- SVG rendering ---------------------------------------------------------

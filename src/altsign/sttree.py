@@ -283,14 +283,3 @@ def pretty(tree: SttTree) -> str:
     """The rows, one line each; a deleted cell is a dot."""
     return "\n".join(" ".join("." if v is None else str(v) for v in row)
                      for row in tree.rows)
-
-
-def from_json(d: dict) -> SttTree:
-    tree = SttTree(int(d["n"]), tuple(int(x) for x in d["s"]),
-                   tuple(int(x) for x in d["t"]),
-                   tuple(tuple(None if x is None else int(x) for x in row)
-                         for row in d["rows"]))
-    problem = validate(tree)
-    if problem:
-        raise ValueError(problem)
-    return tree

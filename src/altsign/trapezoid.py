@@ -255,12 +255,3 @@ def to_json(t: Trapezoid) -> dict:
 def pretty(t: Trapezoid) -> str:
     """The rows, one line each, every entry two characters wide."""
     return "\n".join(" ".join(f"{e:2d}" for e in row) for row in t.rows)
-
-
-def from_json(d: dict) -> Trapezoid:
-    t = Trapezoid(int(d["n"]), int(d["l"]),
-                  tuple(tuple(int(e) for e in row) for row in d["rows"]))
-    problem = validate(t)
-    if problem:
-        raise ValueError(problem)
-    return t

@@ -1,11 +1,14 @@
 import ast
 import concurrent.futures
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -89,6 +92,7 @@ class TestCountCommand:
                       "--out", str(unwritable)),
                      ("verify", "asym", "--n-max", "2", "--samples", "0"),
                      ("verify", "asym", "--n-max", "2", "--samples", "-3"),
+                     ("verify", "truncated", "--samples", "0"),
                      ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
                      ("gf", "cssp", "--k", "0", "--n", "7"),
                      ("enumerate", "sttree", "--n", "-1", "--b=")):
@@ -136,7 +140,11 @@ class TestEnumerateCommand:
         assert code == 0
         data = json.loads(out)
         assert len(data) == 8
-        objs = [trapezoid.from_json(d) for d in data]
+        objs = [trapezoid.Trapezoid(d["n"], d["l"],
+                                    tuple(map(tuple, d["rows"])))
+                for d in data]
+        assert objs == trapezoid.enumerate_trapezoids(2, 4)
+        assert not any(map(trapezoid.validate, objs))
         stats = Counter((d["stats"]["p"], d["stats"]["q"], d["stats"]["r"])
                         for d in data)
         assert stats == Counter({(0, 0, 1): 4, (0, 0, 2): 1, (1, 0, 1): 1,
@@ -148,7 +156,10 @@ class TestEnumerateCommand:
                         "--format", "json")
         data = json.loads(out)
         assert len(data) == 8
-        assert all(cssp.from_json(d) is not None for d in data)
+        objs = [cssp.Cssp(d["class"], tuple(map(tuple, d["rows"])))
+                for d in data]
+        assert objs == cssp.enumerate_cssps(3, 2)
+        assert not any(map(cssp.validate, objs))
 
     def test_sttree(self, capsys):
         code, out = run(capsys, "enumerate", "sttree", "--n", "3",
@@ -402,11 +413,9 @@ class TestVerify:
             for n in range(1, 5) for l in range(2, 5))
 
     def test_empty_sweep_fails(self, capsys):
-        for argv in (("verify", "main", "--n-max", "0"),
-                     ("verify", "truncated", "--samples", "0")):
-            code, out = run(capsys, *argv)
-            assert code == 1, argv
-            assert "0/0 checks passed" in out
+        code, out = run(capsys, "verify", "main", "--n-max", "0")
+        assert code == 1
+        assert "0/0 checks passed" in out
 
     def test_jobs_below_1_rejected(self, capsys):
         for jobs in ("0", "-3"):
@@ -564,11 +573,15 @@ def test_a_command_loads_only_what_it_runs(argv):
     assert set(loaded) - bare == set()
 
 
-# one tiny run of each row of cli.COMMANDS; {out} is a file to write
+# one tiny run of each row of cli.COMMANDS, and the json forms, which print
+# what the text forms do not; {out} is a file to write
 EVERY_ROW = [
     ("enumerate", "ast", "--n", "2", "--l", "2"),
+    ("enumerate", "ast", "--n", "2", "--l", "2", "--format", "json"),
     ("enumerate", "cssp", "--k", "1", "--n", "2"),
+    ("enumerate", "cssp", "--k", "1", "--n", "2", "--format", "json"),
     ("enumerate", "sttree", "--n", "2", "--b", "1,2"),
+    ("enumerate", "sttree", "--n", "2", "--b", "1,2", "--format", "json"),
     ("gf", "ast", "--n", "2", "--l", "3"),
     ("gf", "cssp", "--k", "2", "--n", "2", "--d", "0"),
     ("gf", "det", "--n", "2", "--l", "3"),
@@ -596,10 +609,19 @@ def test_every_row_is_run_by_the_mpoly_probe():
             for argv in EVERY_ROW} == rows
 
 
-# every MPoly is made through __init__ or _make; a Gf is of a subclass
-# and is not counted
-MPOLY_PROBE = (
-    "import sys\n"
+# Prints, as one json line, the number of MPoly the run makes and the code
+# of each package function it calls, as file:first line:name.  Every MPoly
+# is made through __init__ or _make; a Gf is of a subclass and is not
+# counted.  The profiler is set before the package loads, so calls made at
+# import count too; it does not follow pool workers, and every row runs
+# with --jobs 1.
+ROW_PROBE = (
+    "import json, os, sys\n"
+    "codes = set()\n"
+    "def called(frame, event, arg):\n"
+    "    if event == 'call':\n"
+    "        codes.add(frame.f_code)\n"
+    "sys.setprofile(called)\n"
     "from altsign import exactalg\n"
     "from altsign.cli import main\n"
     "made = []\n"
@@ -611,15 +633,96 @@ MPOLY_PROBE = (
     "exactalg.MPoly._make = classmethod(\n"
     "    lambda cls, *args: made.append(cls) or make(cls, *args))\n"
     "assert main(sys.argv[1:]) == 0\n"
-    "print(sum(t is exactalg.MPoly for t in made))\n")
+    "sys.setprofile(None)\n"
+    "home = os.path.dirname(exactalg.__file__)\n"
+    "print(json.dumps([sum(t is exactalg.MPoly for t in made), sorted(\n"
+    "    f'{os.path.basename(c.co_filename)}:{c.co_firstlineno}:{c.co_name}'\n"
+    "    for c in codes if os.path.dirname(c.co_filename) == home)]))\n")
+
+
+@functools.cache
+def _probe(argv):
+    """(MPoly made, package functions called) in one fresh process of argv:
+    no cache of an earlier run hides a call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.format(out=os.path.join(tmp, "sheet.svg")) for a in argv]
+        made, called = json.loads(
+            _fresh_process(ROW_PROBE, *argv).splitlines()[-1])
+    return made, frozenset(called)
 
 
 @pytest.mark.parametrize("argv", EVERY_ROW, ids=" ".join)
-def test_no_command_builds_an_mpoly(argv, tmp_path):
+def test_no_command_builds_an_mpoly(argv):
     # MPoly is the tests' general polynomial; every command computes in Gf
     # or in ints and prints through the term printer
-    argv = [a.format(out=tmp_path / "sheet.svg") for a in argv]
-    assert _fresh_process(MPOLY_PROBE, *argv).splitlines()[-1] == "0"
+    assert _probe(argv)[0] == 0
+
+
+def _package_defs():
+    """{file:first line:name of its code: dotted name} of every def in the
+    package; a decorated def's code starts at its first decorator."""
+    defs = {}
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    line = min(d.lineno for d in
+                               (child, *child.decorator_list))
+                    defs[f"{file}:{line}:{child.name}"] = name
+            walk(child, file, name)
+
+    for path in sorted(Path(altsign.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.name, path.stem)
+    return defs
+
+
+def _tracer_names():
+    """module.attribute of each row of the benchmark tracer's WRAPPED and
+    COUNTED tables, read from perfbench/tracer.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_altsign_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {f"{module}.{attr}"
+            for _, module, attr in tracer.WRAPPED + tracer.COUNTED}
+
+
+# The functions that no row of EVERY_ROW runs and that stay, each with its
+# reason, besides those the tracer's rows name (read from its tables): a
+# ledger that shrinks as MPoly, its division and those rows leave.
+NOT_RUN = {
+    "exactalg._divide_sparse": "serves the tracer's exact_divide rows",
+    "exactalg.MPoly._divide_coeff": "serves the tracer's exact_divide rows",
+    "exactalg.Gf._divide_coeff": "serves the tracer's exact_divide rows",
+    "exactalg.MPoly.variable": "serves the tracer's shift_var row",
+    "exactalg._exact": "serves the tracer's evaluate row and Gf.evaluate",
+    "exactalg.MPoly.constant": "MPoly is the tests' general polynomial",
+    "exactalg.MPoly.degree": "MPoly is the tests' general polynomial",
+    "exactalg.MPoly.__hash__": "MPoly is the tests' general polynomial",
+    "exactalg.MPoly.__rsub__": "MPoly is the tests' general polynomial",
+    "exactalg.MPoly._print_key": "MPoly is the tests' general polynomial",
+    "exactalg.Gf.evaluate": "the tests' value of a generating function",
+    "errors.NonDivisibleError.__init__": "runs only when a division fails",
+    "sttree.validate": "the tests' oracle for enumerate_sttrees",
+    "sttree.SttTree.value": "the tests' reader of a cell",
+    "pathfam.LatticePath.steps": "the tests' N/W word of a path",
+}
+
+
+def test_every_function_is_run_by_a_row_or_kept_for_a_reason():
+    defs = _package_defs()
+    called = {defs[key] for argv in EVERY_ROW for key in _probe(argv)[1]
+              if key in defs}
+    assert set(defs.values()) - called - _tracer_names() - set(NOT_RUN) \
+        == set()
+    # an entry names a def that no row runs: one that a row reaches, or
+    # that is gone, leaves the ledger
+    assert {name for name in NOT_RUN
+            if name not in defs.values() or name in called} == set()
 
 
 def test_package_names_resolve_on_first_use():

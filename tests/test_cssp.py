@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 
 from altsign import cssp, detform, pathfam, trapezoid
-from altsign.cssp import (Cssp, CsspStats, enumerate_cssps,
-                          from_json, gf, pretty, stats, structure_violation,
-                          to_json, validate, weight)
+from altsign.cssp import (Cssp, CsspStats, enumerate_cssps, gf, pretty,
+                          stats, structure_violation, validate, weight)
 from altsign.errors import OutOfRangeError
 from altsign.exactalg import Gf
 
@@ -254,12 +253,6 @@ class TestTheoremMainSmall:
 
 
 class TestInterfaces:
-    def test_json_roundtrip(self):
-        for k in range(0, 4):
-            for n in range(0, 4):
-                for c in enumerate_cssps(k, n):
-                    assert from_json(to_json(c)) == c, (k, n, c)
-
     def test_pretty(self):
         text = pretty(CLASS2)
         lines = text.splitlines()

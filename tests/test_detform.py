@@ -284,6 +284,17 @@ def mirrored(g, n):
     return {(q, p, n - r): c for (p, q, r), c in g.terms.items()}
 
 
+def at(g, axis, value):
+    """The terms of G with P (axis 0) or Q (axis 1) set to value, 0 or 1,
+    as a polynomial in the other two variables."""
+    out = {}
+    for e, c in g.terms.items():
+        if value or not e[axis]:
+            rest = e[:axis] + e[axis + 1:]
+            out[rest] = out.get(rest, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 class TestAnchors:
     # closed forms from outside the routes, so no route checks itself
 
@@ -332,3 +343,29 @@ class TestAnchors:
         for n in range(1, 5):
             for l in range(2, 6):
                 check(operatorform.gf_ast_via_operator(n, l), n, "operator", l)
+
+    def test_base_shift(self):
+        # G_n(1, Q, R; l) = G_n(0, Q, R; l + 1) and G_n(P, 1, R; l) =
+        # G_n(P, 0, R; l + 1): Pascal's rule at P = 1 and the hockey-stick
+        # sum at Q = 1 on the determinant; on every other route it ties
+        # the route at l to itself at l + 1.  route -> (gf, n, l); the
+        # object sums, whose cost grows fastest, stop at n = 5
+        routes = {
+            "det": (gf_det, range(0, 7), range(1, 6)),
+            "paths": (lambda n, l: pathfam.gf_via_paths(n, l, min(1, l - 1)),
+                      range(0, 7), range(1, 6)),
+            "ast": (trapezoid.gf, range(1, 6), range(1, 6)),
+            "cssp d=1": (lambda n, l: cssp.gf(l - 1, n, min(1, l - 1)),
+                         range(0, 6), range(1, 6)),
+            "cssp d=0": (lambda n, l: cssp.gf(l - 1, n, 0),
+                         range(0, 6), range(1, 6)),
+            "operator": (operatorform.gf_ast_via_operator, range(1, 5),
+                         range(2, 6)),
+        }
+        for name, (gf, ns, ls) in routes.items():
+            for n in ns:
+                g = {l: gf(n, l) for l in range(ls[0], ls[-1] + 2)}
+                for l in ls:
+                    for axis in (0, 1):
+                        assert at(g[l], axis, 1) == at(g[l + 1], axis, 0), \
+                            (name, n, l, "PQ"[axis])

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import xml.etree.ElementTree as ET
 from math import comb
 
@@ -12,10 +11,9 @@ from altsign.errors import NotInImageError, OutOfRangeError
 from altsign.exactalg import Gf
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              cssp_to_paths, det_matrix, families_svg,
-                             from_json,
                              gf_via_paths, lgv_weight,
                              path_matrix, paths_for_index,
-                             paths_to_cssp, to_json, validate_path,
+                             paths_to_cssp, validate_path,
                              write_families_svg)
 from test_exactalg import det_bareiss
 
@@ -202,8 +200,6 @@ class TestExponentOracles:
                         x, y = pts[-1]
                         pts.append((x - 1, y) if step == "W" else (x, y + 1))
                     assert p.points() == tuple(pts), p
-                    assert from_json(to_json(PathFamily(l, (p,)))).paths \
-                        == (p,)
 
     def test_validate_path(self):
         assert validate_path(LatticePath(2, 2, (0, 3))) is None
@@ -323,23 +319,6 @@ class TestGfViaPaths:
                         assert form == detform.det_matrix(n, l), (n, l)
 
 
-class TestJson:
-    def test_roundtrip(self):
-        fam = cssp_to_paths(FIGURE)
-        assert from_json(to_json(fam)) == fam
-        for k in range(0, 4):
-            for n in range(0, 4):
-                for c in enumerate_cssps(k, n):
-                    fam = cssp_to_paths(c)
-                    assert from_json(to_json(fam)) == fam, (k, n, c)
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError, match="needs 1 west and 2 north"):
-            from_json({"l": 2, "paths": [{"u": 1, "steps": "NN"}]})
-        with pytest.raises(ValueError, match="unknown step in 'WNXN'"):
-            from_json({"l": 2, "paths": [{"u": 1, "steps": "WNXN"}]})
-
-
 class TestSvg:
     def test_wellformed_and_has_elements(self, tmp_path):
         out = tmp_path / "families.svg"
@@ -373,9 +352,8 @@ class TestSvg:
 
 
 class TestPinnedBytes:
-    # sha256 digests of the SVG sheets and of the JSON of every family
-    # from a CSSPP with k <= 3 and n <= 4: how a path is stored inside
-    # the package must not move a byte of what it writes
+    # sha256 digests of the SVG sheets: how a path is stored inside the
+    # package must not move a byte of what it writes
     SHEETS = {
         (2, 3, 1): "86d6398265de3d4318c654c7906231f6"
                    "2776f11cc0bdf30b2ea0c0ab8b16c911",
@@ -386,21 +364,9 @@ class TestPinnedBytes:
         (4, 2, 1): "3ac305cac287d3baf1cd92df8c82489e"
                    "aaa05767b42750b7807c859c123148bf",
     }
-    FAMILIES_JSON = ("9ca36e086592991b9f2bb7973139e03a"
-                     "833182d79d48a7ea02536857f32a1849")
 
     def test_svg_sheets(self):
         for (n, l, d), digest in self.SHEETS.items():
             sheet = families_svg(all_families(n, l), d, n, l)
             assert hashlib.sha256(sheet.encode()).hexdigest() == digest, \
                 (n, l, d)
-
-    def test_family_json(self):
-        h, count = hashlib.sha256(), 0
-        for k in range(0, 4):
-            for n in range(0, 5):
-                for c in enumerate_cssps(k, n):
-                    text = json.dumps(to_json(cssp_to_paths(c)))
-                    h.update(text.encode() + b"\n")
-                    count += 1
-        assert (count, h.hexdigest()) == (1683, self.FAMILIES_JSON)

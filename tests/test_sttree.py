@@ -9,8 +9,8 @@ import pytest
 from altsign import sttree
 from altsign.errors import InvalidShapeError, NotInImageError
 from altsign.sttree import (SttTree, ast_to_sttree, enumerate_sttrees,
-                            formula_domain, from_json, sttree_to_ast,
-                            to_json, validate)
+                            formula_domain, sttree_to_ast, to_json,
+                            validate)
 from altsign.trapezoid import Trapezoid, enumerate_trapezoids
 from altsign.trapezoid import validate as validate_trapezoid
 
@@ -313,16 +313,14 @@ class TestAstCorrespondence:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        for tree in enumerate_sttrees(3, (1,), (0, 1), (-1, 0, 2)):
-            assert from_json(to_json(tree)) == tree
-        assert from_json(to_json(TREE54)) == TREE54
+    """The validation a tree read back from enumerate --format json must
+    pass."""
 
     def test_rejects_invalid(self):
-        bad = to_json(TREE54)
-        bad["rows"][1] = [3, 0]
-        with pytest.raises(ValueError):
-            from_json(bad)
+        rows = to_json(TREE54)["rows"]
+        rows[1] = [3, 0]
+        bad = TREE54._replace(rows=tuple(map(tuple, rows)))
+        assert validate(bad) is not None
 
     def test_rejects_equal_neighbours(self):
         # sandwiched between 1..2 and 2..3, but row 2 is not strictly
@@ -330,8 +328,6 @@ class TestJson:
         tree = SttTree(3, (), (), ((2,), (2, 2), (1, 2, 3)))
         assert validate(tree) == "cells (2,1) and (2,2) are equal"
         assert not is_monotone_triangle(tree.rows)
-        with pytest.raises(ValueError, match="are equal"):
-            from_json(to_json(tree))
 
     def test_first_violation_row_by_row(self):
         # two violations: the sandwich at (1,1) and equal neighbours in
@@ -339,8 +335,6 @@ class TestJson:
         tree = SttTree(3, (), (), ((5,), (2, 2), (1, 2, 3)))
         problem = "cell (1,1) violates the sandwich inequality"
         assert validate(tree) == problem
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            from_json(to_json(tree))
 
 
 def _searched_sttrees(n, s, t, b):
