@@ -172,18 +172,17 @@ def _check_bijections(args):
         if sttree.preimage(sttree.ast_to_sttree(t), n, l) != t:
             return False, (f"trapezoid round trip failed: {t}",)
     for c in cssp.enumerate_cssps(l - 1, n):
-        fam = pathfam.cssp_to_paths(c)
-        if pathfam.paths_to_cssp(fam, l) != c:
+        fam = cssp.to_paths(c)
+        if cssp.from_paths(fam) != c:
             return False, (f"path round trip failed: {c}",)
         for d in range(0, l):
-            if pathfam.lgv_weight(fam, d, l) != cssp.weight(c, d):
+            if pathfam.lgv_weight(fam, d) != cssp.weight(c, d):
                 return False, (f"weight transport failed: {c} d={d}",)
     return True, ()
 
 
 def _random_tree_instances(args):
-    from . import operatorform, sttree
-    operatorform.check_samples(args.samples)
+    from . import sttree
     return sttree.random_tree_instances(args.samples, args.seed)
 
 
@@ -278,7 +277,10 @@ def _cmd_tpoly(row, args, out):
 
 
 def _cmd_verify(row, args, out):
-    tasks_for, check, label, _ = row
+    tasks_for, check, label, reads = row
+    if "--samples" in reads:  # refused before any task or worker
+        from .operatorform import check_samples
+        check_samples(args.samples)
     tasks = tasks_for(args)
     results = _run_tasks(check, tasks, args.jobs)
     return _report([(label.format(*task), ok, detail)

@@ -6,18 +6,23 @@ and strictly decreasing down columns.  It is of class k when the first
 part of every row exceeds the row length by exactly k.  The cell in row i
 at position t (1-based) sits in column j = i + t - 1.
 
-gf sums in path coordinates, over the families of pathfam.cssp_to_paths
-with pathfam.step_weight on each west step.  `verify bijections` ties that
-rule to weight for n <= 5, l <= 4; the row DP of the tests ties it to _pq.
+The objects of class k are in bijection with the non-intersecting families
+of pathfam with l = k + 1 (to_paths, from_paths): a row of length m maps to
+the path with index u = m - 1, the parts after the first are its west-step
+heights plus one, and the first part is its end height plus one.  gf sums
+in those path coordinates, with pathfam.step_weight on each west step.
+`verify bijections` ties that rule to weight for n <= 5, l <= 4; the row
+DP of the tests ties it to _pq.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import OutOfRangeError
-from .exactalg import Gf
-from .pathfam import check_d, step_weight
+from .errors import NotInImageError, OutOfRangeError
+from .exactalg import Gf, add_into
+from .pathfam import (LatticePath, PathFamily, check_d, step_weight,
+                      validate_path)
 
 
 class CsspStats(NamedTuple):
@@ -165,7 +170,7 @@ def gf(k: int, n: int, d: int) -> Gf:
                      if not key or key[0][1] != u}
             for key, g in states.items():
                 if key[:1] == ((0, u),):
-                    _put(ended, key[1:], g)
+                    add_into(ended, key[1:], g)
             states = ended
         for i in range(max(map(len, states))):
             moved = {}
@@ -176,18 +181,37 @@ def gf(k: int, n: int, d: int) -> Gf:
                 x, v = key[i]
                 y = s + x
                 if y < v + l - 1:  # a north step past it cannot end
-                    _put(moved, key, g)
+                    add_into(moved, key, g)
                 if x and (not i or key[i - 1][0] != x - 1):
                     e = step_weight(x, y, d)
-                    _put(moved, key[:i] + ((x - 1, v),) + key[i + 1:],
-                         g * Gf.weight(*e) if any(e) else g)
+                    add_into(moved, key[:i] + ((x - 1, v),) + key[i + 1:],
+                             g * Gf.weight(*e) if any(e) else g)
             states = moved
     return states[()]
 
 
-def _put(states, key, g):
-    """Add g to the value of key in states."""
-    states[key] = states[key] + g if key in states else g
+def to_paths(c: Cssp) -> PathFamily:
+    """Row of length m -> path with index m - 1; west-step heights are the
+    parts after the first minus one, traversed in reverse row order."""
+    l = c.k + 1
+    return PathFamily(l, tuple(
+        LatticePath(len(row) - 1, l, tuple(part - 1 for part in row[:0:-1]))
+        for row in c.rows))
+
+
+def from_paths(f: PathFamily) -> Cssp:
+    """Inverse of to_paths, of class f.l - 1; NotInImageError if the heights
+    do not assemble into such an object (cannot happen for vertex-disjoint
+    families)."""
+    for problem in map(validate_path, f.paths):
+        if problem:
+            raise NotInImageError(problem)
+    c = Cssp(f.l - 1, tuple((p.u + f.l, *(h + 1 for h in p.heights[::-1]))
+                            for p in f.paths))
+    problem = validate(c)
+    if problem:
+        raise NotInImageError(problem)
+    return c
 
 
 def pretty(c: Cssp) -> str:

@@ -34,6 +34,13 @@ def binomial(a: int, k: int) -> int:
     return -comb(k - a - 1, k) if k & 1 else comb(k - a - 1, k)
 
 
+def add_into(states: dict, key, value) -> None:
+    """Add value to states[key], or insert it there: the merge step of
+    every sweep over a dict of states (trapezoid.gf, cssp.gf, operatorform's
+    coordinate steps)."""
+    states[key] = states[key] + value if key in states else value
+
+
 def _var_key(name: str):
     """Canonical sort key for variable names: alphabetic stem, then the
     numeric suffix compared as a number ("x2" before "x10")."""

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import InvalidShapeError, ShapeMismatchError
-from .exactalg import Gf, binomial, forward_differences
+from .exactalg import Gf, add_into, binomial, forward_differences
 
 if TYPE_CHECKING:
     from .exactalg import MPoly
@@ -74,10 +74,6 @@ def check_samples(count: int) -> None:
         raise ValueError(f"need at least one sample, got {count}")
 
 
-def _add(coords: dict, a: tuple, c) -> None:
-    coords[a] = coords[a] + c if a in coords else c
-
-
 @lru_cache(maxsize=None)
 def compute_Mn(n: int) -> MappingProxyType:
     """M_n as {a: m_a} over prod_i C(x_i, a_i): prod_{p<q} (1 + fwd_q +
@@ -93,12 +89,12 @@ def compute_Mn(n: int) -> MappingProxyType:
         for q_ in range(p_ + 1, n):
             out = {}
             for a, c in coords.items():
-                _add(out, a, c)
+                add_into(out, a, c)
                 if a[q_]:
                     b = a[:q_] + (a[q_] - 1,) + a[q_ + 1:]
-                    _add(out, b, c)
+                    add_into(out, b, c)
                     if a[p_]:
-                        _add(out, b[:p_] + (a[p_] - 1,) + b[p_ + 1:], c)
+                        add_into(out, b[:p_] + (a[p_] - 1,) + b[p_ + 1:], c)
             coords = {a: c for a, c in out.items() if c}
     return MappingProxyType(coords)
 
@@ -128,7 +124,7 @@ def _step(coords: dict, x: int, value, weights) -> dict:
         if t not in factors:
             factors[t] = diffs(a, 1, t) + w * diffs(a + 1, 0, t)
         if factors[t]:
-            _add(out, key[1:], c * factors[t])
+            add_into(out, key[1:], c * factors[t])
     return {rest: c for rest, c in out.items() if c}
 
 
@@ -329,7 +325,7 @@ def _sign(sigma):
     return (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
 
 
-def verify_asym_lemma(n: int, sample_count: int = 100, seed: int = 2024) -> bool:
+def verify_asym_lemma(n: int, sample_count: int, seed: int) -> bool:
     """Randomized exact check of the antisymmetrizer lemma
 
         ASym [ prod_{i<j} (1+X_j+X_i X_j) prod_i X_i^{i-1} /

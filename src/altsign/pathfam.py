@@ -1,14 +1,12 @@
-"""Non-intersecting lattice path families and their correspondence with
-column strict shifted plane partitions.
+"""Non-intersecting lattice path families, the images of column strict
+shifted plane partitions under cssp.to_paths.
 
 A path with index u runs from (u, 0) to (0, u + l - 1) using north steps
 (0,+1) and west steps (-1,0): u west steps and u + l - 1 north steps.  A
-family picks a subset of indices from {0..n-1}, one path each, pairwise
-vertex-disjoint.  Under the correspondence a row of length m maps to the
-path with index u = m - 1: the parts after the first are the west-step
-heights plus one, and the first part is the end height plus one.  A path
-is stored as those heights; its N/W word is derived only in ``steps``, for
-the tests.
+family, for one l, picks a subset of indices from {0..n-1}, one path each,
+pairwise vertex-disjoint.  A path is stored as its west-step heights; its
+N/W word is derived only in ``steps``, for the tests.  This module imports
+nothing from cssp, so ``gf paths`` never loads it.
 
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
@@ -48,13 +46,10 @@ exactalg.det_gf takes, at the same C(n+3, 3) lattice points.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .errors import NotInImageError, OutOfRangeError
+from .errors import OutOfRangeError
 from .exactalg import Gf, det_gf
-
-if TYPE_CHECKING:
-    from .cssp import Cssp
 
 
 class LatticePath(NamedTuple):
@@ -100,31 +95,6 @@ def paths_for_index(u: int, l: int) -> tuple[LatticePath, ...]:
                  itertools.combinations_with_replacement(range(u + l), u))
 
 
-def cssp_to_paths(c: Cssp) -> PathFamily:
-    """Row of length m -> path with index m - 1; west-step heights are the
-    parts after the first minus one, traversed in reverse row order."""
-    l = c.k + 1
-    return PathFamily(l, tuple(
-        LatticePath(len(row) - 1, l, tuple(part - 1 for part in row[:0:-1]))
-        for row in c.rows))
-
-
-def paths_to_cssp(f: PathFamily, l: int) -> Cssp:
-    """Inverse correspondence; NotInImageError if the heights do not
-    assemble into a class-(l-1) object (cannot happen for vertex-disjoint
-    families)."""
-    from .cssp import Cssp, validate  # only here: gf paths never loads it
-    for problem in map(validate_path, f.paths):
-        if problem:
-            raise NotInImageError(problem)
-    c = Cssp(l - 1, tuple((p.u + l, *(h + 1 for h in p.heights[::-1]))
-                          for p in f.paths))
-    problem = validate(c)
-    if problem:
-        raise NotInImageError(problem)
-    return c
-
-
 def step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
     """Exponents (p, q, r, o) of the Gf.weight of the west step from (x, y)
     to (x - 1, y), with r = 0; north steps weigh 1.
@@ -148,10 +118,10 @@ def check_d(d: int, l: int) -> None:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
 
 
-def lgv_weight(f: PathFamily, d: int, l: int) -> Gf:
-    """Family weight for 0 <= d <= l - 1: R per path times the product of
+def lgv_weight(f: PathFamily, d: int) -> Gf:
+    """Family weight for 0 <= d <= f.l - 1: R per path times the product of
     step_weight over the west steps, built once from the exponent sums."""
-    check_d(d, l)
+    check_d(d, f.l)
     steps = [step_weight(path.u - k, y, d)  # the k-th from x = u - k
              for path in f.paths for k, y in enumerate(path.heights)]
     p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .exactalg import Gf
+from .exactalg import Gf, add_into
 
 
 class AstStats(NamedTuple):
@@ -227,8 +227,7 @@ def gf(n: int, l: int) -> Gf:
         after: dict = {}
         for s, g in states.items():
             for _, state, ones in _steps(n, l, i, s):
-                w = g * Gf.weight(*_exponents(ones))
-                after[state] = after[state] + w if state in after else w
+                add_into(after, state, g * Gf.weight(*_exponents(ones)))
         states = after
     return sum(states.values(), Gf.zero())
 

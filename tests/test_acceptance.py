@@ -157,11 +157,11 @@ def test_criterion_7_bijection_round_trips(capsys):
     for n in range(1, 5):
         for l in range(1, 6):
             for c in cssp.enumerate_cssps(l - 1, n):
-                fam = pathfam.cssp_to_paths(c)
-                if pathfam.paths_to_cssp(fam, l) != c:
+                fam = cssp.to_paths(c)
+                if cssp.from_paths(fam) != c:
                     ok = False
                 for d in range(0, l):
-                    if pathfam.lgv_weight(fam, d, l) != cssp.weight(c, d):
+                    if pathfam.lgv_weight(fam, d) != cssp.weight(c, d):
                         ok = False
     with capsys.disabled():
         _finish(7, "AST<->tree and CSSPP<->paths round trips with weights",

@@ -6,15 +6,13 @@ from math import comb
 import pytest
 
 from altsign import cssp, detform, trapezoid
-from altsign.cssp import Cssp, enumerate_cssps
+from altsign.cssp import Cssp, enumerate_cssps, from_paths, to_paths
 from altsign.errors import NotInImageError, OutOfRangeError
 from altsign.exactalg import Gf
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
-                             cssp_to_paths, det_matrix, families_svg,
-                             gf_via_paths, lgv_weight,
-                             path_matrix, paths_for_index,
-                             paths_to_cssp, validate_path,
-                             write_families_svg)
+                             det_matrix, families_svg, gf_via_paths,
+                             lgv_weight, path_matrix, paths_for_index,
+                             validate_path, write_families_svg)
 from test_exactalg import det_bareiss
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -33,7 +31,7 @@ FIGURE = Cssp(2, ((7, 7, 6, 6, 3), (6, 5, 5, 2), (4, 4), (3,)))
 
 class TestCorrespondence:
     def test_figure_family(self):
-        fam = cssp_to_paths(FIGURE)
+        fam = to_paths(FIGURE)
         assert tuple(p.u for p in fam.paths) == (4, 3, 1, 0)
         # west-step heights per row, in row order (reverse of path order)
         heights = [p.heights[::-1] for p in fam.paths]
@@ -41,13 +39,13 @@ class TestCorrespondence:
         assert is_nonintersecting(fam)
 
     def test_empty(self):
-        fam = cssp_to_paths(Cssp(2, ()))
+        fam = to_paths(Cssp(2, ()))
         assert fam.paths == ()
-        assert paths_to_cssp(fam, 3).rows == ()
+        assert from_paths(fam).rows == ()
 
     def test_single_row_all_north(self):
         # class 3 row "4": one path from (0,0) to (0,3), no west steps
-        fam = cssp_to_paths(Cssp(3, ((4,),)))
+        fam = to_paths(Cssp(3, ((4,),)))
         assert tuple(p.u for p in fam.paths) == (0,)
         assert fam.paths[0].steps == "NNN"
 
@@ -55,28 +53,28 @@ class TestCorrespondence:
         for l in range(1, 6):
             for n in range(0, 5):
                 for c in enumerate_cssps(l - 1, n):
-                    fam = cssp_to_paths(c)
+                    fam = to_paths(c)
                     assert is_nonintersecting(fam)
-                    assert paths_to_cssp(fam, l) == c
+                    assert from_paths(fam) == c
 
     def test_not_in_image(self):
         # two identical paths cannot come from a shifted shape
         p = LatticePath(1, 2, (0,))
         assert not is_nonintersecting(PathFamily(2, (p, p)))
         with pytest.raises(NotInImageError):
-            paths_to_cssp(PathFamily(2, (p, p)), 2)
+            from_paths(PathFamily(2, (p, p)))
 
 
 class TestWeights:
     def test_empty_family(self):
-        assert lgv_weight(PathFamily(4, ()), 2, 4) == Gf.one()
+        assert lgv_weight(PathFamily(4, ()), 2) == Gf.one()
 
     def test_single_west_then_north(self):
         # row "3 1" of class 1: path W at height 0 then NN
         p = LatticePath(1, 2, (0,))
         fam = PathFamily(2, (p,))
-        assert lgv_weight(fam, 1, 2) == Gf.monomial(q=1, r=1)
-        assert paths_to_cssp(fam, 2).rows == ((3, 1),)
+        assert lgv_weight(fam, 1) == Gf.monomial(q=1, r=1)
+        assert from_paths(fam).rows == ((3, 1),)
 
     def test_q_counts_ones_for_p1_mode(self):
         # for l >= 2 the west steps at height 0 are exactly the parts 1:
@@ -84,10 +82,10 @@ class TestWeights:
         # Q^(#parts 1) R^(#rows)
         for l in (2, 3, 4):
             for c in enumerate_cssps(l - 1, 3):
-                fam = cssp_to_paths(c)
+                fam = to_paths(c)
                 ones = sum(1 for row in c.rows for part in row if part == 1)
                 for d in range(1, l):
-                    [((_, q, r), coeff)] = lgv_weight(fam, d, l).terms.items()
+                    [((_, q, r), coeff)] = lgv_weight(fam, d).terms.items()
                     assert (q, r, coeff) == (ones, len(c.rows), 1), (c, d)
 
     def test_weight_transport(self):
@@ -95,20 +93,20 @@ class TestWeights:
         for l in range(1, 6):
             for n in range(0, 4):
                 for c in enumerate_cssps(l - 1, n):
-                    fam = cssp_to_paths(c)
+                    fam = to_paths(c)
                     for d in range(0, l):
-                        assert lgv_weight(fam, d, l) == cssp.weight(c, d), \
+                        assert lgv_weight(fam, d) == cssp.weight(c, d), \
                             (c, d)
 
     def test_d_range_checked(self):
-        fam = cssp_to_paths(FIGURE)
+        fam = to_paths(FIGURE)
         with pytest.raises(OutOfRangeError):
-            lgv_weight(fam, 3, 3)
+            lgv_weight(fam, 3)
 
     def test_l_below_1_named_before_d(self, tmp_path):
         # there is no d in 0..l-1 for l < 1: each entry point blames l
         out = tmp_path / "families.svg"
-        for call in (lambda l: lgv_weight(cssp_to_paths(FIGURE), 0, l),
+        for call in (lambda l: lgv_weight(PathFamily(l, ()), 0),
                      lambda l: gf_via_paths(2, l, 0),
                      lambda l: write_families_svg(str(out), 2, l, 0)):
             for l in (0, -1):
@@ -120,7 +118,7 @@ class TestWeights:
 
 
 # Weights as one Gf product per west step, and step strings appended one
-# run at a time: independent oracles for lgv_weight and cssp_to_paths.
+# run at a time: independent oracles for lgv_weight and cssp.to_paths.
 
 def _step_factor(x, y, d):
     if d == 0 and (x, y) == (1, 0):
@@ -164,20 +162,20 @@ class TestExponentOracles:
         for k in range(0, 5):
             for n in range(0, 5):
                 for c in enumerate_cssps(k, n):
-                    fam = cssp_to_paths(c)
+                    fam = to_paths(c)
                     assert fam.l == k + 1, c
                     assert [p.steps for p in fam.paths] \
                         == _appended_words(c), c
                     assert tuple(p.u for p in fam.paths) \
                         == tuple(len(row) - 1 for row in c.rows), c
                     for d in range(k + 1):
-                        w = lgv_weight(fam, d, k + 1)
+                        w = lgv_weight(fam, d)
                         expected = _product_lgv_weight(fam, d)
                         assert (w, str(w)) == (expected, str(expected)), \
                             (c, d)
                         for p in fam.paths:
                             one = PathFamily(k + 1, (p,))
-                            assert lgv_weight(one, d, k + 1) \
+                            assert lgv_weight(one, d) \
                                 == Gf.monomial(r=1) \
                                 * _product_path_weight(p, d), (p, d)
 
@@ -214,10 +212,10 @@ class TestExponentOracles:
                 for b in paths:
                     fam = PathFamily(l, (a, b))
                     for d in range(l):
-                        assert lgv_weight(fam, d, l) \
+                        assert lgv_weight(fam, d) \
                             == _product_lgv_weight(fam, d), (fam, d)
         twice = PathFamily(2, (LatticePath(1, 2, (0,)),) * 2)
-        assert lgv_weight(twice, 0, 2) \
+        assert lgv_weight(twice, 0) \
             == Gf.monomial(r=2) * Gf.p_plus_q_minus_1() ** 2
 
 
@@ -261,7 +259,7 @@ class TestGfViaPaths:
                 for d in range(0, l):
                     total = Gf.zero()
                     for f in families:
-                        total += lgv_weight(f, d, l)
+                        total += lgv_weight(f, d)
                     assert gf_via_paths(n, l, d) == total, (n, l, d)
 
     def test_path_matrix_counts_paths(self):
