@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotInImageError, OutOfRangeError
+from .errors import NotInImageError, OutOfRangeError, check_domain
 from .exactalg import Gf, add_into
 from .pathfam import (LatticePath, PathFamily, check_d, step_weight,
                       validate_path)
@@ -75,7 +75,7 @@ def enumerate_cssps(k: int, n: int) -> list[Cssp]:
     """All class-k column strict shifted plane partitions whose first row
     has at most n parts, the empty one first: a depth-first search over
     the rows that _next_rows allows below each row, listing every prefix."""
-    _check_class(k, n)
+    check_domain(n, k + 1)
     out = []
 
     def extend(rows):
@@ -85,11 +85,6 @@ def enumerate_cssps(k: int, n: int) -> list[Cssp]:
 
     extend(())
     return out
-
-
-def _check_class(k, n):
-    if k < 0 or n < 0:
-        raise ValueError("need k >= 0 and n >= 0")
 
 
 def _next_rows(k, n, above):
@@ -155,8 +150,8 @@ def gf(k: int, n: int, d: int) -> Gf:
     s = u + l - 1.  A state is the sorted (x, u) of the paths present at s
     (Fisher's vicious walkers); each tick moves them one at a time in order
     of x (a broken profile), north or west onto a free site."""
-    _check_class(k, n)
     l = k + 1
+    check_domain(n)
     check_d(d, l)
     states = {(): Gf.one()}
     for s in range(1 - n, n + l - 1):
@@ -193,9 +188,8 @@ def gf(k: int, n: int, d: int) -> Gf:
 def to_paths(c: Cssp) -> PathFamily:
     """Row of length m -> path with index m - 1; west-step heights are the
     parts after the first minus one, traversed in reverse row order."""
-    l = c.k + 1
-    return PathFamily(l, tuple(
-        LatticePath(len(row) - 1, l, tuple(part - 1 for part in row[:0:-1]))
+    return PathFamily(c.k + 1, tuple(
+        LatticePath(len(row) - 1, tuple(part - 1 for part in row[:0:-1]))
         for row in c.rows))
 
 
@@ -203,7 +197,7 @@ def from_paths(f: PathFamily) -> Cssp:
     """Inverse of to_paths, of class f.l - 1; NotInImageError if the heights
     do not assemble into such an object (cannot happen for vertex-disjoint
     families)."""
-    for problem in map(validate_path, f.paths):
+    for problem in (validate_path(p, f.l) for p in f.paths):
         if problem:
             raise NotInImageError(problem)
     c = Cssp(f.l - 1, tuple((p.u + f.l, *(h + 1 for h in p.heights[::-1]))

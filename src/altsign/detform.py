@@ -35,6 +35,7 @@ route.
 
 from __future__ import annotations
 
+from .errors import check_domain
 from .exactalg import Gf, binomial, det_fraction_free, det_gf
 
 
@@ -67,16 +68,14 @@ def det_matrix(n: int, l: int) -> list[list[Gf]]:
 def gf_det(n: int, l: int) -> Gf:
     """Generating function by the determinant route (derived for l >= 2;
     l = 1 is allowed experimentally but carries no guarantee)."""
-    if n < 0 or l < 1:
-        raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
+    check_domain(n, l)
     return det_gf(det_matrix(n, l))
 
 
 def count(n: int, l: int) -> int:
     """Number of (n,l)-trapezoids via the P=Q=R=1 matrix entries
     C(i+j+l-1, i) + [i = j]."""
-    if n < 0 or l < 1:
-        raise ValueError(f"need n >= 0 and l >= 1, got n = {n}, l = {l}")
+    check_domain(n, l)
     m = [[binomial(i + j + l - 1, i) + (1 if i == j else 0)
           for j in range(n)] for i in range(n)]
     return det_fraction_free(m)

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions and the domain check shared across the package."""
 
 
 class NonDivisibleError(ArithmeticError):
@@ -23,3 +23,11 @@ class OutOfRangeError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Vector lengths passed to an operator formula are inconsistent."""
+
+
+def check_domain(n: int = 0, l: int = 1) -> None:
+    """ValueError for n < 0, then for l < 1: every route's domain."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    if l < 1:
+        raise ValueError(f"need l >= 1, got l = {l}")

@@ -36,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .errors import InvalidShapeError, ShapeMismatchError
+from .errors import InvalidShapeError, ShapeMismatchError, check_domain
 from .exactalg import Gf, add_into, binomial, forward_differences
 
 if TYPE_CHECKING:
@@ -79,9 +79,8 @@ def compute_Mn(n: int) -> MappingProxyType:
     """M_n as {a: m_a} over prod_i C(x_i, a_i): prod_{p<q} (1 + fwd_q +
     fwd_p fwd_q) applied to the scaled Vandermonde product {sigma: sgn
     sigma}, each fwd lowering one index by one.  M_n has total degree
-    n(n-1)/2 and M_1 = 1.  Cached per n, so read-only; refused past n = 7."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n(n-1)/2 and M_0 = 1.  Cached per n, so read-only; refused past n = 7."""
+    check_domain(n)
     check_reach(n)
     coords = {sigma: _sign(sigma)
               for sigma in itertools.permutations(range(n))}
@@ -217,8 +216,7 @@ def gf_ast_prescribed(n: int, l: int, j) -> Gf:
 def all_positions(n: int):
     """All admissible 1-column position vectors: m negative labels from
     -n..-1 and n-m positive labels from 1..n, for m = 0..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_domain(n)
     for m in range(n + 1):
         for neg in itertools.combinations(range(-n, 0), m):
             for pos in itertools.combinations(range(1, n + 1), n - m):
@@ -244,14 +242,13 @@ def _position_sum(n: int, l: int, weights):
             total += r * below if x < 0 else below
         return total
 
-    return walk(compute_Mn(n), 1, 0)
+    return zero + walk(compute_Mn(n), 1, 0)  # a Gf at _PQR even for n = 0
 
 
 def gf_ast_via_operator(n: int, l: int) -> Gf:
     """Full generating function by the operator route: sum R^m times the
     prescribed-position P,Q-polynomials over all position vectors."""
-    if n < 1:  # before l
-        raise ValueError("n must be positive")
+    check_domain(n, l)
     return _position_sum(n, l, _gf_weights(l))
 
 
@@ -269,7 +266,8 @@ def t_polynomial(n: int) -> list:
     by its coordinates c_k over the falling factorials l(l-1)...(l-k+1),
     lowest first, trailing zeros dropped: c_k = D^k t_n(0) / k! (Newton)
     from t_value at l = 0..n(n-1)/2, since t_n has degree at most that of
-    M_n.  Valid counts for l >= 2; t_n(1) counts the quasi variant."""
+    M_n.  Valid counts for l >= 2; t_n(1) counts the quasi variant, and
+    t_0 = 1 counts the empty trapezoid."""
     from fractions import Fraction
     coords = [Fraction(d, math.factorial(k)) for k, d in enumerate(
         forward_differences([t_value(n, l)

@@ -4,9 +4,9 @@ shifted plane partitions under cssp.to_paths.
 A path with index u runs from (u, 0) to (0, u + l - 1) using north steps
 (0,+1) and west steps (-1,0): u west steps and u + l - 1 north steps.  A
 family, for one l, picks a subset of indices from {0..n-1}, one path each,
-pairwise vertex-disjoint.  A path is stored as its west-step heights; its
-N/W word is derived only in ``steps``, for the tests.  This module imports
-nothing from cssp, so ``gf paths`` never loads it.
+pairwise vertex-disjoint.  A path is its index u and west-step heights,
+read against its family's l; its N/W word ``steps`` is for the tests.  This
+module imports nothing from cssp, so ``gf paths`` never loads it.
 
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
@@ -48,34 +48,32 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, check_domain
 from .exactalg import Gf, det_gf
 
 
 class LatticePath(NamedTuple):
     u: int
-    l: int
     heights: tuple[int, ...]  # of the u west steps, weakly increasing
 
-    @property
-    def steps(self) -> str:
+    def steps(self, l: int) -> str:
         """The 'N'/'W' word from (u, 0) to (0, u + l - 1)."""
         ys = (0, *self.heights)
         return "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:])) \
-            + "N" * (self.u + self.l - 1 - ys[-1])
+            + "N" * (self.u + l - 1 - ys[-1])
 
-    def points(self) -> tuple[tuple[int, int], ...]:
+    def points(self, l: int) -> tuple[tuple[int, int], ...]:
         """Up column x to the next west step's height, for x = u..0."""
         pts, x, y = [], self.u, 0
         for h in self.heights:
             pts += [(x, t) for t in range(y, h + 1)]
             x, y = x - 1, h
-        pts += [(x, t) for t in range(y, self.u + self.l)]
+        pts += [(x, t) for t in range(y, self.u + l)]
         return tuple(pts)
 
 
-def validate_path(p: LatticePath):
-    h, top = p.heights, p.u + p.l - 1
+def validate_path(p: LatticePath, l: int):
+    h, top = p.heights, p.u + l - 1
     if len(h) != p.u:
         return f"path u={p.u} needs {p.u} west steps, got {len(h)}"
     if list(h) != sorted(h) or not all(0 <= y <= top for y in h):
@@ -91,7 +89,7 @@ class PathFamily(NamedTuple):
 def paths_for_index(u: int, l: int) -> tuple[LatticePath, ...]:
     """All C(2u+l-1, u) paths for one index, in the lexicographic order of
     their west-step positions (the k-th at position height + k)."""
-    return tuple(LatticePath(u, l, h) for h in
+    return tuple(LatticePath(u, h) for h in
                  itertools.combinations_with_replacement(range(u + l), u))
 
 
@@ -111,9 +109,8 @@ def step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
 
 
 def check_d(d: int, l: int) -> None:
-    """ValueError for l < 1, then OutOfRangeError for d outside 0..l-1."""
-    if l < 1:
-        raise ValueError(f"need l >= 1, got l = {l}")
+    """check_domain's l check, then OutOfRangeError for d outside 0..l-1."""
+    check_domain(l=l)
     if not 0 <= d <= l - 1:
         raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
 
@@ -132,9 +129,8 @@ def all_families(n: int, l: int):
     """Every non-intersecting family on subsets of {0..n-1} (brute force
     with an incremental disjointness filter), for drawing and as the
     oracle of gf_via_paths."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n = {n}")
-    cells = [[(p, frozenset(p.points())) for p in paths_for_index(u, l)]
+    check_domain(n, l)
+    cells = [[(p, frozenset(p.points(l))) for p in paths_for_index(u, l)]
              for u in range(n)]  # each path's point set, taken once
     for r in range(n + 1):
         for indices in itertools.combinations(range(n), r):
@@ -186,9 +182,8 @@ def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
 def gf_via_paths(n: int, l: int, d: int) -> Gf:
     """Generating function of all non-intersecting families, as
     det(I + R*M) = det(K(n) + R K(n) M) over the path matrix M."""
+    check_domain(n)
     check_d(d, l)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n = {n}")
     return det_gf(det_matrix(n, l, d))
 
 
@@ -228,10 +223,10 @@ def _family_group(f: PathFamily, d: int, n: int, origin):
                                        "stroke-dasharray": "4 3"})
     for i, p in enumerate(f.paths):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.points())
+        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.points(f.l))
         ET.SubElement(g, "polyline", points=pts, fill="none",
                       stroke=color, **{"stroke-width": "2"})
-        (x0, y0), (x1, y1) = (p.u, 0), (0, p.u + p.l - 1)  # start, end
+        (x0, y0), (x1, y1) = (p.u, 0), (0, p.u + f.l - 1)  # start, end
         ET.SubElement(g, "circle", cx=str(sx(x0)), cy=str(sy(y0)),
                       r="3", fill=color)
         ET.SubElement(g, "rect", x=str(sx(x1) - 3), y=str(sy(y1) - 3),
@@ -262,6 +257,7 @@ def write_families_svg(path: str, n: int, l: int, d: int) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
     returns the number of families drawn.  The sheet is rendered before
     the file is opened, so a failed render leaves no file behind."""
+    check_domain(n)
     check_d(d, l)
     families = list(all_families(n, l))
     sheet = families_svg(families, d, n, l)

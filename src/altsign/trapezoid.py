@@ -15,6 +15,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
+from .errors import check_domain
 from .exactalg import Gf, add_into
 
 
@@ -67,8 +68,10 @@ def validate(t: Trapezoid):
     flipped topmost 1 is reported against the topmost-entry condition.
     """
     n, l = t.n, t.l
-    if n < 1 or l < 1:
-        return f"need n >= 1 and l >= 1, got n={n}, l={l}"
+    try:
+        check_domain(n, l)
+    except ValueError as e:
+        return str(e)
     if len(t.rows) != n:
         return f"expected {n} rows, got {len(t.rows)}"
     for i, row in enumerate(t.rows, start=1):
@@ -147,23 +150,23 @@ def _steps(n: int, l: int, i: int, a: tuple[int, ...]):
 def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
     """All (n,l)-alternating sign trapezoids, in row-major lexicographic
     order of the concatenated rows with -1 < 0 < 1: a depth-first search
-    over the rows that _steps allows below each state of 1-columns.
+    over the rows that _steps allows below each state of 1-columns.  For
+    n = 0 that is the one empty trapezoid.
     """
-    if n < 1 or l < 1:
-        raise ValueError("need n >= 1 and l >= 1")
+    check_domain(n, l)
     rows: list[tuple[int, ...]] = []
     out: list[Trapezoid] = []
     below: dict = {}  # (i, state) -> the steps of row i over that state
 
     def fill_row(i, s):
+        if i > n:  # past row n: the rows are a trapezoid
+            out.append(Trapezoid(n, l, tuple(rows)))
+            return
         if (i, s) not in below:
             below[i, s] = _steps(n, l, i, s)
         for row, state, _ in below[i, s]:
             rows.append(row)
-            if i == n:
-                out.append(Trapezoid(n, l, tuple(rows)))
-            else:
-                fill_row(i + 1, state)
+            fill_row(i + 1, state)
             rows.pop()
 
     fill_row(1, ())
@@ -220,8 +223,7 @@ def gf(n: int, l: int) -> Gf:
     transfer matrix over the sets of 1-columns (monotone-triangle rows): a
     dict from the state before row i to the summed weight of the columns
     closed so far, without building a trapezoid."""
-    if n < 1 or l < 1:
-        raise ValueError("need n >= 1 and l >= 1")
+    check_domain(n, l)
     states = {(): Gf.one()}
     for i in range(1, n + 1):
         after: dict = {}

@@ -74,7 +74,7 @@ class TestCountCommand:
         for argv in (("count", "--n", "-1", "--l", "3"),
                      ("count", "--n", "3", "--l", "0"),
                      ("gf", "det", "--n", "2", "--l", "0"),
-                     ("gf", "ast", "--n", "0", "--l", "3"),
+                     ("gf", "ast", "--n", "-1", "--l", "3"),
                      ("tpoly", "--n", "-1"),
                      ("gf", "operator", "--n", "-2", "--l", "3"),
                      ("gf", "operator", "--n", "8", "--l", "3"),
@@ -131,6 +131,85 @@ class TestCountCommand:
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
         assert code == 0
         assert out.strip() == "5"
+
+
+# Every route's domain is n >= 0, l >= 1 and d in 0..l-1, checked in that
+# order; the operator route also needs l >= 2 and n <= 7.  The refusal a
+# route gives at (n, l, d), or None where it answers.
+OPERATOR_ROWS = (("gf", "operator"), ("tpoly",))
+
+
+def _refusal(words, n, l, d):
+    if n < 0:
+        return f"need n >= 0, got n = {n}"
+    if l < 1:
+        return f"need l >= 1, got l = {l}"
+    if words == ("gf", "operator") and l < 2:
+        return "the weighted operator formula needs l >= 2"
+    if words in OPERATOR_ROWS and n > 7:
+        return f"n = {n} is past the operator route's reach, n <= 7"
+    if d is not None and not 0 <= d <= l - 1:
+        return f"d = {d} not in 0..{l - 1}"
+    return None
+
+
+def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
+    from altsign.cli import FAMILIES, GF_ROUTES
+
+    def run_all(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    rows = [(("gf", route), row[-1]) for route, row in GF_ROUTES.items()]
+    rows += [(("enumerate", family), FAMILIES[family][-1])
+             for family in ("ast", "cssp")]
+    rows += [(("count",), ("--n", "--l")), (("tpoly",), ("--n",))]
+    det, value = {}, {}  # gf det's bytes and its value at P = Q = R = 1
+    for n in (0, 1, 2):
+        for l in (1, 2, 3):
+            _, det[n, l], _ = run_all("gf", "det", "--n", str(n),
+                                      "--l", str(l))
+            _, out, _ = run_all("gf", "det", "--n", str(n), "--l", str(l),
+                                "--format", "json")
+            value[n, l] = sum(term["coeff"] for term in json.loads(out))
+    checked = 0
+    for words, reads in rows:
+        # inside the domain first: n = 0 is where the routes once split
+        for n in (0, 1, 2, -1) + ((8,) if words in OPERATOR_ROWS else ()):
+            for l in ((1, 2, 3, 0) if "--l" in reads or "--k" in reads
+                      else (None,)):
+                ds = (sorted({-1, 0, l - 1, l}) if "--d" in reads
+                      else (None,))
+                for d in ds:
+                    values = {"--n": n, "--l": l, "--d": d,
+                              "--k": None if l is None else l - 1}
+                    argv = [*words, *(x for flag in reads
+                                      for x in (flag, str(values[flag])))]
+                    code, out, err = run_all(*argv)
+                    # tpoly reads no l: it answers for every l >= 1
+                    refusal = _refusal(words, n, 1 if l is None else l, d)
+                    checked += 1
+                    if refusal:
+                        assert (code, out, err) == \
+                            (2, "", f"error: {refusal}\n"), argv
+                        continue
+                    assert (code, err) == (0, ""), argv
+                    if words[0] == "gf":
+                        assert out == det[n, l], argv
+                    elif words == ("count",):
+                        assert out == f"{value[n, l]}\n", argv
+                    elif words[0] == "enumerate":
+                        lines = out.splitlines()
+                        assert lines[-1] == f"total: {value[n, l]}", argv
+                        assert sum(line.startswith("# ") for line in lines) \
+                            == value[n, l], argv
+                    else:  # t_n's monomial form (int coefficients for n <= 2)
+                        poly = out.splitlines()[0].split(" = ")[1]
+                        for at in (2, 3):
+                            assert eval(poly.replace("^", "**"), {"l": at}) \
+                                == value[n, at], (argv, at)
+    assert checked > 200
 
 
 class TestEnumerateCommand:

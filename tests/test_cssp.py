@@ -213,8 +213,8 @@ class TestGf:
         with pytest.raises(OutOfRangeError,
                            match=r"^d = 1 not in 0..0$"):
             gf(0, 7, 1)
-        # a bad class still wins over a bad d
-        with pytest.raises(ValueError, match=r"^need k >= 0 and n >= 0$"):
+        # a bad class (l = k + 1 below 1) still wins over a bad d
+        with pytest.raises(ValueError, match=r"^need l >= 1, got l = 0$"):
             gf(-1, 2, 9)
 
     def test_gf_builds_no_object(self, monkeypatch):

@@ -263,9 +263,16 @@ class TestPositionChecks:
                 route((-9, 1, 2))
             assert route((-3, 1)) == zero
 
-    def test_empty_order_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            gf_ast_via_operator(0, 3)
+    def test_empty_order_answers_1(self):
+        # M_0 = 1 at the empty permutation, and no step acts on it
+        assert compute_Mn(0) == {(): 1}
+        assert list(all_positions(0)) == [(0, ())]
+        for l in (2, 3):
+            g = gf_ast_via_operator(0, l)
+            assert (g, str(g)) == (Gf.one(), "1"), l
+        assert t_polynomial(0) == [1]
+        with pytest.raises(ValueError, match=r"^need n >= 0, got n = -1$"):
+            gf_ast_via_operator(-1, 3)
 
     def test_weighted_formula_needs_l_2(self):
         # the base-length check comes before the position checks
@@ -324,8 +331,8 @@ class TestOperatorRoute:
 
     def test_check_order(self):
         # n is checked before l
-        with pytest.raises(ValueError, match="n must be positive"):
-            gf_ast_via_operator(0, 1)
+        with pytest.raises(ValueError, match=r"^need n >= 0, got n = -1$"):
+            gf_ast_via_operator(-1, 1)
         with pytest.raises(ValueError, match="l >= 2"):
             gf_ast_via_operator(2, 1)
 

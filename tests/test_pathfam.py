@@ -21,7 +21,7 @@ GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
 
 def is_nonintersecting(f: PathFamily) -> bool:
     """No lattice point lies on two paths: the point sets' sizes add up."""
-    sets = [set(p.points()) for p in f.paths]
+    sets = [set(p.points(f.l)) for p in f.paths]
     return len(set().union(*sets)) == sum(map(len, sets))
 
 
@@ -47,7 +47,7 @@ class TestCorrespondence:
         # class 3 row "4": one path from (0,0) to (0,3), no west steps
         fam = to_paths(Cssp(3, ((4,),)))
         assert tuple(p.u for p in fam.paths) == (0,)
-        assert fam.paths[0].steps == "NNN"
+        assert fam.paths[0].steps(4) == "NNN"
 
     def test_roundtrip(self):
         for l in range(1, 6):
@@ -59,10 +59,24 @@ class TestCorrespondence:
 
     def test_not_in_image(self):
         # two identical paths cannot come from a shifted shape
-        p = LatticePath(1, 2, (0,))
+        p = LatticePath(1, (0,))
         assert not is_nonintersecting(PathFamily(2, (p, p)))
         with pytest.raises(NotInImageError):
             from_paths(PathFamily(2, (p, p)))
+
+
+    def test_a_path_is_read_against_its_family_l(self):
+        # a path has no l of its own, so it cannot disagree with its family
+        with pytest.raises(TypeError):
+            LatticePath(1, 2, (0,))
+        p = LatticePath(1, (0,))
+        for l in (2, 3):
+            fam = PathFamily(l, (p,))
+            assert from_paths(fam) == Cssp(l - 1, ((l + 1, 1),))
+            assert to_paths(from_paths(fam)) == fam
+            assert lgv_weight(fam, l - 1) == Gf.monomial(q=1, r=1)
+        with pytest.raises(OutOfRangeError):
+            lgv_weight(PathFamily(2, (p,)), 2)
 
 
 class TestWeights:
@@ -71,7 +85,7 @@ class TestWeights:
 
     def test_single_west_then_north(self):
         # row "3 1" of class 1: path W at height 0 then NN
-        p = LatticePath(1, 2, (0,))
+        p = LatticePath(1, (0,))
         fam = PathFamily(2, (p,))
         assert lgv_weight(fam, 1) == Gf.monomial(q=1, r=1)
         assert from_paths(fam).rows == ((3, 1),)
@@ -126,9 +140,9 @@ def _step_factor(x, y, d):
     return Gf.monomial(p=int(y - x == d - 1), q=int(y == 0))
 
 
-def _product_path_weight(path, d):
+def _product_path_weight(path, l, d):
     w = Gf.one()
-    for (x, y), step in zip(path.points(), path.steps):
+    for (x, y), step in zip(path.points(l), path.steps(l)):
         if step == "W":
             w = w * _step_factor(x, y, d)
     return w
@@ -137,7 +151,7 @@ def _product_path_weight(path, d):
 def _product_lgv_weight(f, d):
     w = Gf.monomial(r=len(f.paths))
     for p in f.paths:
-        w = w * _product_path_weight(p, d)
+        w = w * _product_path_weight(p, f.l, d)
     return w
 
 
@@ -164,7 +178,7 @@ class TestExponentOracles:
                 for c in enumerate_cssps(k, n):
                     fam = to_paths(c)
                     assert fam.l == k + 1, c
-                    assert [p.steps for p in fam.paths] \
+                    assert [p.steps(k + 1) for p in fam.paths] \
                         == _appended_words(c), c
                     assert tuple(p.u for p in fam.paths) \
                         == tuple(len(row) - 1 for row in c.rows), c
@@ -177,7 +191,7 @@ class TestExponentOracles:
                             one = PathFamily(k + 1, (p,))
                             assert lgv_weight(one, d) \
                                 == Gf.monomial(r=1) \
-                                * _product_path_weight(p, d), (p, d)
+                                * _product_path_weight(p, k + 1, d), (p, d)
 
     def test_paths_for_index_against_words(self):
         # every placement of u west steps among 2u + l - 1 steps, in the
@@ -191,18 +205,18 @@ class TestExponentOracles:
                     words.append("".join("W" if i in west_at else "N"
                                          for i in range(2 * u + l - 1)))
                 paths = paths_for_index(u, l)
-                assert [p.steps for p in paths] == words, (u, l)
+                assert [p.steps(l) for p in paths] == words, (u, l)
                 for p in paths:
                     pts = [(u, 0)]
-                    for step in p.steps:
+                    for step in p.steps(l):
                         x, y = pts[-1]
                         pts.append((x - 1, y) if step == "W" else (x, y + 1))
-                    assert p.points() == tuple(pts), p
+                    assert p.points(l) == tuple(pts), p
 
     def test_validate_path(self):
-        assert validate_path(LatticePath(2, 2, (0, 3))) is None
+        assert validate_path(LatticePath(2, (0, 3)), 2) is None
         for heights in ((0,), (0, 1, 1), (1, 0), (-1, 0), (0, 4)):
-            assert validate_path(LatticePath(2, 2, heights)), heights
+            assert validate_path(LatticePath(2, heights), 2), heights
 
     def test_intersecting_pairs(self):
         # two paths may share the d = 0 origin step: (P+Q-1)^2
@@ -214,7 +228,7 @@ class TestExponentOracles:
                     for d in range(l):
                         assert lgv_weight(fam, d) \
                             == _product_lgv_weight(fam, d), (fam, d)
-        twice = PathFamily(2, (LatticePath(1, 2, (0,)),) * 2)
+        twice = PathFamily(2, (LatticePath(1, (0,)),) * 2)
         assert lgv_weight(twice, 0) \
             == Gf.monomial(r=2) * Gf.p_plus_q_minus_1() ** 2
 
@@ -227,7 +241,7 @@ class TestCrossing:
             for u in (0, 1, 2):
                 for d in range(1, l):
                     for p in paths_for_index(u, l):
-                        on_line = [i for i, pt in enumerate(p.points())
+                        on_line = [i for i, pt in enumerate(p.points(l))
                                    if pt[1] - pt[0] == d]
                         assert len(on_line) == 1
 

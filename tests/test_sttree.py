@@ -281,6 +281,15 @@ class TestAstCorrespondence:
         t = sttree_to_ast(tree, 1, 4)
         assert t.rows == ((1, 0, 0, 0),)
 
+    def test_empty_trapezoid_round_trips(self):
+        for l in range(2, 5):
+            [t] = enumerate_trapezoids(0, l)
+            tree = ast_to_sttree(t)
+            assert tree == SttTree(0, (), (), ())
+            assert validate(tree) is None
+            assert sttree.preimage(tree, 0, l) == t
+            assert sttree_to_ast(tree, 0, l) == t
+
     def test_roundtrip_all(self):
         for n in range(1, 5):
             for l in range(2, 6):

@@ -165,6 +165,13 @@ class TestValidate:
         t = Trapezoid(2, 4, ((1, 0, 0), (1, 0, 0, 0)))
         assert "length" in validate(t)
 
+    def test_empty_trapezoid_is_valid(self):
+        for l in range(1, 5):
+            assert validate(Trapezoid(0, l, ())) is None, l
+        # outside the domain, the routes' own refusal
+        assert validate(Trapezoid(-1, 3, ())) == "need n >= 0, got n = -1"
+        assert validate(Trapezoid(0, 0, ())) == "need l >= 1, got l = 0"
+
 
 class TestEnumerate:
     def test_24_matches_paper_list(self):
@@ -395,7 +402,10 @@ class TestOracles:
                 assert gf(n, l) == total, (n, l)
 
     def test_out_of_domain(self):
-        for n, l in ((0, 3), (2, 0), (-1, 2)):
+        # n = 0 is in the domain: one empty trapezoid of weight 1
+        assert gf(0, 3) == Gf.one()
+        assert enumerate_trapezoids(0, 3) == [Trapezoid(0, 3, ())]
+        for n, l in ((2, 0), (-1, 2)):
             with pytest.raises(ValueError):
                 gf(n, l)
             with pytest.raises(ValueError):
