@@ -8,12 +8,13 @@ The tables in COMMANDS name the flags each route, family or identity reads;
 the parsers, defaults, required flags and dispatch come from them, and a
 flag that the chosen row does not read exits 2.
 
-Verification subcommands print one PASS/FAIL line per parameter tuple plus
-a summary and exit 1 on any failure or when no check ran; argument errors
-exit 2.  Output for a fixed command line (including --seed) is
-byte-identical across runs; --jobs parallelizes sweeps over parameter
-tuples (at most one worker per task and per CPU) without changing the
-output order.
+Verification subcommands print one PASS/FAIL line per check plus a summary
+and exit 1 on any failure or when no check ran; argument errors exit 2.
+Output for a fixed command line (including --seed) is byte-identical across
+runs; --jobs spreads an identity's tasks over worker processes (at most one
+per task and per CPU) without changing the output order.  A task is an
+(n, l) cell for main, which checks every d, an n for qast, which checks the
+count and the vanishing, and one check for the other identities.
 """
 
 from __future__ import annotations
@@ -86,11 +87,15 @@ def _dest(flag):
     return flag[2:].replace("-", "_")
 
 
+def _function(module, name):
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 def _call(row, args):
     """The row's (module, function, flags) call on the flags' values."""
     module, function, flags = row
-    fn = getattr(importlib.import_module(f".{module}", __package__), function)
-    return fn(*(getattr(args, _dest(flag)) for flag in flags))
+    return _function(module, function)(
+        *(getattr(args, _dest(flag)) for flag in flags))
 
 
 # route -> (module, function, the flags of its arguments in call order)
@@ -112,55 +117,44 @@ FAMILIES = {
 
 
 # --- verification workers (top-level so process pools can pickle them) ----
-
-@functools.cache
-def _ast_gf(n, l):
-    """trapezoid.gf(n, l), once per process for all the d of main."""
-    from . import trapezoid
-    return trapezoid.gf(n, l)
-
+# A check takes one task and returns its checks as (fields, ok, detail): the
+# fields fill the identity's label, and _report prints the detail only on a
+# failure.
 
 def _check_main(args):
-    from . import cssp
-    n, l, d = args
-    lhs, rhs = _ast_gf(n, l), cssp.gf(l - 1, n, d)
-    # _report prints the two sides only on a failure
-    return (True, ()) if lhs == rhs else (False, (str(lhs), str(rhs)))
+    from . import cssp, trapezoid
+    n, l = args
+    lhs, checks = trapezoid.gf(n, l), []
+    for d in range(l):
+        rhs = cssp.gf(l - 1, n, d)
+        checks.append(((n, l, d), lhs == rhs,
+                       () if lhs == rhs else (str(lhs), str(rhs))))
+    return checks
 
 
 def _check_truncated(inst):
     from . import operatorform, sttree
-    n, s, t, b = inst
-    formula = operatorform.count_sttrees_formula(n, s, t, b)
-    brute = len(sttree.enumerate_sttrees(n, s, t, b))
-    return formula == brute, (f"formula {formula}", f"brute force {brute}")
+    formula = operatorform.count_sttrees_formula(*inst)
+    brute = len(sttree.enumerate_sttrees(*inst))
+    return [(inst, formula == brute,
+             (f"formula {formula}", f"brute force {brute}"))]
 
 
-def _check_qast(args):
+def _check_qast(n):
     from . import operatorform, trapezoid
-    n, part = args
-    if part == "count":
-        value = operatorform.t_value(n, 1)
-        brute = len(trapezoid.enumerate_trapezoids(n, 1))
-        return value == brute, (f"t_{n}(1) = {value}", f"enumeration {brute}")
-    return all(operatorform.count_ast_prescribed(n, 1, j) == 0
-               for m, j in operatorform.all_positions(n)
-               if 0 < m < n and j[m - 1] < -1 and j[m] > 1), ()
+    value = operatorform.t_value(n, 1)
+    brute = len(trapezoid.enumerate_trapezoids(n, 1))
+    vanishing = all(operatorform.count_ast_prescribed(n, 1, j) == 0
+                    for m, j in operatorform.all_positions(n)
+                    if 0 < m < n and j[m - 1] < -1 and j[m] > 1)
+    return [(("count", n), value == brute,
+             (f"t_{n}(1) = {value}", f"enumeration {brute}")),
+            (("vanishing", n), vanishing, ())]
 
 
-def _check_asymm(args):
-    from . import operatorform
-    return operatorform.verify_asymM(*args), ()
-
-
-def _check_asym(args):
-    from . import operatorform
-    return operatorform.verify_asym_lemma(*args), ()
-
-
-def _check_coeff(args):
-    from . import detform
-    return detform.verify_coeff_route(*args), ()
+def _check_holds(module, function, args):
+    """One check: the route's bool function on the task's fields."""
+    return [(args, _function(module, function)(*args), ())]
 
 
 def _check_bijections(args):
@@ -170,15 +164,16 @@ def _check_bijections(args):
         # the tree is t's image, so a preimage equal to t passes
         # sttree_to_ast's image check as well: the tree is built once
         if sttree.preimage(sttree.ast_to_sttree(t), n, l) != t:
-            return False, (f"trapezoid round trip failed: {t}",)
+            return [(args, False, (f"trapezoid round trip failed: {t}",))]
     for c in cssp.enumerate_cssps(l - 1, n):
         fam = cssp.to_paths(c)
         if cssp.from_paths(fam) != c:
-            return False, (f"path round trip failed: {c}",)
+            return [(args, False, (f"path round trip failed: {c}",))]
         for d in range(0, l):
             if pathfam.lgv_weight(fam, d) != cssp.weight(c, d):
-                return False, (f"weight transport failed: {c} d={d}",)
-    return True, ()
+                return [(args, False,
+                         (f"weight transport failed: {c} d={d}",))]
+    return [(args, True, ())]
 
 
 def _random_tree_instances(args):
@@ -199,25 +194,27 @@ def _n_l(args, l_min):
 
 
 # identity -> (the tasks its arguments call for, the check of one task, the
-# label of a task as a format string over the task's fields, the flags it
-# reads besides --jobs)
+# label of a check as a format string over its fields, the flags it reads
+# besides --jobs)
 IDENTITIES = {
-    "main": (lambda a: [(n, l, d) for n, l in _n_l(a, 1) for d in range(l)],
-             _check_main, "main (n={}, l={}, d={})", ("--n-max", "--l-max")),
+    "main": (lambda a: _n_l(a, 1), _check_main, "main (n={}, l={}, d={})",
+             ("--n-max", "--l-max")),
     "truncated": (_random_tree_instances, _check_truncated,
                   "truncated (n={}, s={}, t={}, b={})",
                   ("--samples", "--seed")),
-    "qast": (lambda a: [(n, part) for n in _operator_ns(a)
-                        for part in ("count", "vanishing")],
-             _check_qast, "qast {1} (n={0})", ("--n-max",)),
+    "qast": (_operator_ns, _check_qast, "qast {} (n={})", ("--n-max",)),
     "asymm": (lambda a: [(n, x) for n in _operator_ns(a, "verify asymm")
                          for x in itertools.product(range(4), repeat=n)],
-              _check_asymm, "asymM (n={}, x={})", ("--n-max",)),
+              functools.partial(_check_holds, "operatorform", "verify_asymM"),
+              "asymM (n={}, x={})", ("--n-max",)),
     "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],
-             _check_asym, "asym lemma (n={}, samples={})",
+             functools.partial(_check_holds, "operatorform",
+                               "verify_asym_lemma"),
+             "asym lemma (n={}, samples={})",
              ("--n-max", "--samples", "--seed")),
-    "coeff": (lambda a: _n_l(a, 2), _check_coeff, "coeff (n={}, l={})",
-              ("--n-max", "--l-max")),
+    "coeff": (lambda a: _n_l(a, 2),
+              functools.partial(_check_holds, "detform", "verify_coeff_route"),
+              "coeff (n={}, l={})", ("--n-max", "--l-max")),
     "bijections": (lambda a: _n_l(a, 2), _check_bijections,
                    "bijections (n={}, l={})", ("--n-max", "--l-max")),
 }
@@ -281,10 +278,10 @@ def _cmd_verify(row, args, out):
     if "--samples" in reads:  # refused before any task or worker
         from .operatorform import check_samples
         check_samples(args.samples)
-    tasks = tasks_for(args)
-    results = _run_tasks(check, tasks, args.jobs)
-    return _report([(label.format(*task), ok, detail)
-                    for task, (ok, detail) in zip(tasks, results)], out)
+    results = _run_tasks(check, tasks_for(args), args.jobs)
+    return _report([(label.format(*fields), ok, detail)
+                    for checks in results for fields, ok, detail in checks],
+                   out)
 
 
 def _cmd_svg(row, args, out):

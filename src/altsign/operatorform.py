@@ -133,7 +133,7 @@ def _fold(n: int, xs, values, weights):
     coords = compute_Mn(n)
     for x, value in zip(xs, values):
         coords = _step(coords, x, value, weights)
-    return coords.get((), 0 * weights[2])  # 0 * R: the zero of its ring
+    return 0 * weights[2] + coords.get((), 0)  # a Gf at _PQR even for n = 0
 
 
 def _at(x: int, l: int) -> int:

@@ -255,4 +255,5 @@ def to_json(t: Trapezoid) -> dict:
 
 def pretty(t: Trapezoid) -> str:
     """The rows, one line each, every entry two characters wide."""
-    return "\n".join(" ".join(f"{e:2d}" for e in row) for row in t.rows)
+    rows = [" ".join(f"{e:2d}" for e in row) for row in t.rows]
+    return "\n".join(rows) or "(empty)"  # no rows: as cssp.pretty prints it

@@ -331,15 +331,6 @@ class TestTpoly:
 
 
 class TestVerify:
-    @pytest.fixture(autouse=True)
-    def cold_ast_gf(self):
-        # verify main keeps trapezoid.gf per (n, l) for the process; each
-        # test starts from an empty cache so that it runs what it counts
-        from altsign import cli
-        cli._ast_gf.cache_clear()
-        yield
-        cli._ast_gf.cache_clear()
-
     def test_main_small(self, capsys):
         code, out = run(capsys, "verify", "main", "--n-max", "2",
                         "--l-max", "3")
@@ -436,7 +427,8 @@ class TestVerify:
     def test_main_prints_both_sides_only_on_failure(self, capsys,
                                                     monkeypatch):
         from altsign import cli, cssp, trapezoid
-        assert cli._check_main((2, 3, 1)) == (True, ())
+        assert cli._check_main((2, 3)) == [((2, 3, d), True, ())
+                                           for d in range(3)]
         cssp_gf = cssp.gf
 
         def off_by_one(k, n, d):
@@ -469,6 +461,27 @@ class TestVerify:
         assert out.endswith("12/12 checks passed\n")
         assert out.count("PASS main") == 12
         assert sorted(calls) == [(n, l) for n in (1, 2) for l in (1, 2, 3)]
+
+    def test_one_task_per_cell_for_main_and_per_n_for_qast(
+            self, capsys, monkeypatch):
+        # main checks every d of an (n, l) cell in one task, qast the count
+        # and the vanishing of one n
+        from altsign import cli
+        issued = []
+        run_tasks = cli._run_tasks
+
+        def recorded(fn, tasks, jobs):
+            issued.append(list(tasks))
+            return run_tasks(fn, tasks, jobs)
+
+        monkeypatch.setattr(cli, "_run_tasks", recorded)
+        code, out = run(capsys, "verify", "main", "--n-max", "2",
+                        "--l-max", "3")
+        assert code == 0 and out.endswith("12/12 checks passed\n")
+        code, out = run(capsys, "verify", "qast", "--n-max", "2")
+        assert code == 0 and out.endswith("4/4 checks passed\n")
+        assert issued == [[(n, l) for n in (1, 2) for l in (1, 2, 3)],
+                          [1, 2]]
 
     def test_bijections_build_each_tree_once(self, capsys, monkeypatch):
         # one ast_to_sttree per trapezoid: the round trip's image check
@@ -524,9 +537,10 @@ class TestVerify:
         # _run_tasks imports the pool class only when it runs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             FakePool)
-        # verify main --n-max 2 --l-max 2 has 6 checks; one CPU runs serially
+        # verify main --n-max 2 --l-max 2 has 4 tasks (cells) of 6 checks;
+        # one CPU runs serially
         for cpus, jobs, expected in ((4, "1000", [4]), (4, "3", [3]),
-                                     (16, "1000", [6]), (1, "8", [])):
+                                     (16, "1000", [4]), (1, "8", [])):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             sizes.clear()
             code, _ = run(capsys, "verify", "main", "--n-max", "2",

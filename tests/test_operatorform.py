@@ -270,6 +270,12 @@ class TestPositionChecks:
         for l in (2, 3):
             g = gf_ast_via_operator(0, l)
             assert (g, str(g)) == (Gf.one(), "1"), l
+            # a fold with no step is still a Gf at P, Q, R, an int at
+            # unit weights
+            g = gf_ast_prescribed(0, l, ())
+            assert isinstance(g, Gf) and g == Gf.one(), l
+            c = count_ast_prescribed(0, l, ())
+            assert type(c) is int and c == 1, l
         assert t_polynomial(0) == [1]
         with pytest.raises(ValueError, match=r"^need n >= 0, got n = -1$"):
             gf_ast_via_operator(-1, 3)

@@ -4,11 +4,12 @@ import re
 
 import pytest
 
+from altsign import cssp
 from altsign.exactalg import Gf
 from altsign.sttree import ast_to_sttree
 from altsign.trapezoid import (AstStats, Trapezoid, _one_columns,
                                column_label, column_partial_sums,
-                               enumerate_trapezoids, gf, stats,
+                               enumerate_trapezoids, gf, pretty, stats,
                                to_json, validate, weight)
 
 # Test-only readers: the per-entry accessors of the array, independent of
@@ -171,6 +172,13 @@ class TestValidate:
         # outside the domain, the routes' own refusal
         assert validate(Trapezoid(-1, 3, ())) == "need n >= 0, got n = -1"
         assert validate(Trapezoid(0, 0, ())) == "need l >= 1, got l = 0"
+
+
+class TestPretty:
+    def test_empty_trapezoid_prints_as_the_empty_cssp(self):
+        # one placeholder for an empty object in every listing
+        (empty,) = cssp.enumerate_cssps(1, 0)
+        assert pretty(Trapezoid(0, 2, ())) == cssp.pretty(empty) == "(empty)"
 
 
 class TestEnumerate:
