@@ -388,11 +388,6 @@ class Gf(MPoly):
     __mul__ = __rmul__ = MPoly.__mul__
     exact_divide = MPoly.exact_divide
 
-    def evaluate(self, p=1, q=1, r=1) -> int:
-        p, q, r = map(_exact, (p, q, r))
-        return sum(c * p ** ep * q ** eq * r ** er
-                   for (ep, eq, er), c in self.terms.items())
-
     @staticmethod
     def _divide_coeff(x, y, rem):
         q_, r_ = divmod(x, y)

@@ -154,16 +154,11 @@ def count_sttrees_formula(n: int, s, t, b) -> int:
     entries b: apply (-fwd_{x_1})^{s_1} ... bwd_{x_n}^{t_n} to M_n and
     evaluate at x = b.  As positions: s_k is x = -s_k - 1, t_k is
     x = t_k + 1, and a free variable is x = -1 (no difference).  Outside
-    sttree.formula_domain (where enumerate_sttrees refuses the input or the
-    formula miscounts) it raises InvalidShapeError."""
-    from .sttree import formula_domain
+    sttree.formula_domain it raises InvalidShapeError: enumerate_sttrees'
+    refusal (sttree.check_instance), or where the formula miscounts."""
+    from .sttree import check_instance, formula_domain
     s, t, b = tuple(s), tuple(t), tuple(b)
-    if len(s) + len(t) > n:
-        raise ShapeMismatchError("len(s) + len(t) exceeds n")
-    if len(b) != n:
-        raise ShapeMismatchError(f"need {n} bottom entries, got {len(b)}")
-    if any(k < 0 for k in s + t):
-        raise InvalidShapeError("truncation lengths must be non-negative")
+    check_instance(n, s, t, b)
     if not formula_domain(n, s, t, b):
         raise InvalidShapeError(f"the closed formula does not apply to "
                                 f"n={n}, s={s}, t={t}, b={b}")

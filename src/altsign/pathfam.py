@@ -5,8 +5,8 @@ A path with index u runs from (u, 0) to (0, u + l - 1) using north steps
 (0,+1) and west steps (-1,0): u west steps and u + l - 1 north steps.  A
 family, for one l, picks a subset of indices from {0..n-1}, one path each,
 pairwise vertex-disjoint.  A path is its index u and west-step heights,
-read against its family's l; its N/W word ``steps`` is for the tests.  This
-module imports nothing from cssp, so ``gf paths`` never loads it.
+read against its family's l.  This module imports nothing from cssp, so
+``gf paths`` never loads it.
 
 Every step increases y - x by exactly one, so a path starting strictly
 below the line y = x + d crosses it exactly once; the crossing step being
@@ -55,12 +55,6 @@ from .exactalg import Gf, det_gf
 class LatticePath(NamedTuple):
     u: int
     heights: tuple[int, ...]  # of the u west steps, weakly increasing
-
-    def steps(self, l: int) -> str:
-        """The 'N'/'W' word from (u, 0) to (0, u + l - 1)."""
-        ys = (0, *self.heights)
-        return "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:])) \
-            + "N" * (self.u + l - 1 - ys[-1])
 
     def points(self, l: int) -> tuple[tuple[int, int], ...]:
         """Up column x to the next west step's height, for x = u..0."""

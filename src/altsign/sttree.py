@@ -14,13 +14,13 @@ must differ.
 
 from __future__ import annotations
 
-import itertools
 import random
 from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidShapeError, NotInImageError
-from .trapezoid import Trapezoid, column_label, column_partial_sums
+from .trapezoid import (Trapezoid, column_partial_sums, interlace,
+                        one_columns)
 from .trapezoid import validate as validate_trapezoid
 
 
@@ -29,9 +29,6 @@ class SttTree(NamedTuple):
     s: tuple[int, ...]
     t: tuple[int, ...]
     rows: tuple[tuple[int | None, ...], ...]  # row i has i slots, None = deleted
-
-    def value(self, i: int, j: int):
-        return self.rows[i - 1][j - 1]
 
 
 def _runs(n: int, s, t) -> list[tuple[int, int]]:
@@ -87,6 +84,19 @@ def _ends(runs, r):
     return ends
 
 
+def check_instance(n: int, s, t, b) -> list[tuple[int, int]]:
+    """The runs of the shape of order n (_runs) with bottom entries b, or
+    InvalidShapeError: for n < 0 first, then for a b that is not n weakly
+    increasing entries, then for the shape."""
+    b = tuple(b)
+    if n >= 0:  # else _runs refuses n
+        if len(b) != n:
+            raise InvalidShapeError(f"need {n} bottom entries, got {len(b)}")
+        if any(x > y for x, y in zip(b, b[1:])):
+            raise InvalidShapeError("b must be weakly increasing")
+    return _runs(n, s, t)
+
+
 def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     """All (s,t)-trees of order n whose NE-diagonal bottoms are b_1..b_{n-r}
     and SE-diagonal bottoms are b_{n-r+1}..b_n (r = len(t)).
@@ -95,17 +105,11 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
     row i + 1's run less its last cell; every other cell of the shape is
     the bottom of some prescribed diagonal (a prescribed cell ends its
     diagonal and so is never regular).  So the free cells of a row are one
-    run, and take each tuple of values sandwiched between their SW and SE
-    neighbours in the row below with no two neighbours equal.
+    run, sandwiched between their SW and SE neighbours with no two
+    neighbours equal: they interlace the run below (trapezoid.interlace).
     """
     s, t, b = tuple(s), tuple(t), tuple(b)
-    if n < 0:
-        raise InvalidShapeError(f"order n must be non-negative, got {n}")
-    if len(b) != n:
-        raise InvalidShapeError(f"need {n} bottom entries, got {len(b)}")
-    if any(b[i] > b[i + 1] for i in range(n - 1)):
-        raise InvalidShapeError("b must be weakly increasing")
-    runs = _runs(n, s, t)
+    runs = check_instance(n, s, t, b)
     prescribed = {}
     for cell, value in zip(_ends(runs, len(t)), b):
         if cell is not None and prescribed.setdefault(cell, value) != value:
@@ -125,11 +129,8 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
             out.append(SttTree(n, s, t, tuple(map(tuple, rows))))
             return
         low, high = below[i - 1]
-        ranges = [range(rows[i][j - 1], rows[i][j] + 1)
-                  for j in range(low, high)]
-        for values in itertools.product(*ranges):
-            if any(a == c for a, c in zip(values, values[1:])):
-                continue
+        a = [rows[i][j - 1] for j in range(low, high + 1)]
+        for values in interlace(zip(a, a[1:])):
             rows[i - 1][low - 1:low - 1 + len(values)] = values
             fill_row(i - 1)
 
@@ -160,41 +161,12 @@ def formula_domain(n: int, s, t, b) -> bool:
     (operatorform.count_sttrees_formula) applies: an admissible shape of
     order n >= 1, n weakly increasing bottom entries, and n nonempty
     prescribed diagonals whose bottom cells are distinct."""
-    t, b = tuple(t), tuple(b)
     try:
-        runs = _runs(n, s, t)
+        runs = check_instance(n, s, t, b)
     except InvalidShapeError:
-        return False
-    if len(b) != n or any(b[i] > b[i + 1] for i in range(n - 1)):
         return False
     bottoms = _ends(runs, len(t))
     return n > 0 and None not in bottoms and len(set(bottoms)) == n
-
-
-def validate(tree: SttTree):
-    """None when the filling satisfies the shape and monotonicity rules,
-    else the first violation: rows from the top, cells from the left."""
-    try:
-        runs = _runs(tree.n, tree.s, tree.t)
-    except InvalidShapeError as e:
-        return str(e)
-    if len(tree.rows) != tree.n:
-        return f"expected {tree.n} rows, got {len(tree.rows)}"
-    for i, (first, last) in enumerate(runs, start=1):
-        if len(tree.rows[i - 1]) != i:
-            return f"row {i}: expected {i} slots"
-        for j in range(1, i + 1):
-            if (first <= j <= last) != (tree.value(i, j) is not None):
-                return f"cell ({i},{j}) presence does not match the shape"
-    # the regular cells of row i: row i + 1's run less its last cell
-    for i, (first, last) in enumerate(runs[1:], start=1):
-        for j in range(first, last):
-            v = tree.value(i, j)
-            if not tree.value(i + 1, j) <= v <= tree.value(i + 1, j + 1):
-                return f"cell ({i},{j}) violates the sandwich inequality"
-            if j + 1 < last and tree.value(i, j + 1) == v:
-                return f"cells ({i},{j}) and ({i},{j + 1}) are equal"
-    return None
 
 
 def ast_to_sttree(trap: Trapezoid) -> SttTree:
@@ -203,22 +175,14 @@ def ast_to_sttree(trap: Trapezoid) -> SttTree:
     s_i = -j_i - 1 and t_i = j_i - 1 for the 1-column positions j."""
     if trap.l < 2:
         raise ValueError("the correspondence is defined for l >= 2")
-    n, l = trap.n, trap.l
-    psums = column_partial_sums(trap)
-    # a column's sum is its last partial sum: at a row's end, or in row n
-    ones = [c for i, sums in enumerate(psums, start=1)
-            for c, e in enumerate(sums, start=i)
-            if e == 1 and (i == n or c in (i, 2 * n + l - 1 - i))]
-    j = [column_label(n, l, c) for c in ones]
-    if None in j:
-        raise ValueError(f"middle column {ones[j.index(None)]} has sum 1")
-    j.sort()
+    n = trap.n
+    j = [label for label, _ in one_columns(trap)]  # increasing, as the columns
     m = sum(1 for x in j if x < 0)
     s = tuple(-x - 1 for x in j[:m])
     t = tuple(x - 1 for x in j[m:])
     runs = _runs(n, s, t)
     rows = []
-    for i, sums in enumerate(psums, start=1):
+    for i, sums in enumerate(column_partial_sums(trap), start=1):
         labels = tuple(c - n - 1
                        for c, e in enumerate(sums, start=i) if e == 1)
         first, last = runs[i - 1]
@@ -247,6 +211,8 @@ def preimage(tree: SttTree, n: int, l: int) -> Trapezoid:
         raise NotInImageError("the correspondence is defined for l >= 2")
     if tree.n != n:
         raise NotInImageError(f"tree order {tree.n} does not match n={n}")
+    if len(tree.rows) != n:
+        raise NotInImageError(f"tree has {len(tree.rows)} rows, not n={n}")
     m = len(tree.s)
     if m + len(tree.t) != n:
         raise NotInImageError("tree truncations do not split into n diagonals")

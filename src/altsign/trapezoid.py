@@ -110,22 +110,24 @@ def validate(t: Trapezoid):
     return None
 
 
-def _interlacing(a: tuple[int, ...], lo: int, hi: int, quasi: bool):
-    """Every strictly increasing b within lo..hi with
-    b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}: the next monotone-triangle
-    rows of a.  When quasi (the bottom row for l = 1, a single cell), also
-    b = a, the one row there that sums to 0."""
+def interlace(slots) -> list[tuple[int, ...]]:
+    """Every strictly increasing b with low_j <= b_j <= high_j for the j-th
+    slot (low_j, high_j), in lexicographic order: the monotone-triangle
+    rule between a row and the row it interlaces."""
     found = [()]
-    for low, high in zip((lo,) + a, a + (hi,)):
+    for low, high in slots:
         found = [b + (c,) for b in found for c in
                  range(max(low, b[-1] + 1) if b else low, high + 1)]
-    return found + [a] if quasi else found
+    return found
 
 
 def _steps(n: int, l: int, i: int, a: tuple[int, ...]):
     """(row, state for row i + 1, closed 1-columns) for every valid row i,
     sorted by row; the state a of row i is the sorted tuple of the columns
-    it covers with partial sum 1, and the 1-columns after it interlace a.
+    it covers with partial sum 1, and the 1-columns b after it interlace a
+    within lo..hi (b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}).  The quasi
+    bottom row (l = 1, a single cell) also takes b = a, the one row there
+    that sums to 0.
 
     After row i its outermost two columns leave coverage (every column
     after row n).  A column that leaves with sum 1 is a 1-column, listed
@@ -134,8 +136,11 @@ def _steps(n: int, l: int, i: int, a: tuple[int, ...]):
     """
     lo, hi = i, 2 * n + l - 1 - i
     minus_a = [-(c in a) for c in range(lo, hi + 1)]
+    bs = interlace(zip((lo,) + a, a + (hi,)))
+    if l == 1 and i == n:
+        bs.append(a)
     steps = []
-    for b in _interlacing(a, lo, hi, l == 1 and i == n):
+    for b in bs:
         ones = tuple((column_label(n, l, c), c in a)
                      for c in b if i == n or c in (lo, hi))
         if any(label is None for label, _ in ones):
@@ -173,7 +178,7 @@ def enumerate_trapezoids(n: int, l: int) -> list[Trapezoid]:
     return out
 
 
-def _one_columns(t: Trapezoid):
+def one_columns(t: Trapezoid):
     """(label, is_10) for every column of t with sum 1, left to right;
     is_10 when its bottom entry is 0.  A middle column with sum 1 raises."""
     for c, column in enumerate(_columns(t), start=1):
@@ -208,14 +213,14 @@ def stats(t: Trapezoid) -> AstStats:
     among the n leftmost/rightmost columns."""
     if t.l < 2:
         raise ValueError("stats are defined for l >= 2; use weight for l = 1")
-    return AstStats(*_exponents(_one_columns(t))[:3])
+    return AstStats(*_exponents(one_columns(t))[:3])
 
 
 def weight(t: Trapezoid) -> Gf:
     """W(T) as a generating-function value, from _exponents of its
     1-columns: the monomial P^p Q^q R^r of stats(t) for l >= 2; for l = 1
     the central column contributes (P+Q-1) when it is a 10-column."""
-    return Gf.weight(*_exponents(_one_columns(t)))
+    return Gf.weight(*_exponents(one_columns(t)))
 
 
 def gf(n: int, l: int) -> Gf:

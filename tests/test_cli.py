@@ -818,17 +818,13 @@ NOT_RUN = {
     "exactalg.MPoly._divide_coeff": "serves the tracer's exact_divide rows",
     "exactalg.Gf._divide_coeff": "serves the tracer's exact_divide rows",
     "exactalg.MPoly.variable": "serves the tracer's shift_var row",
-    "exactalg._exact": "serves the tracer's evaluate row and Gf.evaluate",
+    "exactalg._exact": "serves the tracer's evaluate row",
     "exactalg.MPoly.constant": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.degree": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.__hash__": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.__rsub__": "MPoly is the tests' general polynomial",
     "exactalg.MPoly._print_key": "MPoly is the tests' general polynomial",
-    "exactalg.Gf.evaluate": "the tests' value of a generating function",
     "errors.NonDivisibleError.__init__": "runs only when a division fails",
-    "sttree.validate": "the tests' oracle for enumerate_sttrees",
-    "sttree.SttTree.value": "the tests' reader of a cell",
-    "pathfam.LatticePath.steps": "the tests' N/W word of a path",
 }
 
 

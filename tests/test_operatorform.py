@@ -22,6 +22,8 @@ from altsign.operatorform import (_step, all_positions, asymM_constant_term,
 from altsign.sttree import (enumerate_sttrees, formula_domain,
                             random_tree_instances)
 
+from test_exactalg import gf_value
+
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
 
@@ -180,8 +182,24 @@ class TestSttreeFormula:
                                      (-2, -1, 2, 3, 4)) == 1525
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidShapeError,
+                           match=r"len\(s\) \+ len\(t\) exceeds n"):
             count_sttrees_formula(2, (0,), (0, 0), (1, 2))
+
+    def test_malformed_input_gets_the_enumeration_refusal(self):
+        # n < 0, a b of the wrong length, a decreasing b, too many
+        # truncations, a negative one, one longer than its diagonal
+        messages = []
+        for n, s, t, b in [(-1, (), (), ()), (2, (), (), (1,)),
+                           (2, (), (), (1, 0)), (2, (0,), (0, 0), (1, 2)),
+                           (3, (-2,), (), (0, 1, 2)), (2, (3,), (), (0, 1))]:
+            with pytest.raises(InvalidShapeError) as refused:
+                enumerate_sttrees(n, s, t, b)
+            with pytest.raises(InvalidShapeError) as formula_refused:
+                count_sttrees_formula(n, s, t, b)
+            assert str(formula_refused.value) == str(refused.value)
+            messages.append(str(refused.value))
+        assert len(set(messages)) == 6, messages
 
     def test_negative_truncation_rejected(self):
         # a negative order would land on a position of the other kind
@@ -298,7 +316,7 @@ class TestPrescribedGf:
             for l in (2, 4):
                 from altsign.operatorform import all_positions
                 for _, j in all_positions(n):
-                    assert gf_ast_prescribed(n, l, j).evaluate() == \
+                    assert gf_value(gf_ast_prescribed(n, l, j)) == \
                         count_ast_prescribed(n, l, j)
 
 
@@ -311,7 +329,7 @@ class TestOperatorRoute:
             assert gf_ast_via_operator(1, l) == Gf.monomial(r=1) + Gf.one()
 
     def test_23_evaluation(self):
-        assert gf_ast_via_operator(2, 3).evaluate() == 7
+        assert gf_value(gf_ast_via_operator(2, 3)) == 7
 
     def test_matches_enumeration(self):
         for n in (1, 2, 3):

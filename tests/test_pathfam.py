@@ -13,10 +13,17 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              det_matrix, families_svg, gf_via_paths,
                              lgv_weight, path_matrix, paths_for_index,
                              validate_path, write_families_svg)
-from test_exactalg import det_bareiss
+from test_exactalg import det_bareiss, gf_value
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
         + Gf.monomial(q=1, r=1) + Gf.one())
+
+
+def steps(path: LatticePath, l: int) -> str:
+    """The 'N'/'W' word of a path from (u, 0) to (0, u + l - 1)."""
+    ys = (0, *path.heights)
+    return "".join("N" * (h - y) + "W" for y, h in zip(ys, ys[1:])) \
+        + "N" * (path.u + l - 1 - ys[-1])
 
 
 def is_nonintersecting(f: PathFamily) -> bool:
@@ -47,7 +54,7 @@ class TestCorrespondence:
         # class 3 row "4": one path from (0,0) to (0,3), no west steps
         fam = to_paths(Cssp(3, ((4,),)))
         assert tuple(p.u for p in fam.paths) == (0,)
-        assert fam.paths[0].steps(4) == "NNN"
+        assert steps(fam.paths[0], 4) == "NNN"
 
     def test_roundtrip(self):
         for l in range(1, 6):
@@ -142,7 +149,7 @@ def _step_factor(x, y, d):
 
 def _product_path_weight(path, l, d):
     w = Gf.one()
-    for (x, y), step in zip(path.points(l), path.steps(l)):
+    for (x, y), step in zip(path.points(l), steps(path, l)):
         if step == "W":
             w = w * _step_factor(x, y, d)
     return w
@@ -160,14 +167,14 @@ def _appended_words(c):
     words = []
     for row in c.rows:
         u = len(row) - 1
-        steps = []
+        word = []
         y = 0
         for h in reversed([part - 1 for part in row[1:]]):
-            steps.append("N" * (h - y))
-            steps.append("W")
+            word.append("N" * (h - y))
+            word.append("W")
             y = h
-        steps.append("N" * (u + l - 1 - y))
-        words.append("".join(steps))
+        word.append("N" * (u + l - 1 - y))
+        words.append("".join(word))
     return words
 
 
@@ -178,7 +185,7 @@ class TestExponentOracles:
                 for c in enumerate_cssps(k, n):
                     fam = to_paths(c)
                     assert fam.l == k + 1, c
-                    assert [p.steps(k + 1) for p in fam.paths] \
+                    assert [steps(p, k + 1) for p in fam.paths] \
                         == _appended_words(c), c
                     assert tuple(p.u for p in fam.paths) \
                         == tuple(len(row) - 1 for row in c.rows), c
@@ -205,10 +212,10 @@ class TestExponentOracles:
                     words.append("".join("W" if i in west_at else "N"
                                          for i in range(2 * u + l - 1)))
                 paths = paths_for_index(u, l)
-                assert [p.steps(l) for p in paths] == words, (u, l)
+                assert [steps(p, l) for p in paths] == words, (u, l)
                 for p in paths:
                     pts = [(u, 0)]
-                    for step in p.steps(l):
+                    for step in steps(p, l):
                         x, y = pts[-1]
                         pts.append((x - 1, y) if step == "W" else (x, y + 1))
                     assert p.points(l) == tuple(pts), p
@@ -279,7 +286,7 @@ class TestGfViaPaths:
     def test_path_matrix_counts_paths(self):
         # at P = Q = 1 every path weighs 1: M[u][v] = C(u + v + l - 1, u)
         m = path_matrix(4, 3, 1)
-        assert [[e.evaluate() for e in row] for row in m] == \
+        assert [[gf_value(e) for e in row] for row in m] == \
             [[comb(u + v + 2, u) for v in range(4)] for u in range(4)]
 
     def test_out_of_domain(self):

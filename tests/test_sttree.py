@@ -9,8 +9,7 @@ import pytest
 from altsign import sttree
 from altsign.errors import InvalidShapeError, NotInImageError
 from altsign.sttree import (SttTree, ast_to_sttree, enumerate_sttrees,
-                            formula_domain, sttree_to_ast, to_json,
-                            validate)
+                            formula_domain, sttree_to_ast, to_json)
 from altsign.trapezoid import Trapezoid, enumerate_trapezoids
 from altsign.trapezoid import validate as validate_trapezoid
 
@@ -27,7 +26,37 @@ TREE54 = SttTree(
      (None, -1, 2, None, None)))
 
 
-# Readers of a shape's runs and of a tree's diagonals.
+# Readers of a shape's runs and of a tree's cells and diagonals.
+
+def value(tree: SttTree, i: int, j: int):
+    return tree.rows[i - 1][j - 1]
+
+
+def validate(tree: SttTree):
+    """None when the filling satisfies the shape and monotonicity rules,
+    else the first violation: rows from the top, cells from the left."""
+    try:
+        runs = sttree._runs(tree.n, tree.s, tree.t)
+    except InvalidShapeError as e:
+        return str(e)
+    if len(tree.rows) != tree.n:
+        return f"expected {tree.n} rows, got {len(tree.rows)}"
+    for i, (first, last) in enumerate(runs, start=1):
+        if len(tree.rows[i - 1]) != i:
+            return f"row {i}: expected {i} slots"
+        for j in range(1, i + 1):
+            if (first <= j <= last) != (value(tree, i, j) is not None):
+                return f"cell ({i},{j}) presence does not match the shape"
+    # the regular cells of row i: row i + 1's run less its last cell
+    for i, (first, last) in enumerate(runs[1:], start=1):
+        for j in range(first, last):
+            v = value(tree, i, j)
+            if not value(tree, i + 1, j) <= v <= value(tree, i + 1, j + 1):
+                return f"cell ({i},{j}) violates the sandwich inequality"
+            if j + 1 < last and value(tree, i, j + 1) == v:
+                return f"cells ({i},{j}) and ({i},{j + 1}) are equal"
+    return None
+
 
 def deleted_cells(n: int, s, t) -> set:
     """Cells removed by the truncation vectors; InvalidShapeError when the
@@ -58,7 +87,7 @@ def diagonal_bottoms(tree: SttTree) -> tuple[int, ...]:
     """The vector b recovered from a tree (bottom entries of the n-r
     NE-diagonals followed by those of the r last SE-diagonals)."""
     runs = sttree._runs(tree.n, tree.s, tree.t)
-    return tuple(None if cell is None else tree.value(*cell)
+    return tuple(None if cell is None else value(tree, *cell)
                  for cell in sttree._ends(runs, len(tree.t)))
 
 
@@ -303,6 +332,12 @@ class TestAstCorrespondence:
         tree = SttTree(1, (0,), (), ((5,),))
         with pytest.raises(NotInImageError):
             sttree_to_ast(tree, 1, 4)
+
+    def test_short_tree_is_not_in_image(self):
+        # one row for n = 2: refused before a missing row is read
+        tree = SttTree(2, (0,), (0,), ((-1,),))
+        with pytest.raises(NotInImageError, match="1 rows, not n=2"):
+            sttree_to_ast(tree, 2, 3)
 
     def test_not_in_image_column_sums(self):
         # bottoms (-1, 1): the middle trapezoid column would need sum 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 
@@ -7,10 +8,12 @@ import pytest
 from altsign import cssp
 from altsign.exactalg import Gf
 from altsign.sttree import ast_to_sttree
-from altsign.trapezoid import (AstStats, Trapezoid, _one_columns,
-                               column_label, column_partial_sums,
-                               enumerate_trapezoids, gf, pretty, stats,
+from altsign.trapezoid import (AstStats, Trapezoid, column_label,
+                               column_partial_sums, enumerate_trapezoids, gf,
+                               interlace, one_columns, pretty, stats,
                                to_json, validate, weight)
+
+from test_exactalg import gf_value
 
 # Test-only readers: the per-entry accessors of the array, independent of
 # trapezoid's row passes, and the sorted labels of the 1-columns.
@@ -39,7 +42,7 @@ def one_column_positions(t):
     """Sorted signed labels of the columns with sum 1 (requires l >= 2)."""
     if t.l < 2:
         raise ValueError("1-column positions are defined for l >= 2")
-    return tuple(sorted(label for label, _ in _one_columns(t)))
+    return tuple(sorted(label for label, _ in one_columns(t)))
 
 
 # the displayed (5,4) example
@@ -179,6 +182,29 @@ class TestPretty:
         # one placeholder for an empty object in every listing
         (empty,) = cssp.enumerate_cssps(1, 0)
         assert pretty(Trapezoid(0, 2, ())) == cssp.pretty(empty) == "(empty)"
+
+
+class TestInterlace:
+    """The monotone-triangle row rule that trapezoid's row step and
+    sttree's enumeration share."""
+
+    def test_no_slots_give_the_empty_row(self):
+        assert interlace([]) == [()]
+
+    def test_an_empty_slot_gives_no_row(self):
+        assert interlace([(2, 1)]) == []
+        assert interlace([(0, 3), (5, 4), (6, 9)]) == []
+
+    def test_shared_bounds_give_strictly_increasing_rows_in_order(self):
+        # b_1 <= 1 <= b_2 <= 2 <= b_3: (1, 1, ...) and (.., 2, 2) are out
+        assert interlace([(0, 1), (1, 2), (2, 3)]) == [
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        for slots in ([(0, 2), (2, 2), (2, 4)], [(-1, 1), (1, 1)],
+                      [(0, 3), (0, 3), (0, 3)]):
+            rows = [b for b in itertools.product(
+                        *(range(low, high + 1) for low, high in slots))
+                    if all(x < y for x, y in zip(b, b[1:]))]
+            assert interlace(slots) == rows, slots
 
 
 class TestEnumerate:
@@ -321,12 +347,12 @@ class TestGf:
             assert gf(1, l) == Gf.monomial(r=1) + Gf.one()
 
     def test_23_evaluation(self):
-        assert gf(2, 3).evaluate() == 7
+        assert gf_value(gf(2, 3)) == 7
 
     def test_counts_match_evaluation(self):
         for n in range(1, 5):
             for l in range(1, 6):
-                assert gf(n, l).evaluate() == len(enumerate_trapezoids(n, l))
+                assert gf_value(gf(n, l)) == len(enumerate_trapezoids(n, l))
 
     def test_quasi_21(self):
         # hand enumeration of the five (2,1) objects
@@ -429,7 +455,7 @@ class TestOracles:
 
 
 # Per-entry readers through entry: independent oracles for the
-# row-pass validate, _one_columns and column_partial_sums.
+# row-pass validate, one_columns and column_partial_sums.
 
 def _per_entry_validate(t):
     n, l = t.n, t.l
@@ -527,7 +553,7 @@ class TestRowPassOracles:
             for l in range(1, 6):
                 for t in enumerate_trapezoids(n, l):
                     assert validate(t) is None
-                    assert list(_one_columns(t)) == _per_entry_one_columns(t)
+                    assert list(one_columns(t)) == _per_entry_one_columns(t)
                     assert column_partial_sums(t) \
                         == _per_entry_partial_sums(t), t
 
@@ -561,7 +587,7 @@ class TestRowPassOracles:
             for l in range(1, 5):
                 for t in enumerate_trapezoids(n, l):
                     for bad in _corruptions(t, (-1, 0, 1), lengths=False):
-                        assert _read(lambda t: list(_one_columns(t)), bad) \
+                        assert _read(lambda t: list(one_columns(t)), bad) \
                             == _read(_per_entry_one_columns, bad), bad
                         assert column_partial_sums(bad) \
                             == _per_entry_partial_sums(bad), bad
