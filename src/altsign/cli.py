@@ -6,51 +6,32 @@ qast / asymm / asym / coeff / bijections), and ``svg paths``.
 
 The tables in COMMANDS name the flags each route, family or identity reads;
 the parsers, defaults, required flags and dispatch come from them, and a
-flag that the chosen row does not read exits 2.
+flag that the chosen row does not read exits 2.  main reads a well-formed
+command line (the command, its row's name, then --flag value pairs of the
+command's flags, each at most once) straight from the tables; every other
+command line, help and errors included, goes to the argparse parser that
+build_parser makes from the same tables, so help, usage and error text are
+argparse's own, and argparse loads only for them.
 
-Verification subcommands print one PASS/FAIL line per check plus a summary
-and exit 1 on any failure or when no check ran; argument errors exit 2.
-Output for a fixed command line (including --seed) is byte-identical across
-runs; --jobs spreads an identity's tasks over worker processes (at most one
-per task and per CPU) without changing the output order.  A task is an
-(n, l) cell for main, which checks every d, an n for qast, which checks the
-count and the vanishing, and one check for the other identities.
+Verification subcommands (altsign.verify, loaded only by verify) print one
+PASS/FAIL line per check plus a summary and exit 1 on any failure or when
+no check ran; argument errors exit 2.  Output for a fixed command line
+(including --seed) is byte-identical across runs; --jobs spreads an
+identity's tasks over worker processes (at most one per task and per CPU)
+without changing the output order.  A task is an (n, l) cell for main,
+which checks every d, an n for qast, which checks the count and the
+vanishing, and one check for the other identities.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import importlib
-import itertools
-import os
 import sys
+import types
 
-# Each handler and check imports the modules it runs, so that a command
-# loads only those (every op is a fresh process).
-
-
-def _run_tasks(fn, args_list, jobs):
-    workers = min(jobs, len(args_list), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, args_list))
-    return [fn(a) for a in args_list]
-
-
-def _report(lines, out):
-    failures = 0
-    for label, ok, detail in lines:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {label}", file=out)
-        if not ok and detail:
-            for chunk in detail:
-                print(f"     {chunk}", file=out)
-        failures += 0 if ok else 1
-    total = len(lines)
-    print(f"{total - failures}/{total} checks passed", file=out)
-    return 1 if failures or not total else 0
+# Each handler imports the modules it runs, so that a command loads only
+# those (every op is a fresh process): argparse only for help and errors,
+# altsign.verify only for verify.
 
 
 def _parse_int_list(text):
@@ -59,6 +40,7 @@ def _parse_int_list(text):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
 
@@ -116,106 +98,23 @@ FAMILIES = {
 }
 
 
-# --- verification workers (top-level so process pools can pickle them) ----
-# A check takes one task and returns its checks as (fields, ok, detail): the
-# fields fill the identity's label, and _report prints the detail only on a
-# failure.
-
-def _check_main(args):
-    from . import cssp, trapezoid
-    n, l = args
-    lhs, checks = trapezoid.gf(n, l), []
-    for d in range(l):
-        rhs = cssp.gf(l - 1, n, d)
-        checks.append(((n, l, d), lhs == rhs,
-                       () if lhs == rhs else (str(lhs), str(rhs))))
-    return checks
-
-
-def _check_truncated(inst):
-    from . import operatorform, sttree
-    formula = operatorform.count_sttrees_formula(*inst)
-    brute = len(sttree.enumerate_sttrees(*inst))
-    return [(inst, formula == brute,
-             (f"formula {formula}", f"brute force {brute}"))]
-
-
-def _check_qast(n):
-    from . import operatorform, trapezoid
-    value = operatorform.t_value(n, 1)
-    brute = len(trapezoid.enumerate_trapezoids(n, 1))
-    vanishing = all(operatorform.count_ast_prescribed(n, 1, j) == 0
-                    for m, j in operatorform.all_positions(n)
-                    if 0 < m < n and j[m - 1] < -1 and j[m] > 1)
-    return [(("count", n), value == brute,
-             (f"t_{n}(1) = {value}", f"enumeration {brute}")),
-            (("vanishing", n), vanishing, ())]
-
-
-def _check_holds(module, function, args):
-    """One check: the route's bool function on the task's fields."""
-    return [(args, _function(module, function)(*args), ())]
-
-
-def _check_bijections(args):
-    from . import cssp, pathfam, sttree, trapezoid
-    n, l = args
-    for t in trapezoid.enumerate_trapezoids(n, l):
-        # the tree is t's image, so a preimage equal to t passes
-        # sttree_to_ast's image check as well: the tree is built once
-        if sttree.preimage(sttree.ast_to_sttree(t), n, l) != t:
-            return [(args, False, (f"trapezoid round trip failed: {t}",))]
-    for c in cssp.enumerate_cssps(l - 1, n):
-        fam = cssp.to_paths(c)
-        if cssp.from_paths(fam) != c:
-            return [(args, False, (f"path round trip failed: {c}",))]
-        for d in range(0, l):
-            if pathfam.lgv_weight(fam, d) != cssp.weight(c, d):
-                return [(args, False,
-                         (f"weight transport failed: {c} d={d}",))]
-    return [(args, True, ())]
-
-
-def _random_tree_instances(args):
-    from . import sttree
-    return sttree.random_tree_instances(args.samples, args.seed)
-
-
-def _operator_ns(args, name="the operator route"):
-    """1..--n-max, refused up front past the reach of name."""
-    from . import operatorform
-    operatorform.check_reach(args.n_max, name)
-    return range(1, args.n_max + 1)
-
-
-def _n_l(args, l_min):
-    return [(n, l) for n in range(1, args.n_max + 1)
-            for l in range(l_min, args.l_max + 1)]
-
-
-# identity -> (the tasks its arguments call for, the check of one task, the
-# label of a check as a format string over its fields, the flags it reads
-# besides --jobs)
+# identity -> (the names in altsign.verify of its task builder, which takes
+# the parsed arguments, and of the check of one task; the label of a check
+# as a format string over its fields; the flags it reads besides --jobs)
 IDENTITIES = {
-    "main": (lambda a: _n_l(a, 1), _check_main, "main (n={}, l={}, d={})",
+    "main": ("cells", "check_main", "main (n={}, l={}, d={})",
              ("--n-max", "--l-max")),
-    "truncated": (_random_tree_instances, _check_truncated,
+    "truncated": ("tree_instances", "check_truncated",
                   "truncated (n={}, s={}, t={}, b={})",
                   ("--samples", "--seed")),
-    "qast": (_operator_ns, _check_qast, "qast {} (n={})", ("--n-max",)),
-    "asymm": (lambda a: [(n, x) for n in _operator_ns(a, "verify asymm")
-                         for x in itertools.product(range(4), repeat=n)],
-              functools.partial(_check_holds, "operatorform", "verify_asymM"),
-              "asymM (n={}, x={})", ("--n-max",)),
-    "asym": (lambda a: [(n, a.samples, a.seed) for n in range(1, a.n_max + 1)],
-             functools.partial(_check_holds, "operatorform",
-                               "verify_asym_lemma"),
-             "asym lemma (n={}, samples={})",
+    "qast": ("operator_ns", "check_qast", "qast {} (n={})", ("--n-max",)),
+    "asymm": ("asymm_points", "check_asymm", "asymM (n={}, x={})",
+              ("--n-max",)),
+    "asym": ("asym_runs", "check_asym", "asym lemma (n={}, samples={})",
              ("--n-max", "--samples", "--seed")),
-    "coeff": (lambda a: _n_l(a, 2),
-              functools.partial(_check_holds, "detform", "verify_coeff_route"),
-              "coeff (n={}, l={})", ("--n-max", "--l-max")),
-    "bijections": (lambda a: _n_l(a, 2), _check_bijections,
+    "coeff": ("cells_from_l2", "check_coeff", "coeff (n={}, l={})",
+              ("--n-max", "--l-max")),
+    "bijections": ("cells_from_l2", "check_bijections",
                    "bijections (n={}, l={})", ("--n-max", "--l-max")),
 }
 
@@ -274,14 +173,10 @@ def _cmd_tpoly(row, args, out):
 
 
 def _cmd_verify(row, args, out):
-    tasks_for, check, label, reads = row
-    if "--samples" in reads:  # refused before any task or worker
-        from .operatorform import check_samples
-        check_samples(args.samples)
-    results = _run_tasks(check, tasks_for(args), args.jobs)
-    return _report([(label.format(*fields), ok, detail)
-                    for checks in results for fields, ok, detail in checks],
-                   out)
+    from . import verify
+    tasks, check, label, _ = row
+    return verify.run(getattr(verify, tasks)(args), getattr(verify, check),
+                      label, args.jobs, out)
 
 
 def _cmd_svg(row, args, out):
@@ -314,28 +209,78 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser_flags(command):
+    """The flags of command's parser, in help order: every flag its rows
+    read."""
+    _, positional, table, common, _ = COMMANDS[command]
+    rows = table.values() if positional else (table,)
+    return dict.fromkeys(common + sum((r[-1] for r in rows), ()))
+
+
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="altsign",
         description="Alternating sign trapezoids, column strict shifted "
                     "plane partitions, and their generating functions "
                     "(exact arithmetic throughout).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, positional, table, common, handler) in COMMANDS.items():
+    for name, (help_, positional, table, _, handler) in COMMANDS.items():
         # no prefixes: --l on verify would otherwise stand for --l-max
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         if positional:
             p.add_argument(positional, choices=tuple(table))
-        rows = table.values() if positional else (table,)
-        for flag in dict.fromkeys(common + sum((r[-1] for r in rows), ())):
+        for flag in _parser_flags(name):
             p.add_argument(flag, **FLAGS[flag][0])
         p.set_defaults(func=handler)
     return parser
 
 
-def _validate_args(args, parser):
+def _table_args(argv):
+    """What build_parser().parse_args(argv) returns, read straight from the
+    tables, for a command line of the form COMMAND [CHOICE] --flag value
+    ..., each flag of the command's parser at most once and each value one
+    that argparse reads as a value and the flag's type and choices take;
+    None for any other command line (help, an error, another spelling),
+    which argparse reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    _, positional, table, _, handler = COMMANDS[command]
+    flags = _parser_flags(command)
+    fields = dict.fromkeys(map(_dest, flags))
+    fields.update(command=command, func=handler)
+    if positional:
+        if not rest or rest[0] not in table:
+            return None
+        fields[positional], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    for flag, text in zip(rest[::2], rest[1::2]):
+        if flag not in flags or fields[_dest(flag)] is not None:
+            return None  # not the command's flag, or given twice
+        # argparse reads a text that starts with - as a flag, unless it is
+        # a negative number: ^-\d+$|^-\d*\.\d+$ (short of the newline that
+        # $ lets through at the end)
+        number = (text[1:].replace(".", "", 1).isdecimal()
+                  and not text.endswith("."))
+        if text.startswith("-") and not number:
+            return None
+        options = FLAGS[flag][0]
+        try:
+            value = options.get("type", str)(text)
+        except Exception:  # the type refuses text: argparse says how
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        fields[_dest(flag)] = value
+    return types.SimpleNamespace(**fields)
+
+
+def _validate_args(args):
     """The chosen row, once each flag it reads has its value: exits 2 on a
-    flag it does not read or on a missing one that it requires."""
+    flag it does not read or on a missing one that it requires (through
+    argparse, which prints its usage line)."""
     _, positional, table, common, _ = COMMANDS[args.command]
     choice = getattr(args, positional) if positional else None
     row = table[choice] if positional else table
@@ -344,20 +289,22 @@ def _validate_args(args, parser):
     for flag, (_, default) in FLAGS.items():
         value = getattr(args, _dest(flag), None)  # None: not given or no flag
         if flag not in reads and value is not None:
-            parser.error(f"{name} does not read {flag}")
+            build_parser().error(f"{name} does not read {flag}")
         if flag in reads and value is None:
             if default is None:
-                parser.error(f"{name} requires {flag}")
+                build_parser().error(f"{name} requires {flag}")
             setattr(args, _dest(flag), default)
     if args.command == "verify" and args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+        build_parser().error("--jobs must be at least 1")
     return row
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    row = _validate_args(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_args(argv)
+    if args is None:  # help, an error or another spelling: argparse's text
+        args = build_parser().parse_args(argv)
+    row = _validate_args(args)
     try:
         return args.func(row, args, sys.stdout)
     except (ValueError, ArithmeticError) as e:

@@ -381,8 +381,8 @@ class TestVerify:
     def test_asymm_past_its_reach_is_refused_up_front(
             self, capsys, monkeypatch):
         # 4^n constant terms over the n^n grid: hours at n = 6
-        from altsign import cli
-        monkeypatch.setattr(cli, "_run_tasks",
+        from altsign import verify
+        monkeypatch.setattr(verify, "_run_tasks",
                             lambda *a: pytest.fail("tasks were run"))
         for n in (6, 7):
             code = main(["verify", "asymm", "--n-max", str(n)])
@@ -426,9 +426,9 @@ class TestVerify:
 
     def test_main_prints_both_sides_only_on_failure(self, capsys,
                                                     monkeypatch):
-        from altsign import cli, cssp, trapezoid
-        assert cli._check_main((2, 3)) == [((2, 3, d), True, ())
-                                           for d in range(3)]
+        from altsign import cssp, trapezoid, verify
+        assert verify.check_main((2, 3)) == [((2, 3, d), True, ())
+                                             for d in range(3)]
         cssp_gf = cssp.gf
 
         def off_by_one(k, n, d):
@@ -466,15 +466,15 @@ class TestVerify:
             self, capsys, monkeypatch):
         # main checks every d of an (n, l) cell in one task, qast the count
         # and the vanishing of one n
-        from altsign import cli
+        from altsign import verify
         issued = []
-        run_tasks = cli._run_tasks
+        run_tasks = verify._run_tasks
 
         def recorded(fn, tasks, jobs):
             issued.append(list(tasks))
             return run_tasks(fn, tasks, jobs)
 
-        monkeypatch.setattr(cli, "_run_tasks", recorded)
+        monkeypatch.setattr(verify, "_run_tasks", recorded)
         code, out = run(capsys, "verify", "main", "--n-max", "2",
                         "--l-max", "3")
         assert code == 0 and out.endswith("12/12 checks passed\n")
@@ -518,7 +518,7 @@ class TestVerify:
 
     def test_jobs_clamped(self, capsys, monkeypatch):
         # a stand-in pool records its size and runs the tasks in process
-        from altsign import cli
+        from altsign import verify
         sizes = []
 
         class FakePool:
@@ -541,7 +541,7 @@ class TestVerify:
         # one CPU runs serially
         for cpus, jobs, expected in ((4, "1000", [4]), (4, "3", [3]),
                                      (16, "1000", [4]), (1, "8", [])):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
             sizes.clear()
             code, _ = run(capsys, "verify", "main", "--n-max", "2",
                           "--l-max", "2", "--jobs", jobs)
@@ -582,7 +582,7 @@ def test_a_command_takes_only_the_flags_it_reads(words, reads, capsys,
 
 class TestReport:
     def test_failures_exit_1(self, capsys):
-        from altsign.cli import _report
+        from altsign.verify import _report
         import sys
         code = _report([("good", True, ()), ("bad", False, ("why",))],
                        sys.stdout)
@@ -648,14 +648,19 @@ def _fresh_process(code, *argv):
 
 
 # Modules that a command does not run: every op is a fresh process, so
-# loading one is start-up time spent for nothing.  No command loads
-# dataclasses (with inspect, ast and dis behind it): the object classes of
-# the enumeration routes are named tuples.  No gf route makes a Fraction
-# (tpoly does), so none loads fractions (with decimal behind it).  gf
-# paths, which never sums over CSSPPs, does not load cssp, and gf cssp,
-# which sums over path families one time slice at a time, loads pathfam
-# but no determinant and no other route.
-NO_FRACTIONS = ("dataclasses", "fractions", "decimal")
+# loading one is start-up time spent for nothing.  A well-formed command
+# line is read from the flag tables, so none of these loads argparse (with
+# gettext behind it), which only help and errors need, and only verify
+# loads altsign.verify.  No command loads dataclasses (with inspect, ast
+# and dis behind it): the object classes of the enumeration routes are
+# named tuples.  No gf route makes a Fraction (tpoly does), so none loads
+# fractions (with decimal behind it).  gf paths, which never sums over
+# CSSPPs, does not load cssp, and gf cssp, which sums over path families
+# one time slice at a time, loads pathfam but no determinant and no other
+# route.
+UNUSED_BY_ALL = ("argparse", "gettext", "dataclasses")
+UNUSED_BUT_BY_VERIFY = UNUSED_BY_ALL + ("altsign.verify",)
+NO_FRACTIONS = UNUSED_BUT_BY_VERIFY + ("fractions", "decimal")
 UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "xml.etree.ElementTree", "json",
                                 "altsign.cssp", "altsign.trapezoid",
@@ -672,10 +677,9 @@ COMMANDS = [
      NO_FRACTIONS + ("altsign.cssp",)),
     (("gf", "operator", "--n", "2", "--l", "3"), NO_FRACTIONS),
     # these load what the others leave out, and still run
-    (("enumerate", "cssp", "--k", "1", "--n", "2"), ("dataclasses",)),
-    (("verify", "bijections", "--n-max", "2", "--l-max", "3"),
-     ("dataclasses",)),
-    (("tpoly", "--n", "2"), ("dataclasses",)),
+    (("enumerate", "cssp", "--k", "1", "--n", "2"), UNUSED_BUT_BY_VERIFY),
+    (("verify", "bijections", "--n-max", "2", "--l-max", "3"), UNUSED_BY_ALL),
+    (("tpoly", "--n", "2"), UNUSED_BUT_BY_VERIFY),
 ]
 
 
@@ -716,6 +720,9 @@ EVERY_ROW = [
     ("verify", "coeff", "--n-max", "2", "--l-max", "2"),
     ("verify", "bijections", "--n-max", "2", "--l-max", "2"),
     ("svg", "paths", "--n", "2", "--l", "3", "--out", "{out}"),
+    # the README's = form goes through argparse, as help and errors do
+    ("enumerate", "sttree", "--n", "3", "--s", "1", "--t", "0,1",
+     "--b=-1,0,2"),
 ]
 
 
