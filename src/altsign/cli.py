@@ -11,7 +11,9 @@ command line (the command, its row's name, then --flag value pairs of the
 command's flags, each at most once) straight from the tables; every other
 command line, help and errors included, goes to the argparse parser that
 build_parser makes from the same tables, so help, usage and error text are
-argparse's own, and argparse loads only for them.
+argparse's own, and argparse loads only for them.  An answer of any size
+prints: CPython's int-to-str digit limit holds only while the command line
+is read.
 
 Verification subcommands (altsign.verify, loaded only by verify) print one
 PASS/FAIL line per check plus a summary and exit 1 on any failure or when
@@ -196,7 +198,7 @@ COMMANDS = {
                   _cmd_enumerate),
     "gf": ("generating function by one route", "route", GF_ROUTES,
            ("--format",), _cmd_gf),
-    "count": ("number of trapezoids (determinant)", None,
+    "count": ("number of trapezoids (Andrews' product)", None,
               ("detform", "count", ("--n", "--l")), (), _cmd_count),
     "tpoly": ("trapezoid count as a polynomial in l", None,
               ("operatorform", "t_polynomial", ("--n",)), ("--format",),
@@ -305,11 +307,19 @@ def main(argv=None) -> int:
     if args is None:  # help, an error or another spelling: argparse's text
         args = build_parser().parse_args(argv)
     row = _validate_args(args)
+    # the texts were read under the digit limit (0: none), so a runaway
+    # input text is refused
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(row, args, sys.stdout)
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

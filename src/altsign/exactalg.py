@@ -409,7 +409,7 @@ def det_fraction_free(matrix) -> int:
     a row below, and a column with none is a determinant of 0.  TypeError
     on any entry that is not an int; the 0x0 determinant is 1.
 
-    It is det_gf's determinant at each lattice point and detform.count.
+    It is det_gf's determinant at each lattice point.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):

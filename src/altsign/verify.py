@@ -31,11 +31,14 @@ def _run_tasks(fn, tasks, jobs):
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # the first task runs here, so the forked workers inherit the
-        # modules it loaded rather than each compiling them again
+        # modules it loaded rather than each compiling them again; the
+        # pool hands out the rest from the last, since most builders list
+        # the tasks by growing n, so no large task starts last
         first = fn(tasks[0])
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [first, *pool.map(fn, tasks[1:])]
+            rest = list(pool.map(fn, reversed(tasks[1:])))
+        return [first, *reversed(rest)]
     return [fn(task) for task in tasks]
 
 

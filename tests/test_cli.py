@@ -17,6 +17,9 @@ import pytest
 
 import altsign
 from altsign.cli import COMMANDS, FLAGS, main
+from altsign.detform import gf_det
+from test_detform import asm_number
+from test_exactalg import gf_value
 
 
 def run(capsys, *argv):
@@ -60,6 +63,32 @@ class TestGfCommand:
         assert code == 0
         terms = json.loads(out)
         assert {"p": 0, "q": 0, "r": 1, "coeff": 1} in terms
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A stand-in for the process pool that runs the tasks in process and
+    records the size of each pool and the tasks handed to it, in order."""
+    record = {"sizes": [], "handed": []}
+
+    class FakePool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            record["handed"] += items
+            return map(fn, items)
+
+    # _run_tasks imports the pool class only when it runs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return record
 
 
 class TestCountCommand:
@@ -131,6 +160,33 @@ class TestCountCommand:
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
         assert code == 0
         assert out.strip() == "5"
+
+    def test_answers_of_any_size_print(self, capsys):
+        # CPython turns an int of more than 4300 digits into a string only
+        # without its int-to-str limit, which main lifts once the command
+        # line is read: every answer prints, and an input text past the
+        # limit is still refused up front
+        limit = sys.get_int_max_str_digits()
+
+        def digits(value):
+            sys.set_int_max_str_digits(0)
+            try:
+                return f"{value}\n"
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+        code, out = run(capsys, "count", "--n", "200", "--l", "3")
+        assert (code, len(out)) == (0, 4592)
+        assert out == digits(asm_number(201))
+        big = "1" + "0" * 1100
+        code, out = run(capsys, "count", "--n", "4", "--l", big)
+        assert (code, out) == (0, digits(gf_value(gf_det(4, int(big)))))
+        code, out = run(capsys, "gf", "det", "--n", "4", "--l", big)
+        assert (code, out) == (0, digits(gf_det(4, int(big))))
+        assert len(max(out.split(), key=len)) > 4300
+        code, out = run(capsys, "count", "--n", "1" * 4301, "--l", "3")
+        assert (code, out) == (2, "")
+        assert sys.get_int_max_str_digits() == limit
 
 
 # Every route's domain is n >= 0, l >= 1 and d in 0..l-1, checked in that
@@ -516,36 +572,28 @@ class TestVerify:
                 main(["verify", "main", "--n-max", "1", "--jobs", jobs])
             assert info.value.code == 2
 
-    def test_jobs_clamped(self, capsys, monkeypatch):
-        # a stand-in pool records its size and runs the tasks in process
+    def test_jobs_clamped(self, capsys, monkeypatch, fake_pool):
         from altsign import verify
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # _run_tasks imports the pool class only when it runs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            FakePool)
         # verify main --n-max 2 --l-max 2 has 4 tasks (cells) of 6 checks;
         # one CPU runs serially
         for cpus, jobs, expected in ((4, "1000", [4]), (4, "3", [3]),
                                      (16, "1000", [4]), (1, "8", [])):
             monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-            sizes.clear()
+            fake_pool["sizes"].clear()
             code, _ = run(capsys, "verify", "main", "--n-max", "2",
                           "--l-max", "2", "--jobs", jobs)
-            assert code == 0 and sizes == expected, (cpus, jobs)
+            assert code == 0 and fake_pool["sizes"] == expected, (cpus, jobs)
+
+    def test_pool_takes_the_largest_tasks_first(self, monkeypatch,
+                                                fake_pool):
+        # the builders list tasks by growing n: the parent runs the first,
+        # the pool gets the rest from the last, and the results come back
+        # in task order
+        from altsign import verify
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        tasks = [(n, l) for n in range(1, 4) for l in (2, 3)]
+        assert verify._run_tasks(sum, tasks, 2) == list(map(sum, tasks))
+        assert fake_pool["handed"] == tasks[:0:-1]
 
 
 # a value of each flag at which every command that reads it runs quickly

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
@@ -8,7 +7,7 @@ from altsign import (cssp, detform, exactalg, operatorform, pathfam,
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
-from altsign.exactalg import Gf, MPoly, binomial
+from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free
 from test_exactalg import det_bareiss, det_cofactor, gf_value
 
 GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
@@ -81,9 +80,10 @@ class TestCount:
         assert [count(n, 3) for n in range(1, 5)] == [2, 7, 42, 429]
 
     def test_agrees_with_gf_at_one(self):
-        for n in range(0, 5):
-            for l in range(2, 6):
-                assert count(n, l) == gf_value(gf_det(n, l))
+        # the quasi count l = 1 included
+        for n in range(0, 9):
+            for l in range(1, 7):
+                assert count(n, l) == gf_value(gf_det(n, l)), (n, l)
 
     def test_agrees_with_enumeration(self):
         for n in range(1, 4):
@@ -260,23 +260,11 @@ def asm_number(m):
             // prod(factorial(m + j) for j in range(m)))
 
 
-def count_factor(i, mu):
-    """Delta_i(mu) in count(n, l) = 2 prod_{i=1}^{n-1} Delta_i(l - 1), the
-    evaluation of det(delta_ij + C(mu+i+j, j)) due to G. E. Andrews
-    ("Plane partitions (III): The weak Macdonald conjecture", 1979) and
-    Mills, Robbins and Rumsey, as collected in C. Krattenthaler, "Advanced
-    determinant calculus", 1999; (a)_k is the rising factorial."""
-    def rising(a, k):
-        return prod((a + m for m in range(k)), start=Fraction(1))
-
-    half, j = Fraction(mu, 2), (i + 1) // 2
-    if i % 2 == 0:
-        return (rising(mu + 2 * j + 2, j)
-                * rising(half + 2 * j + Fraction(3, 2), j - 1)
-                / (rising(j, j) * rising(half + j + Fraction(3, 2), j - 1)))
-    return (rising(mu + 2 * j, j - 1)
-            * rising(half + 2 * j + Fraction(1, 2), j)
-            / (rising(j, j) * rising(half + j + Fraction(1, 2), j - 1)))
+def bareiss_count(n, l):
+    """det(delta_ij + C(i+j+l-1, i)) by Bareiss elimination, the count's
+    determinant taken without its closed product."""
+    return det_fraction_free([[binomial(i + j + l - 1, i) + int(i == j)
+                               for j in range(n)] for i in range(n)])
 
 
 def mirrored(g, n):
@@ -303,16 +291,22 @@ class TestAnchors:
         # n + 1, counted by the ASM numbers
         assert [asm_number(m) for m in range(1, 8)] \
             == [1, 2, 7, 42, 429, 7436, 218348]
-        for n in range(0, 41):
-            assert count(n, 3) == asm_number(n + 1), n
+        # A(m + 1) = A(m) m! (3m+1)! / ((2m)! (2m+1)!), the ratio of two
+        # of asm_number's products, which is checked at n = 40 and 200
+        a = 1
+        for n in range(0, 201):
+            assert count(n, 3) == a, n
+            if n in (40, 200):
+                assert a == asm_number(n + 1), n
+            m = n + 1
+            a = (a * factorial(m) * factorial(3 * m + 1)
+                 // (factorial(2 * m) * factorial(2 * m + 1)))
 
-    def test_count_is_a_closed_product_in_l(self):
-        # n <= 32 at every l = 1..12, the quasi count l = 1 included
+    def test_count_is_the_determinant(self):
+        # n <= 40 at every l = 1..12, the quasi count l = 1 included
         for l in range(1, 13):
-            product = Fraction(2)
-            for n in range(1, 33):
-                assert count(n, l) == product, (n, l)
-                product *= count_factor(n, l - 1)
+            for n in range(0, 41):
+                assert count(n, l) == bareiss_count(n, l), (n, l)
 
     def test_asm_numbers_by_enumeration(self):
         for n in range(0, 7):
