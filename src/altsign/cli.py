@@ -5,15 +5,12 @@ operator / paths), ``count``, ``tpoly``, ``verify`` (main / truncated /
 qast / asymm / asym / coeff / bijections), and ``svg paths``.
 
 The tables in COMMANDS name the flags each route, family or identity reads;
-the parsers, defaults, required flags and dispatch come from them, and a
-flag that the chosen row does not read exits 2.  main reads a well-formed
-command line (the command, its row's name, then --flag value pairs of the
-command's flags, each at most once) straight from the tables; every other
-command line, help and errors included, goes to the argparse parser that
-build_parser makes from the same tables, so help, usage and error text are
-argparse's own, and argparse loads only for them.  An answer of any size
-prints: CPython's int-to-str digit limit holds only while the command line
-is read.
+the parser, help, defaults, required flags and dispatch come from them, so
+a flag that the chosen row does not read exits 2.  The token after a flag is
+its value (--b -1,0,2 reads).  -h or --help prints one line per row with the
+flags it reads; an error prints the command's usage line and exits 2.  An
+answer of any size prints: CPython's int-to-str digit limit holds only while
+the command line is read.
 
 Verification subcommands (altsign.verify, loaded only by verify) print one
 PASS/FAIL line per check plus a summary and exit 1 on any failure or when
@@ -32,38 +29,34 @@ import sys
 import types
 
 # Each handler imports the modules it runs, so that a command loads only
-# those (every op is a fresh process): argparse only for help and errors,
-# altsign.verify only for verify.
+# those (every op is a fresh process): altsign.verify only for verify.
 
 
 def _parse_int_list(text):
-    if not text:
-        return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
-        import argparse
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected comma-separated integers, got {text!r}") from None
 
 
-# flag -> (its add_argument keywords, its value when the chosen row reads it
-# and the command line leaves it out; None: the row requires it)
+# flag -> (its type, or the tuple of its choices; its value when the chosen
+# row reads it and the command line leaves it out, None: the row requires it)
 FLAGS = {
-    "--n": ({"type": int}, None),
-    "--l": ({"type": int}, None),
-    "--k": ({"type": int}, None),
-    "--d": ({"type": int}, 1),
-    "--s": ({"type": _parse_int_list}, ()),
-    "--t": ({"type": _parse_int_list}, ()),
-    "--b": ({"type": _parse_int_list}, None),
-    "--format": ({"choices": ("text", "json")}, "text"),
-    "--n-max": ({"type": int}, 3),
-    "--l-max": ({"type": int}, 5),
-    "--samples": ({"type": int}, 100),
-    "--seed": ({"type": int}, 2024),
-    "--jobs": ({"type": int}, 1),
-    "--out": ({}, None),
+    "--n": (int, None),
+    "--l": (int, None),
+    "--k": (int, None),
+    "--d": (int, 1),
+    "--s": (_parse_int_list, ()),
+    "--t": (_parse_int_list, ()),
+    "--b": (_parse_int_list, None),
+    "--format": (("text", "json"), "text"),
+    "--n-max": (int, 3),
+    "--l-max": (int, 5),
+    "--samples": (int, 100),
+    "--seed": (int, 2024),
+    "--jobs": (int, 1),
+    "--out": (str, None),
 }
 
 
@@ -211,78 +204,96 @@ COMMANDS = {
 }
 
 
-def _parser_flags(command):
-    """The flags of command's parser, in help order: every flag its rows
-    read."""
-    _, positional, table, common, _ = COMMANDS[command]
-    rows = table.values() if positional else (table,)
-    return dict.fromkeys(common + sum((r[-1] for r in rows), ()))
+def _rows(command):
+    """{row name, None for a command of one row: row} of command."""
+    _, positional, table, _, _ = COMMANDS[command]
+    return table if positional else {None: table}
 
 
-def build_parser():
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="altsign",
-        description="Alternating sign trapezoids, column strict shifted "
-                    "plane partitions, and their generating functions "
-                    "(exact arithmetic throughout).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, positional, table, _, handler) in COMMANDS.items():
-        # no prefixes: --l on verify would otherwise stand for --l-max
-        p = sub.add_parser(name, help=help_, allow_abbrev=False)
-        if positional:
-            p.add_argument(positional, choices=tuple(table))
-        for flag in _parser_flags(name):
-            p.add_argument(flag, **FLAGS[flag][0])
-        p.set_defaults(func=handler)
-    return parser
+def _row_lines(command):
+    """One help line per row of command: its words, then each flag the row
+    reads, with its choices and [its default] where it has them."""
+    for choice, row in _rows(command).items():
+        words = [command, choice]
+        for flag in row[-1] + COMMANDS[command][3]:
+            kind, default = FLAGS[flag]
+            words += [flag, not callable(kind) and "|".join(kind),
+                      default is not None
+                      and f"[{'' if default == () else default}]"]
+        yield " ".join(filter(None, words))
 
 
-def _table_args(argv):
-    """What build_parser().parse_args(argv) returns, read straight from the
-    tables, for a command line of the form COMMAND [CHOICE] --flag value
-    ..., each flag of the command's parser at most once and each value one
-    that argparse reads as a value and the flag's type and choices take;
-    None for any other command line (help, an error, another spelling),
-    which argparse reads."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    command, rest = argv[0], argv[1:]
-    _, positional, table, _, handler = COMMANDS[command]
-    flags = _parser_flags(command)
+def _usage(command):
+    """The usage line of command, or of the program for None."""
+    names = "|".join(filter(None, _rows(command) if command else COMMANDS))
+    return " ".join(filter(None, ("usage: altsign", command, names, (
+        "[--flag value ...]" if command else "..."))))
+
+
+def _help(command):
+    """Print the help of command (of the program for None) and exit 0: the
+    usage line, then per command what it does and one line per row."""
+    print(_usage(command), "", sep="\n")
+    for name in [command] if command else COMMANDS:
+        print(f"{name}: {COMMANDS[name][0]}",
+              *(f"  {line}" for line in _row_lines(name)), sep="\n")
+    raise SystemExit(0)
+
+
+def _fail(command, message):
+    """Exit 2 on a command line that command (the program for None)
+    refuses, printing its usage line and the message."""
+    prog = " ".join(filter(None, ("altsign", command)))
+    print(_usage(command), f"{prog}: error: {message}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _value(command, name, text, kind):
+    """text as the value of name, where kind is its choices or the type
+    that reads it: exits 2 where kind refuses text."""
+    if not callable(kind):
+        if text not in kind:
+            _fail(command, f"{name} is one of {', '.join(kind)}")
+        return text
+    try:
+        return kind(text)
+    except ValueError as e:
+        _fail(command, f"{name}: {e}")
+
+
+def _read_args(argv):
+    """The namespace of argv: command, func, the row's name and each flag of
+    the command, None where argv leaves it out.  -h or --help prints the
+    help of the command at hand; any other error exits 2 through _fail."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help(None)
+    command = _value(None, "the command", (argv or [None])[0], COMMANDS)
+    _, positional, table, common, handler = COMMANDS[command]
+    flags = set(common).union(*(row[-1] for row in _rows(command).values()))
     fields = dict.fromkeys(map(_dest, flags))
     fields.update(command=command, func=handler)
+    tokens, choice = iter(argv[1:]), None
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token in ("-h", "--help"):
+            _help(command)
+        elif flag in flags:
+            if not eq and (text := next(tokens, None)) is None:
+                _fail(command, f"{flag} needs a value")
+            fields[_dest(flag)] = _value(command, flag, text, FLAGS[flag][0])
+        elif positional and choice is None:
+            choice = _value(command, positional, token, table)
+        else:
+            _fail(command, f"unrecognized argument {token!r}")
     if positional:
-        if not rest or rest[0] not in table:
-            return None
-        fields[positional], rest = rest[0], rest[1:]
-    if len(rest) % 2:
-        return None
-    for flag, text in zip(rest[::2], rest[1::2]):
-        if flag not in flags or fields[_dest(flag)] is not None:
-            return None  # not the command's flag, or given twice
-        # argparse reads a text that starts with - as a flag, unless it is
-        # a negative number: ^-\d+$|^-\d*\.\d+$ (short of the newline that
-        # $ lets through at the end)
-        number = (text[1:].replace(".", "", 1).isdecimal()
-                  and not text.endswith("."))
-        if text.startswith("-") and not number:
-            return None
-        options = FLAGS[flag][0]
-        try:
-            value = options.get("type", str)(text)
-        except Exception:  # the type refuses text: argparse says how
-            return None
-        if value not in options.get("choices", (value,)):
-            return None
-        fields[_dest(flag)] = value
+        fields[positional] = _value(command, positional, choice, table)
     return types.SimpleNamespace(**fields)
 
 
 def _validate_args(args):
     """The chosen row, once each flag it reads has its value: exits 2 on a
-    flag it does not read or on a missing one that it requires (through
-    argparse, which prints its usage line)."""
+    flag it does not read or on a missing one that it requires."""
     _, positional, table, common, _ = COMMANDS[args.command]
     choice = getattr(args, positional) if positional else None
     row = table[choice] if positional else table
@@ -291,21 +302,18 @@ def _validate_args(args):
     for flag, (_, default) in FLAGS.items():
         value = getattr(args, _dest(flag), None)  # None: not given or no flag
         if flag not in reads and value is not None:
-            build_parser().error(f"{name} does not read {flag}")
+            _fail(args.command, f"{name} does not read {flag}")
         if flag in reads and value is None:
             if default is None:
-                build_parser().error(f"{name} requires {flag}")
+                _fail(args.command, f"{name} requires {flag}")
             setattr(args, _dest(flag), default)
     if args.command == "verify" and args.jobs < 1:
-        build_parser().error("--jobs must be at least 1")
+        _fail(args.command, "--jobs must be at least 1")
     return row
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _table_args(argv)
-    if args is None:  # help, an error or another spelling: argparse's text
-        args = build_parser().parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else list(argv))
     row = _validate_args(args)
     # the texts were read under the digit limit (0: none), so a runaway
     # input text is refused

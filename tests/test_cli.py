@@ -302,11 +302,22 @@ class TestEnumerateCommand:
                         "--b", "1,2,3")
         assert code == 0
         assert "total: 7" in out
+        # the token after a flag is its value, whatever it starts with
+        argv = ("enumerate", "sttree", "--n", "3", "--s", "1", "--t", "0,1")
+        code, out = run(capsys, *argv, "--b", "-1,0,2")
+        assert (code, out) == run(capsys, *argv, "--b=-1,0,2")
+        assert code == 0 and out.endswith("total: 4\n")
 
     def test_missing_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["enumerate", "ast", "--n", "2"])
-        assert info.value.code == 2
+        # through the usage line of the command at hand
+        for command in ("enumerate", "gf"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "ast", "--n", "2"])
+            usage, error, _ = capsys.readouterr().err.split("\n")
+            assert info.value.code == 2
+            assert usage.startswith(f"usage: altsign {command} ast|cssp|")
+            assert error == \
+                f"altsign {command}: error: {command} ast requires --l"
 
     def test_malformed_int_list_names_the_form(self, capsys):
         for argv, bad in (
@@ -320,6 +331,16 @@ class TestEnumerateCommand:
             assert (f"expected comma-separated integers, got {bad!r}"
                     in captured.err), captured.err
             assert "_parse_int_list" not in captured.err
+
+
+
+def test_help_does_not_follow_the_terminal_width(capsys, monkeypatch):
+    helps = set()
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.add(run(capsys, "gf", "--help"))
+    [(code, text)] = helps  # one text for both widths
+    assert code == 0 and "\n  gf paths --n --l --d [1] --format" in text
 
 
 # sha256 of the stdout of tpoly --n n --format f for n <= 5
@@ -695,17 +716,16 @@ def _fresh_process(code, *argv):
     return done.stdout
 
 
-# Modules that a command does not run: every op is a fresh process, so
-# loading one is start-up time spent for nothing.  A well-formed command
-# line is read from the flag tables, so none of these loads argparse (with
-# gettext behind it), which only help and errors need, and only verify
-# loads altsign.verify.  No command loads dataclasses (with inspect, ast
-# and dis behind it): the object classes of the enumeration routes are
-# named tuples.  No gf route makes a Fraction (tpoly does), so none loads
-# fractions (with decimal behind it).  gf paths, which never sums over
-# CSSPPs, does not load cssp, and gf cssp, which sums over path families
-# one time slice at a time, loads pathfam but no determinant and no other
-# route.
+# Modules that a command does not run: every op is a fresh process, so loading
+# one is start-up time spent for nothing.  Every command line, help and errors
+# too, is read from the flag tables, so none loads argparse (with gettext
+# behind it), and only verify loads altsign.verify.  No command loads
+# dataclasses (with inspect, ast and dis behind it): the object classes of the
+# enumeration routes are named tuples.  No gf route makes a Fraction (tpoly
+# does), so none loads fractions (with decimal behind it).  gf paths, which
+# never sums over CSSPPs, does not load cssp, and gf cssp, which sums over path
+# families one time slice at a time, loads pathfam but no determinant and no
+# other route, and help and errors load none.
 UNUSED_BY_ALL = ("argparse", "gettext", "dataclasses")
 UNUSED_BUT_BY_VERIFY = UNUSED_BY_ALL + ("altsign.verify",)
 NO_FRACTIONS = UNUSED_BUT_BY_VERIFY + ("fractions", "decimal")
@@ -714,6 +734,8 @@ UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "altsign.cssp", "altsign.trapezoid",
                                 "altsign.sttree", "altsign.pathfam",
                                 "altsign.operatorform")
+# command lines that run no command, and the code each exits with
+EXIT = {("--help",): 0, ("gf", "--help"): 0, ("gf", "ast", "--n", "2"): 2}
 COMMANDS = [
     (("count", "--n", "3", "--l", "2"), UNUSED_BY_DET),
     (("gf", "det", "--n", "3", "--l", "3"), UNUSED_BY_DET),
@@ -728,6 +750,7 @@ COMMANDS = [
     (("enumerate", "cssp", "--k", "1", "--n", "2"), UNUSED_BUT_BY_VERIFY),
     (("verify", "bijections", "--n-max", "2", "--l-max", "3"), UNUSED_BY_ALL),
     (("tpoly", "--n", "2"), UNUSED_BUT_BY_VERIFY),
+    *((argv, UNUSED_BY_DET + ("altsign.detform",)) for argv in EXIT),
 ]
 
 
@@ -737,11 +760,15 @@ def test_a_command_loads_only_what_it_runs(argv):
     probe = ("import sys\n"
              "if sys.argv[1:]:\n"
              "    from altsign.cli import main\n"
-             "    assert main(sys.argv[1:]) == 0\n"
+             "    try:\n"
+             "        print(main(sys.argv[1:]))\n"
+             "    except SystemExit as e:\n"
+             "        print(e.code)\n"
              f"print(*[m for m in {unused!r} if m in sys.modules])\n")
     bare = set(_fresh_process(probe).split())
-    loaded = _fresh_process(probe, *argv).splitlines()[-1].split()
-    assert set(loaded) - bare == set()
+    *_, code, loaded = _fresh_process(probe, *argv).split("\n")[:-1]
+    assert int(code) == EXIT.get(argv, 0)
+    assert set(loaded.split()) - bare == set()
 
 
 # one tiny run of each row of cli.COMMANDS, and the json forms, which print
@@ -768,9 +795,10 @@ EVERY_ROW = [
     ("verify", "coeff", "--n-max", "2", "--l-max", "2"),
     ("verify", "bijections", "--n-max", "2", "--l-max", "2"),
     ("svg", "paths", "--n", "2", "--l", "3", "--out", "{out}"),
-    # the README's = form goes through argparse, as help and errors do
+    # the README's = form, help and an error
     ("enumerate", "sttree", "--n", "3", "--s", "1", "--t", "0,1",
      "--b=-1,0,2"),
+    *EXIT,
 ]
 
 
@@ -780,15 +808,15 @@ def test_every_row_is_run_by_the_mpoly_probe():
             in cli.COMMANDS.items()
             for choice in (table if positional else (None,))}
     assert {(argv[0], argv[1] if argv[1][:2] != "--" else None)
-            for argv in EVERY_ROW} == rows
+            for argv in EVERY_ROW if argv not in EXIT} == rows
 
 
-# Prints, as one json line, the number of MPoly the run makes and the code
-# of each package function it calls, as file:first line:name.  Every MPoly
-# is made through __init__ or _make; a Gf is of a subclass and is not
-# counted.  The profiler is set before the package loads, so calls made at
-# import count too; it does not follow pool workers, and every row runs
-# with --jobs 1.
+# Prints, as one json line, the run's exit code, the number of MPoly it
+# makes and the code of each package function it calls, as file:first
+# line:name.  Every MPoly is made through __init__ or _make; a Gf is of a
+# subclass and is not counted.  The profiler is set before the package
+# loads, so calls made at import count too; it does not follow pool
+# workers, and every row runs with --jobs 1.
 ROW_PROBE = (
     "import json, os, sys\n"
     "codes = set()\n"
@@ -806,30 +834,33 @@ ROW_PROBE = (
     "exactalg.MPoly.__init__ = counted_init\n"
     "exactalg.MPoly._make = classmethod(\n"
     "    lambda cls, *args: made.append(cls) or make(cls, *args))\n"
-    "assert main(sys.argv[1:]) == 0\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n"
     "sys.setprofile(None)\n"
     "home = os.path.dirname(exactalg.__file__)\n"
-    "print(json.dumps([sum(t is exactalg.MPoly for t in made), sorted(\n"
+    "print(json.dumps([code, sum(t is exactalg.MPoly for t in made), sorted(\n"
     "    f'{os.path.basename(c.co_filename)}:{c.co_firstlineno}:{c.co_name}'\n"
     "    for c in codes if os.path.dirname(c.co_filename) == home)]))\n")
 
 
 @functools.cache
 def _probe(argv):
-    """(MPoly made, package functions called) in one fresh process of argv:
-    no cache of an earlier run hides a call."""
+    """(exit code, MPoly made, package functions called) in one fresh
+    process of argv: no cache of an earlier run hides a call."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.format(out=os.path.join(tmp, "sheet.svg")) for a in argv]
-        made, called = json.loads(
+        code, made, called = json.loads(
             _fresh_process(ROW_PROBE, *argv).splitlines()[-1])
-    return made, frozenset(called)
+    return code, made, frozenset(called)
 
 
 @pytest.mark.parametrize("argv", EVERY_ROW, ids=" ".join)
 def test_no_command_builds_an_mpoly(argv):
     # MPoly is the tests' general polynomial; every command computes in Gf
     # or in ints and prints through the term printer
-    assert _probe(argv)[0] == 0
+    assert _probe(argv)[:2] == (EXIT.get(argv, 0), 0)
 
 
 def _package_defs():
@@ -885,7 +916,7 @@ NOT_RUN = {
 
 def test_every_function_is_run_by_a_row_or_kept_for_a_reason():
     defs = _package_defs()
-    called = {defs[key] for argv in EVERY_ROW for key in _probe(argv)[1]
+    called = {defs[key] for argv in EVERY_ROW for key in _probe(argv)[2]
               if key in defs}
     assert set(defs.values()) - called - _tracer_names() - set(NOT_RUN) \
         == set()

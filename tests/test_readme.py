@@ -1,4 +1,4 @@
-"""Every command of the README's CLI block runs and exits 0."""
+"""The README's CLI commands exit 0, and its flag list is the help's."""
 
 import re
 import shlex
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from altsign.cli import main
+from altsign.cli import COMMANDS, _row_lines, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +28,10 @@ def test_readme_command_exits_0(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the svg line writes a file here
     assert main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def test_flag_list_is_the_help_lines():
+    block = re.search(r"^Each command reads only.*?^```text\n(.*?)^```",
+                      README.read_text(), re.S | re.M)
+    assert block.group(1).splitlines() == [
+        line for command in COMMANDS for line in _row_lines(command)]
