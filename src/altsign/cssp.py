@@ -153,7 +153,7 @@ def gf(k: int, n: int, d: int) -> Gf:
     l = k + 1
     check_domain(n)
     check_d(d, l)
-    states = {(): Gf.one()}
+    states = {(): Gf.weight()}
     for s in range(1 - n, n + l - 1):
         if 0 <= -s < n:  # path -s starts at (-s, 0), left of every other
             for key, g in list(states.items()):

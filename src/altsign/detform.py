@@ -46,8 +46,8 @@ from .exactalg import Gf, binomial, det_gf
 
 def k_matrix(n: int) -> list[list[Gf]]:
     """K(n) = (delta_{ij} - Q delta_{i,j+1})."""
-    return [[Gf.one() if i == j else
-             (Gf.monomial(q=1, coeff=-1) if i == j + 1 else Gf.zero())
+    return [[Gf.weight() if i == j else
+             (-Gf.weight(q=1) if i == j + 1 else Gf())
              for j in range(n)] for i in range(n)]
 
 
@@ -56,7 +56,7 @@ def k_form(x) -> list[list[Gf]]:
     determinant routes take: X = B(n, l) here, X = K(n) M in pathfam.  The
     entries of both are integer combinations of 1 and P, so every entry of
     the form is one of 1, P R, R and Q, as exactalg.det_gf requires."""
-    R = Gf.monomial(r=1)
+    R = Gf.weight(r=1)
     return [[k + R * e for k, e in zip(k_row, x_row)]
             for k_row, x_row in zip(k_matrix(len(x)), x)]
 
@@ -64,7 +64,7 @@ def k_form(x) -> list[list[Gf]]:
 def det_matrix(n: int, l: int) -> list[list[Gf]]:
     """The n x n matrix whose determinant the route takes: K(n) + R B(n, l),
     with B[i][j] = C(i+j+l-3, i) + P C(i+j+l-3, i-1)."""
-    P = Gf.monomial(p=1)
+    P = Gf.weight(p=1)
     return k_form([[binomial(a, i) + P * binomial(a, i - 1)
                     for a in range(i + l - 3, i + l - 3 + n)]
                    for i in range(n)])
@@ -167,7 +167,7 @@ def verify_coeff_route(n: int, l: int) -> bool:
     coefficient formula against the direct series expansion up to X^6 Y^6,
     and det(coefficient matrix) = gf_det(n, l)."""
     series = series_coeffs(l, 6, 6)
-    if any(series.get((i, j), Gf.zero()) != behrend_coeff(i, j, l)
+    if any(series.get((i, j), Gf()) != behrend_coeff(i, j, l)
            for i in range(7) for j in range(7)):
         return False
     return det_gf(coeff_matrix(n, l)) == gf_det(n, l)

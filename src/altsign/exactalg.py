@@ -130,10 +130,6 @@ class MPoly:
         return p
 
     @staticmethod
-    def constant(c) -> "MPoly":
-        return MPoly((), {(): c})
-
-    @staticmethod
     def variable(name: str) -> "MPoly":
         return MPoly._make((name,), {(1,): 1})
 
@@ -359,28 +355,15 @@ class Gf(MPoly):
         super().__init__(_PQR, terms)
 
     @classmethod
-    def zero(cls) -> "Gf":
-        return cls._make(_PQR, {})
-
-    @classmethod
-    def one(cls) -> "Gf":
-        return cls._make(_PQR, {(0, 0, 0): 1})
-
-    @classmethod
-    def monomial(cls, p=0, q=0, r=0, coeff=1) -> "Gf":
-        return cls({(p, q, r): coeff})
-
-    @classmethod
-    def p_plus_q_minus_1(cls) -> "Gf":
-        return cls._make(_PQR, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})
-
-    @classmethod
     def weight(cls, p=0, q=0, r=0, o=0) -> "Gf":
         """P^p Q^q R^r (P+Q-1)^o: the weight of the statistics p, q, r, with
         the expanded (P+Q-1) factor of quasi trapezoids (l = 1) and of the
         d = 0 weight taken o times."""
         w = cls._make(_PQR, {(p, q, r): 1})
-        return w * cls.p_plus_q_minus_1() ** o if o else w
+        if not o:
+            return w
+        return w * cls._make(_PQR, {(1, 0, 0): 1, (0, 1, 0): 1,
+                                    (0, 0, 0): -1}) ** o
 
     # Bound in Gf's own namespace as well, so that a per-class profile
     # counts Gf's adds, products and divisions apart from MPoly's.
@@ -518,7 +501,7 @@ def _simplex_dets(matrix) -> dict:
 def det_gf(matrix) -> Gf:
     """Determinant of a square Gf matrix whose entries are affine in
     x = P R, y = R and z = Q, as K(n) + R X is in both determinant routes;
-    ValueError on a ragged matrix or any other monomial; Gf.one() if empty.
+    ValueError on a ragged matrix or any other monomial; 1 if empty.
 
     Of order n, the determinant has total degree <= n in x, y, z, so its
     integer values at the C(n+3, 3) lattice points x + y + z <= n

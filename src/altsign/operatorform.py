@@ -100,7 +100,7 @@ def compute_Mn(n: int) -> MappingProxyType:
 
 # the weights (P, Q, R): units for a count, the monomials for a Gf
 _UNIT = (1, 1, 1)
-_PQR = (Gf.monomial(p=1), Gf.monomial(q=1), Gf.monomial(r=1))
+_PQR = (Gf.weight(p=1), Gf.weight(q=1), Gf.weight(r=1))
 
 
 def _step(coords: dict, x: int, value, weights) -> dict:

@@ -153,7 +153,7 @@ def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     out = []
     for u in range(n):
         # column x of the sweep: the weighted count of paths reaching (x, y)
-        column = [Gf.one()] * (top + 1)
+        column = [Gf.weight()] * (top + 1)
         for x in range(u - 1, -1, -1):
             west = [c * steps[x + 1, y] for y, c in enumerate(column)]
             column = [west[0]]
@@ -168,7 +168,7 @@ def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     determinant the route takes.  Row u of K(n) M is M[u] - Q M[u-1]."""
     from .detform import k_form  # only here: gf cssp never loads detform
     m = path_matrix(n, l, d)
-    q = Gf.monomial(q=1)
+    q = Gf.weight(q=1)
     return k_form([[a - q * b for a, b in zip(row, above)]
                    for row, above in zip(m, [[0] * n] + m)])
 

@@ -115,11 +115,6 @@ def enumerate_sttrees(n: int, s, t, b) -> list[SttTree]:
         if cell is not None and prescribed.setdefault(cell, value) != value:
             return []
     below = runs[1:] + [(1, 0)]  # row i + 1's run; none below row n
-    for i, ((first, last), (low, high)) in enumerate(zip(runs, below), 1):
-        for j in range(first, last + 1):
-            if not low <= j < high and (i, j) not in prescribed:
-                raise InvalidShapeError(
-                    f"free cell ({i},{j}) lacks a neighbour")
     rows = [[prescribed.get((i, j)) for j in range(1, i + 1)]
             for i in range(1, n + 1)]
     out = []

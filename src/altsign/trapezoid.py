@@ -229,14 +229,14 @@ def gf(n: int, l: int) -> Gf:
     dict from the state before row i to the summed weight of the columns
     closed so far, without building a trapezoid."""
     check_domain(n, l)
-    states = {(): Gf.one()}
+    states = {(): Gf.weight()}
     for i in range(1, n + 1):
         after: dict = {}
         for s, g in states.items():
             for _, state, ones in _steps(n, l, i, s):
                 add_into(after, state, g * Gf.weight(*_exponents(ones)))
         states = after
-    return sum(states.values(), Gf.zero())
+    return sum(states.values(), Gf())
 
 
 def column_partial_sums(t: Trapezoid) -> tuple[tuple[int, ...], ...]:

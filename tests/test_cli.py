@@ -905,7 +905,6 @@ NOT_RUN = {
     "exactalg.Gf._divide_coeff": "serves the tracer's exact_divide rows",
     "exactalg.MPoly.variable": "serves the tracer's shift_var row",
     "exactalg._exact": "serves the tracer's evaluate row",
-    "exactalg.MPoly.constant": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.degree": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.__hash__": "MPoly is the tests' general polynomial",
     "exactalg.MPoly.__rsub__": "MPoly is the tests' general polynomial",

@@ -30,8 +30,8 @@ TABLE_K3_N2 = [
     (((5, 5), (4,)), {1: (0, 0, 2), 2: (0, 0, 2), 3: (0, 0, 2)}),
 ]
 
-GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
-        + Gf.monomial(q=1, r=1) + Gf.one())
+GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
+        + Gf.weight(q=1, r=1) + Gf.weight())
 
 # gf(3, 5, d) for every d, the (5, 4)-trapezoid polynomial of the main theorem
 GF35 = (
@@ -114,6 +114,9 @@ class TestValidate:
         # the column rule alone would index past the shorter top row
         assert structure_violation(((3, 2), (1, 1))) \
             == "shape not strictly decreasing at row 2"
+        assert structure_violation(((2,), ())) == "row 2 is empty"
+        assert structure_violation(((1, 0),)) \
+            == "row 1, position 2: part 0 is not positive"
 
 
 class TestEnumerate:
@@ -165,19 +168,19 @@ class TestWeight:
     def test_51_any_d(self):
         c = Cssp(3, ((5, 1),))
         for d in (1, 2, 3):
-            assert weight(c, d) == Gf.monomial(q=1, r=1)
+            assert weight(c, d) == Gf.weight(q=1, r=1)
 
     def test_class0_21_d0(self):
         c = Cssp(0, ((2, 1),))
         assert validate(c) is None
-        assert weight(c, 0) == Gf.p_plus_q_minus_1() * Gf.monomial(r=1)
+        assert weight(c, 0) == Gf.weight(o=1) * Gf.weight(r=1)
 
     def test_empty_d0(self):
-        assert weight(Cssp(0, ()), 0) == Gf.one()
+        assert weight(Cssp(0, ()), 0) == Gf.weight()
 
     def test_d0_admissible_for_all_classes(self):
         # the 1 sits in position 4 of its row, so it counts toward Q
-        assert weight(CLASS2, 0) == Gf.monomial(q=1, r=3)
+        assert weight(CLASS2, 0) == Gf.weight(q=1, r=3)
 
     def test_errors(self):
         with pytest.raises(OutOfRangeError):
@@ -194,7 +197,7 @@ class TestGf:
     def test_n0(self):
         for k in range(0, 4):
             for d in range(0, k + 1):
-                assert gf(k, 0, d) == Gf.one()
+                assert gf(k, 0, d) == Gf.weight()
 
     def test_triple_multisets_agree_across_d(self):
         for k in range(1, 4):
@@ -276,8 +279,8 @@ def _row_dp(k, n, d):
         key = None if above is None else above[1:]
         if key in memo:
             return memo[key]
-        end = (Gf.p_plus_q_minus_1() if cssp._has_factor(key or (), d)
-               else Gf.one())
+        end = (Gf.weight(o=1) if cssp._has_factor(key or (), d)
+               else Gf.weight())
         out = dict(end.terms)
         for row in cssp._next_rows(k, n, above):
             p, q = cssp._pq((row,), d)
@@ -342,7 +345,7 @@ def _scanned_stats(c, d):
 def _scanned_weight(c, d):
     if d >= 1:
         s = _scanned_stats(c, d)
-        return Gf.monomial(s.p, s.q, s.r)
+        return Gf.weight(s.p, s.q, s.r)
     p = q = 0
     for row in c.rows:
         for t, part in enumerate(row, start=1):
@@ -350,10 +353,10 @@ def _scanned_weight(c, d):
                 p += 1
             if part == 1 and t >= 3:
                 q += 1
-    w = Gf.monomial(p, q, len(c.rows))
+    w = Gf.weight(p, q, len(c.rows))
     bottom = c.rows[-1] if c.rows else ()
     if len(bottom) >= 2 and bottom[1] == 1:
-        w = w * Gf.p_plus_q_minus_1()
+        w = w * Gf.weight(o=1)
     return w
 
 
@@ -363,7 +366,7 @@ class TestOracles:
         for k, n in cases:
             objs = enumerate_cssps(k, n)
             for d in range(0, k + 1):
-                expected = sum((weight(c, d) for c in objs), Gf.zero())
+                expected = sum((weight(c, d) for c in objs), Gf())
                 got = gf(k, n, d)
                 assert got == expected, (k, n, d)
                 assert str(got) == str(expected), (k, n, d)

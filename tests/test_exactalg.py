@@ -107,6 +107,9 @@ class TestMPoly:
     def test_exact_divide(self):
         y1, y2 = var("Y1"), var("Y2")
         assert ((y2 - y1) * (y2 + y1)).exact_divide(y2 - y1) == y2 + y1
+        with pytest.raises(ZeroDivisionError,
+                           match="^polynomial division by zero$"):
+            y1.exact_divide(MPoly())
 
     def test_substitute_scalar(self):
         p = var("x1") * var("l")
@@ -116,6 +119,9 @@ class TestMPoly:
         p = var("x1") ** 2
         q = p.substitute("x1", var("l") - 3)
         assert q == var("l") ** 2 - 6 * var("l") + 9
+        with pytest.raises(ValueError,
+                           match="^negative power of a polynomial$"):
+            p ** -1
 
     def test_ring_axioms_smoke(self):
         rng = random.Random(7)
@@ -151,9 +157,9 @@ class TestMPoly:
 
     def test_hash_agrees_with_equality(self):
         # constants hash as their value; unused registry slots do not count
-        assert len({MPoly.constant(1), 1}) == 1
-        assert len({MPoly.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
-        assert len({MPoly.constant(0), 0}) == 1
+        assert len({MPoly((), {(): 1}), 1}) == 1
+        assert len({MPoly((), {(): Fraction(1, 2)}), Fraction(1, 2)}) == 1
+        assert len({MPoly((), {(): 0}), 0}) == 1
         assert len({var("x1") - var("x1") + 3, 3}) == 1
         padded = var("x1") - var("x1") + var("x2")
         assert padded == var("x2") and hash(padded) == hash(var("x2"))
@@ -171,7 +177,7 @@ class TestMPoly:
             with pytest.raises(TypeError):
                 var("x1") + bad
         with pytest.raises(TypeError):
-            MPoly.constant(0.5)
+            MPoly((), {(): 0.5})
         with pytest.raises(TypeError):
             var("x1").shift_var("x1", 0.5)
         # coefficients are kept as given; a bool is stored as an int
@@ -187,18 +193,18 @@ class TestMPoly:
         assert (x * x).evaluate({"x": -3}) == 9
 
     def test_equals_gf_and_hashes_alike(self):
-        assert var("P") == Gf.monomial(p=1)
-        assert hash(var("P")) == hash(Gf.monomial(p=1))
-        mixed = var("P") * var("x1") + Gf.monomial(p=1, coeff=2)
+        assert var("P") == Gf.weight(p=1)
+        assert hash(var("P")) == hash(Gf.weight(p=1))
+        mixed = var("P") * var("x1") + 2 * Gf.weight(p=1)
         assert type(mixed) is MPoly
         assert all(type(c) is int for c in mixed.terms.values())
-        assert mixed - var("P") * var("x1") == 2 * Gf.monomial(p=1)
+        assert mixed - var("P") * var("x1") == 2 * Gf.weight(p=1)
 
 
 def random_poly(rng, names=("x1", "x2", "Y1")):
-    p = MPoly.constant(0)
+    p = MPoly((), {(): 0})
     for _ in range(rng.randint(0, 4)):
-        term = MPoly.constant(rng.randint(-3, 3))
+        term = MPoly((), {(): rng.randint(-3, 3)})
         for name in names:
             term = term * var(name) ** rng.randint(0, 2)
         p += term
@@ -207,44 +213,44 @@ def random_poly(rng, names=("x1", "x2", "Y1")):
 
 class TestGf:
     def test_arith_and_eval(self):
-        w = Gf.monomial(1, 0, 1) + Gf.monomial(0, 1, 1) + 2 * Gf.monomial(0, 0, 1)
+        w = Gf.weight(1, 0, 1) + Gf.weight(0, 1, 1) + 2 * Gf.weight(0, 0, 1)
         assert gf_value(w) == 4
         assert gf_value(w, p=2, q=3, r=1) == 7
         assert not (w - w)
 
     def test_p_plus_q_minus_1(self):
-        b = Gf.p_plus_q_minus_1()
+        b = Gf.weight(o=1)
         assert gf_value(b) == 1
-        assert b * Gf.one() == b
+        assert b * Gf.weight() == b
 
     def test_weight_is_the_explicit_product(self):
-        P, Q, R = (Gf.monomial(p=1), Gf.monomial(q=1), Gf.monomial(r=1))
+        P, Q, R = (Gf.weight(p=1), Gf.weight(q=1), Gf.weight(r=1))
         bracket = P + Q - 1
         for p, q, r in ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 0)):
-            base = Gf.one()
+            base = Gf.weight()
             for factor, e in ((P, p), (Q, q), (R, r)):
                 for _ in range(e):
                     base = base * factor
             assert Gf.weight(p, q, r) == base
             assert Gf.weight(p, q, r, 1) == base * bracket
             assert Gf.weight(p, q, r, 2) == base * bracket * bracket
-        assert Gf.weight() == Gf.one()
+        assert Gf.weight() == Gf.weight()
         assert str(Gf.weight(o=2)) == "1 - 2*P - 2*Q + P^2 + 2*P*Q + Q^2"
 
     def test_str_matches_handwritten_order(self):
-        g = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
-             + Gf.monomial(q=1, r=1) + Gf.one())
+        g = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
+             + Gf.weight(q=1, r=1) + Gf.weight())
         assert str(g) == "R^2 + 4*R + P*R + Q*R + 1"
 
     def test_exact_divide(self):
-        a = Gf.monomial(p=1) + Gf.one()
-        b = Gf.monomial(q=1) + 2 * Gf.one()
+        a = Gf.weight(p=1) + Gf.weight()
+        b = Gf.weight(q=1) + 2 * Gf.weight()
         assert (a * b).exact_divide(a) == b
         with pytest.raises(NonDivisibleError):
-            (a * b + Gf.one()).exact_divide(a)
+            (a * b + Gf.weight()).exact_divide(a)
 
     def test_coefficients_stay_int(self):
-        g = Gf.monomial(p=1, coeff=3) * Gf.p_plus_q_minus_1() - 2
+        g = 3 * Gf.weight(p=1) * Gf.weight(o=1) - 2
         assert type(g) is Gf
         assert all(type(c) is int for c in g.terms.values())
         assert all(type(c) is int
@@ -256,19 +262,19 @@ class TestGf:
         with pytest.raises(TypeError):
             Gf({(0, 0, 0): Fraction(1)})
         with pytest.raises(TypeError):
-            Gf.monomial(coeff=1.0)
+            Gf({(0, 0, 0): 1.0})
 
     def test_inexact_evaluation_points_rejected(self):
-        g = Gf.monomial(p=1)
+        g = Gf.weight(p=1)
         with pytest.raises(TypeError):
             gf_value(g, p=0.5)
         assert gf_value(g, p=Fraction(1, 2)) == Fraction(1, 2)
-        assert gf_value(g + Gf.monomial(r=2), p=2, r=-1) == 3
+        assert gf_value(g + Gf.weight(r=2), p=2, r=-1) == 3
 
     def test_hash_agrees_with_equality(self):
-        assert len({Gf.one(), 1}) == 1
-        assert len({Gf.zero(), 0}) == 1
-        assert len({3 * Gf.one(), 3, Gf.monomial(q=1)}) == 2
+        assert len({Gf.weight(), 1}) == 1
+        assert len({Gf(), 0}) == 1
+        assert len({3 * Gf.weight(), 3, Gf.weight(q=1)}) == 2
 
 
 class TestDeterminant:
@@ -279,11 +285,13 @@ class TestDeterminant:
     def test_empty_and_single(self):
         assert det_fraction_free([]) == 1
         assert det_fraction_free([[5]]) == 5
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            det_fraction_free([[1, 2], [3]])
 
     def test_gf_example(self):
         # oracle: 2x2 cofactor expansion done by hand
-        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
-        one = Gf.one()
+        R, P, Q = Gf.weight(r=1), Gf.weight(p=1), Gf.weight(q=1)
+        one = Gf.weight()
         m = [[R + one, R],
              [R * (P + Q + 2 * one), R * (P + Q + 3 * one) + one]]
         expected = (R * R + 4 * R + P * R + Q * R + one)
@@ -302,10 +310,10 @@ class TestDeterminant:
             det_gf([[one, R], [one]])
 
     def test_grid_determinant_refuses_other_monomials(self):
-        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
+        R, P, Q = Gf.weight(r=1), Gf.weight(p=1), Gf.weight(q=1)
         for entry in (P, Q * R, R * R, P * R * R):
             with pytest.raises(ValueError, match="not affine"):
-                det_gf([[Gf.one(), entry], [R, Q]])
+                det_gf([[Gf.weight(), entry], [R, Q]])
 
     def test_equal_rows_zero(self):
         # equal rows, and a column with no nonzero pivot, give the int 0
@@ -326,8 +334,8 @@ class TestDeterminant:
 
     def test_only_int_entries(self):
         # no Fraction or polynomial is eliminated, not even at order one
-        for bad in (Fraction(1, 2), Fraction(3), Gf.one(), Gf.monomial(q=1),
-                    var("x1"), MPoly.constant(2)):
+        for bad in (Fraction(1, 2), Fraction(3), Gf.weight(), Gf.weight(q=1),
+                    var("x1"), MPoly((), {(): 2})):
             with pytest.raises(TypeError):
                 det_fraction_free([[bad]])
             with pytest.raises(TypeError):
@@ -346,8 +354,8 @@ class TestDeterminant:
         assert det_bareiss([[x, x + 1], [x, x + 1]]) == 0
 
     def test_agreement_check(self):
-        R, P, Q = Gf.monomial(r=1), Gf.monomial(p=1), Gf.monomial(q=1)
-        one = Gf.one()
+        R, P, Q = Gf.weight(r=1), Gf.weight(p=1), Gf.weight(q=1)
+        one = Gf.weight()
         m = [[R + one, P * R - Q, R], [2 * Q + R, one - P * R, Q],
              [one, 3 * R, P * R + Q]]
         d = det_cofactor(m)

@@ -15,8 +15,8 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              validate_path, write_families_svg)
 from test_exactalg import det_bareiss, gf_value
 
-GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
-        + Gf.monomial(q=1, r=1) + Gf.one())
+GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
+        + Gf.weight(q=1, r=1) + Gf.weight())
 
 
 def steps(path: LatticePath, l: int) -> str:
@@ -81,20 +81,20 @@ class TestCorrespondence:
             fam = PathFamily(l, (p,))
             assert from_paths(fam) == Cssp(l - 1, ((l + 1, 1),))
             assert to_paths(from_paths(fam)) == fam
-            assert lgv_weight(fam, l - 1) == Gf.monomial(q=1, r=1)
+            assert lgv_weight(fam, l - 1) == Gf.weight(q=1, r=1)
         with pytest.raises(OutOfRangeError):
             lgv_weight(PathFamily(2, (p,)), 2)
 
 
 class TestWeights:
     def test_empty_family(self):
-        assert lgv_weight(PathFamily(4, ()), 2) == Gf.one()
+        assert lgv_weight(PathFamily(4, ()), 2) == Gf.weight()
 
     def test_single_west_then_north(self):
         # row "3 1" of class 1: path W at height 0 then NN
         p = LatticePath(1, (0,))
         fam = PathFamily(2, (p,))
-        assert lgv_weight(fam, 1) == Gf.monomial(q=1, r=1)
+        assert lgv_weight(fam, 1) == Gf.weight(q=1, r=1)
         assert from_paths(fam).rows == ((3, 1),)
 
     def test_q_counts_ones_for_p1_mode(self):
@@ -143,12 +143,12 @@ class TestWeights:
 
 def _step_factor(x, y, d):
     if d == 0 and (x, y) == (1, 0):
-        return Gf.p_plus_q_minus_1()
-    return Gf.monomial(p=int(y - x == d - 1), q=int(y == 0))
+        return Gf.weight(o=1)
+    return Gf.weight(p=int(y - x == d - 1), q=int(y == 0))
 
 
 def _product_path_weight(path, l, d):
-    w = Gf.one()
+    w = Gf.weight()
     for (x, y), step in zip(path.points(l), steps(path, l)):
         if step == "W":
             w = w * _step_factor(x, y, d)
@@ -156,7 +156,7 @@ def _product_path_weight(path, l, d):
 
 
 def _product_lgv_weight(f, d):
-    w = Gf.monomial(r=len(f.paths))
+    w = Gf.weight(r=len(f.paths))
     for p in f.paths:
         w = w * _product_path_weight(p, f.l, d)
     return w
@@ -197,7 +197,7 @@ class TestExponentOracles:
                         for p in fam.paths:
                             one = PathFamily(k + 1, (p,))
                             assert lgv_weight(one, d) \
-                                == Gf.monomial(r=1) \
+                                == Gf.weight(r=1) \
                                 * _product_path_weight(p, k + 1, d), (p, d)
 
     def test_paths_for_index_against_words(self):
@@ -237,7 +237,7 @@ class TestExponentOracles:
                             == _product_lgv_weight(fam, d), (fam, d)
         twice = PathFamily(2, (LatticePath(1, (0,)),) * 2)
         assert lgv_weight(twice, 0) \
-            == Gf.monomial(r=2) * Gf.p_plus_q_minus_1() ** 2
+            == Gf.weight(r=2) * Gf.weight(o=1) ** 2
 
 
 class TestCrossing:
@@ -259,7 +259,7 @@ class TestGfViaPaths:
 
     def test_n0(self):
         for l in (1, 3):
-            assert gf_via_paths(0, l, 0) == Gf.one()
+            assert gf_via_paths(0, l, 0) == Gf.weight()
 
     def test_24_all_d_equal(self):
         for d in (1, 2, 3):
@@ -278,7 +278,7 @@ class TestGfViaPaths:
             for l in range(1, 5):
                 families = list(all_families(n, l))
                 for d in range(0, l):
-                    total = Gf.zero()
+                    total = Gf()
                     for f in families:
                         total += lgv_weight(f, d)
                     assert gf_via_paths(n, l, d) == total, (n, l, d)
@@ -309,7 +309,7 @@ class TestGfViaPaths:
     def test_matches_determinant_to_n10(self):
         # the grid kernel on the K-form against the tests' Bareiss over
         # Gf on the Gessel-Viennot matrix I + R*M itself
-        r = Gf.monomial(r=1)
+        r = Gf.weight(r=1)
         for n in range(7, 11):
             m = path_matrix(n, 4, 1)
             assert gf_via_paths(n, 4, 1) == det_bareiss(
@@ -321,7 +321,7 @@ class TestGfViaPaths:
         # is M[u] - Q*M[u-1]), and det K = 1; at d = 1 (d = 0 for l = 1)
         # it is detform.det_matrix: the det and paths routes take the
         # determinant of one matrix
-        r = Gf.monomial(r=1)
+        r = Gf.weight(r=1)
         for n in range(0, 8):
             k = detform.k_matrix(n)
             for l in range(1, 7):
@@ -332,7 +332,7 @@ class TestGfViaPaths:
                     form = det_matrix(n, l, d)
                     assert form == [
                         [sum((k[u][w] * lgv[w][v] for w in range(n)),
-                             Gf.zero()) for v in range(n)]
+                             Gf()) for v in range(n)]
                         for u in range(n)], (n, l, d)
                     if d == min(1, l - 1):
                         assert form == detform.det_matrix(n, l), (n, l)

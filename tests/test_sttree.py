@@ -171,15 +171,15 @@ def _to_rows(n, cells, values):
         for i in range(1, n + 1))
 
 
-def _shapes(n_max):
-    """Every (n, s, t) with 1 <= n <= n_max, entries of s in 0..n and of t
-    in 0..n, s weakly decreasing and t weakly increasing: admissible or
-    not."""
+def _shapes(n_max, spill=0):
+    """Every (n, s, t) with 1 <= n <= n_max, entries of s and of t in
+    0..n + spill, s weakly decreasing and t weakly increasing: admissible
+    or not."""
     for n in range(1, n_max + 1):
         for m in range(n + 1):
-            for s in multisets(range(n, -1, -1), m):
+            for s in multisets(range(n + spill, -1, -1), m):
                 for r in range(n - m + 1):
-                    for t in multisets(range(n + 1), r):
+                    for t in multisets(range(n + spill + 1), r):
                         yield n, s, t
 
 
@@ -224,6 +224,26 @@ class TestShape:
                 assert not row or row == list(
                     range(row[0], row[-1] + 1)), (n, s, t, i)
         assert shapes > 1000
+
+    def test_every_cell_is_prescribed_or_regular(self):
+        # enumerate_sttrees fills only the cells of the run below less its
+        # last cell, so every other cell of an admissible shape must end a
+        # prescribed diagonal; swept exhaustively through n = 5 with
+        # truncations up to n + 1
+        shapes = 0
+        for n, s, t in _shapes(5, spill=1):
+            try:
+                runs = sttree._runs(n, s, t)
+            except InvalidShapeError:
+                continue
+            shapes += 1
+            ends = set(sttree._ends(runs, len(t)))
+            below = runs[1:] + [(1, 0)]  # no run below row n
+            for i, ((first, last), (low, high)) in enumerate(
+                    zip(runs, below), 1):
+                for j in range(first, last + 1):
+                    assert low <= j < high or (i, j) in ends, (n, s, t, i, j)
+        assert shapes == 4736
 
     def test_deleted_cells_match_the_cell_set(self):
         # the runs' deleted cells, or the same refusal, on every shape of
@@ -338,6 +358,13 @@ class TestAstCorrespondence:
         tree = SttTree(2, (0,), (0,), ((-1,),))
         with pytest.raises(NotInImageError, match="1 rows, not n=2"):
             sttree_to_ast(tree, 2, 3)
+        with pytest.raises(NotInImageError,
+                           match="^tree order 2 does not match n=3$"):
+            sttree.preimage(tree, 3, 3)
+        # two rows, but s and t name one diagonal of the two
+        with pytest.raises(NotInImageError, match="^tree truncations do not "
+                           "split into n diagonals$"):
+            sttree.preimage(SttTree(2, (0,), (), ((0,), (-1, 1))), 2, 3)
 
     def test_not_in_image_column_sums(self):
         # bottoms (-1, 1): the middle trapezoid column would need sum 1
@@ -354,6 +381,9 @@ class TestAstCorrespondence:
         for l in (1, 0, -1):
             with pytest.raises(NotInImageError, match="l >= 2"):
                 sttree_to_ast(tree, 1, l)
+        with pytest.raises(ValueError, match="^the correspondence is "
+                           "defined for l >= 2$"):
+            ast_to_sttree(Trapezoid(1, 1, ((1,),)))
 
 
 class TestJson:

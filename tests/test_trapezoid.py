@@ -66,8 +66,8 @@ LIST24 = [
     (((0, 0, 0, 0, 0, 1), (0, 0, 0, 1)), (0, 0, 0)),
 ]
 
-GF24 = (Gf.monomial(r=2) + 4 * Gf.monomial(r=1) + Gf.monomial(p=1, r=1)
-        + Gf.monomial(q=1, r=1) + Gf.one())
+GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
+        + Gf.weight(q=1, r=1) + Gf.weight())
 
 # sha256 of the printed str(gf(n, l)) for n <= 7, l <= 6 but (7, 6), the
 # costliest cell
@@ -168,6 +168,8 @@ class TestValidate:
     def test_bad_shape(self):
         t = Trapezoid(2, 4, ((1, 0, 0), (1, 0, 0, 0)))
         assert "length" in validate(t)
+        t = Trapezoid(2, 4, ((1, 0, 0, 0, 0, 0),))
+        assert validate(t) == "expected 2 rows, got 1"
 
     def test_empty_trapezoid_is_valid(self):
         for l in range(1, 5):
@@ -284,26 +286,29 @@ class TestStats:
 class TestWeight:
     def test_third_24(self):
         t = Trapezoid(2, 4, ((0, 1, 0, 0, 0, 0), (0, 0, 0, 1)))
-        assert weight(t) == Gf.monomial(p=1, r=1)
+        assert weight(t) == Gf.weight(p=1, r=1)
 
     def test_12_left_column(self):
         t = Trapezoid(1, 2, ((1, 0),))
         assert validate(t) is None
-        assert weight(t) == Gf.monomial(r=1)
+        assert weight(t) == Gf.weight(r=1)
 
     def test_quasi_single(self):
         # central column is a 1-column with bottom entry 1, so the
         # (P+Q-1) bracket is off and the weight is plain R
         t = Trapezoid(1, 1, ((1,),))
         assert validate(t) is None
-        assert weight(t) == Gf.monomial(r=1)
-        assert weight(Trapezoid(1, 1, ((0,),))) == Gf.one()
+        assert weight(t) == Gf.weight(r=1)
+        assert weight(Trapezoid(1, 1, ((0,),))) == Gf.weight()
+        with pytest.raises(ValueError, match="^stats are defined for "
+                           "l >= 2; use weight for l = 1$"):
+            stats(t)
 
     def test_quasi_central_10_column(self):
         # n = 2: top row 0 1 0 over a bottom 0 makes the center a 10-column
         t = Trapezoid(2, 1, ((0, 1, 0), (0,)))
         assert validate(t) is None
-        assert weight(t) == Gf.p_plus_q_minus_1() * Gf.monomial(r=1)
+        assert weight(t) == Gf.weight(o=1) * Gf.weight(r=1)
 
 
 def _column_product_weight(t):
@@ -311,18 +316,18 @@ def _column_product_weight(t):
     with the per-entry readers above: R for a label < 0, times P when the
     bottom entry is 0; Q for a 10-column with label > 0; for the central
     column of l = 1, R, times (P+Q-1) for a 10-column."""
-    w = Gf.one()
+    w = Gf.weight()
     for c in range(1, t.width + 1):
         if column_sum(t, c) != 1:
             continue
         label = column_label(t.n, t.l, c)
         is_10 = entry(t, last_row_covering(t, c), c) == 0
         if label < 0:
-            w = w * Gf.monomial(r=1) * (Gf.monomial(p=1) if is_10 else 1)
+            w = w * Gf.weight(r=1) * (Gf.weight(p=1) if is_10 else 1)
         elif label > 0:
-            w = w * (Gf.monomial(q=1) if is_10 else 1)
+            w = w * (Gf.weight(q=1) if is_10 else 1)
         else:
-            w = w * Gf.monomial(r=1) * (Gf.p_plus_q_minus_1() if is_10 else 1)
+            w = w * Gf.weight(r=1) * (Gf.weight(o=1) if is_10 else 1)
     return w
 
 
@@ -334,7 +339,7 @@ class TestWeightOracle:
                     assert weight(t) == _column_product_weight(t), t
                     if l >= 2:
                         s = stats(t)
-                        assert weight(t) == Gf.monomial(s.p, s.q, s.r), t
+                        assert weight(t) == Gf.weight(s.p, s.q, s.r), t
 
 
 class TestGf:
@@ -344,7 +349,7 @@ class TestGf:
 
     def test_single_row(self):
         for l in range(2, 6):
-            assert gf(1, l) == Gf.monomial(r=1) + Gf.one()
+            assert gf(1, l) == Gf.weight(r=1) + Gf.weight()
 
     def test_23_evaluation(self):
         assert gf_value(gf(2, 3)) == 7
@@ -356,8 +361,8 @@ class TestGf:
 
     def test_quasi_21(self):
         # hand enumeration of the five (2,1) objects
-        expected = (Gf.monomial(r=2) + 2 * Gf.monomial(r=1)
-                    + Gf.p_plus_q_minus_1() * Gf.monomial(r=1) + Gf.one())
+        expected = (Gf.weight(r=2) + 2 * Gf.weight(r=1)
+                    + Gf.weight(o=1) * Gf.weight(r=1) + Gf.weight())
         assert gf(2, 1) == expected
 
 
@@ -430,14 +435,14 @@ class TestOracles:
     def test_gf_is_the_sum_of_weights(self):
         for n in range(1, 5):
             for l in range(1, 6):
-                total = Gf.zero()
+                total = Gf()
                 for t in enumerate_trapezoids(n, l):
                     total += weight(t)
                 assert gf(n, l) == total, (n, l)
 
     def test_out_of_domain(self):
         # n = 0 is in the domain: one empty trapezoid of weight 1
-        assert gf(0, 3) == Gf.one()
+        assert gf(0, 3) == Gf.weight()
         assert enumerate_trapezoids(0, 3) == [Trapezoid(0, 3, ())]
         for n, l in ((2, 0), (-1, 2)):
             with pytest.raises(ValueError):
