@@ -243,4 +243,4 @@ def to_json(tree: SttTree) -> dict:
 def pretty(tree: SttTree) -> str:
     """The rows, one line each; a deleted cell is a dot."""
     return "\n".join(" ".join("." if v is None else str(v) for v in row)
-                     for row in tree.rows)
+                     for row in tree.rows) or "(empty)"  # as cssp.pretty

@@ -20,6 +20,7 @@ from altsign.cli import COMMANDS, FLAGS, main
 from altsign.detform import gf_det
 from test_detform import asm_number
 from test_exactalg import gf_value
+from test_routes import OPERATOR_ROWS, _refusal
 
 
 def run(capsys, *argv):
@@ -189,26 +190,6 @@ class TestCountCommand:
         assert sys.get_int_max_str_digits() == limit
 
 
-# Every route's domain is n >= 0, l >= 1 and d in 0..l-1, checked in that
-# order; the operator route also needs l >= 2 and n <= 7.  The refusal a
-# route gives at (n, l, d), or None where it answers.
-OPERATOR_ROWS = (("gf", "operator"), ("tpoly",))
-
-
-def _refusal(words, n, l, d):
-    if n < 0:
-        return f"need n >= 0, got n = {n}"
-    if l < 1:
-        return f"need l >= 1, got l = {l}"
-    if words == ("gf", "operator") and l < 2:
-        return "the weighted operator formula needs l >= 2"
-    if words in OPERATOR_ROWS and n > 7:
-        return f"n = {n} is past the operator route's reach, n <= 7"
-    if d is not None and not 0 <= d <= l - 1:
-        return f"d = {d} not in 0..{l - 1}"
-    return None
-
-
 def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
     from altsign.cli import FAMILIES, GF_ROUTES
 
@@ -345,6 +326,9 @@ def test_help_does_not_follow_the_terminal_width(capsys, monkeypatch):
 
 # sha256 of the stdout of tpoly --n n --format f for n <= 5
 TPOLY_DIGESTS = {
+    # (0, "text") is the bytes 't_0(l) = 1\n         = 1\n'
+    (0, "text"): "28e1aaa48fb9a2ed0674b89458407ca8e850e8edd426abcf115da49c63fbbfd2",
+    (0, "json"): "91686067092ba35984d3ea98a6d671861dc8a9be4c60861010e531dfbbb9b75f",
     (1, "text"): "63d05f96805f91995c372af4f6ebfa1b7fa396e06d2402dfe76713b7f2f82961",
     (1, "json"): "239113adc6ab8ba2c959fa7dc2d48460ef942f0165ef108961be017653f6b701",
     (2, "text"): "a2af82ed5f32c643659b456eddd6ee3e6af004e4f5be0aabe4d208230b7ca364",

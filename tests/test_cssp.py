@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from altsign import cssp, detform, pathfam, trapezoid
+from altsign import cssp, pathfam
 from altsign.cssp import (Cssp, CsspStats, enumerate_cssps, gf, pretty,
                           stats, structure_violation, validate, weight)
 from altsign.errors import OutOfRangeError
@@ -248,15 +248,6 @@ class TestGf:
                 assert hashlib.sha256(text).hexdigest() == digest, (k, n, d)
 
 
-class TestTheoremMainSmall:
-    def test_matches_trapezoids(self):
-        for n in range(1, 4):
-            for l in range(1, 5):
-                expected = trapezoid.gf(n, l)
-                for d in range(0, l):
-                    assert gf(l - 1, n, d) == expected, (n, l, d)
-
-
 class TestInterfaces:
     def test_pretty(self):
         text = pretty(CLASS2)
@@ -387,12 +378,6 @@ class TestOracles:
             assert got == expected and str(got) == str(expected)
 
         check()
-
-    def test_bound_sum_matches_determinant_at_n6(self):
-        # class 4, first row at most 6: the (6, 5)-trapezoids
-        expected = detform.gf_det(6, 5)
-        for d in range(0, 5):
-            assert gf(4, 6, d) == expected, d
 
     def test_enumeration_matches_cell_search(self):
         for k in range(0, 5):

@@ -2,13 +2,13 @@ from math import comb, factorial, prod
 
 import pytest
 
-from altsign import (cssp, detform, exactalg, operatorform, pathfam,
-                     trapezoid)
+from altsign import cssp, detform, exactalg, pathfam, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
 from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free
 from test_exactalg import det_bareiss, det_cofactor, gf_value
+from test_routes import cells, gf_by
 
 GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
         + Gf.weight(q=1, r=1) + Gf.weight())
@@ -52,21 +52,9 @@ class TestGfDet:
 
     def test_l1_is_computable(self):
         # experimental: the matrix makes sense at l = 1 but the derivation
-        # does not cover it, so no equality with the families is asserted
+        # does not cover it; test_routes observes, at n <= 4, that the
+        # families agree with it there
         gf_det(2, 1)
-
-    def test_matches_families(self):
-        for n in range(1, 4):
-            for l in range(2, 5):
-                g = gf_det(n, l)
-                assert g == trapezoid.gf(n, l), (n, l)
-                for d in range(0, l):
-                    assert g == cssp.gf(l - 1, n, d), (n, l, d)
-
-    def test_matches_operator_route(self):
-        for n in (1, 2, 3):
-            for l in (2, 3, 4, 5):
-                assert gf_det(n, l) == operatorform.gf_ast_via_operator(n, l)
 
 
 class TestCount:
@@ -322,47 +310,38 @@ class TestAnchors:
     def test_mirror(self):
         # reversing every row of a trapezoid swaps its left and right
         # columns: G_n(P, Q, R) = R^n G_n(Q, P, 1/R), term by term; on
-        # CSSPPs and path families the symmetry is not visible
-        def check(g, n, *key):
-            assert mirrored(g, n) == g.terms, (n, *key)
-
-        for n in range(0, 9):
-            for l in range(1, 7):
-                check(gf_det(n, l), n, "det", l)
-        for n in range(0, 7):
-            for l in range(1, 6):
-                for d in range(0, l):
-                    check(pathfam.gf_via_paths(n, l, d), n, "paths", l, d)
-                    if n <= 5:
-                        check(cssp.gf(l - 1, n, d), n, "cssp", l, d)
-                if n:
-                    check(trapezoid.gf(n, l), n, "ast", l)
-        for n in range(1, 5):
-            for l in range(2, 6):
-                check(operatorform.gf_ast_via_operator(n, l), n, "operator", l)
+        # CSSPPs and path families the symmetry is not visible.  route ->
+        # the n and l it is checked at, with every d it reads
+        reach = {"det": (range(0, 9), range(1, 7)),
+                 "paths": (range(0, 7), range(1, 6)),
+                 "cssp": (range(0, 6), range(1, 6)),
+                 "ast": (range(1, 7), range(1, 6)),
+                 "operator": (range(1, 5), range(2, 6))}
+        for route, (ns, ls) in reach.items():
+            for n, l, d in cells(route, ns, ls):
+                g = gf_by(route, n, l, d)
+                assert mirrored(g, n) == g.terms, (route, n, l, d)
 
     def test_base_shift(self):
         # G_n(1, Q, R; l) = G_n(0, Q, R; l + 1) and G_n(P, 1, R; l) =
         # G_n(P, 0, R; l + 1): Pascal's rule at P = 1 and the hockey-stick
         # sum at Q = 1 on the determinant; on every other route it ties
-        # the route at l to itself at l + 1.  route -> (gf, n, l); the
-        # object sums, whose cost grows fastest, stop at n = 5
+        # the route at l to itself at l + 1.  (route, d) -> (n, l), where
+        # d = 1 is d = 0 at l = 1; the object sums, whose cost grows
+        # fastest, stop at n = 5
         routes = {
-            "det": (gf_det, range(0, 7), range(1, 6)),
-            "paths": (lambda n, l: pathfam.gf_via_paths(n, l, min(1, l - 1)),
-                      range(0, 7), range(1, 6)),
-            "ast": (trapezoid.gf, range(1, 6), range(1, 6)),
-            "cssp d=1": (lambda n, l: cssp.gf(l - 1, n, min(1, l - 1)),
-                         range(0, 6), range(1, 6)),
-            "cssp d=0": (lambda n, l: cssp.gf(l - 1, n, 0),
-                         range(0, 6), range(1, 6)),
-            "operator": (operatorform.gf_ast_via_operator, range(1, 5),
-                         range(2, 6)),
+            ("det", None): (range(0, 7), range(1, 6)),
+            ("paths", 1): (range(0, 7), range(1, 6)),
+            ("ast", None): (range(1, 6), range(1, 6)),
+            ("cssp", 1): (range(0, 6), range(1, 6)),
+            ("cssp", 0): (range(0, 6), range(1, 6)),
+            ("operator", None): (range(1, 5), range(2, 6)),
         }
-        for name, (gf, ns, ls) in routes.items():
+        for (route, d), (ns, ls) in routes.items():
             for n in ns:
-                g = {l: gf(n, l) for l in range(ls[0], ls[-1] + 2)}
+                g = {l: gf_by(route, n, l, d and min(d, l - 1))
+                     for l in range(ls[0], ls[-1] + 2)}
                 for l in ls:
                     for axis in (0, 1):
                         assert at(g[l], axis, 1) == at(g[l + 1], axis, 0), \
-                            (name, n, l, "PQ"[axis])
+                            (route, d, n, l, "PQ"[axis])

@@ -331,11 +331,6 @@ class TestOperatorRoute:
     def test_23_evaluation(self):
         assert gf_value(gf_ast_via_operator(2, 3)) == 7
 
-    def test_matches_enumeration(self):
-        for n in (1, 2, 3):
-            for l in (2, 3, 4, 5):
-                assert gf_ast_via_operator(n, l) == trapezoid.gf(n, l), (n, l)
-
     def test_position_sum_equals_sum_of_prescribed(self):
         # the prefix-sharing walk against one fold per position vector
         for n in (1, 2, 3):
@@ -536,11 +531,6 @@ class TestIntegerCore:
 
     def test_mn_has_int_coefficients(self):
         assert {type(c) for c in compute_Mn(5).values()} == {int}
-
-    def test_operator_route_equals_det(self):
-        for l in range(2, 6):
-            assert gf_ast_via_operator(4, l) == detform.gf_det(4, l), l
-        assert gf_ast_via_operator(5, 3) == detform.gf_det(5, 3)
 
 
 class TestIntegrality:

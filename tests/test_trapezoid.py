@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from altsign import cssp
+from altsign import cssp, sttree
 from altsign.exactalg import Gf
-from altsign.sttree import ast_to_sttree
+from altsign.sttree import SttTree, ast_to_sttree
 from altsign.trapezoid import (AstStats, Trapezoid, column_label,
                                column_partial_sums, enumerate_trapezoids, gf,
                                interlace, one_columns, pretty, stats,
@@ -183,7 +183,8 @@ class TestPretty:
     def test_empty_trapezoid_prints_as_the_empty_cssp(self):
         # one placeholder for an empty object in every listing
         (empty,) = cssp.enumerate_cssps(1, 0)
-        assert pretty(Trapezoid(0, 2, ())) == cssp.pretty(empty) == "(empty)"
+        assert pretty(Trapezoid(0, 2, ())) == cssp.pretty(empty) \
+            == sttree.pretty(SttTree(0, (), (), ())) == "(empty)"
 
 
 class TestInterlace:
