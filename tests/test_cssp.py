@@ -10,6 +10,7 @@ from altsign.errors import OutOfRangeError
 from altsign.exactalg import Gf
 
 from test_exactalg import gf_value
+from test_routes import cells, mismatches
 
 # shape-(5,4,2,1) filling with no class
 NO_CLASS = ((6, 5, 5, 4, 2), (4, 3, 3, 1), (2, 2), (1,))
@@ -248,6 +249,12 @@ class TestGf:
                 assert hashlib.sha256(text).hexdigest() == digest, (k, n, d)
 
 
+class TestTheoremMainSmall:
+    def test_matches_trapezoids(self):
+        assert mismatches({route: cells(route, range(1, 4), range(1, 5))
+                           for route in ("cssp", "ast")}) == []
+
+
 class TestInterfaces:
     def test_pretty(self):
         text = pretty(CLASS2)
@@ -378,6 +385,10 @@ class TestOracles:
             assert got == expected and str(got) == str(expected)
 
         check()
+
+    def test_bound_sum_matches_determinant_at_n6(self):
+        # class 4, first row at most 6: the (6, 5)-trapezoids
+        assert mismatches({"cssp": cells("cssp", (6,), (5,))}) == []
 
     def test_enumeration_matches_cell_search(self):
         for k in range(0, 5):

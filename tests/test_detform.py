@@ -8,7 +8,7 @@ from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              verify_coeff_route)
 from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free
 from test_exactalg import det_bareiss, det_cofactor, gf_value
-from test_routes import cells, gf_by
+from test_routes import cells, gf_by, mismatches
 
 GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
         + Gf.weight(q=1, r=1) + Gf.weight())
@@ -55,6 +55,14 @@ class TestGfDet:
         # does not cover it; test_routes observes, at n <= 4, that the
         # families agree with it there
         gf_det(2, 1)
+
+    def test_matches_families(self):
+        assert mismatches({route: cells(route, range(1, 4), range(2, 5))
+                           for route in ("ast", "cssp")}) == []
+
+    def test_matches_operator_route(self):
+        assert mismatches(
+            {"operator": cells("operator", range(1, 4), range(2, 6))}) == []
 
 
 class TestCount:

@@ -14,6 +14,7 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              lgv_weight, path_matrix, paths_for_index,
                              validate_path, write_families_svg)
 from test_exactalg import det_bareiss, gf_value
+from test_routes import cells, mismatches
 
 GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
         + Gf.weight(q=1, r=1) + Gf.weight())
@@ -266,6 +267,10 @@ class TestGfViaPaths:
             assert gf_via_paths(2, 4, d) == GF24
         assert gf_via_paths(2, 4, 0) == GF24
 
+    def test_matches_cssp_gf(self):
+        assert mismatches({route: cells(route, range(0, 4), range(1, 5))
+                           for route in ("paths", "cssp")}) == []
+
     def test_is_the_sum_over_families(self):
         for n in range(0, 5):
             for l in range(1, 5):
@@ -287,6 +292,15 @@ class TestGfViaPaths:
             gf_via_paths(2, 3, 3)
         with pytest.raises(ValueError):
             gf_via_paths(-1, 3, 1)
+
+    def test_n6_three_routes(self):
+        # beyond what enumeration reaches in the suite
+        assert mismatches({"ast": cells("ast", (6,), range(2, 5)),
+                           "paths": [(6, l, 1) for l in range(2, 5)]}) == []
+
+    def test_matches_determinant(self):
+        assert mismatches({"paths": [(n, l, 1) for n in range(0, 5)
+                                     for l in range(2, 6)]}) == []
 
     def test_matches_determinant_to_n10(self):
         # the grid kernel on the K-form against the tests' Bareiss over

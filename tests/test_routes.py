@@ -55,13 +55,16 @@ BEYOND_THE_GRID = {
 }
 
 
-def mismatches():
+def mismatches(table=None):
     """Each (route, n, l, d) whose answer is not gf_det's value, or whose
-    refusal is not _refusal's message."""
+    refusal is not _refusal's message.  table maps a route to its (n, l, d)
+    cells; by default every route runs the grid and BEYOND_THE_GRID."""
+    if table is None:
+        table = {route: cells(route, range(5), range(1, 6))
+                 + BEYOND_THE_GRID.get(route, []) for route in GF_ROUTES}
     found = []
-    for route in GF_ROUTES:
-        for n, l, d in (cells(route, range(5), range(1, 6))
-                        + BEYOND_THE_GRID.get(route, [])):
+    for route, route_cells in table.items():
+        for n, l, d in route_cells:
             want = _refusal(("gf", route), n, l, d) or gf_det(n, l)
             try:
                 got = gf_by(route, n, l, d)
