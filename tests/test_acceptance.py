@@ -6,21 +6,20 @@ stated wall-clock budgets are asserted as hard limits.
 import json
 import time
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 
 from altsign import cssp, detform, operatorform, pathfam, sttree, trapezoid
 from altsign.cli import main as cli_main
+from test_routes import cells, mismatches
 
 
-@lru_cache(maxsize=None)
-def ast_gf(n, l):
-    return trapezoid.gf(n, l)
-
-
-@lru_cache(maxsize=None)
-def cssp_gf(k, n, d):
-    return cssp.gf(k, n, d)
+def _routes_agree(routes, ns, ls):
+    """Each route's value equals gf_det's, and each refusal is the domain
+    rule's, at every (n, l, d) of ns x ls; prints the cells that differ."""
+    found = mismatches({route: cells(route, ns, ls) for route in routes})
+    for cell in found:
+        print(f"  mismatch at {cell}")
+    return found == []
 
 
 def _finish(number, label, ok, started, budget):
@@ -69,14 +68,7 @@ def test_criterion_1_paper_examples(capsys):
 
 def test_criterion_2_theorem_main_sweep(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for l in range(1, 6):
-            lhs = ast_gf(n, l)
-            for d in range(0, l):
-                if cssp_gf(l - 1, n, d) != lhs:
-                    ok = False
-                    print(f"  mismatch at (n={n}, l={l}, d={d})")
+    ok = _routes_agree(("ast", "cssp"), range(1, 5), range(1, 6))
     with capsys.disabled():
         _finish(2, "trapezoid gf = cssp gf for n<=4, l<=5, all d", ok,
                 started, 600.0)
@@ -84,15 +76,7 @@ def test_criterion_2_theorem_main_sweep(capsys):
 
 def test_criterion_3_determinant_route(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for l in range(2, 6):
-            g = detform.gf_det(n, l)
-            if g != ast_gf(n, l):
-                ok = False
-            for d in range(0, l):
-                if g != cssp_gf(l - 1, n, d):
-                    ok = False
+    ok = _routes_agree(("ast", "cssp"), range(1, 5), range(2, 6))
     ok = ok and [detform.count(n, 3) for n in range(1, 5)] == [2, 7, 42, 429]
     with capsys.disabled():
         _finish(3, "gf_det equals both family gfs; count(n,3) products", ok,
@@ -101,12 +85,7 @@ def test_criterion_3_determinant_route(capsys):
 
 def test_criterion_4_operator_route(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 4):
-        for l in range(2, 6):
-            if operatorform.gf_ast_via_operator(n, l) != ast_gf(n, l):
-                ok = False
-                print(f"  mismatch at (n={n}, l={l})")
+    ok = _routes_agree(("operator", "ast"), range(1, 4), range(2, 6))
     with capsys.disabled():
         _finish(4, "operator route equals enumeration for n<=3, l<=5", ok,
                 started, 600.0)

@@ -38,18 +38,6 @@ class TestGfCommand:
         assert code == 0
         assert out == "R^2 + 4*R + P*R + Q*R + 1\n"
 
-    def test_routes_agree(self, capsys):
-        outputs = set()
-        for route in ("ast", "det", "operator"):
-            code, out = run(capsys, "gf", route, "--n", "2", "--l", "4")
-            assert code == 0
-            outputs.add(out)
-        code, out = run(capsys, "gf", "paths", "--n", "2", "--l", "4", "--d", "1")
-        outputs.add(out)
-        code, out = run(capsys, "gf", "cssp", "--k", "3", "--n", "2", "--d", "1")
-        outputs.add(out)
-        assert len(outputs) == 1
-
     def test_paths_n0_is_1(self, capsys):
         code, out = run(capsys, "gf", "paths", "--n", "0", "--l", "3")
         assert (code, out) == (0, "1\n")
@@ -191,22 +179,20 @@ class TestCountCommand:
 
 
 def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
-    from altsign.cli import FAMILIES, GF_ROUTES
+    # the gf routes' edges are test_routes.EDGES
+    from altsign.cli import FAMILIES
 
     def run_all(*argv):
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    rows = [(("gf", route), row[-1]) for route, row in GF_ROUTES.items()]
-    rows += [(("enumerate", family), FAMILIES[family][-1])
-             for family in ("ast", "cssp")]
+    rows = [(("enumerate", family), FAMILIES[family][-1])
+            for family in ("ast", "cssp")]
     rows += [(("count",), ("--n", "--l")), (("tpoly",), ("--n",))]
-    det, value = {}, {}  # gf det's bytes and its value at P = Q = R = 1
+    value = {}  # gf det's value at P = Q = R = 1
     for n in (0, 1, 2):
         for l in (1, 2, 3):
-            _, det[n, l], _ = run_all("gf", "det", "--n", str(n),
-                                      "--l", str(l))
             _, out, _ = run_all("gf", "det", "--n", str(n), "--l", str(l),
                                 "--format", "json")
             value[n, l] = sum(term["coeff"] for term in json.loads(out))
@@ -216,37 +202,32 @@ def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
         for n in (0, 1, 2, -1) + ((8,) if words in OPERATOR_ROWS else ()):
             for l in ((1, 2, 3, 0) if "--l" in reads or "--k" in reads
                       else (None,)):
-                ds = (sorted({-1, 0, l - 1, l}) if "--d" in reads
-                      else (None,))
-                for d in ds:
-                    values = {"--n": n, "--l": l, "--d": d,
-                              "--k": None if l is None else l - 1}
-                    argv = [*words, *(x for flag in reads
-                                      for x in (flag, str(values[flag])))]
-                    code, out, err = run_all(*argv)
-                    # tpoly reads no l: it answers for every l >= 1
-                    refusal = _refusal(words, n, 1 if l is None else l, d)
-                    checked += 1
-                    if refusal:
-                        assert (code, out, err) == \
-                            (2, "", f"error: {refusal}\n"), argv
-                        continue
-                    assert (code, err) == (0, ""), argv
-                    if words[0] == "gf":
-                        assert out == det[n, l], argv
-                    elif words == ("count",):
-                        assert out == f"{value[n, l]}\n", argv
-                    elif words[0] == "enumerate":
-                        lines = out.splitlines()
-                        assert lines[-1] == f"total: {value[n, l]}", argv
-                        assert sum(line.startswith("# ") for line in lines) \
-                            == value[n, l], argv
-                    else:  # t_n's monomial form (int coefficients for n <= 2)
-                        poly = out.splitlines()[0].split(" = ")[1]
-                        for at in (2, 3):
-                            assert eval(poly.replace("^", "**"), {"l": at}) \
-                                == value[n, at], (argv, at)
-    assert checked > 200
+                values = {"--n": n, "--l": l,
+                          "--k": None if l is None else l - 1}
+                argv = [*words, *(x for flag in reads
+                                  for x in (flag, str(values[flag])))]
+                code, out, err = run_all(*argv)
+                # tpoly reads no l: it answers for every l >= 1
+                refusal = _refusal(words, n, 1 if l is None else l, None)
+                checked += 1
+                if refusal:
+                    assert (code, out, err) == \
+                        (2, "", f"error: {refusal}\n"), argv
+                    continue
+                assert (code, err) == (0, ""), argv
+                if words == ("count",):
+                    assert out == f"{value[n, l]}\n", argv
+                elif words[0] == "enumerate":
+                    lines = out.splitlines()
+                    assert lines[-1] == f"total: {value[n, l]}", argv
+                    assert sum(line.startswith("# ") for line in lines) \
+                        == value[n, l], argv
+                else:  # t_n's monomial form (int coefficients for n <= 2)
+                    poly = out.splitlines()[0].split(" = ")[1]
+                    for at in (2, 3):
+                        assert eval(poly.replace("^", "**"), {"l": at}) \
+                            == value[n, at], (argv, at)
+    assert checked == 53  # 16 each for enumerate ast, cssp and count
 
 
 class TestEnumerateCommand:
@@ -718,91 +699,61 @@ UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "altsign.cssp", "altsign.trapezoid",
                                 "altsign.sttree", "altsign.pathfam",
                                 "altsign.operatorform")
-# command lines that run no command, and the code each exits with
-EXIT = {("--help",): 0, ("gf", "--help"): 0, ("gf", "ast", "--n", "2"): 2}
-COMMANDS = [
-    (("count", "--n", "3", "--l", "2"), UNUSED_BY_DET),
-    (("gf", "det", "--n", "3", "--l", "3"), UNUSED_BY_DET),
-    (("gf", "ast", "--n", "3", "--l", "2"), NO_FRACTIONS),
-    (("gf", "cssp", "--k", "2", "--n", "4", "--d", "1"),
-     NO_FRACTIONS + ("altsign.detform", "altsign.trapezoid",
-                     "altsign.sttree", "altsign.operatorform")),
-    (("gf", "paths", "--n", "3", "--l", "3", "--d", "1"),
-     NO_FRACTIONS + ("altsign.cssp",)),
-    (("gf", "operator", "--n", "2", "--l", "3"), NO_FRACTIONS),
-    # these load what the others leave out, and still run
-    (("enumerate", "cssp", "--k", "1", "--n", "2"), UNUSED_BUT_BY_VERIFY),
-    (("verify", "bijections", "--n-max", "2", "--l-max", "3"), UNUSED_BY_ALL),
-    (("tpoly", "--n", "2"), UNUSED_BUT_BY_VERIFY),
-    *((argv, UNUSED_BY_DET + ("altsign.detform",)) for argv in EXIT),
-]
-
-
-@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
-def test_a_command_loads_only_what_it_runs(argv):
-    unused = dict(COMMANDS)[argv]
-    probe = ("import sys\n"
-             "if sys.argv[1:]:\n"
-             "    from altsign.cli import main\n"
-             "    try:\n"
-             "        print(main(sys.argv[1:]))\n"
-             "    except SystemExit as e:\n"
-             "        print(e.code)\n"
-             f"print(*[m for m in {unused!r} if m in sys.modules])\n")
-    bare = set(_fresh_process(probe).split())
-    *_, code, loaded = _fresh_process(probe, *argv).split("\n")[:-1]
-    assert int(code) == EXIT.get(argv, 0)
-    assert set(loaded.split()) - bare == set()
-
+NO_COMMAND = UNUSED_BY_DET + ("altsign.detform",)
 
 # one tiny run of each row of cli.COMMANDS, and the json forms, which print
-# what the text forms do not; {out} is a file to write
-EVERY_ROW = [
-    ("enumerate", "ast", "--n", "2", "--l", "2"),
-    ("enumerate", "ast", "--n", "2", "--l", "2", "--format", "json"),
-    ("enumerate", "cssp", "--k", "1", "--n", "2"),
-    ("enumerate", "cssp", "--k", "1", "--n", "2", "--format", "json"),
-    ("enumerate", "sttree", "--n", "2", "--b", "1,2"),
-    ("enumerate", "sttree", "--n", "2", "--b", "1,2", "--format", "json"),
-    ("gf", "ast", "--n", "2", "--l", "3"),
-    ("gf", "cssp", "--k", "2", "--n", "2", "--d", "0"),
-    ("gf", "det", "--n", "2", "--l", "3"),
-    ("gf", "operator", "--n", "2", "--l", "3"),
-    ("gf", "paths", "--n", "2", "--l", "3", "--d", "1"),
-    ("count", "--n", "2", "--l", "3"),
-    ("tpoly", "--n", "3"),
-    ("verify", "main", "--n-max", "2", "--l-max", "2"),
-    ("verify", "truncated", "--samples", "3"),
-    ("verify", "qast", "--n-max", "2"),
-    ("verify", "asymm", "--n-max", "1"),
-    ("verify", "asym", "--n-max", "2", "--samples", "2"),
-    ("verify", "coeff", "--n-max", "2", "--l-max", "2"),
-    ("verify", "bijections", "--n-max", "2", "--l-max", "2"),
-    ("svg", "paths", "--n", "2", "--l", "3", "--out", "{out}"),
+# what the text forms do not, each with its exit code and the modules it must
+# not load; {out} is a file to write
+EVERY_ROW = {tuple(argv.split()): (code, unused) for argv, code, unused in [
+    ("enumerate ast --n 2 --l 2", 0, UNUSED_BUT_BY_VERIFY),
+    ("enumerate ast --n 2 --l 2 --format json", 0, UNUSED_BUT_BY_VERIFY),
+    ("enumerate cssp --k 1 --n 2", 0, UNUSED_BUT_BY_VERIFY),
+    ("enumerate cssp --k 1 --n 2 --format json", 0, UNUSED_BUT_BY_VERIFY),
+    ("enumerate sttree --n 2 --b 1,2", 0, UNUSED_BUT_BY_VERIFY),
+    ("enumerate sttree --n 2 --b 1,2 --format json", 0, UNUSED_BUT_BY_VERIFY),
+    ("gf ast --n 2 --l 3", 0, NO_FRACTIONS),
+    ("gf cssp --k 2 --n 2 --d 0", 0,
+     NO_FRACTIONS + ("altsign.detform", "altsign.trapezoid", "altsign.sttree",
+                     "altsign.operatorform")),
+    ("gf det --n 2 --l 3", 0, UNUSED_BY_DET),
+    ("gf operator --n 2 --l 3", 0, NO_FRACTIONS),
+    ("gf paths --n 2 --l 3 --d 1", 0, NO_FRACTIONS + ("altsign.cssp",)),
+    ("count --n 2 --l 3", 0, UNUSED_BY_DET),
+    ("tpoly --n 3", 0, UNUSED_BUT_BY_VERIFY),
+    ("verify main --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),
+    ("verify truncated --samples 3", 0, UNUSED_BY_ALL),
+    ("verify qast --n-max 2", 0, UNUSED_BY_ALL),
+    ("verify asymm --n-max 1", 0, UNUSED_BY_ALL),
+    ("verify asym --n-max 2 --samples 2", 0, UNUSED_BY_ALL),
+    ("verify coeff --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),
+    ("verify bijections --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),
+    ("svg paths --n 2 --l 3 --out {out}", 0, UNUSED_BUT_BY_VERIFY),
     # the README's = form, help and an error
-    ("enumerate", "sttree", "--n", "3", "--s", "1", "--t", "0,1",
-     "--b=-1,0,2"),
-    *EXIT,
-]
+    ("enumerate sttree --n 3 --s 1 --t 0,1 --b=-1,0,2", 0,
+     UNUSED_BUT_BY_VERIFY),
+    ("--help", 0, NO_COMMAND),
+    ("gf --help", 0, NO_COMMAND),
+    ("gf ast --n 2", 2, NO_COMMAND),
+]}
 
 
 def test_every_row_is_run_by_the_mpoly_probe():
-    from altsign import cli  # COMMANDS here is the load table above
     rows = {(name, choice) for name, (_, positional, table, _, _)
-            in cli.COMMANDS.items()
+            in COMMANDS.items()
             for choice in (table if positional else (None,))}
     assert {(argv[0], argv[1] if argv[1][:2] != "--" else None)
-            for argv in EVERY_ROW if argv not in EXIT} == rows
+            for argv, (code, _) in EVERY_ROW.items()
+            if code == 0 and "--help" not in argv} == rows
 
 
 # Prints, as one json line, the run's exit code, the number of MPoly it
-# makes and the code of each package function it calls, as file:first
-# line:name.  Every MPoly is made through __init__ or _make; a Gf is of a
-# subclass and is not counted.  The profiler is set before the package
-# loads, so calls made at import count too; it does not follow pool
-# workers, and every row runs with --jobs 1.
+# makes, the code of each package function it calls, as file:first
+# line:name, and the modules loaded when main returns.  Every MPoly is made
+# through __init__ or _make; a Gf is of a subclass and is not counted.  The
+# profiler is set before the package loads, so calls made at import count
+# too; it does not follow pool workers, and every row runs with --jobs 1.
 ROW_PROBE = (
-    "import json, os, sys\n"
+    "import os, sys\n"
     "codes = set()\n"
     "def called(frame, event, arg):\n"
     "    if event == 'call':\n"
@@ -823,28 +774,44 @@ ROW_PROBE = (
     "except SystemExit as e:\n"
     "    code = e.code\n"
     "sys.setprofile(None)\n"
+    "loaded = sorted(sys.modules)\n"
+    "import json\n"
     "home = os.path.dirname(exactalg.__file__)\n"
     "print(json.dumps([code, sum(t is exactalg.MPoly for t in made), sorted(\n"
     "    f'{os.path.basename(c.co_filename)}:{c.co_firstlineno}:{c.co_name}'\n"
-    "    for c in codes if os.path.dirname(c.co_filename) == home)]))\n")
+    "    for c in codes if os.path.dirname(c.co_filename) == home),\n"
+    "    loaded]))\n")
 
 
 @functools.cache
 def _probe(argv):
-    """(exit code, MPoly made, package functions called) in one fresh
-    process of argv: no cache of an earlier run hides a call."""
+    """(exit code, MPoly made, package functions called, modules loaded) in
+    one fresh process of argv: no cache of an earlier run hides a call."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.format(out=os.path.join(tmp, "sheet.svg")) for a in argv]
-        code, made, called = json.loads(
+        code, made, called, loaded = json.loads(
             _fresh_process(ROW_PROBE, *argv).splitlines()[-1])
-    return code, made, frozenset(called)
+    return code, made, frozenset(called), frozenset(loaded)
+
+
+@functools.cache
+def _bare_modules():
+    """The modules that a bare interpreter loads before any code runs."""
+    return frozenset(
+        _fresh_process("import sys\nprint(*sys.modules)").split())
+
+
+@pytest.mark.parametrize("argv", EVERY_ROW)
+def test_a_command_loads_only_what_it_runs(argv):
+    unused = set(EVERY_ROW[argv][1])
+    assert unused & (_probe(argv)[3] - _bare_modules()) == set()
 
 
 @pytest.mark.parametrize("argv", EVERY_ROW, ids=" ".join)
 def test_no_command_builds_an_mpoly(argv):
     # MPoly is the tests' general polynomial; every command computes in Gf
     # or in ints and prints through the term printer
-    assert _probe(argv)[:2] == (EXIT.get(argv, 0), 0)
+    assert _probe(argv)[:2] == (EVERY_ROW[argv][0], 0)
 
 
 def _package_defs():
