@@ -10,10 +10,6 @@ from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free
 from test_exactalg import det_bareiss, det_cofactor, gf_value
 from test_routes import cells, gf_by, mismatches
 
-GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
-        + Gf.weight(q=1, r=1) + Gf.weight())
-
-
 def mat_mul(a, b):
     n = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(n)), Gf())
@@ -40,22 +36,6 @@ def summed_matrix(n, l):
 
 
 class TestGfDet:
-    def test_24(self):
-        assert gf_det(2, 4) == GF24
-
-    def test_single(self):
-        for l in range(2, 7):
-            assert gf_det(1, l) == Gf.weight(r=1) + Gf.weight()
-
-    def test_empty(self):
-        assert gf_det(0, 5) == Gf.weight()
-
-    def test_l1_is_computable(self):
-        # experimental: the matrix makes sense at l = 1 but the derivation
-        # does not cover it; test_routes observes, at n <= 4, that the
-        # families agree with it there
-        gf_det(2, 1)
-
     def test_matches_families(self):
         assert mismatches({route: cells(route, range(1, 4), range(2, 5))
                            for route in ("ast", "cssp")}) == []

@@ -25,10 +25,6 @@ from altsign.sttree import (enumerate_sttrees, formula_domain,
 from test_exactalg import gf_value
 from test_routes import cells, mismatches
 
-GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
-        + Gf.weight(q=1, r=1) + Gf.weight())
-
-
 def var(name):
     return MPoly.variable(name)
 
@@ -322,13 +318,6 @@ class TestPrescribedGf:
 
 
 class TestOperatorRoute:
-    def test_24(self):
-        assert gf_ast_via_operator(2, 4) == GF24
-
-    def test_single_row(self):
-        for l in (2, 3, 5):
-            assert gf_ast_via_operator(1, l) == Gf.weight(r=1) + Gf.weight()
-
     def test_23_evaluation(self):
         assert gf_value(gf_ast_via_operator(2, 3)) == 7
 

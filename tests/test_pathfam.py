@@ -16,10 +16,6 @@ from altsign.pathfam import (LatticePath, PathFamily, all_families,
 from test_exactalg import det_bareiss, gf_value
 from test_routes import cells, mismatches
 
-GF24 = (Gf.weight(r=2) + 4 * Gf.weight(r=1) + Gf.weight(p=1, r=1)
-        + Gf.weight(q=1, r=1) + Gf.weight())
-
-
 def steps(path: LatticePath, l: int) -> str:
     """The 'N'/'W' word of a path from (u, 0) to (0, u + l - 1)."""
     ys = (0, *path.heights)
@@ -255,18 +251,6 @@ class TestCrossing:
 
 
 class TestGfViaPaths:
-    def test_241(self):
-        assert gf_via_paths(2, 4, 1) == GF24
-
-    def test_n0(self):
-        for l in (1, 3):
-            assert gf_via_paths(0, l, 0) == Gf.weight()
-
-    def test_24_all_d_equal(self):
-        for d in (1, 2, 3):
-            assert gf_via_paths(2, 4, d) == GF24
-        assert gf_via_paths(2, 4, 0) == GF24
-
     def test_matches_cssp_gf(self):
         assert mismatches({route: cells(route, range(0, 4), range(1, 5))
                            for route in ("paths", "cssp")}) == []
