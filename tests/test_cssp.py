@@ -9,7 +9,7 @@ from altsign.errors import OutOfRangeError
 from altsign.exactalg import Gf
 
 from test_exactalg import gf_value
-from test_routes import PINNED, cells, digest, mismatches
+from test_routes import PINNED, cells, digest, mismatches, pin_answers
 
 # shape-(5,4,2,1) filling with no class
 NO_CLASS = ((6, 5, 5, 4, 2), (4, 3, 3, 1), (2, 2), (1,))
@@ -130,6 +130,13 @@ class TestWeight:
 
 
 class TestGf:
+    def test_k3_n2_all_d(self):
+        assert mismatches({"cssp": cells("cssp", (2,), (4,),
+                                         lambda l: range(1, l))}) == []
+
+    def test_n0(self):
+        assert mismatches({"cssp": cells("cssp", (0,), range(1, 5))}) == []
+
     def test_triple_multisets_agree_across_d(self):
         for k in range(1, 4):
             for n in range(0, 3):
@@ -172,6 +179,9 @@ class TestGf:
                 count = len(enumerate_cssps(k, n))
                 for d in range(0, k + 1):
                     assert gf_value(gf(k, n, d)) == count
+
+    def test_printed_bytes_pinned(self):
+        assert mismatches(got=pin_answers(("cssp",))) == []
 
 
 class TestTheoremMainSmall:

@@ -36,6 +36,20 @@ def summed_matrix(n, l):
 
 
 class TestGfDet:
+    def test_24(self):
+        assert mismatches({"det": [(2, 4, None)]}) == []
+
+    def test_single(self):
+        assert mismatches({"det": cells("det", (1,), range(2, 7))}) == []
+
+    def test_empty(self):
+        assert mismatches({"det": [(0, 5, None)]}) == []
+
+    def test_l1_is_computable(self):
+        # experimental: the matrix makes sense at l = 1 but the derivation
+        # does not cover it; the families agree with it there
+        assert mismatches({"det": [(2, 1, None)]}) == []
+
     def test_matches_families(self):
         assert mismatches({route: cells(route, range(1, 4), range(2, 5))
                            for route in ("ast", "cssp")}) == []

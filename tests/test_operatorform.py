@@ -318,6 +318,13 @@ class TestPrescribedGf:
 
 
 class TestOperatorRoute:
+    def test_24(self):
+        assert mismatches({"operator": [(2, 4, None)]}) == []
+
+    def test_single_row(self):
+        assert mismatches(
+            {"operator": cells("operator", (1,), (2, 3, 5))}) == []
+
     def test_23_evaluation(self):
         assert gf_value(gf_ast_via_operator(2, 3)) == 7
 

@@ -251,6 +251,15 @@ class TestCrossing:
 
 
 class TestGfViaPaths:
+    def test_241(self):
+        assert mismatches({"paths": [(2, 4, 1)]}) == []
+
+    def test_n0(self):
+        assert mismatches({"paths": [(0, 1, 0), (0, 3, 0)]}) == []
+
+    def test_24_all_d_equal(self):
+        assert mismatches({"paths": cells("paths", (2,), (4,))}) == []
+
     def test_matches_cssp_gf(self):
         assert mismatches({route: cells(route, range(0, 4), range(1, 5))
                            for route in ("paths", "cssp")}) == []

@@ -15,8 +15,6 @@ import functools
 import hashlib
 from types import SimpleNamespace
 
-import pytest
-
 from altsign import pathfam
 from altsign.cli import GF_ROUTES, _call
 from altsign.detform import gf_det
@@ -197,20 +195,26 @@ def test_the_papers_example_is_pinned():
     assert digest(G24) == PINNED[2, 4]
 
 
-@pytest.fixture(scope="module")
-def pin_answers():
-    # the routes run once at PIN_CELLS, the costliest cells of this
-    # module, for both tests that judge their answers
-    return answers(PIN_CELLS)
+@functools.cache
+def _pin_answers(route):
+    # PIN_CELLS are the suite's costliest cells: each route runs them once,
+    # however many tests judge its answers
+    return answers({route: PIN_CELLS[route]})
 
 
-def test_every_route_prints_the_pinned_bytes(pin_answers):
-    assert mismatches(got=pin_answers) == []
+def pin_answers(routes=tuple(GF_ROUTES)):
+    """answers(PIN_CELLS) of the given routes."""
+    return {key: answer for route in routes
+            for key, answer in _pin_answers(route).items()}
 
 
-def test_one_wrong_pin_is_the_one_mismatch(monkeypatch, pin_answers):
+def test_every_route_prints_the_pinned_bytes():
+    assert mismatches(got=pin_answers()) == []
+
+
+def test_one_wrong_pin_is_the_one_mismatch(monkeypatch):
     monkeypatch.setitem(PINNED, (6, 3), PINNED[6, 4])
-    assert mismatches(got=pin_answers) == [
+    assert mismatches(got=pin_answers()) == [
         (route, *cell) for route, route_cells in PIN_CELLS.items()
         for cell in route_cells if cell[:2] == (6, 3)]
 

@@ -14,6 +14,7 @@ from altsign.trapezoid import (AstStats, Trapezoid, column_label,
                                to_json, validate, weight)
 
 from test_exactalg import gf_value
+from test_routes import G24, cells, mismatches, pin_answers
 
 # Test-only readers: the per-entry accessors of the array, independent of
 # trapezoid's row passes, and the sorted labels of the 1-columns.
@@ -295,6 +296,13 @@ class TestWeightOracle:
 
 
 class TestGf:
+    def test_24(self):
+        assert mismatches({"ast": [(2, 4, None)]}) == []
+        assert str(gf(2, 4)) == G24
+
+    def test_single_row(self):
+        assert mismatches({"ast": cells("ast", (1,), range(2, 6))}) == []
+
     def test_23_evaluation(self):
         assert gf_value(gf(2, 3)) == 7
 
@@ -303,8 +311,14 @@ class TestGf:
             for l in range(1, 6):
                 assert gf_value(gf(n, l)) == len(enumerate_trapezoids(n, l))
 
+    def test_quasi_21(self):
+        assert mismatches({"ast": [(2, 1, None)]}) == []
+
 
 class TestPinnedDigests:
+    def test_gf_bytes(self):
+        assert mismatches(got=pin_answers(("ast",))) == []
+
     def test_enumeration_bytes_and_order(self):
         for (n, l), digest in ENUMERATION_DIGESTS.items():
             text = json.dumps([to_json(t) for t in enumerate_trapezoids(n, l)])
