@@ -58,8 +58,11 @@ def bwd_diff(p: MPoly, name: str) -> MPoly:
 # the largest n of each entry point: M_7 has 222,642 coordinates, and M_8
 # is not built in memory; verify asymm builds one constant term over the
 # n^n exponent grid per point, 4^n points at about 62 ms each at n = 5, so
-# n = 6 would take hours
-REACH = {"the operator route": 7, "verify asymm": 5}
+# n = 6 would take hours; verify asym sums over the n! permutations per
+# sample, about 0.11 s of CPU at n = 6, 1.1 s at n = 7 and 10.6 s at n = 8
+# (one 2-core Xeon), so n = 8 at the default 100 samples would take 18
+# minutes
+REACH = {"the operator route": 7, "verify asymm": 5, "verify asym": 7}
 
 
 def check_reach(n: int, name: str = "the operator route") -> None:

@@ -82,10 +82,12 @@ def asymm_points(args):
 
 
 def asym_runs(args):
-    """(n, --samples, --seed) for n in 1..--n-max."""
+    """(n, --samples, --seed) for n in 1..--n-max, refused up front past
+    verify asym's reach."""
     from .operatorform import check_samples
     check_samples(args.samples)
-    return [(n, args.samples, args.seed) for n in range(1, args.n_max + 1)]
+    return [(n, args.samples, args.seed)
+            for n in operator_ns(args, "verify asym")]
 
 
 def tree_instances(args):

@@ -6,10 +6,10 @@ stated wall-clock budgets are asserted as hard limits.
 import json
 import time
 from collections import Counter
-from itertools import product
 
-from altsign import cssp, detform, operatorform, pathfam, sttree, trapezoid
+from altsign import detform
 from altsign.cli import main as cli_main
+from test_identities import wrong_runs
 from test_routes import cells, mismatches
 
 
@@ -19,6 +19,15 @@ def _routes_agree(routes, ns, ls):
     found = mismatches({route: cells(route, ns, ls) for route in routes})
     for cell in found:
         print(f"  mismatch at {cell}")
+    return found == []
+
+
+def _runs_pass(*rows):
+    """Each (identity, flags) row of test_identities.RUNS exits 0 and ends
+    with its k/k line; prints the rows that do not."""
+    found = wrong_runs(rows)
+    for row in found:
+        print(f"  wrong run of verify {row}")
     return found == []
 
 
@@ -93,15 +102,7 @@ def test_criterion_4_operator_route(capsys):
 
 def test_criterion_5_theorem_truncated(capsys):
     started = time.monotonic()
-    instances = sttree.random_tree_instances(200, seed=20240815)
-    ok = len(instances) >= 200
-    for n, s, t, b in instances:
-        formula = operatorform.count_sttrees_formula(n, s, t, b)
-        brute = len(sttree.enumerate_sttrees(n, s, t, b))
-        if formula != brute:
-            ok = False
-            print(f"  mismatch at (n={n}, s={s}, t={t}, b={b}): "
-                  f"{formula} vs {brute}")
+    ok = _runs_pass(("truncated", ("--samples", "200", "--seed", "20240815")))
     with capsys.disabled():
         _finish(5, "closed tree count = brute force on 200 seeded instances",
                 ok, started, 300.0)
@@ -109,16 +110,7 @@ def test_criterion_5_theorem_truncated(capsys):
 
 def test_criterion_6_lemma_qast(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        if operatorform.t_value(n, 1) != len(trapezoid.enumerate_trapezoids(n, 1)):
-            ok = False
-            print(f"  count mismatch at n={n}")
-        for m, j in operatorform.all_positions(n):
-            if 0 < m < n and j[m - 1] < -1 and j[m] > 1:
-                if operatorform.count_ast_prescribed(n, 1, j) != 0:
-                    ok = False
-                    print(f"  vanishing fails at n={n}, j={j}")
+    ok = _runs_pass(("qast", ("--n-max", "4")))
     with capsys.disabled():
         _finish(6, "t_n(1) counts quasi trapezoids; vanishing rule", ok,
                 started, 300.0)
@@ -126,22 +118,7 @@ def test_criterion_6_lemma_qast(capsys):
 
 def test_criterion_7_bijection_round_trips(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for l in range(2, 6):
-            for t in trapezoid.enumerate_trapezoids(n, l):
-                tree = sttree.ast_to_sttree(t)
-                if sttree.sttree_to_ast(tree, n, l) != t:
-                    ok = False
-    for n in range(1, 5):
-        for l in range(1, 6):
-            for c in cssp.enumerate_cssps(l - 1, n):
-                fam = cssp.to_paths(c)
-                if cssp.from_paths(fam) != c:
-                    ok = False
-                for d in range(0, l):
-                    if pathfam.lgv_weight(fam, d) != cssp.weight(c, d):
-                        ok = False
+    ok = _runs_pass(("bijections", ("--n-max", "4", "--l-max", "5")))
     with capsys.disabled():
         _finish(7, "AST<->tree and CSSPP<->paths round trips with weights",
                 ok, started, 300.0)
@@ -149,20 +126,9 @@ def test_criterion_7_bijection_round_trips(capsys):
 
 def test_criterion_8_identity_verifications(capsys):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 4):
-        for x in product(range(4), repeat=n):
-            if not operatorform.verify_asymM(n, x):
-                ok = False
-                print(f"  asymM fails at n={n}, x={x}")
-    for n in range(1, 4):
-        if not operatorform.verify_asym_lemma(n, 100, seed=2024):
-            ok = False
-            print(f"  asym lemma fails at n={n}")
-    for n in range(1, 5):
-        for l in range(2, 7):
-            if not detform.verify_coeff_route(n, l):
-                ok = False
-                print(f"  coeff route fails at (n={n}, l={l})")
+    ok = _runs_pass(
+        ("asymm", ("--n-max", "3")),
+        ("asym", ("--n-max", "3", "--samples", "100", "--seed", "2024")),
+        ("coeff", ("--n-max", "4", "--l-max", "6")))
     with capsys.disabled():
         _finish(8, "asymM, asym lemma, coefficient route", ok, started, 300.0)

@@ -20,6 +20,7 @@ from altsign.cli import COMMANDS, FLAGS, main
 from altsign.detform import gf_det
 from test_detform import asm_number
 from test_exactalg import gf_value
+from test_identities import RUNS, checks, run_row, wrong_runs
 from test_routes import OPERATOR_ROWS, _refusal
 
 
@@ -373,45 +374,34 @@ class TestTpoly:
 
 
 class TestVerify:
-    def test_main_small(self, capsys):
-        code, out = run(capsys, "verify", "main", "--n-max", "2",
-                        "--l-max", "3")
-        assert code == 0
-        assert "FAIL" not in out
-        assert out.strip().endswith("checks passed")
+    def test_main_small(self):
+        assert wrong_runs([("main", ("--n-max", "2", "--l-max", "3"))]) == []
 
-    def test_truncated_seeded(self, capsys):
-        code, out = run(capsys, "verify", "truncated", "--samples", "10",
-                        "--seed", "7")
-        assert code == 0
-        assert out.count("PASS") == 10
+    def test_truncated_seeded(self):
+        rows = [("truncated", ("--samples", "10", "--seed", "7"))]
+        assert wrong_runs(rows) == []
 
-    def test_qast(self, capsys):
-        code, out = run(capsys, "verify", "qast", "--n-max", "2")
-        assert code == 0
-        assert out == ("PASS qast count (n=1)\n"
-                       "PASS qast vanishing (n=1)\n"
-                       "PASS qast count (n=2)\n"
-                       "PASS qast vanishing (n=2)\n"
-                       "4/4 checks passed\n")
+    def test_qast(self):
+        flags = ("--n-max", "2")
+        assert run_row("qast", flags) == (0, "PASS qast count (n=1)\n"
+                                             "PASS qast vanishing (n=1)\n"
+                                             "PASS qast count (n=2)\n"
+                                             "PASS qast vanishing (n=2)\n"
+                                             f"{RUNS['qast'][flags]}\n")
 
-    def test_asym_with_seed(self, capsys):
-        code, out = run(capsys, "verify", "asym", "--n-max", "2",
-                        "--samples", "5", "--seed", "11")
-        assert code == 0
-        assert out == ("PASS asym lemma (n=1, samples=5)\n"
-                       "PASS asym lemma (n=2, samples=5)\n"
-                       "2/2 checks passed\n")
+    def test_asym_with_seed(self):
+        flags = ("--n-max", "2", "--samples", "5", "--seed", "11")
+        assert run_row("asym", flags) == (
+            0, "PASS asym lemma (n=1, samples=5)\n"
+               "PASS asym lemma (n=2, samples=5)\n"
+               f"{RUNS['asym'][flags]}\n")
 
-    def test_coeff(self, capsys):
-        code, out = run(capsys, "verify", "coeff", "--n-max", "2",
-                        "--l-max", "3")
-        assert code == 0
+    def test_coeff(self):
+        assert wrong_runs([("coeff", ("--n-max", "2", "--l-max", "3"))]) == []
 
-    def test_bijections(self, capsys):
-        code, out = run(capsys, "verify", "bijections", "--n-max", "2",
-                        "--l-max", "3")
-        assert code == 0
+    def test_bijections(self):
+        rows = [("bijections", ("--n-max", "2", "--l-max", "3"))]
+        assert wrong_runs(rows) == []
 
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, "verify", "truncated", "--samples", "6",
@@ -433,21 +423,27 @@ class TestVerify:
             assert captured.err == (f"error: n = {n} is past verify asymm's"
                                     " reach, n <= 5\n")
 
-    def test_jobs_flag_keeps_order(self, capsys):
-        from altsign.cli import IDENTITIES
-        small = {"main": ("--n-max", "2", "--l-max", "2"),
-                 "truncated": ("--samples", "4", "--seed", "3"),
-                 "qast": ("--n-max", "2"),
-                 "asymm": ("--n-max", "1"),
-                 "asym": ("--n-max", "2", "--samples", "3"),
-                 "coeff": ("--n-max", "2", "--l-max", "3"),
-                 "bijections": ("--n-max", "2", "--l-max", "3")}
-        assert set(small) == set(IDENTITIES)
-        for identity, flags in small.items():
-            _, serial = run(capsys, "verify", identity, *flags)
-            _, parallel = run(capsys, "verify", identity, *flags,
-                              "--jobs", "2")
-            assert serial == parallel and "checks passed" in serial, identity
+    def test_asym_past_its_reach_is_refused_up_front(
+            self, capsys, monkeypatch):
+        # n! permutations per sample: about 18 minutes at n = 8 and the
+        # default 100 samples
+        from altsign import verify
+        monkeypatch.setattr(verify, "_run_tasks",
+                            lambda *a: pytest.fail("tasks were run"))
+        for n in (8, 9):
+            code = main(["verify", "asym", "--n-max", str(n)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), n
+            assert captured.err == (f"error: n = {n} is past verify asym's"
+                                    " reach, n <= 7\n")
+
+    def test_jobs_flag_keeps_order(self):
+        # each identity's smallest RUNS row
+        for identity, runs in RUNS.items():
+            flags = min(runs, key=lambda flags: checks(identity, flags))
+            assert wrong_runs([(identity, flags)]) == []
+            assert run_row(identity, flags + ("--jobs", "2")) == run_row(
+                identity, flags), identity
 
     def test_main_enumerates_no_trapezoids(self, capsys, monkeypatch):
         # the trapezoid side of main is the row-state transfer matrix

@@ -149,9 +149,7 @@ class TestSeriesOracle:
 
 
 class TestCoeffRoute:
-    def test_verify_34(self):
-        assert verify_coeff_route(3, 4)
-
+    # every n <= 4, l = 2..6 is test_identities' coeff row
     def test_dets_equal(self):
         for n in range(1, 5):
             for l in range(2, 6):

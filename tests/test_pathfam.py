@@ -109,7 +109,7 @@ class TestWeights:
     def test_weight_transport(self):
         # lgv_weight equals W_d object by object, for every admissible d
         for l in range(1, 6):
-            for n in range(0, 4):
+            for n in range(0, 5):
                 for c in enumerate_cssps(l - 1, n):
                     fam = to_paths(c)
                     for d in range(0, l):
