@@ -5,21 +5,23 @@ three-statistic generating functions computed by three independent routes
 arithmetic.
 
 The route modules load on first use (``altsign.cssp``, ``from altsign
-import cssp``), so a command pays only for the modules it runs."""
+import cssp``), and so do the core's names (``altsign.Gf`` loads
+``altsign.exactalg``), so a command pays only for the modules it runs."""
 
 import importlib
 
-from .exactalg import Gf, MPoly, binomial, det_fraction_free
-
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cssp", "detform", "exactalg", "operatorform", "pathfam",
-               "sttree", "trapezoid")
+_SUBMODULES = ("andrews", "cssp", "detform", "exactalg", "operatorform",
+               "pathfam", "sttree", "trapezoid")
+_CORE_NAMES = ("Gf", "MPoly", "binomial", "det_fraction_free")
 
-__all__ = ["Gf", "MPoly", "binomial", "det_fraction_free", *_SUBMODULES]
+__all__ = [*_CORE_NAMES, *_SUBMODULES]
 
 
 def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
+    if name in _CORE_NAMES:
+        return getattr(importlib.import_module(".exactalg", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,6 +24,7 @@ vanishing, and one check for the other identities.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import sys
 import types
@@ -192,7 +193,7 @@ COMMANDS = {
     "gf": ("generating function by one route", "route", GF_ROUTES,
            ("--format",), _cmd_gf),
     "count": ("number of trapezoids (Andrews' product)", None,
-              ("detform", "count", ("--n", "--l")), (), _cmd_count),
+              ("andrews", "count", ("--n", "--l")), (), _cmd_count),
     "tpoly": ("trapezoid count as a polynomial in l", None,
               ("operatorform", "t_polynomial", ("--n",)), ("--format",),
               _cmd_tpoly),
@@ -330,5 +331,18 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> int:
+    """The process entry, of python -m altsign.cli and of the altsign
+    script: main's exit code, once every object then alive is frozen out
+    of the cyclic collector, so that the collections of the interpreter's
+    exit have nothing to walk (most of those objects are the start-up's).
+    Deallocation by refcount, atexit handlers and stdio flushing run as
+    before; main called as a function freezes nothing."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

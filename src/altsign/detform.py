@@ -33,14 +33,14 @@ covered transitively by the agreement of this route with the operator
 route.
 
 At P = Q = R = 1 the determinant is det(delta_ij + C(l-1+i+j, j)), which
-`count` takes by its closed product, with no matrix.
+`count` takes by Andrews' closed product, with no matrix: that is
+altsign.andrews.count, bound here as detform.count.
 """
 
 from __future__ import annotations
 
-from math import prod
-
-from .errors import NonDivisibleError, check_domain
+from .andrews import count  # unused here: bound as detform.count
+from .errors import check_domain
 from .exactalg import Gf, binomial, det_gf
 
 
@@ -75,45 +75,6 @@ def gf_det(n: int, l: int) -> Gf:
     l = 1 is allowed experimentally but carries no guarantee)."""
     check_domain(n, l)
     return det_gf(det_matrix(n, l))
-
-
-def _rising(a: int, k: int, step: int = 1) -> int:
-    """a (a + step) ... (a + (k-1) step); step 2 gives 2^k (a/2)_k."""
-    return prod(range(a, a + k * step, step))
-
-
-def count(n: int, l: int) -> int:
-    """Number of (n,l)-trapezoids, det(delta_ij + C(mu+i+j, j)) at
-    mu = l - 1, by the product 2 prod_{i=1}^{n-1} Delta_i(mu) of
-    G. E. Andrews ("Plane partitions (III): The weak Macdonald
-    conjecture", 1979; C. Krattenthaler, "Advanced determinant calculus",
-    1999), with (a)_k the rising factorial,
-
-        Delta_2j   = (mu+2j+2)_j (mu/2+2j+3/2)_{j-1}
-                     / ((j)_j (mu/2+j+3/2)_{j-1}),
-        Delta_2j-1 = (mu+2j)_{j-1} (mu/2+2j+1/2)_j
-                     / ((j)_j (mu/2+j+1/2)_{j-1}).
-
-    The half-integer factorials are taken doubled, so every factor is an
-    integer ratio; each partial product 2 prod_{i<m} Delta_i is count(m, l),
-    so every step divides exactly, and NonDivisibleError otherwise."""
-    check_domain(n, l)
-    if n == 0:
-        return 1
-    mu, c = l - 1, 2
-    for i in range(1, n):
-        j = (i + 1) // 2
-        if i % 2:
-            num = _rising(mu + 2 * j, j - 1) * _rising(mu + 4 * j + 1, j, 2)
-            den = 2 * _rising(j, j) * _rising(mu + 2 * j + 1, j - 1, 2)
-        else:
-            num = (_rising(mu + 2 * j + 2, j)
-                   * _rising(mu + 4 * j + 3, j - 1, 2))
-            den = _rising(j, j) * _rising(mu + 2 * j + 3, j - 1, 2)
-        c, rem = divmod(c * num, den)
-        if rem:
-            raise NonDivisibleError(f"factor {i} not divisible", remainder=rem)
-    return c
 
 
 def behrend_coeff(i: int, j: int, l: int) -> Gf:

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -668,11 +669,16 @@ def test_no_import_cycle_between_modules():
     assert [module for module in imports if module in reached(module)] == []
 
 
-def _fresh_process(code, *argv):
+def _fresh_run(*args):
+    """A fresh python process of args, on this package."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(altsign.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh_process(code, *argv):
+    done = _fresh_run("-c", code, *argv)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -686,7 +692,8 @@ def _fresh_process(code, *argv):
 # does), so none loads fractions (with decimal behind it).  gf paths, which
 # never sums over CSSPPs, does not load cssp, and gf cssp, which sums over path
 # families one time slice at a time, loads pathfam but no determinant and no
-# other route, and help and errors load none.
+# other route.  count takes Andrews' product in ints, so it loads no
+# polynomial code, and help and errors load none.
 UNUSED_BY_ALL = ("argparse", "gettext", "dataclasses")
 UNUSED_BUT_BY_VERIFY = UNUSED_BY_ALL + ("altsign.verify",)
 NO_FRACTIONS = UNUSED_BUT_BY_VERIFY + ("fractions", "decimal")
@@ -695,7 +702,8 @@ UNUSED_BY_DET = NO_FRACTIONS + ("concurrent.futures", "multiprocessing",
                                 "altsign.cssp", "altsign.trapezoid",
                                 "altsign.sttree", "altsign.pathfam",
                                 "altsign.operatorform")
-NO_COMMAND = UNUSED_BY_DET + ("altsign.detform",)
+NO_POLYNOMIAL = UNUSED_BY_DET + ("altsign.detform", "altsign.exactalg")
+NO_COMMAND = NO_POLYNOMIAL + ("altsign.andrews",)
 
 # one tiny run of each row of cli.COMMANDS, and the json forms, which print
 # what the text forms do not, each with its exit code and the modules it must
@@ -714,7 +722,7 @@ EVERY_ROW = {tuple(argv.split()): (code, unused) for argv, code, unused in [
     ("gf det --n 2 --l 3", 0, UNUSED_BY_DET),
     ("gf operator --n 2 --l 3", 0, NO_FRACTIONS),
     ("gf paths --n 2 --l 3 --d 1", 0, NO_FRACTIONS + ("altsign.cssp",)),
-    ("count --n 2 --l 3", 0, UNUSED_BY_DET),
+    ("count --n 2 --l 3", 0, NO_POLYNOMIAL),
     ("tpoly --n 3", 0, UNUSED_BUT_BY_VERIFY),
     ("verify main --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),
     ("verify truncated --samples 3", 0, UNUSED_BY_ALL),
@@ -744,36 +752,35 @@ def test_every_row_is_run_by_the_mpoly_probe():
 
 # Prints, as one json line, the run's exit code, the number of MPoly it
 # makes, the code of each package function it calls, as file:first
-# line:name, and the modules loaded when main returns.  Every MPoly is made
-# through __init__ or _make; a Gf is of a subclass and is not counted.  The
+# line:name, and the modules loaded when the process entry returns.  Every
+# MPoly is made through __init__ or _make, whose first argument is the new
+# polynomial or its class; a Gf is of a subclass and is not counted.  The
 # profiler is set before the package loads, so calls made at import count
-# too; it does not follow pool workers, and every row runs with --jobs 1.
+# too, and nothing is imported for the count, so the modules loaded are the
+# run's own; it does not follow pool workers, and every row runs with
+# --jobs 1.
 ROW_PROBE = (
     "import os, sys\n"
-    "codes = set()\n"
+    "codes, made = set(), []\n"
     "def called(frame, event, arg):\n"
     "    if event == 'call':\n"
-    "        codes.add(frame.f_code)\n"
+    "        code = frame.f_code\n"
+    "        codes.add(code)\n"
+    "        if (code.co_name in ('__init__', '_make')\n"
+    "                and os.path.basename(code.co_filename) == 'exactalg.py'):\n"
+    "            new = frame.f_locals[code.co_varnames[0]]\n"
+    "            made.append(new if isinstance(new, type) else type(new))\n"
     "sys.setprofile(called)\n"
-    "from altsign import exactalg\n"
-    "from altsign.cli import main\n"
-    "made = []\n"
-    "init, make = exactalg.MPoly.__init__, exactalg.MPoly._make.__func__\n"
-    "def counted_init(self, *args):\n"
-    "    made.append(type(self))\n"
-    "    init(self, *args)\n"
-    "exactalg.MPoly.__init__ = counted_init\n"
-    "exactalg.MPoly._make = classmethod(\n"
-    "    lambda cls, *args: made.append(cls) or make(cls, *args))\n"
+    "from altsign.cli import run\n"
     "try:\n"
-    "    code = main(sys.argv[1:])\n"
+    "    code = run()\n"
     "except SystemExit as e:\n"
     "    code = e.code\n"
     "sys.setprofile(None)\n"
     "loaded = sorted(sys.modules)\n"
-    "import json\n"
-    "home = os.path.dirname(exactalg.__file__)\n"
-    "print(json.dumps([code, sum(t is exactalg.MPoly for t in made), sorted(\n"
+    "import altsign, json\n"
+    "home = os.path.dirname(altsign.__file__)\n"
+    "print(json.dumps([code, sum(t.__name__ == 'MPoly' for t in made), sorted(\n"
     "    f'{os.path.basename(c.co_filename)}:{c.co_firstlineno}:{c.co_name}'\n"
     "    for c in codes if os.path.dirname(c.co_filename) == home),\n"
     "    loaded]))\n")
@@ -883,3 +890,36 @@ def test_package_names_resolve_on_first_use():
         "except AttributeError:\n"
         "    print('absent')\n")
     assert names == "\naltsign.cssp altsign.pathfam\nabsent\n"
+
+
+# The process entry (cli.run, of python -m altsign.cli and of the altsign
+# script) freezes what is alive once main is done, so that the collections
+# at exit have nothing to walk; main called as a function freezes nothing.
+# A fresh process of the entry prints and exits what main does in this one:
+# an answer, a refusal and the help.
+ENTRY_RUNS = {"gf det --n 2 --l 4": 0, "count --n 0 --l 0": 2, "--help": 0}
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(argv.split())
+    except SystemExit as e:  # help and argument errors exit
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ENTRY_RUNS)
+def test_main_as_a_function_freezes_nothing(argv, capsys):
+    frozen = gc.get_freeze_count()
+    _in_process(capsys, argv)
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv", ENTRY_RUNS)
+def test_the_process_entry_prints_and_exits_what_main_does(argv, capsys):
+    done = _fresh_run("-m", "altsign.cli", *argv.split())
+    code, out, err = done.returncode, done.stdout, done.stderr
+    assert (code, out, err) == _in_process(capsys, argv)
+    assert code == ENTRY_RUNS[argv] and (err if code else out)
