@@ -195,7 +195,7 @@ COMMANDS = {
     "count": ("number of trapezoids (Andrews' product)", None,
               ("andrews", "count", ("--n", "--l")), (), _cmd_count),
     "tpoly": ("trapezoid count as a polynomial in l", None,
-              ("operatorform", "t_polynomial", ("--n",)), ("--format",),
+              ("andrews", "t_polynomial", ("--n",)), ("--format",),
               _cmd_tpoly),
     "verify": ("cross-route verification sweeps", "identity", IDENTITIES,
                ("--jobs",), _cmd_verify),

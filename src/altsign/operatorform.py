@@ -1,8 +1,7 @@
 """The operator formula route: the polynomial M_n, difference operators,
 closed-form (s,t)-tree counts, trapezoid counts and generating functions
-with prescribed 1-column positions, the base-length polynomial t_n, and
-exact verification of the two symmetrizer identities the derivation rests
-on.
+with prescribed 1-column positions, and exact verification of the two
+symmetrizer identities the derivation rests on.
 
 M_n is kept as integer coordinates m_a over the binomial basis
 prod_i C(x_i, a_i), where the forward difference is an index shift,
@@ -23,8 +22,8 @@ bwd C(y, t) = C(y - 1, t - 1) for every integer y, each such factor maps
 C(., t) read at v to one binomial, so each step (_step) contracts the
 first index.  At P = Q = 1 the weight factors are the identity, so every
 formula folds the one step per variable at unit weights into an int (a
-count) or at the monomials P, Q, R into a Gf, and t_n interpolates the
-counts in l.
+count) or at the monomials P, Q, R into a Gf.  t_n as a polynomial in l
+is Andrews' product's (altsign.andrews.t_polynomial).
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
+from .andrews import t_polynomial  # unused here: bound for callers
 from .errors import InvalidShapeError, ShapeMismatchError, check_domain
-from .exactalg import Gf, add_into, binomial, forward_differences
+from .exactalg import Gf, add_into, binomial
 
 if TYPE_CHECKING:
     from .exactalg import MPoly
@@ -257,22 +257,6 @@ def t_value(n: int, l: int) -> int:
 
 
 count_ast_via_operator = t_value
-
-
-def t_polynomial(n: int) -> list:
-    """The number of (n,l)-trapezoids as a polynomial in the base length l,
-    by its coordinates c_k over the falling factorials l(l-1)...(l-k+1),
-    lowest first, trailing zeros dropped: c_k = D^k t_n(0) / k! (Newton)
-    from t_value at l = 0..n(n-1)/2, since t_n has degree at most that of
-    M_n.  Valid counts for l >= 2; t_n(1) counts the quasi variant, and
-    t_0 = 1 counts the empty trapezoid."""
-    from fractions import Fraction
-    coords = [Fraction(d, math.factorial(k)) for k, d in enumerate(
-        forward_differences([t_value(n, l)
-                             for l in range(n * (n - 1) // 2 + 1)]))]
-    while len(coords) > 1 and coords[-1] == 0:
-        coords.pop()
-    return coords
 
 
 def asymM_constant_term(n: int, x) -> int:

@@ -98,7 +98,6 @@ class TestCountCommand:
                      ("tpoly", "--n", "-1"),
                      ("gf", "operator", "--n", "-2", "--l", "3"),
                      ("gf", "operator", "--n", "8", "--l", "3"),
-                     ("tpoly", "--n", "8"),
                      ("verify", "qast", "--n-max", "8"),
                      ("verify", "asymm", "--n-max", "8"),
                      ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
@@ -229,7 +228,7 @@ def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
                     for at in (2, 3):
                         assert eval(poly.replace("^", "**"), {"l": at}) \
                             == value[n, at], (argv, at)
-    assert checked == 53  # 16 each for enumerate ast, cssp and count
+    assert checked == 52  # 16 each for enumerate ast, cssp and count, 4 tpoly
 
 
 class TestEnumerateCommand:
@@ -307,7 +306,7 @@ def test_help_does_not_follow_the_terminal_width(capsys, monkeypatch):
     assert code == 0 and "\n  gf paths --n --l --d [1] --format" in text
 
 
-# sha256 of the stdout of tpoly --n n --format f for n <= 5
+# sha256 of the stdout of tpoly --n n --format f for n <= 7
 TPOLY_DIGESTS = {
     # (0, "text") is the bytes 't_0(l) = 1\n         = 1\n'
     (0, "text"): "28e1aaa48fb9a2ed0674b89458407ca8e850e8edd426abcf115da49c63fbbfd2",
@@ -322,6 +321,10 @@ TPOLY_DIGESTS = {
     (4, "json"): "ae3c173da41452f7aea14c4ab08786d1f7889f41bf2aeba3a8c6227e65c182b2",
     (5, "text"): "5b90356aa1c062617b902883575668930a814d243cc486fe515efce2bd04bdb5",
     (5, "json"): "49410b757cd6fd2d0ec1cf08a01e615e93d68bc95ba28bb51791248003ddb8bb",
+    (6, "text"): "9988d6254c841fe43391c4c820a730dbf4d5d36162e6237364de8b8e6c2bcecd",
+    (6, "json"): "6884dd1ee01d06dfc7b7e6ace51e0677cbbb626f2e7a35da20e18b3e48a82f6f",
+    (7, "text"): "811f62b4bb14f1096a9d6eda21f79eab6dc3aa6ce5bdf458e0ca840808321c97",
+    (7, "json"): "83ac5be11457b3dab9ed442b86fe4cdc34bc276a7e65280884f6bdbf6d5e0da0",
 }
 
 
@@ -339,7 +342,7 @@ class TestTpoly:
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, fmt)
 
     def test_both_forms_through_the_term_printer(self, capsys, monkeypatch):
-        from altsign import operatorform
+        from altsign import andrews
         from altsign.exactalg import MPoly, monomials
 
         def old_join(coeffs):  # tpoly's own join before the shared printer
@@ -353,8 +356,7 @@ class TestTpoly:
                 Fraction(7, 1))
         for _ in range(200):
             coeffs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
-            monkeypatch.setattr(operatorform, "t_polynomial",
-                                lambda n: coeffs)
+            monkeypatch.setattr(andrews, "t_polynomial", lambda n: coeffs)
             code, out = run(capsys, "tpoly", "--n", "0", "--format", "json")
             assert code == 0, coeffs
             forms = json.loads(out)
@@ -693,7 +695,8 @@ def _fresh_process(code, *argv):
 # never sums over CSSPPs, does not load cssp, and gf cssp, which sums over path
 # families one time slice at a time, loads pathfam but no determinant and no
 # other route.  count takes Andrews' product in ints, so it loads no
-# polynomial code, and help and errors load none.
+# polynomial code, and help and errors load none; tpoly interpolates that
+# product, so it does not load the operator route.
 UNUSED_BY_ALL = ("argparse", "gettext", "dataclasses")
 UNUSED_BUT_BY_VERIFY = UNUSED_BY_ALL + ("altsign.verify",)
 NO_FRACTIONS = UNUSED_BUT_BY_VERIFY + ("fractions", "decimal")
@@ -723,7 +726,7 @@ EVERY_ROW = {tuple(argv.split()): (code, unused) for argv, code, unused in [
     ("gf operator --n 2 --l 3", 0, NO_FRACTIONS),
     ("gf paths --n 2 --l 3 --d 1", 0, NO_FRACTIONS + ("altsign.cssp",)),
     ("count --n 2 --l 3", 0, NO_POLYNOMIAL),
-    ("tpoly --n 3", 0, UNUSED_BUT_BY_VERIFY),
+    ("tpoly --n 3", 0, UNUSED_BUT_BY_VERIFY + ("altsign.operatorform",)),
     ("verify main --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),
     ("verify truncated --samples 3", 0, UNUSED_BY_ALL),
     ("verify qast --n-max 2", 0, UNUSED_BY_ALL),

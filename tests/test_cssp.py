@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -31,6 +32,17 @@ TABLE_K3_N2 = [
 ]
 
 
+def _fillings(n, top):
+    """Every filling by parts 1..top of every strict shape with first row
+    at most n, the empty one included, as a tuple of rows."""
+    for size in range(n + 1):
+        for shape in itertools.combinations(range(n, 0, -1), size):
+            for parts in itertools.product(range(1, top + 1),
+                                           repeat=sum(shape)):
+                cells = iter(parts)
+                yield tuple(tuple(itertools.islice(cells, m)) for m in shape)
+
+
 class TestValidate:
     def test_structurally_valid_but_classless(self):
         assert structure_violation(NO_CLASS) is None
@@ -57,6 +69,17 @@ class TestValidate:
         assert structure_violation(((2,), ())) == "row 2 is empty"
         assert structure_violation(((1, 0),)) \
             == "row 1, position 2: part 0 is not positive"
+
+    def test_valid_exactly_for_the_enumerated(self):
+        # every filling of every strict shape with first row at most n by
+        # parts 1..k+n+1, one above the largest class-k part (81,680
+        # fillings): validate passes exactly what enumerate_cssps lists
+        for k in range(3):
+            for n in range(4):
+                valid = {rows for rows in _fillings(n, k + n + 1)
+                         if validate(Cssp(k, rows)) is None}
+                assert valid == {c.rows for c in enumerate_cssps(k, n)}, \
+                    (k, n)
 
 
 class TestEnumerate:

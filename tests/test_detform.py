@@ -2,7 +2,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from altsign import cssp, detform, exactalg, pathfam, trapezoid
+from altsign import andrews, cssp, detform, exactalg, pathfam, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, k_matrix, series_coeffs,
                              verify_coeff_route)
@@ -298,6 +298,14 @@ class TestAnchors:
         for l in range(1, 13):
             for n in range(0, 41):
                 assert count(n, l) == bareiss_count(n, l), (n, l)
+
+    def test_product_at_mu_minus_1(self):
+        # count's product never runs at mu = -1 (l = 0), where t_polynomial
+        # samples it: it is still the determinant there
+        values = [andrews._product(n, -1) for n in range(0, 41)]
+        assert values[:7] == [1, 2, 4, 12, 60, 500, 7000]
+        for n, value in enumerate(values):
+            assert value == bareiss_count(n, 0), n
 
     def test_asm_numbers_by_enumeration(self):
         for n in range(0, 7):

@@ -154,7 +154,6 @@ class TestMn:
         # n = 8 before building anything
         for call in (lambda: compute_Mn(8), lambda: t_value(8, 3),
                      lambda: gf_ast_via_operator(9, 3),
-                     lambda: t_polynomial(8),
                      lambda: eval_Mn(8, range(8))):
             with pytest.raises(ValueError, match="reach"):
                 call()
@@ -377,13 +376,29 @@ class TestTPolynomial:
         assert t_value(5, 1) == len(trapezoid.enumerate_trapezoids(5, 1))
 
     def test_n6_counts(self):
-        # the walk and the interpolated polynomial against the determinant
+        # the walk and the interpolated product against the product
         t6 = t_polynomial(6)
         for l in range(2, 7):
             count = detform.count(6, l)
             assert t_value(6, l) == count, l
-            assert sum(c * math.perm(l, k) for k, c in enumerate(t6)) \
-                == count, l
+            assert _at_l(t6, l) == count, l
+
+    def test_the_walk_interpolates_to_t_polynomial(self):
+        # t_polynomial samples Andrews' product, and the walk agrees at its
+        # n(n-1)/2 + 1 points l = 0, 1, ..., so the walk's interpolating
+        # polynomial has the same coordinates
+        for n in range(6):
+            coords, points = t_polynomial(n), range(n * (n - 1) // 2 + 1)
+            assert len(coords) <= len(points), n
+            assert [t_value(n, l) for l in points] \
+                == [_at_l(coords, l) for l in points], n
+
+    def test_past_the_walks_reach(self):
+        # t_8, which the walk does not reach, against the determinant's
+        # coefficient sum
+        t8 = t_polynomial(8)
+        for l in range(2, 6):
+            assert _at_l(t8, l) == gf_value(detform.gf_det(8, l)), l
 
     def test_t_value_builds_m_n_once(self):
         compute_Mn.cache_clear()
@@ -420,6 +435,11 @@ class TestTPolynomial:
         t4 = t_polynomial(4)
         assert t4 == [60, 72, 23, Fraction(5, 2), Fraction(1, 12)]
         assert not any(isinstance(c, float) for c in t4), t4
+
+
+def _at_l(coords, l):
+    """The polynomial of falling-factorial coordinates coords at l."""
+    return sum(c * math.perm(l, k) for k, c in enumerate(coords))
 
 
 class TestAsymMIdentity:

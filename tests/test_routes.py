@@ -84,7 +84,7 @@ def digest(value):
 # Every route's domain is n >= 0, l >= 1 and d in 0..l-1, checked in that
 # order; the operator route also needs l >= 2 and n <= 7.  The refusal a
 # route gives at (n, l, d), or None where it answers.
-OPERATOR_ROWS = (("gf", "operator"), ("tpoly",))
+OPERATOR_ROWS = (("gf", "operator"),)
 
 
 def _refusal(words, n, l, d):

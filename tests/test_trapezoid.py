@@ -130,6 +130,24 @@ class TestValidate:
         assert validate(Trapezoid(-1, 3, ())) == "need n >= 0, got n = -1"
         assert validate(Trapezoid(0, 0, ())) == "need l >= 1, got l = 0"
 
+    def test_valid_exactly_for_the_enumerated(self):
+        # every {-1, 0, 1} array of each shape (3^cells of them, so n and l
+        # stay small): validate passes exactly what enumerate_trapezoids
+        # lists
+        shapes = [(0, l) for l in (1, 2, 3)] + [(1, l) for l in range(1, 6)]
+        shapes += [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)]
+        for n, l in shapes:
+            lengths = [2 * n + l - 2 * i for i in range(1, n + 1)]
+            valid = set()
+            for entries in itertools.product((-1, 0, 1), repeat=sum(lengths)):
+                cells = iter(entries)
+                rows = tuple(tuple(itertools.islice(cells, m))
+                             for m in lengths)
+                if validate(Trapezoid(n, l, rows)) is None:
+                    valid.add(rows)
+            assert valid == {t.rows for t in enumerate_trapezoids(n, l)}, \
+                (n, l)
+
 
 class TestPretty:
     def test_empty_trapezoid_prints_as_the_empty_cssp(self):
