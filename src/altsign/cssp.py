@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotInImageError, OutOfRangeError, check_domain
-from .exactalg import Gf, add_into
-from .pathfam import (LatticePath, PathFamily, check_d, step_weight,
-                      validate_path)
+from .exactalg import Gf, add_into, times_weight
+from .pathfam import LatticePath, PathFamily, step_weight, validate_path
 
 
 class CsspStats(NamedTuple):
@@ -131,7 +130,7 @@ def stats(c: Cssp, d: int) -> CsspStats:
 def weight(c: Cssp, d: int) -> Gf:
     """W_d(C) for 1 <= d <= k, or the d = 0 weight (admissible for every
     class) with its expanded (P+Q-1) factor."""
-    check_d(d, c.k + 1)
+    check_domain(l=c.k + 1, d=d)
     o = int(_has_factor(c.rows[-1][1:] if c.rows else (), d))
     return Gf.weight(*_pq(c.rows, d), len(c.rows), o)
 
@@ -151,14 +150,13 @@ def gf(k: int, n: int, d: int) -> Gf:
     (Fisher's vicious walkers); each tick moves them one at a time in order
     of x (a broken profile), north or west onto a free site."""
     l = k + 1
-    check_domain(n)
-    check_d(d, l)
+    check_domain(n, l, d)
     states = {(): Gf.weight()}
     for s in range(1 - n, n + l - 1):
         if 0 <= -s < n:  # path -s starts at (-s, 0), left of every other
             for key, g in list(states.items()):
                 if not key or key[0][0] != -s:
-                    states[((-s, -s),) + key] = g * Gf.weight(r=1)
+                    states[((-s, -s),) + key] = times_weight(g, (0, 0, 1))
         u = s - l + 1
         if 0 <= u < n:  # path u, the first of the tuple if present, ends
             ended = {key: g for key, g in states.items()
@@ -178,9 +176,8 @@ def gf(k: int, n: int, d: int) -> Gf:
                 if y < v + l - 1:  # a north step past it cannot end
                     add_into(moved, key, g)
                 if x and (not i or key[i - 1][0] != x - 1):
-                    e = step_weight(x, y, d)
                     add_into(moved, key[:i] + ((x - 1, v),) + key[i + 1:],
-                             g * Gf.weight(*e) if any(e) else g)
+                             times_weight(g, step_weight(x, y, d)))
             states = moved
     return states[()]
 

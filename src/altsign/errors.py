@@ -25,9 +25,12 @@ class ShapeMismatchError(ValueError):
     """Vector lengths passed to an operator formula are inconsistent."""
 
 
-def check_domain(n: int = 0, l: int = 1) -> None:
-    """ValueError for n < 0, then for l < 1: every route's domain."""
+def check_domain(n: int = 0, l: int = 1, d: int | None = None) -> None:
+    """ValueError for n < 0, then for l < 1, then OutOfRangeError for a d
+    outside 0..l-1: every route's domain."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
     if l < 1:
         raise ValueError(f"need l >= 1, got l = {l}")
+    if d is not None and not 0 <= d <= l - 1:
+        raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")

@@ -385,6 +385,13 @@ class Gf(MPoly):
         return (-exp[2], exp[0] + exp[1], -exp[0])
 
 
+def times_weight(value, exponents):
+    """value * Gf.weight(*exponents), or value itself when every exponent is
+    0: how every weighted sweep (trapezoid.gf, cssp.gf, pathfam.path_matrix)
+    applies a step's weight."""
+    return value * Gf.weight(*exponents) if any(exponents) else value
+
+
 def det_fraction_free(matrix) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.  Each
     step divides exactly by the previous pivot; a nonzero remainder raises

@@ -48,8 +48,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import OutOfRangeError, check_domain
-from .exactalg import Gf, det_gf
+from .errors import check_domain
+from .exactalg import Gf, det_gf, times_weight
 
 
 class LatticePath(NamedTuple):
@@ -102,17 +102,10 @@ def step_weight(x: int, y: int, d: int) -> tuple[int, int, int, int]:
     return int(y - x == d - 1), int(y == 0), 0, 0
 
 
-def check_d(d: int, l: int) -> None:
-    """check_domain's l check, then OutOfRangeError for d outside 0..l-1."""
-    check_domain(l=l)
-    if not 0 <= d <= l - 1:
-        raise OutOfRangeError(f"d = {d} not in 0..{l - 1}")
-
-
 def lgv_weight(f: PathFamily, d: int) -> Gf:
     """Family weight for 0 <= d <= f.l - 1: R per path times the product of
     step_weight over the west steps, built once from the exponent sums."""
-    check_d(d, f.l)
+    check_domain(l=f.l, d=d)
     steps = [step_weight(path.u - k, y, d)  # the k-th from x = u - k
              for path in f.paths for k, y in enumerate(path.heights)]
     p, q, _, o = map(sum, zip((0, 0, 0, 0), *steps))
@@ -148,14 +141,13 @@ def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     """M[u][v]: the weighted count of N/W paths from (u, 0) to
     (0, v + l - 1), by a step DP over the grid (one sweep per source)."""
     top = n + l - 2
-    steps = {(x, y): Gf.weight(*step_weight(x, y, d))
-             for x in range(1, n) for y in range(top + 1)}
     out = []
     for u in range(n):
         # column x of the sweep: the weighted count of paths reaching (x, y)
         column = [Gf.weight()] * (top + 1)
         for x in range(u - 1, -1, -1):
-            west = [c * steps[x + 1, y] for y, c in enumerate(column)]
+            west = [times_weight(c, step_weight(x + 1, y, d))
+                    for y, c in enumerate(column)]
             column = [west[0]]
             for y in range(1, top + 1):
                 column.append(column[-1] + west[y])
@@ -176,8 +168,7 @@ def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
 def gf_via_paths(n: int, l: int, d: int) -> Gf:
     """Generating function of all non-intersecting families, as
     det(I + R*M) = det(K(n) + R K(n) M) over the path matrix M."""
-    check_domain(n)
-    check_d(d, l)
+    check_domain(n, l, d)
     return det_gf(det_matrix(n, l, d))
 
 
@@ -251,8 +242,7 @@ def write_families_svg(path: str, n: int, l: int, d: int) -> int:
     """Render every non-intersecting family for (n, l) to one SVG file;
     returns the number of families drawn.  The sheet is rendered before
     the file is opened, so a failed render leaves no file behind."""
-    check_domain(n)
-    check_d(d, l)
+    check_domain(n, l, d)
     families = list(all_families(n, l))
     sheet = families_svg(families, d, n, l)
     with open(path, "w", encoding="utf-8") as handle:

@@ -16,7 +16,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import check_domain
-from .exactalg import Gf, add_into
+from .exactalg import Gf, add_into, times_weight
 
 
 class AstStats(NamedTuple):
@@ -234,9 +234,9 @@ def gf(n: int, l: int) -> Gf:
         after: dict = {}
         for s, g in states.items():
             for _, state, ones in _steps(n, l, i, s):
-                add_into(after, state, g * Gf.weight(*_exponents(ones)))
+                add_into(after, state, times_weight(g, _exponents(ones)))
         states = after
-    return sum(states.values(), Gf())
+    return states[()]
 
 
 def column_partial_sums(t: Trapezoid) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ import functools
 import hashlib
 from types import SimpleNamespace
 
-from altsign import pathfam
+from altsign import cssp, pathfam, trapezoid
 from altsign.cli import GF_ROUTES, _call
 from altsign.detform import gf_det
 from altsign.exactalg import Gf
@@ -239,3 +239,27 @@ def test_one_wrong_refusal_is_the_one_mismatch(monkeypatch):
 
     monkeypatch.setattr(pathfam, "gf_via_paths", answers_at_one_edge)
     assert mismatches() == [("paths", 2, 3, 3)]
+
+
+def _add_in_place(states, key, value):
+    """A merge that adds value into the stored value's terms in place,
+    where add_into builds a new value."""
+    if key not in states:
+        states[key] = value
+        return
+    terms = states[key].terms
+    for exp, c in value.terms.items():
+        terms[exp] = terms.get(exp, 0) + c
+        if not terms[exp]:
+            del terms[exp]
+
+
+def test_the_object_sweeps_need_a_merge_that_copies(monkeypatch):
+    # a step of weight 1 passes its value on unmultiplied, so one value can
+    # sit in several states, and a merge into one of them must not reach
+    # the others
+    for module in (trapezoid, cssp):
+        monkeypatch.setattr(module, "add_into", _add_in_place)
+    table = {route: cells(route, range(4), range(1, 5))
+             for route in ("ast", "cssp")}
+    assert {route for route, *_ in mismatches(table)} == {"ast", "cssp"}
