@@ -21,7 +21,7 @@ one form exactalg.det_gf takes.  It writes P R, R and Q as x, y and z, so
 the determinant has total degree <= n, takes the integer determinants at
 the C(n+3, 3) lattice points x + y + z <= n and interpolates, so no
 polynomial is ever divided.  The paths route takes its determinant on the
-same form (k_form): with M = pathfam.path_matrix(n, l, 1),
+same form (exactalg.k_form): with M = pathfam.path_matrix(n, l, 1),
 det_matrix(n, l) = K(n) (I + R M) (at d = 0 when l = 1), so `gf det` and
 `gf paths --d 1` reach one matrix.
 `verify coeff` takes det_gf of the coefficient matrix, of the same form,
@@ -41,24 +41,7 @@ from __future__ import annotations
 
 from .andrews import count  # unused here: bound as detform.count
 from .errors import check_domain
-from .exactalg import Gf, binomial, det_gf
-
-
-def k_matrix(n: int) -> list[list[Gf]]:
-    """K(n) = (delta_{ij} - Q delta_{i,j+1})."""
-    return [[Gf.weight() if i == j else
-             (-Gf.weight(q=1) if i == j + 1 else Gf())
-             for j in range(n)] for i in range(n)]
-
-
-def k_form(x) -> list[list[Gf]]:
-    """K(n) + R X for an n x n matrix X free of R, the form both
-    determinant routes take: X = B(n, l) here, X = K(n) M in pathfam.  The
-    entries of both are integer combinations of 1 and P, so every entry of
-    the form is one of 1, P R, R and Q, as exactalg.det_gf requires."""
-    R = Gf.weight(r=1)
-    return [[k + R * e for k, e in zip(k_row, x_row)]
-            for k_row, x_row in zip(k_matrix(len(x)), x)]
+from .exactalg import Gf, binomial, det_gf, k_form
 
 
 def det_matrix(n: int, l: int) -> list[list[Gf]]:

@@ -521,3 +521,19 @@ def det_gf(matrix) -> Gf:
     _simplex_lines(values, len(matrix), monomials)
     return Gf({(a, b, a + c): v for (a, c, b), v in values.items()})
 
+
+def k_matrix(n: int) -> list[list[Gf]]:
+    """K(n) = (delta_{ij} - Q delta_{i,j+1}), of determinant 1."""
+    return [[Gf.weight() if i == j else
+             (-Gf.weight(q=1) if i == j + 1 else Gf())
+             for j in range(n)] for i in range(n)]
+
+
+def k_form(x) -> list[list[Gf]]:
+    """K(n) + R X for an n x n matrix X free of R, the form both
+    determinant routes build for det_gf: X = B(n, l) in detform, X = K(n) M
+    in pathfam.  The entries of both are integer combinations of 1 and P,
+    so every entry of the form is one of 1, P R, R and Q."""
+    R = Gf.weight(r=1)
+    return [[k + R * e for k, e in zip(k_row, x_row)]
+            for k_row, x_row in zip(k_matrix(len(x)), x)]

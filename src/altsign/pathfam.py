@@ -32,7 +32,7 @@ paths must join source u to sink u.  Only the identity pairing survives,
 with sign +1, and it is exactly a family.
 
 The determinant is taken as det(K(n) + R K(n) M) = det(I + R M), with
-K(n) = I - Q S of determinant 1 (detform.k_matrix, S the shift below the
+K(n) = I - Q S of determinant 1 (exactalg.k_matrix, S the shift below the
 diagonal).  A path from (u, 0) takes all of its height-0 west steps before
 its first north step, and each weighs Q, so M[u] = Q M[u-1] + N[u] with
 N[u] the paths from (u, 0) that start north.  The one exception is the
@@ -49,7 +49,7 @@ import itertools
 from typing import NamedTuple
 
 from .errors import check_domain
-from .exactalg import Gf, det_gf, times_weight
+from .exactalg import Gf, det_gf, k_form, times_weight
 
 
 class LatticePath(NamedTuple):
@@ -158,7 +158,6 @@ def path_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
 def det_matrix(n: int, l: int, d: int) -> list[list[Gf]]:
     """K(n) + R K(n) M, with M = path_matrix(n, l, d): the matrix whose
     determinant the route takes.  Row u of K(n) M is M[u] - Q M[u-1]."""
-    from .detform import k_form  # only here: gf cssp never loads detform
     m = path_matrix(n, l, d)
     q = Gf.weight(q=1)
     return k_form([[a - q * b for a, b in zip(row, above)]

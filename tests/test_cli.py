@@ -112,9 +112,12 @@ class TestCountCommand:
                      ("verify", "asym", "--n-max", "2", "--samples", "0"),
                      ("verify", "asym", "--n-max", "2", "--samples", "-3"),
                      ("verify", "asym", "--n-max", "0", "--samples", "0"),
+                     ("verify", "asym", "--n-max", "2", "--samples", "0",
+                      "--jobs", "2"),
                      ("verify", "truncated", "--samples", "0"),
                      ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
                      ("gf", "cssp", "--k", "0", "--n", "7"),
+                     ("gf", "cssp", "--k", "-1", "--n", "2"),
                      ("enumerate", "sttree", "--n", "-1", "--b=")):
             code, out = run(capsys, *argv)
             assert code == 2, argv
@@ -692,11 +695,12 @@ def _fresh_process(code, *argv):
 # dataclasses (with inspect, ast and dis behind it): the object classes of the
 # enumeration routes are named tuples.  No gf route makes a Fraction (tpoly
 # does), so none loads fractions (with decimal behind it).  gf paths, which
-# never sums over CSSPPs, does not load cssp, and gf cssp, which sums over path
-# families one time slice at a time, loads pathfam but no determinant and no
-# other route.  count takes Andrews' product in ints, so it loads no
-# polynomial code, and help and errors load none; tpoly interpolates that
-# product, so it does not load the operator route.
+# never sums over CSSPPs, does not load cssp, and takes its K(n) + R X form
+# from exactalg, not detform; gf cssp, which sums over path families one time
+# slice at a time, loads pathfam but no determinant and no other route.
+# count takes Andrews' product in ints, so it loads no polynomial code, and
+# help and errors load none; tpoly interpolates that product, so it does not
+# load the operator route.
 UNUSED_BY_ALL = ("argparse", "gettext", "dataclasses")
 UNUSED_BUT_BY_VERIFY = UNUSED_BY_ALL + ("altsign.verify",)
 NO_FRACTIONS = UNUSED_BUT_BY_VERIFY + ("fractions", "decimal")
@@ -724,7 +728,8 @@ EVERY_ROW = {tuple(argv.split()): (code, unused) for argv, code, unused in [
                      "altsign.operatorform")),
     ("gf det --n 2 --l 3", 0, UNUSED_BY_DET),
     ("gf operator --n 2 --l 3", 0, NO_FRACTIONS),
-    ("gf paths --n 2 --l 3 --d 1", 0, NO_FRACTIONS + ("altsign.cssp",)),
+    ("gf paths --n 2 --l 3 --d 1", 0,
+     NO_FRACTIONS + ("altsign.cssp", "altsign.detform")),
     ("count --n 2 --l 3", 0, NO_POLYNOMIAL),
     ("tpoly --n 3", 0, UNUSED_BUT_BY_VERIFY + ("altsign.operatorform",)),
     ("verify main --n-max 2 --l-max 2", 0, UNUSED_BY_ALL),

@@ -4,9 +4,8 @@ import pytest
 
 from altsign import andrews, cssp, detform, exactalg, pathfam, trapezoid
 from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
-                             gf_det, k_matrix, series_coeffs,
-                             verify_coeff_route)
-from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free
+                             gf_det, series_coeffs, verify_coeff_route)
+from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free, k_matrix
 from test_exactalg import det_bareiss, det_cofactor, gf_value
 from test_routes import cells, gf_by, mismatches
 

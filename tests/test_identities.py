@@ -3,7 +3,8 @@ through cli.main with the flags of its RUNS rows, and each run must exit 0
 and end with the row's k/k line; one library function that each check
 calls, made wrong at one task, must give its sweep's one FAIL.  The
 acceptance criteria 5-8 and test_cli's TestVerify run their rows from
-RUNS.  This module imports no other test module."""
+RUNS, and tests/ci_sizes.py the larger rows of CI_RUNS.  This module
+imports no other test module."""
 
 import contextlib
 import functools
@@ -31,6 +32,30 @@ RUNS = {
               ("--n-max", "4", "--l-max", "6"): "20/20 checks passed"},
     "bijections": {("--n-max", "2", "--l-max", "3"): "4/4 checks passed",
                    ("--n-max", "4", "--l-max", "5"): "16/16 checks passed"},
+}
+
+
+# identity: {flags: (the last line its run prints, whether its --jobs 2 run
+# must print the same bytes)}, the larger runs CI makes (tests/ci_sizes.py);
+# main pools one task per (n, l) cell, qast one per n
+CI_RUNS = {
+    "asymm": {("--n-max", "4"): ("340/340 checks passed", False)},
+    "main": {
+        ("--n-max", "8", "--l-max", "5", "--jobs", "2"):
+        ("120/120 checks passed", False),
+        ("--n-max", "6", "--l-max", "5"): ("90/90 checks passed", True)},
+    "bijections": {
+        ("--n-max", "5", "--l-max", "4"): ("15/15 checks passed", False),
+        ("--n-max", "4", "--l-max", "4"): ("12/12 checks passed", True)},
+    "coeff": {("--n-max", "10", "--l-max", "6"):
+              ("50/50 checks passed", False)},
+    "asym": {("--n-max", "5", "--samples", "20"):
+             ("5/5 checks passed", False)},
+    "truncated": {
+        ("--samples", "200", "--seed", "7"): ("200/200 checks passed", False),
+        ("--samples", "1000", "--seed", "11"):
+        ("1000/1000 checks passed", True)},
+    "qast": {("--n-max", "5"): ("10/10 checks passed", True)},
 }
 
 
@@ -93,7 +118,7 @@ ONE_WRONG_TASK = {
 
 
 def test_every_identity_has_runs_and_a_wrong_task():
-    assert set(RUNS) == set(ONE_WRONG_TASK) == set(IDENTITIES)
+    assert set(RUNS) == set(CI_RUNS) == set(ONE_WRONG_TASK) == set(IDENTITIES)
 
 
 def test_every_run_passes_every_check():

@@ -8,7 +8,7 @@ import pytest
 from altsign import cssp, detform
 from altsign.cssp import Cssp, enumerate_cssps, from_paths, to_paths
 from altsign.errors import NotInImageError, OutOfRangeError
-from altsign.exactalg import Gf
+from altsign.exactalg import Gf, k_matrix
 from altsign.pathfam import (LatticePath, PathFamily, all_families,
                              det_matrix, families_svg, gf_via_paths,
                              lgv_weight, path_matrix, paths_for_index,
@@ -312,7 +312,7 @@ class TestGfViaPaths:
         # determinant of one matrix
         r = Gf.weight(r=1)
         for n in range(0, 8):
-            k = detform.k_matrix(n)
+            k = k_matrix(n)
             for l in range(1, 7):
                 for d in range(0, l):
                     m = path_matrix(n, l, d)

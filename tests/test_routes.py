@@ -7,7 +7,8 @@ by the one domain rule _refusal, it must equal gf_det, and where (n, l) is
 pinned it must print PINNED's bytes; where it refuses, it must refuse with
 _refusal's message.  The default cells run the grid, the domain's edges
 and a few cells beyond the grid; PIN_CELLS runs every route at the pinned
-cells it reaches in the suite.  `gf <route>` prints a value's sorted
+cells it reaches in the suite, and CI_CELLS, which tests/ci_sizes.py
+judges, the larger cells CI runs.  `gf <route>` prints a value's sorted
 terms, so equal values print equal bytes.  This module imports no other
 test module, so any of them can import its rule, its call and its pins."""
 
@@ -148,6 +149,20 @@ PIN_CELLS = {
     }.items()}
 
 
+# each route at the larger cells CI runs (tests/ci_sizes.py, under python
+# and python -O), where it must equal gf_det, and print PINNED's bytes at
+# (6, 4) and (7, 5): the -O run checks gf_det against the routes that do not
+# share its kernel at nine (n, l), and its bytes at (7, 5)
+CI_CELLS = {
+    "ast": cells("ast", (9, 10), (4,)),
+    "cssp": [(6, 4, 0), (6, 4, 1), (6, 4, 3), (7, 5, 0), (7, 5, 1),
+             (7, 5, 4), (8, 5, 1), (9, 5, 0), (9, 5, 1), (9, 5, 4)],
+    "det": cells("det", (7,), (5,)),
+    "operator": cells("operator", (5, 6, 7), (3,)),
+    "paths": [(12, 4, 0), (12, 4, 3), (16, 4, 1)],
+}
+
+
 def answers(table=None):
     """{(route, n, l, d): the route's value there, or its refusal's
     message}.  table maps a route to its (n, l, d) cells; by default every
@@ -189,6 +204,15 @@ def mismatches(table=None, got=None):
 
 def test_every_route_answers_as_gf_det_at_every_cell():
     assert mismatches() == []
+
+
+def test_every_route_has_ci_cells_that_it_answers():
+    # a cell CI runs is one the route answers, with a d where it reads one
+    assert set(CI_CELLS) == set(GF_ROUTES) and all(CI_CELLS.values())
+    assert [(route, *cell) for route, route_cells in CI_CELLS.items()
+            for cell in route_cells
+            if _refusal(("gf", route), *cell) is not None
+            or (cell[2] is None) == ("--d" in GF_ROUTES[route][-1])] == []
 
 
 def test_the_papers_example_is_pinned():
