@@ -70,11 +70,18 @@ def validate(c: Cssp):
     return None
 
 
+def _check_class(k, n, d=None):
+    """check_domain(n, k + 1, d), refusing a class k < 0 as k."""
+    if n >= 0 and k < 0:
+        raise ValueError(f"need k >= 0, got k = {k}")
+    check_domain(n, k + 1, d)
+
+
 def enumerate_cssps(k: int, n: int) -> list[Cssp]:
     """All class-k column strict shifted plane partitions whose first row
     has at most n parts, the empty one first: a depth-first search over
     the rows that _next_rows allows below each row, listing every prefix."""
-    check_domain(n, k + 1)
+    _check_class(k, n)
     out = []
 
     def extend(rows):
@@ -149,8 +156,8 @@ def gf(k: int, n: int, d: int) -> Gf:
     s = u + l - 1.  A state is the sorted (x, u) of the paths present at s
     (Fisher's vicious walkers); each tick moves them one at a time in order
     of x (a broken profile), north or west onto a free site."""
+    _check_class(k, n, d)
     l = k + 1
-    check_domain(n, l, d)
     states = {(): Gf.weight()}
     for s in range(1 - n, n + l - 1):
         if 0 <= -s < n:  # path -s starts at (-s, 0), left of every other

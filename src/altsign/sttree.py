@@ -40,7 +40,7 @@ def _runs(n: int, s, t) -> list[tuple[int, int]]:
     t_k > d."""
     s, t = tuple(s), tuple(t)
     if n < 0:
-        raise InvalidShapeError(f"order n must be non-negative, got {n}")
+        raise InvalidShapeError(f"need n >= 0, got n = {n}")
     if len(s) + len(t) > n:
         raise InvalidShapeError("len(s) + len(t) exceeds n")
     if any(x < 0 for x in s) or any(x < 0 for x in t):

@@ -1,9 +1,11 @@
 import ast
 import concurrent.futures
+import contextlib
 import functools
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -13,6 +15,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,16 +25,21 @@ from altsign.detform import gf_det
 from test_detform import asm_number
 from test_exactalg import gf_value
 from test_identities import RUNS, checks, run_row, wrong_runs
-from test_routes import OPERATOR_ROWS, _refusal
+from test_routes import _refusal
+
+
+def run_all(capsys, *argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # help and argument errors exit
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as e:  # an argument error exits through the parser
-        code = e.code
-    captured = capsys.readouterr()
-    return code, captured.out
+    return run_all(capsys, *argv)[:2]
 
 
 class TestGfCommand:
@@ -88,67 +96,6 @@ class TestCountCommand:
         assert code == 0
         assert out.strip() == "7"
 
-    def test_out_of_domain_exits_2(self, capsys, tmp_path):
-        sheet = tmp_path / "sheet.svg"
-        unwritable = tmp_path / "no_such_dir" / "sheet.svg"
-        for argv in (("count", "--n", "-1", "--l", "3"),
-                     ("count", "--n", "3", "--l", "0"),
-                     ("gf", "det", "--n", "2", "--l", "0"),
-                     ("gf", "ast", "--n", "-1", "--l", "3"),
-                     ("tpoly", "--n", "-1"),
-                     ("gf", "operator", "--n", "-2", "--l", "3"),
-                     ("gf", "operator", "--n", "8", "--l", "3"),
-                     ("verify", "qast", "--n-max", "8"),
-                     ("verify", "asymm", "--n-max", "8"),
-                     ("gf", "paths", "--n", "-1", "--l", "3", "--d", "1"),
-                     ("svg", "paths", "--n", "-1", "--l", "3",
-                      "--out", str(sheet)),
-                     ("svg", "paths", "--n", "2", "--l", "3", "--d", "5",
-                      "--out", str(sheet)),
-                     ("svg", "paths", "--n", "2", "--l", "3", "--d", "-3",
-                      "--out", str(sheet)),
-                     ("svg", "paths", "--n", "2", "--l", "3",
-                      "--out", str(unwritable)),
-                     ("verify", "asym", "--n-max", "2", "--samples", "0"),
-                     ("verify", "asym", "--n-max", "2", "--samples", "-3"),
-                     ("verify", "asym", "--n-max", "0", "--samples", "0"),
-                     ("verify", "asym", "--n-max", "2", "--samples", "0",
-                      "--jobs", "2"),
-                     ("verify", "truncated", "--samples", "0"),
-                     ("gf", "cssp", "--k", "3", "--n", "6", "--d", "9"),
-                     ("gf", "cssp", "--k", "0", "--n", "7"),
-                     ("gf", "cssp", "--k", "-1", "--n", "2"),
-                     ("enumerate", "sttree", "--n", "-1", "--b=")):
-            code, out = run(capsys, *argv)
-            assert code == 2, argv
-            assert out == ""
-        assert not sheet.exists()
-        assert not unwritable.parent.exists()
-
-    def test_paths_below_l_1_blame_l(self, capsys, tmp_path):
-        # not the range 0..l-1 of d, which is empty for l < 1
-        for argv in (("gf", "paths", "--n", "2", "--l", "0", "--d", "0"),
-                     ("svg", "paths", "--n", "2", "--l", "-1", "--d", "0",
-                      "--out", str(tmp_path / "sheet.svg"))):
-            assert main(list(argv)) == 2, argv
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == \
-                ("", f"error: need l >= 1, got l = {argv[5]}\n"), argv
-
-    def test_cssp_and_paths_refuse_a_d_alike(self, capsys):
-        # one d check: class k sums over families of l = k + 1 paths
-        for k, d in ((3, 9), (3, -1), (3, 4), (0, 1), (0, -1), (2, 3)):
-            errs = []
-            for argv in (("gf", "cssp", "--k", str(k), "--n", "3",
-                          "--d", str(d)),
-                         ("gf", "paths", "--l", str(k + 1), "--n", "3",
-                          "--d", str(d))):
-                assert main(list(argv)) == 2, argv
-                captured = capsys.readouterr()
-                assert captured.out == "", argv
-                errs.append(captured.err)
-            assert errs == [f"error: d = {d} not in 0..{k}\n"] * 2, (k, d)
-
     def test_l1_allowed(self, capsys):
         code, out = run(capsys, "count", "--n", "2", "--l", "1")
         assert code == 0
@@ -186,31 +133,26 @@ def test_every_route_answers_or_refuses_alike_at_the_edges(capsys):
     # the gf routes' edges are test_routes.EDGES
     from altsign.cli import FAMILIES
 
-    def run_all(*argv):
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     rows = [(("enumerate", family), FAMILIES[family][-1])
             for family in ("ast", "cssp")]
     rows += [(("count",), ("--n", "--l")), (("tpoly",), ("--n",))]
     value = {}  # gf det's value at P = Q = R = 1
     for n in (0, 1, 2):
         for l in (1, 2, 3):
-            _, out, _ = run_all("gf", "det", "--n", str(n), "--l", str(l),
-                                "--format", "json")
+            _, out, _ = run_all(capsys, "gf", "det", "--n", str(n),
+                                "--l", str(l), "--format", "json")
             value[n, l] = sum(term["coeff"] for term in json.loads(out))
     checked = 0
     for words, reads in rows:
         # inside the domain first: n = 0 is where the routes once split
-        for n in (0, 1, 2, -1) + ((8,) if words in OPERATOR_ROWS else ()):
+        for n in (0, 1, 2, -1):
             for l in ((1, 2, 3, 0) if "--l" in reads or "--k" in reads
                       else (None,)):
                 values = {"--n": n, "--l": l,
                           "--k": None if l is None else l - 1}
                 argv = [*words, *(x for flag in reads
                                   for x in (flag, str(values[flag])))]
-                code, out, err = run_all(*argv)
+                code, out, err = run_all(capsys, *argv)
                 # tpoly reads no l: it answers for every l >= 1
                 refusal = _refusal(words, n, 1 if l is None else l, None)
                 checked += 1
@@ -273,31 +215,6 @@ class TestEnumerateCommand:
         code, out = run(capsys, *argv, "--b", "-1,0,2")
         assert (code, out) == run(capsys, *argv, "--b=-1,0,2")
         assert code == 0 and out.endswith("total: 4\n")
-
-    def test_missing_flag_exits_2(self, capsys):
-        # through the usage line of the command at hand
-        for command in ("enumerate", "gf"):
-            with pytest.raises(SystemExit) as info:
-                main([command, "ast", "--n", "2"])
-            usage, error, _ = capsys.readouterr().err.split("\n")
-            assert info.value.code == 2
-            assert usage.startswith(f"usage: altsign {command} ast|cssp|")
-            assert error == \
-                f"altsign {command}: error: {command} ast requires --l"
-
-    def test_malformed_int_list_names_the_form(self, capsys):
-        for argv, bad in (
-                (("enumerate", "sttree", "--n", "1", "--b", "1,x"), "1,x"),
-                (("enumerate", "sttree", "--n", "2", "--b", "1,2",
-                  "--t", "0,,1"), "0,,1")):
-            with pytest.raises(SystemExit) as info:
-                main(list(argv))
-            captured = capsys.readouterr()
-            assert (info.value.code, captured.out) == (2, ""), argv
-            assert (f"expected comma-separated integers, got {bad!r}"
-                    in captured.err), captured.err
-            assert "_parse_int_list" not in captured.err
-
 
 
 def test_help_does_not_follow_the_terminal_width(capsys, monkeypatch):
@@ -380,13 +297,6 @@ class TestTpoly:
 
 
 class TestVerify:
-    def test_main_small(self):
-        assert wrong_runs([("main", ("--n-max", "2", "--l-max", "3"))]) == []
-
-    def test_truncated_seeded(self):
-        rows = [("truncated", ("--samples", "10", "--seed", "7"))]
-        assert wrong_runs(rows) == []
-
     def test_qast(self):
         flags = ("--n-max", "2")
         assert run_row("qast", flags) == (0, "PASS qast count (n=1)\n"
@@ -402,46 +312,12 @@ class TestVerify:
                "PASS asym lemma (n=2, samples=5)\n"
                f"{RUNS['asym'][flags]}\n")
 
-    def test_coeff(self):
-        assert wrong_runs([("coeff", ("--n-max", "2", "--l-max", "3"))]) == []
-
-    def test_bijections(self):
-        rows = [("bijections", ("--n-max", "2", "--l-max", "3"))]
-        assert wrong_runs(rows) == []
-
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, "verify", "truncated", "--samples", "6",
                        "--seed", "3")
         _, second = run(capsys, "verify", "truncated", "--samples", "6",
                         "--seed", "3")
         assert first == second
-
-    def test_asymm_past_its_reach_is_refused_up_front(
-            self, capsys, monkeypatch):
-        # 4^n constant terms over the n^n grid: hours at n = 6
-        from altsign import verify
-        monkeypatch.setattr(verify, "_run_tasks",
-                            lambda *a: pytest.fail("tasks were run"))
-        for n in (6, 7):
-            code = main(["verify", "asymm", "--n-max", str(n)])
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (2, ""), n
-            assert captured.err == (f"error: n = {n} is past verify asymm's"
-                                    " reach, n <= 5\n")
-
-    def test_asym_past_its_reach_is_refused_up_front(
-            self, capsys, monkeypatch):
-        # n! permutations per sample: about 18 minutes at n = 8 and the
-        # default 100 samples
-        from altsign import verify
-        monkeypatch.setattr(verify, "_run_tasks",
-                            lambda *a: pytest.fail("tasks were run"))
-        for n in (8, 9):
-            code = main(["verify", "asym", "--n-max", str(n)])
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (2, ""), n
-            assert captured.err == (f"error: n = {n} is past verify asym's"
-                                    " reach, n <= 7\n")
 
     def test_jobs_flag_keeps_order(self):
         # each identity's smallest RUNS row
@@ -553,12 +429,6 @@ class TestVerify:
         code, out = run(capsys, "verify", "main", "--n-max", "0")
         assert code == 1
         assert "0/0 checks passed" in out
-
-    def test_jobs_below_1_rejected(self, capsys):
-        for jobs in ("0", "-3"):
-            with pytest.raises(SystemExit) as info:
-                main(["verify", "main", "--n-max", "1", "--jobs", jobs])
-            assert info.value.code == 2
 
     def test_jobs_clamped(self, capsys, monkeypatch, fake_pool):
         from altsign import verify
@@ -749,6 +619,140 @@ EVERY_ROW = {tuple(argv.split()): (code, unused) for argv, code, unused in [
 ]}
 
 
+# the usage line of each command that a parser refusal below prints first
+USAGE = {
+    "enumerate": "usage: altsign enumerate ast|cssp|sttree [--flag value ...]",
+    "gf": "usage: altsign gf ast|cssp|det|operator|paths [--flag value ...]",
+    "verify": "usage: altsign verify main|truncated|qast|asymm|asym|coeff|"
+              "bijections [--flag value ...]",
+}
+
+
+def _parser_error(command, message):
+    return f"{USAGE[command]}\naltsign {command}: error: {message}\n"
+
+
+# Every command line that the CLI refuses, with the exact stderr it exits 2
+# with: a library refusal prints "error: <message>", a parser refusal the
+# command's usage line, then "altsign <command>: error: <message>".  {dir}
+# is an empty directory, where a refused svg paths must write nothing.
+REFUSALS = {tuple(argv.split()): err for argv, err in [
+    # the domain: n, then l (k for cssp), then d; below l = 1 the message
+    # blames l, not the empty range 0..l-1 of d
+    ("count --n -1 --l 3", "error: need n >= 0, got n = -1\n"),
+    ("count --n 3 --l 0", "error: need l >= 1, got l = 0\n"),
+    ("gf det --n 2 --l 0", "error: need l >= 1, got l = 0\n"),
+    ("gf ast --n -1 --l 3", "error: need n >= 0, got n = -1\n"),
+    ("tpoly --n -1", "error: need n >= 0, got n = -1\n"),
+    ("gf operator --n -2 --l 3", "error: need n >= 0, got n = -2\n"),
+    ("gf paths --n -1 --l 3 --d 1", "error: need n >= 0, got n = -1\n"),
+    ("gf paths --n 2 --l 0 --d 0", "error: need l >= 1, got l = 0\n"),
+    ("gf cssp --k -1 --n 2", "error: need k >= 0, got k = -1\n"),
+    ("gf cssp --k 3 --n 6 --d 9", "error: d = 9 not in 0..3\n"),
+    ("gf cssp --k 0 --n 7", "error: d = 1 not in 0..0\n"),
+    ("enumerate sttree --n -1 --b=", "error: need n >= 0, got n = -1\n"),
+    # one d check: class k sums over families of l = k + 1 paths
+    *[(argv, f"error: d = {d} not in 0..{k}\n")
+      for k, d in ((3, 9), (3, -1), (3, 4), (0, 1), (0, -1), (2, 3))
+      for argv in (f"gf cssp --k {k} --n 3 --d {d}",
+                   f"gf paths --l {k + 1} --n 3 --d {d}")],
+    ("svg paths --n -1 --l 3 --out {dir}/sheet.svg",
+     "error: need n >= 0, got n = -1\n"),
+    ("svg paths --n 2 --l -1 --d 0 --out {dir}/sheet.svg",
+     "error: need l >= 1, got l = -1\n"),
+    ("svg paths --n 2 --l 3 --d 5 --out {dir}/sheet.svg",
+     "error: d = 5 not in 0..2\n"),
+    ("svg paths --n 2 --l 3 --d -3 --out {dir}/sheet.svg",
+     "error: d = -3 not in 0..2\n"),
+    ("svg paths --n 2 --l 3 --out {dir}/no_such_dir/sheet.svg",
+     "error: cannot write {dir}/no_such_dir/sheet.svg: "
+     "No such file or directory\n"),
+    # reach, before any work: M_n to n = 7; verify asymm takes 4^n constant
+    # terms over the n^n grid (hours at n = 6), verify asym n! permutations
+    # per sample (about 18 minutes at n = 8 and the default 100 samples)
+    ("gf operator --n 8 --l 3",
+     "error: n = 8 is past the operator route's reach, n <= 7\n"),
+    ("verify qast --n-max 8",
+     "error: n = 8 is past the operator route's reach, n <= 7\n"),
+    *[(f"verify asymm --n-max {n}",
+       f"error: n = {n} is past verify asymm's reach, n <= 5\n")
+      for n in (6, 7, 8)],
+    *[(f"verify asym --n-max {n}",
+       f"error: n = {n} is past verify asym's reach, n <= 7\n")
+      for n in (8, 9)],
+    # a sweep over no sample checks nothing, whatever --n-max and --jobs are
+    ("verify asym --n-max 2 --samples 0",
+     "error: need at least one sample, got 0\n"),
+    ("verify asym --n-max 2 --samples -3",
+     "error: need at least one sample, got -3\n"),
+    ("verify asym --n-max 0 --samples 0",
+     "error: need at least one sample, got 0\n"),
+    ("verify asym --n-max 2 --samples 0 --jobs 2",
+     "error: need at least one sample, got 0\n"),
+    ("verify truncated --samples 0",
+     "error: need at least one sample, got 0\n"),
+    # the parser's refusals, after the usage line
+    ("enumerate ast --n 2",
+     _parser_error("enumerate", "enumerate ast requires --l")),
+    ("gf ast --n 2", _parser_error("gf", "gf ast requires --l")),
+    ("enumerate sttree --n 1 --b 1,x", _parser_error(
+        "enumerate", "--b: expected comma-separated integers, got '1,x'")),
+    ("enumerate sttree --n 2 --b 1,2 --t 0,,1", _parser_error(
+        "enumerate", "--t: expected comma-separated integers, got '0,,1'")),
+    *[(f"verify main --n-max 1 --jobs {jobs}",
+       _parser_error("verify", "--jobs must be at least 1"))
+      for jobs in (0, -3)],
+]}
+
+
+class _TasksStarted(Exception):
+    """What verify._run_tasks raises under refusal_mismatches: a refused
+    verify run must start no task."""
+
+
+def refusal_mismatches(table=None):
+    """Each argv of table, by default REFUSALS, that main does not refuse
+    with exit 2, an empty stdout and exactly its stderr, or that starts
+    work: a verify task, or a file in {dir}."""
+    from altsign import verify
+    found = []
+    for argv, err in (REFUSALS if table is None else table).items():
+        out, got = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                verify, "_run_tasks", side_effect=_TasksStarted), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(got):
+            try:
+                code = main([a.format(dir=tmp) for a in argv])
+            except SystemExit as e:  # the parser's refusals
+                code = e.code
+            except _TasksStarted:
+                code = None
+            ran = (code, out.getvalue(), got.getvalue().replace(tmp, "{dir}"),
+                   os.listdir(tmp))
+        if ran != (2, "", err, []):
+            found.append(argv)
+    return found
+
+
+def test_every_refusal_prints_its_stderr_and_starts_no_work():
+    assert refusal_mismatches() == []
+
+
+def test_one_wrong_refusal_is_the_one_mismatch(monkeypatch):
+    argv = ("gf", "cssp", "--k", "-1", "--n", "2")
+    monkeypatch.setitem(REFUSALS, argv, "error: need l >= 1, got l = 0\n")
+    assert refusal_mismatches() == [argv]
+
+
+def test_a_refusal_that_starts_its_tasks_is_a_mismatch(monkeypatch):
+    # with no sample check the --samples 0 and -3 runs start their tasks
+    from altsign import operatorform
+    monkeypatch.setattr(operatorform, "check_samples", lambda count: None)
+    assert refusal_mismatches() == [argv for argv in REFUSALS
+                                    if "--samples" in argv]
+
+
 def test_every_row_is_run_by_the_mpoly_probe():
     rows = {(name, choice) for name, (_, positional, table, _, _)
             in COMMANDS.items()
@@ -908,20 +912,10 @@ def test_package_names_resolve_on_first_use():
 ENTRY_RUNS = {"gf det --n 2 --l 4": 0, "count --n 0 --l 0": 2, "--help": 0}
 
 
-def _in_process(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv) in this process."""
-    try:
-        code = main(argv.split())
-    except SystemExit as e:  # help and argument errors exit
-        code = e.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("argv", ENTRY_RUNS)
 def test_main_as_a_function_freezes_nothing(argv, capsys):
     frozen = gc.get_freeze_count()
-    _in_process(capsys, argv)
+    run_all(capsys, *argv.split())
     assert gc.get_freeze_count() == frozen
 
 
@@ -929,5 +923,5 @@ def test_main_as_a_function_freezes_nothing(argv, capsys):
 def test_the_process_entry_prints_and_exits_what_main_does(argv, capsys):
     done = _fresh_run("-m", "altsign.cli", *argv.split())
     code, out, err = done.returncode, done.stdout, done.stderr
-    assert (code, out, err) == _in_process(capsys, argv)
+    assert (code, out, err) == run_all(capsys, *argv.split())
     assert code == ENTRY_RUNS[argv] and (err if code else out)

@@ -10,7 +10,7 @@ from altsign.errors import OutOfRangeError
 from altsign.exactalg import Gf
 
 from test_exactalg import gf_value
-from test_routes import PINNED, cells, digest, mismatches, pin_answers
+from test_routes import PINNED, digest
 
 # shape-(5,4,2,1) filling with no class
 NO_CLASS = ((6, 5, 5, 4, 2), (4, 3, 3, 1), (2, 2), (1,))
@@ -153,13 +153,6 @@ class TestWeight:
 
 
 class TestGf:
-    def test_k3_n2_all_d(self):
-        assert mismatches({"cssp": cells("cssp", (2,), (4,),
-                                         lambda l: range(1, l))}) == []
-
-    def test_n0(self):
-        assert mismatches({"cssp": cells("cssp", (0,), range(1, 5))}) == []
-
     def test_triple_multisets_agree_across_d(self):
         for k in range(1, 4):
             for n in range(0, 3):
@@ -179,8 +172,8 @@ class TestGf:
         with pytest.raises(OutOfRangeError,
                            match=r"^d = 1 not in 0..0$"):
             gf(0, 7, 1)
-        # a bad class (l = k + 1 below 1) still wins over a bad d
-        with pytest.raises(ValueError, match=r"^need l >= 1, got l = 0$"):
+        # a bad class still wins over a bad d, and is named as k
+        with pytest.raises(ValueError, match=r"^need k >= 0, got k = -1$"):
             gf(-1, 2, 9)
 
     def test_gf_builds_no_object(self, monkeypatch):
@@ -202,15 +195,6 @@ class TestGf:
                 count = len(enumerate_cssps(k, n))
                 for d in range(0, k + 1):
                     assert gf_value(gf(k, n, d)) == count
-
-    def test_printed_bytes_pinned(self):
-        assert mismatches(got=pin_answers(("cssp",))) == []
-
-
-class TestTheoremMainSmall:
-    def test_matches_trapezoids(self):
-        assert mismatches({route: cells(route, range(1, 4), range(1, 5))
-                           for route in ("cssp", "ast")}) == []
 
 
 class TestInterfaces:
@@ -332,10 +316,6 @@ class TestOracles:
             got, expected = gf(k, n, d), _row_dp(k, n, d)
             assert got == expected, (k, n, d)
             assert str(got) == str(expected), (k, n, d)
-
-    def test_bound_sum_matches_determinant_at_n6(self):
-        # class 4, first row at most 6: the (6, 5)-trapezoids
-        assert mismatches({"cssp": cells("cssp", (6,), (5,))}) == []
 
     def test_enumeration_matches_cell_search(self):
         for k in range(0, 5):

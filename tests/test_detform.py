@@ -7,7 +7,7 @@ from altsign.detform import (behrend_coeff, coeff_matrix, count, det_matrix,
                              gf_det, series_coeffs, verify_coeff_route)
 from altsign.exactalg import Gf, MPoly, binomial, det_fraction_free, k_matrix
 from test_exactalg import det_bareiss, det_cofactor, gf_value
-from test_routes import cells, gf_by, mismatches
+from test_routes import cells, gf_by
 
 def mat_mul(a, b):
     n = len(a)
@@ -32,30 +32,6 @@ def summed_matrix(n, l):
             row.append(entry)
         out.append(row)
     return out
-
-
-class TestGfDet:
-    def test_24(self):
-        assert mismatches({"det": [(2, 4, None)]}) == []
-
-    def test_single(self):
-        assert mismatches({"det": cells("det", (1,), range(2, 7))}) == []
-
-    def test_empty(self):
-        assert mismatches({"det": [(0, 5, None)]}) == []
-
-    def test_l1_is_computable(self):
-        # experimental: the matrix makes sense at l = 1 but the derivation
-        # does not cover it; the families agree with it there
-        assert mismatches({"det": [(2, 1, None)]}) == []
-
-    def test_matches_families(self):
-        assert mismatches({route: cells(route, range(1, 4), range(2, 5))
-                           for route in ("ast", "cssp")}) == []
-
-    def test_matches_operator_route(self):
-        assert mismatches(
-            {"operator": cells("operator", range(1, 4), range(2, 6))}) == []
 
 
 class TestCount:

@@ -22,11 +22,7 @@ from altsign.operatorform import (_step, all_positions, asymM_constant_term,
 from altsign.sttree import (enumerate_sttrees, formula_domain,
                             random_tree_instances)
 
-from test_exactalg import gf_value
-from test_routes import cells, mismatches
-
-def var(name):
-    return MPoly.variable(name)
+from test_exactalg import gf_value, var
 
 
 class TestOperators:
@@ -317,19 +313,8 @@ class TestPrescribedGf:
 
 
 class TestOperatorRoute:
-    def test_24(self):
-        assert mismatches({"operator": [(2, 4, None)]}) == []
-
-    def test_single_row(self):
-        assert mismatches(
-            {"operator": cells("operator", (1,), (2, 3, 5))}) == []
-
     def test_23_evaluation(self):
         assert gf_value(gf_ast_via_operator(2, 3)) == 7
-
-    def test_matches_enumeration(self):
-        assert mismatches({route: cells(route, range(1, 4), range(2, 6))
-                           for route in ("operator", "ast")}) == []
 
     def test_position_sum_equals_sum_of_prescribed(self):
         # the prefix-sharing walk against one fold per position vector
@@ -537,10 +522,6 @@ class TestIntegerCore:
 
     def test_mn_has_int_coefficients(self):
         assert {type(c) for c in compute_Mn(5).values()} == {int}
-
-    def test_operator_route_equals_det(self):
-        at_4 = cells("operator", (4,), range(2, 6))
-        assert mismatches({"operator": at_4 + [(5, 3, None)]}) == []
 
 
 class TestIntegrality:

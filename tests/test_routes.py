@@ -83,19 +83,18 @@ def digest(value):
 
 
 # Every route's domain is n >= 0, l >= 1 and d in 0..l-1, checked in that
-# order; the operator route also needs l >= 2 and n <= 7.  The refusal a
-# route gives at (n, l, d), or None where it answers.
-OPERATOR_ROWS = (("gf", "operator"),)
-
-
+# order, where cssp names l < 1 as its class k = l - 1 < 0; the operator
+# route also needs l >= 2 and n <= 7.  The refusal a route, or a command
+# of words, gives at (n, l, d), or None where it answers.
 def _refusal(words, n, l, d):
     if n < 0:
         return f"need n >= 0, got n = {n}"
     if l < 1:
-        return f"need l >= 1, got l = {l}"
+        return (f"need k >= 0, got k = {l - 1}" if "cssp" in words
+                else f"need l >= 1, got l = {l}")
     if words == ("gf", "operator") and l < 2:
         return "the weighted operator formula needs l >= 2"
-    if words in OPERATOR_ROWS and n > 7:
+    if words == ("gf", "operator") and n > 7:
         return f"n = {n} is past the operator route's reach, n <= 7"
     if d is not None and not 0 <= d <= l - 1:
         return f"d = {d} not in 0..{l - 1}"

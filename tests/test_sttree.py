@@ -99,7 +99,7 @@ def _deleted_cell_set(n: int, s, t) -> set:
     vectors are inadmissible or the two deletion regions interfere."""
     s, t = tuple(s), tuple(t)
     if n < 0:
-        raise InvalidShapeError(f"order n must be non-negative, got {n}")
+        raise InvalidShapeError(f"need n >= 0, got n = {n}")
     if len(s) + len(t) > n:
         raise InvalidShapeError("len(s) + len(t) exceeds n")
     if any(x < 0 for x in s) or any(x < 0 for x in t):
@@ -200,9 +200,11 @@ class TestShape:
             deleted_cells(4, (4,), (0, 0, 4))
 
     def test_negative_order_refused_by_name(self):
-        with pytest.raises(InvalidShapeError, match="order n"):
+        with pytest.raises(InvalidShapeError,
+                           match=r"^need n >= 0, got n = -1$"):
             deleted_cells(-1, (), ())
-        with pytest.raises(InvalidShapeError, match="order n"):
+        with pytest.raises(InvalidShapeError,
+                           match=r"^need n >= 0, got n = -1$"):
             enumerate_sttrees(-1, (), (), ())
 
     def test_too_long(self):
